@@ -27,7 +27,7 @@ import numpy as np
 from . import exact, indep, meanfield
 from .exact import MultiSitePattern
 from .meanfield import OdeConfig
-from .model import FunctionFamily, ModelSpec, SpinSpec
+from .model import ModelSpec, SpinSpec
 
 DEFAULT_DELTAS = tuple(2.0 ** -k for k in range(4, 9))
 _ADMISSIBLE_SLACK = 1e-12
@@ -171,8 +171,7 @@ def ordering_margins(spec: SpinSpec, x0: int, demands,
             entries.append((site, tuple(steps)))
         chain = discretise(spec, DiscretisationConfig(delta))
         discrete = MultiSitePattern(entries=tuple(entries))
-        p_chain = exact.multisite_probability(spec=chain, x0=x0, pattern=discrete,
-                                              method="propagate")
+        p_chain = exact.multisite_probability(chain, x0, discrete)
         p_indep = indep.multisite_probability(chain, x0, discrete)
         out.append((delta, p_chain - p_indep))
     return out

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import bridge, exact, indep, meanfield, order, simulate
+from . import bridge, exact, meanfield, order, simulate
 from .exact import CapacityError
 from .meanfield import OdeConfig
 from .model import (BOUND_HYPOTHESES, ModelError, ModelSpec, SpinSpec,
@@ -62,6 +62,18 @@ def _parse_x0(text: str, n: int) -> int:
     if not 0 <= word < (1 << n):
         raise _CliError(f"state word {word} out of range for n={n}", EXIT_USAGE)
     return word
+
+
+def _parse_t(spec, t: float):
+    """--t: a whole number of steps for occupancy models, a finite end time for spin models."""
+    if isinstance(spec, SpinSpec):
+        if not 0 <= t < np.inf:
+            raise _CliError(f"--t must be a finite end time >= 0, got {t!r}", EXIT_USAGE)
+        return t
+    if not (t >= 0 and float(t).is_integer()):
+        raise _CliError(f"--t must be a whole number of steps >= 0 for an occupancy "
+                        f"model, got {t!r}", EXIT_USAGE)
+    return int(t)
 
 
 def _write_out(path, text: str):
@@ -111,33 +123,33 @@ def _trajectory_csv(times, rows) -> str:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise _CliError(f"--workers must be >= 1, got {args.workers}", EXIT_USAGE)
     spec = _load(args.model)
+    t = _parse_t(spec, args.t)
     if isinstance(spec, SpinSpec):
         if args.mode != "meanfield":
             raise _CliError("spin models only support --mode meanfield here; "
                             "use the bridge subcommand for laws", EXIT_USAGE)
         p0 = exact.state_bits(_parse_x0(args.x0, spec.n), spec.n)
-        times, states = meanfield.integrate_ode(spec, p0, args.t,
+        times, states = meanfield.integrate_ode(spec, p0, t,
                                                 OdeConfig(h=args.h, method="rk4"))
         _write_out(args.out, _trajectory_csv(times, states))
         return EXIT_PASS
     x0 = _parse_x0(args.x0, spec.n)
-    steps = int(args.t)
     if args.mode == "exact":
-        rows = exact.marginal_trajectory(spec, x0, steps)
-        _write_out(args.out, _trajectory_csv(range(steps + 1), rows))
-    elif args.mode == "meanfield":
-        rows = meanfield.iterate(spec, exact.state_bits(x0, spec.n), steps)
-        _write_out(args.out, _trajectory_csv(range(steps + 1), rows))
-    elif args.mode == "indep":
-        rows = np.vstack([indep.marginal(spec, x0, t) for t in range(steps + 1)])
-        _write_out(args.out, _trajectory_csv(range(steps + 1), rows))
+        rows = exact.marginal_trajectory(spec, x0, t)
+        _write_out(args.out, _trajectory_csv(range(t + 1), rows))
+    elif args.mode in ("meanfield", "indep"):
+        # the surrogate's site marginals are the recursion rows
+        rows = meanfield.iterate(spec, exact.state_bits(x0, spec.n), t)
+        _write_out(args.out, _trajectory_csv(range(t + 1), rows))
     else:
-        est = simulate.simulate_marginals(spec, x0, steps, args.reps, args.seed,
+        est = simulate.simulate_marginals(spec, x0, t, args.reps, args.seed,
                                           workers=args.workers)
         header = ["step", "site", "mean", "se"]
-        rows = [[t, i, repr(float(est.means[t, i])), repr(float(est.ses[t, i]))]
-                for t in range(steps + 1) for i in range(spec.n)]
+        rows = [[k, i, repr(float(est.means[k, i])), repr(float(est.ses[k, i]))]
+                for k in range(t + 1) for i in range(spec.n)]
         _write_out(args.out, _csv_text(header, rows))
     return EXIT_PASS
 
@@ -181,6 +193,7 @@ def _convergence_report(table: bridge.ConvergenceTable, universe: dict,
 
 def _cmd_verify(args) -> int:
     spec = _load(args.model)
+    t = _parse_t(spec, args.t)
     tol = args.tol if args.tol is not None else _default_tol(args.theorem)
     hypo = check_assumptions(spec, samples=args.samples, tol=1e-9, seed=args.seed)
     reports = []
@@ -191,23 +204,23 @@ def _cmd_verify(args) -> int:
         x0 = _parse_x0(args.x0, spec.n)
         if args.theorem == "thm1":
             certified = hypo.passed(BOUND_HYPOTHESES)
-            reports.append(order.marginal_bound(spec, x0, int(args.t), tol=tol,
+            reports.append(order.marginal_bound(spec, x0, t, tol=tol,
                                                 certified=certified))
-            dist = exact.distribution(spec, x0, int(args.t))
+            dist = exact.distribution(spec, x0, t)
             reports.append(order.positive_correlations(dist, tol=tol,
                                                        certified=certified))
         else:
             certified = hypo.ordering_certified
-            reports.append(order.path_orthant(spec, x0, int(args.m), tol=tol,
+            reports.append(order.path_orthant(spec, x0, args.m, tol=tol,
                                               certified=certified))
-            reports.append(order.single_time_orthant(spec, x0, int(args.t),
+            reports.append(order.single_time_orthant(spec, x0, t,
                                                      tol=tol, certified=certified))
     elif args.theorem == "thm2":
         if not isinstance(spec, SpinSpec):
             raise _CliError("thm2 needs a spin model", EXIT_USAGE)
         x0 = _parse_x0(args.x0, spec.n)
         certified = hypo.passed(SPIN_BOUND_HYPOTHESES)
-        grid = [k * args.t / max(1, args.grid_points - 1)
+        grid = [k * t / max(1, args.grid_points - 1)
                 for k in range(args.grid_points)]
         reports.append(order.spin_marginal_bound(spec, x0, grid, tol=tol,
                                                  certified=certified,
@@ -217,7 +230,7 @@ def _cmd_verify(args) -> int:
             raise _CliError("thm4 needs a spin model", EXIT_USAGE)
         x0 = _parse_x0(args.x0, spec.n)
         deltas = _parse_deltas(args.delta_grid)
-        table = bridge.convergence_table(spec, x0, args.t, deltas=deltas)
+        table = bridge.convergence_table(spec, x0, t, deltas=deltas)
         csv_path = (args.out + ".csv") if args.out else None
         if csv_path:
             _write_out(csv_path, table.to_csv())
@@ -225,7 +238,7 @@ def _cmd_verify(args) -> int:
         else:
             sys.stdout.write(table.to_csv())
         certified = hypo.passed(SPIN_ORDERING_HYPOTHESES)
-        universe = {"n": spec.n, "x0": x0, "t": args.t, "deltas": list(deltas)}
+        universe = {"n": spec.n, "x0": x0, "t": t, "deltas": list(deltas)}
         reports.append(_convergence_report(table, universe, tol, certified))
     doc = {
         "model": args.model,
@@ -255,16 +268,24 @@ def _cmd_bridge(args) -> int:
     spec = _load(args.model)
     if not isinstance(spec, SpinSpec):
         raise _CliError("bridge needs a spin model", EXIT_USAGE)
+    t = _parse_t(spec, args.t)
     x0 = _parse_x0(args.x0, spec.n)
     deltas = _parse_deltas(args.delta_grid)
-    table = bridge.convergence_table(spec, x0, args.t, deltas=deltas)
+    table = bridge.convergence_table(spec, x0, t, deltas=deltas)
     _write_out(args.out, table.to_csv())
     return EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags argparse cannot parse exit with the usage code, not its default 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="occupancy",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="occupancy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="hypothesis margins for a model file")

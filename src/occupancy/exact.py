@@ -1,59 +1,22 @@
 """Exact computations on the full state space {0,1}^n.
 
-States are integer words with site i stored in bit i (LSB), so word 0 is
-the empty configuration and word 2^n - 1 is fully occupied.  Everything
-here enumerates the 2^n states explicitly and is the ground truth that
-the approximate modules are checked against; n is capped accordingly.
+States are the integer words of `occupancy.lattice`.  Everything here
+enumerates the 2^n states explicitly and is the ground truth that the
+approximate modules are checked against; n is capped accordingly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
+from .lattice import CapacityError  # noqa: F401  (re-exported)
+from .lattice import check_state_cap, lattice_bits, state_bits
 from .model import ModelSpec, SpinSpec
 
-# hard cap on state-space dimension for dense enumeration
-STATE_CAP = 20
-# trajectory enumeration guard: 2^(n * horizon) literal paths at most
-PATH_ENUM_CAP = 2 ** 24
-_ENUM_CHUNK = 2 ** 18
-
 DIST_ATOL = 1e-12
-
-
-class CapacityError(RuntimeError):
-    """State space or trajectory space too large for dense enumeration."""
-
-
-def check_state_cap(n: int, cap: int = STATE_CAP):
-    if n > cap:
-        raise CapacityError(f"state space 2^{n} exceeds the dense cap 2^{cap}")
-
-
-@lru_cache(maxsize=32)
-def lattice_bits(n: int) -> np.ndarray:
-    """(2^n, n) array of state bits as floats; row w is the word w."""
-    check_state_cap(n)
-    words = np.arange(1 << n, dtype=np.int64)[:, None]
-    bits = ((words >> np.arange(n)) & 1).astype(float)
-    bits.setflags(write=False)
-    return bits
-
-
-def state_bits(word: int, n: int) -> np.ndarray:
-    if not 0 <= word < (1 << n):
-        raise ValueError(f"state word {word} out of range for n={n}")
-    return ((word >> np.arange(n)) & 1).astype(float)
-
-
-def bits_to_word(bits) -> int:
-    arr = np.asarray(bits)
-    return int(np.sum((arr != 0) * (1 << np.arange(len(arr)))))
 
 
 def validate_distribution(dist: np.ndarray, atol: float = DIST_ATOL):
@@ -202,47 +165,8 @@ class MultiSitePattern:
         return tuple((site, t) for site, times in self.entries for t in times)
 
 
-def _event_enumerate(spec: ModelSpec, x0: int, constraints, horizon: int) -> float:
-    """Literal sum over all length-`horizon` trajectories."""
-    n = spec.n
-    if horizon * n > round(math.log2(PATH_ENUM_CAP)):
-        raise CapacityError(
-            f"2^({n}*{horizon}) trajectories exceed the enumeration cap {PATH_ENUM_CAP}")
-    T = transition_matrix(spec)
-    size = 1 << n
-    mask = size - 1
-    total = 0.0
-    n_traj = size ** horizon
-    for start in range(0, n_traj, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, n_traj), dtype=np.int64)
-        words = [(idx >> (n * t)) & mask for t in range(horizon)]
-        prob = T[x0, words[0]].copy()
-        for t in range(1, horizon):
-            prob *= T[words[t - 1], words[t]]
-        for site, t in constraints:
-            prob *= 1.0 - ((words[t - 1] >> site) & 1)
-        total += float(prob.sum())
-    return total
-
-
-def _event_propagate(spec: ModelSpec, x0: int, constraints, horizon: int) -> float:
+def _event_probability(spec, x0: int, constraints, horizon: int) -> float:
     """Push the distribution forward, zeroing constrained states as reached."""
-    size = 1 << spec.n
-    by_time: dict[int, list[int]] = {}
-    for site, t in constraints:
-        by_time.setdefault(t, []).append(site)
-    T = transition_matrix(spec)
-    v = np.zeros(size)
-    v[x0] = 1.0
-    words = np.arange(size)
-    for t in range(1, horizon + 1):
-        v = v @ T
-        for site in by_time.get(t, ()):
-            v = v * (1 - ((words >> site) & 1))
-    return float(v.sum())
-
-
-def _event_probability(spec, x0: int, constraints, horizon: int, method: str) -> float:
     check_state_cap(spec.n)
     if not 0 <= x0 < (1 << spec.n):
         raise ValueError(f"state word {x0} out of range")
@@ -253,31 +177,37 @@ def _event_probability(spec, x0: int, constraints, horizon: int, method: str) ->
             raise ValueError("constrained steps must be >= 1")
     if horizon == 0:
         return 1.0
-    if method == "enumerate":
-        return _event_enumerate(spec, x0, constraints, horizon)
-    if method == "propagate":
-        return _event_propagate(spec, x0, constraints, horizon)
-    raise ValueError(f"unknown method {method!r}")
+    by_time: dict[int, list[int]] = {}
+    for site, t in constraints:
+        by_time.setdefault(t, []).append(site)
+    T = transition_matrix(spec)
+    size = 1 << spec.n
+    v = np.zeros(size)
+    v[x0] = 1.0
+    words = np.arange(size)
+    for t in range(1, horizon + 1):
+        v = v @ T
+        for site in by_time.get(t, ()):
+            v = v * (1 - ((words >> site) & 1))
+    return float(v.sum())
 
 
-def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
-                     method: str = "enumerate") -> float:
+def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern) -> float:
     """Probability one site's path matches the pattern's vacancy demands.
 
-    Trailing unconstrained steps are trimmed before enumerating, so the
-    guard applies to the last constrained step, not to len(omega).
+    Trailing unconstrained steps are trimmed, so the distribution is only
+    propagated up to the last constrained step, not to len(omega).
     """
     cons = pattern.constraints()
     horizon = max((t for _, t in cons), default=0)
-    return _event_probability(spec, x0, cons, horizon, method)
+    return _event_probability(spec, x0, cons, horizon)
 
 
-def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
-                          method: str = "enumerate") -> float:
+def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern) -> float:
     """Probability of joint vacancies across sites and steps."""
     cons = pattern.constraints()
     horizon = max((t for _, t in cons), default=0)
-    return _event_probability(spec, x0, cons, horizon, method)
+    return _event_probability(spec, x0, cons, horizon)
 
 
 # -- spin systems ------------------------------------------------------------
@@ -308,6 +238,26 @@ def spin_generator(spec: SpinSpec) -> np.ndarray:
     return Q
 
 
+def poisson_weights(mean: float, tail_tol: float = 1e-12) -> np.ndarray:
+    """Poisson(mean) pmf at k = 0..K, K the first k whose mass reaches 1 - tail_tol.
+
+    Built from the ratios pmf(k) / pmf(k-1) = mean / k taken outward from
+    the mode, then normalised; unlike a log-factorial sum this does not
+    drift for large means, so the tail cut stays where it belongs.
+    """
+    if mean < 0:
+        raise ValueError("mean must be >= 0")
+    mode = int(mean)
+    # forty standard deviations past the mode the mass left is far below an ulp
+    span = int(40.0 * (math.sqrt(mean) + 1.0))
+    below = np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
+    above = np.cumprod(mean / np.arange(mode + 1, mode + span + 1))
+    w = np.concatenate([below, [1.0], above])
+    w /= w.sum()
+    last = min(int(np.searchsorted(np.cumsum(w), 1.0 - tail_tol)), w.size - 1)
+    return w[:last + 1]
+
+
 def poisson_mixture(P: np.ndarray, v0: np.ndarray, mean: float,
                     tail_tol: float = 1e-12) -> np.ndarray:
     """Sum of pmf(k; mean) * v0 P^k, truncated once the pmf mass reaches 1 - tail_tol."""
@@ -315,12 +265,10 @@ def poisson_mixture(P: np.ndarray, v0: np.ndarray, mean: float,
         raise ValueError("mean must be >= 0")
     if mean == 0:
         return np.asarray(v0, float).copy()
-    k_hi = int(stats.poisson.isf(tail_tol, mean)) + 8
-    pmf = stats.poisson.pmf(np.arange(k_hi + 1), mean)
-    last = min(int(np.searchsorted(np.cumsum(pmf), 1.0 - tail_tol)), k_hi)
+    pmf = poisson_weights(mean, tail_tol)
     acc = pmf[0] * np.asarray(v0, float)
     v = np.asarray(v0, float)
-    for k in range(1, last + 1):
+    for k in range(1, pmf.size):
         v = v @ P
         acc = acc + pmf[k] * v
     return acc

@@ -46,12 +46,6 @@ def site_schedule(spec: ModelSpec, x0: int, horizon: int, site: int) -> SiteChai
     )
 
 
-def marginal(spec: ModelSpec, x0: int, t: int) -> np.ndarray:
-    """Surrogate occupation probabilities at step t; equals the recursion row."""
-    traj = meanfield.iterate(spec, state_bits(x0, spec.n), t)
-    return traj[-1]
-
-
 def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern) -> float:
     """Forward two-state recursion for one site's vacancy pattern."""
     m = pattern.horizon
@@ -66,49 +60,6 @@ def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern) -> float:
     return float(v.sum())
 
 
-def path_probability_decomposed(spec: ModelSpec, x0: int, pattern: TimePattern) -> float:
-    """Same value by peeling the last demanded vacancy.
-
-    Writing phi for the last step where the pattern demands vacancy, the
-    chain either was vacant at phi-1 and stayed off, or was occupied at
-    phi-1 and died; conditioning splits the probability into
-    (1 - survive) * P(pattern with phi freed) plus
-    (survive - colonise) * P(pattern with phi freed and phi-1 demanded).
-    An independent route used to cross-check path_probability.
-    """
-    m = pattern.horizon
-    sched = site_schedule(spec, x0, m, pattern.site)
-    bit = int(state_bits(x0, spec.n)[pattern.site])
-    memo: dict[tuple[int, ...], float] = {}
-
-    def solve(omega: tuple[int, ...]) -> float:
-        if omega in memo:
-            return memo[omega]
-        zeros = [t for t, w in enumerate(omega, start=1) if w == 0]
-        if not zeros:
-            value = 1.0
-        else:
-            phi = zeros[-1]
-            if phi == 1:
-                c, s = sched.colonise[0], sched.survive[0]
-                value = 1.0 - (c if bit == 0 else s)
-            else:
-                # the chain is either vacant at phi-1 and fails to colonise,
-                # or occupied at phi-1 and dies; survive - colonise weights
-                # the second branch after freeing step phi
-                c, s = sched.colonise[phi - 1], sched.survive[phi - 1]
-                freed = list(omega)
-                freed[phi - 1] = 1
-                lower = list(freed)
-                lower[phi - 2] = 0
-                value = ((1.0 - s) * solve(tuple(freed))
-                         + (s - c) * solve(tuple(lower)))
-        memo[omega] = value
-        return value
-
-    return solve(pattern.omega)
-
-
 def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern) -> float:
     """Joint vacancy probability; sites are independent so it is a product."""
     value = 1.0
@@ -121,29 +72,6 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern) -
             omega[t - 1] = 0
         value *= path_probability(spec, x0, TimePattern(site=site, omega=tuple(omega)))
     return value
-
-
-def _coupled_rhs(spec: SpinSpec, site: int, p: np.ndarray, v: np.ndarray):
-    lam = spec.birth[site].eval(p)
-    mu = spec.death[site].eval(p)
-    dp = meanfield.ode_rhs(spec, p)
-    dv = np.array([-v[0] * lam + v[1] * mu, v[0] * lam - v[1] * mu])
-    return dp, dv
-
-
-def _coupled_advance(spec: SpinSpec, site: int, p, v, h: float, method: str):
-    if method == "euler":
-        dp, dv = _coupled_rhs(spec, site, p, v)
-        return np.clip(p + h * dp, 0.0, 1.0), v + h * dv
-    kp1, kv1 = _coupled_rhs(spec, site, p, v)
-    kp2, kv2 = _coupled_rhs(spec, site, np.clip(p + 0.5 * h * kp1, 0.0, 1.0),
-                            v + 0.5 * h * kv1)
-    kp3, kv3 = _coupled_rhs(spec, site, np.clip(p + 0.5 * h * kp2, 0.0, 1.0),
-                            v + 0.5 * h * kv2)
-    kp4, kv4 = _coupled_rhs(spec, site, np.clip(p + h * kp3, 0.0, 1.0), v + h * kv3)
-    p = np.clip(p + (h / 6.0) * (kp1 + 2 * kp2 + 2 * kp3 + kp4), 0.0, 1.0)
-    v = v + (h / 6.0) * (kv1 + 2 * kv2 + 2 * kv3 + kv4)
-    return p, v
 
 
 def spin_path_probability(spec: SpinSpec, x0: int, site: int, times,
@@ -161,16 +89,24 @@ def spin_path_probability(spec: SpinSpec, x0: int, site: int, times,
         raise ValueError("times must be > 0")
     if sorted(set(times)) != times:
         raise ValueError("times must be strictly increasing")
-    p = state_bits(x0, spec.n)
-    bit = int(p[site])
-    v = np.array([1.0 - bit, float(bit)])
+    n = spec.n
+    birth, death = spec.birth[site], spec.death[site]
+
+    def rhs(y):
+        # y stacks the ODE point p with the site's (P(vacant), P(occupied))
+        p, vacant, occupied = y[:n], y[n], y[n + 1]
+        flow = vacant * birth.eval(p) - occupied * death.eval(p)
+        return np.concatenate([meanfield.ode_rhs(spec, p), [-flow, flow]])
+
+    p0 = state_bits(x0, n)
+    y = np.concatenate([p0, [1.0 - p0[site], p0[site]]])
     t_cur = 0.0
     for t_next in times:
         full, rem = meanfield.step_count(t_next - t_cur, config.h)
         for _ in range(full):
-            p, v = _coupled_advance(spec, site, p, v, config.h, config.method)
+            y = meanfield.advance(rhs, y, config.h, config.method)
         if rem > 0.0:
-            p, v = _coupled_advance(spec, site, p, v, rem, config.method)
-        v[1] = 0.0
+            y = meanfield.advance(rhs, y, rem, config.method)
+        y[n + 1] = 0.0
         t_cur = t_next
-    return float(v[0])
+    return float(y[n])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,20 +59,6 @@ def mask_self_colonisation(spec: ModelSpec) -> ModelSpec:
     return ModelSpec(n=spec.n, colonisation=masked, survival=spec.survival)
 
 
-def pin_self_survival(spec: ModelSpec, value: float = 1.0) -> ModelSpec:
-    """Pin each survival function's own coordinate (experimentation only).
-
-    Survival acts on occupied sites, so value=1.0 is the choice that leaves
-    the lattice process unchanged.  Unlike mask_self_colonisation this
-    generally *raises* increasing survival functions on the cube, loosening
-    the deterministic bound rather than sharpening it, and no pin value
-    both preserves the process and lowers the bound.  Exposed for
-    experiments; there is no canonical improvement here.
-    """
-    pinned = tuple(fam.pinned(i, value) for i, fam in enumerate(spec.survival))
-    return ModelSpec(n=spec.n, colonisation=spec.colonisation, survival=pinned)
-
-
 @dataclass(frozen=True)
 class OdeConfig:
     """Fixed-step integrator settings."""
@@ -94,16 +81,17 @@ def ode_rhs(spec: SpinSpec, p) -> np.ndarray:
     return (1.0 - p) * lam - p * mu
 
 
-def _advance(spec: SpinSpec, p: np.ndarray, h: float, method: str) -> np.ndarray:
+def advance(rhs, y: np.ndarray, h: float, method: str) -> np.ndarray:
+    """One Euler or RK4 step of y' = rhs(y); stages and result are clamped to [0,1]."""
     if method == "euler":
-        p = p + h * ode_rhs(spec, p)
+        y = y + h * rhs(y)
     else:
-        k1 = ode_rhs(spec, p)
-        k2 = ode_rhs(spec, np.clip(p + 0.5 * h * k1, 0.0, 1.0))
-        k3 = ode_rhs(spec, np.clip(p + 0.5 * h * k2, 0.0, 1.0))
-        k4 = ode_rhs(spec, np.clip(p + h * k3, 0.0, 1.0))
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.clip(p, 0.0, 1.0)
+        k1 = rhs(y)
+        k2 = rhs(np.clip(y + 0.5 * h * k1, 0.0, 1.0))
+        k3 = rhs(np.clip(y + 0.5 * h * k2, 0.0, 1.0))
+        k4 = rhs(np.clip(y + h * k3, 0.0, 1.0))
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.clip(y, 0.0, 1.0)
 
 
 def step_count(t_end: float, h: float) -> tuple[int, float]:
@@ -126,15 +114,16 @@ def integrate_ode(spec: SpinSpec, p0, t_end: float,
     discrete recursion of the matching probability model up to round-off.
     """
     p = np.clip(_check_point(spec, p0), 0.0, 1.0)
+    rhs = partial(ode_rhs, spec)
     full, rem = step_count(t_end, config.h)
     times = [0.0]
     states = [p]
     for k in range(full):
-        p = _advance(spec, p, config.h, config.method)
+        p = advance(rhs, p, config.h, config.method)
         times.append((k + 1) * config.h)
         states.append(p)
     if rem > 0.0:
-        p = _advance(spec, p, rem, config.method)
+        p = advance(rhs, p, rem, config.method)
         times.append(t_end)
         states.append(p)
     return np.asarray(times), np.vstack(states)

@@ -19,12 +19,13 @@ Everything here is immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .lattice import lattice_bits
 from .streams import assumption_uniforms
 
 VARIANTS = (
@@ -536,14 +537,6 @@ def _targets(spec) -> dict[str, Callable[[int, np.ndarray], np.ndarray]]:
 
 
 @lru_cache(maxsize=32)
-def _lattice_points(n: int) -> np.ndarray:
-    words = np.arange(1 << n)[:, None]
-    bits = ((words >> np.arange(n)) & 1).astype(float)
-    bits.setflags(write=False)
-    return bits
-
-
-@lru_cache(maxsize=32)
 def _comparable_lattice_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All lattice pairs x <= y, x != y, via submask enumeration."""
     lo, hi = [], []
@@ -558,7 +551,7 @@ def _comparable_lattice_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     lo = np.asarray(lo)
     hi = np.asarray(hi)
     keep = lo != hi
-    bits = _lattice_points(n)
+    bits = lattice_bits(n)
     return bits[lo[keep]], bits[hi[keep]]
 
 
@@ -567,7 +560,7 @@ def _lattice_pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All unordered lattice pairs, for midpoint scans on small cubes."""
     size = 1 << n
     a, b = np.triu_indices(size, k=1)
-    bits = _lattice_points(n)
+    bits = lattice_bits(n)
     return bits[a], bits[b]
 
 
@@ -577,7 +570,7 @@ def _margin_batches(kind: str, n: int, seed: int, lane: int, samples: int):
         u = assumption_uniforms(seed, lane, samples * n).reshape(samples, n)
         yield u, None
         if n <= LATTICE_SCAN_CAP:
-            yield np.asarray(_lattice_points(n)), None
+            yield np.asarray(lattice_bits(n)), None
         return
     u = assumption_uniforms(seed, lane, 2 * samples * n).reshape(2, samples, n)
     if kind in ("increasing", "decreasing"):

@@ -15,11 +15,12 @@ check below exercises.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import MultiSitePattern, lattice_bits, state_bits
+from .exact import MultiSitePattern
+from .lattice import lattice_bits, state_bits
 from .model import ModelSpec
 from .streams import REPLICATE_CHUNK, UniformArray
 
@@ -56,16 +57,6 @@ def step_occupancy(spec: ModelSpec, states: np.ndarray, uniforms: np.ndarray,
     if tables is None:
         tables = _threshold_tables(spec)
     return (uniforms < _thresholds(spec, states, tables)).astype(np.int8)
-
-
-def step_indep(spec: ModelSpec, states: np.ndarray, p_t: np.ndarray,
-               uniforms: np.ndarray) -> np.ndarray:
-    """Advance surrogate chains whose rates come from the deterministic point p_t."""
-    states = np.asarray(states)
-    p_t = np.asarray(p_t, float)
-    c = np.array([fam.eval(p_t) for fam in spec.colonisation])
-    s = np.array([fam.eval(p_t) for fam in spec.survival])
-    return (uniforms < np.where(states > 0, s, c)).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)

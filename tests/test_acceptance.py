@@ -13,11 +13,13 @@ import numpy as np
 
 from occupancy import bridge, exact, indep, meanfield, order, simulate, zoo
 from occupancy.bridge import DiscretisationConfig
-from occupancy.exact import MultiSitePattern, TimePattern
+from occupancy.exact import TimePattern
 from occupancy.meanfield import OdeConfig
 from occupancy.model import (BOUND_HYPOTHESES, FunctionFamily, ModelSpec,
                              ORDERING_HYPOTHESES, SPIN_BOUND_HYPOTHESES,
                              check_assumptions)
+
+from conftest import decomposed_path_probability, enumerate_event_probability
 
 
 @contextmanager
@@ -80,12 +82,11 @@ def test_criterion_3_path_ordering_suite():
                     for site in range(spec.n):
                         for omega in itertools.product((0, 1), repeat=m):
                             pat = TimePattern(site=site, omega=omega)
-                            px = exact.path_probability(spec, x0, pat,
-                                                        method="enumerate")
+                            px = enumerate_event_probability(
+                                spec, x0, pat.constraints(), m)
                             pw = indep.path_probability(spec, x0, pat)
                             assert px - pw >= -1e-10, (x0, site, omega)
-                            split = indep.path_probability_decomposed(
-                                spec, x0, pat)
+                            split = decomposed_path_probability(spec, x0, pat)
                             assert abs(split - pw) <= 1e-14, (x0, site, omega)
                 # multisite patterns with at most four demanded vacancies
                 report = order.path_orthant(spec, x0, m=4, budget=4,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +119,39 @@ def test_run_writes_file(model_dir, capsys):
     capsys.readouterr()
     assert code == cli.EXIT_PASS
     assert out_path.read_text().startswith("step,site_0\n")
+
+
+@pytest.mark.parametrize("model, argv", [
+    ("single.json", ["run", "--mode", "exact", "--t", "2.7"]),
+    ("single.json", ["run", "--mode", "exact", "--t", "-1"]),
+    ("pair.json", ["verify", "--theorem", "thm3", "--t", "2.5", "--m", "2"]),
+    ("single.json", ["run", "--mode", "mc", "--t", "2", "--workers", "0"]),
+    ("ring.json", ["run", "--mode", "meanfield", "--t", "inf"]),
+])
+def test_malformed_flag_is_usage_error(model_dir, capsys, model, argv):
+    code = run_cli(*argv, "--model", model_dir / model)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_unparseable_flag_is_usage_error(model_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--model", model_dir / "single.json", "--t", "2",
+                "--reps", "many")
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "error: argument --reps" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, occupancy.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_run_spin_model_needs_meanfield_mode(model_dir, capsys):

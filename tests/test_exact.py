@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.linalg import expm
 
 from occupancy import exact, zoo
 from occupancy.exact import (CapacityError, MultiSitePattern, TimePattern,
-                             as_distribution, bits_to_word, lattice_bits,
+                             as_distribution, lattice_bits,
                              marginal_trajectory, marginals, path_probability,
-                             poisson_mixture, spin_generator, spin_law,
-                             state_bits, transition_matrix,
+                             poisson_mixture, poisson_weights, spin_generator,
+                             spin_law, state_bits, transition_matrix,
                              validate_distribution)
+from occupancy.lattice import bits_to_word
 
-from conftest import naive_event_probability, naive_transition_probability
+from conftest import (enumerate_event_probability, naive_event_probability,
+                      naive_transition_probability)
 
 
 def test_bit_conventions():
@@ -133,8 +136,8 @@ def test_enumerate_and_propagate_agree(interacting):
         if all(w == 1 for w in omega):
             continue
         pattern = TimePattern(site=site, omega=omega)
-        a = path_probability(spec, 1, pattern, method="enumerate")
-        b = path_probability(spec, 1, pattern, method="propagate")
+        a = enumerate_event_probability(spec, 1, pattern.constraints(), 4)
+        b = path_probability(spec, 1, pattern)
         assert a == pytest.approx(b, abs=1e-13)
 
 
@@ -148,9 +151,10 @@ def test_trailing_ones_do_not_change_value(interacting):
 def test_multisite_against_naive(interacting):
     pattern = MultiSitePattern(entries=((0, (1, 3)), (1, (2,))))
     expected = naive_event_probability(interacting, 0, pattern.constraints(), 3)
-    for method in ("enumerate", "propagate"):
-        got = exact.multisite_probability(interacting, 0, pattern, method=method)
-        assert got == pytest.approx(expected, abs=1e-12)
+    got = exact.multisite_probability(interacting, 0, pattern)
+    assert got == pytest.approx(expected, abs=1e-12)
+    oracle = enumerate_event_probability(interacting, 0, pattern.constraints(), 3)
+    assert oracle == pytest.approx(expected, abs=1e-12)
 
 
 def test_empty_multisite_is_certain(interacting):
@@ -159,12 +163,10 @@ def test_empty_multisite_is_certain(interacting):
 
 
 def test_enumeration_guard():
+    # 2^(5*6) literal trajectories; propagation has no horizon guard
     spec = zoo.random_certified_model(5, 3)
     pattern = TimePattern(site=0, omega=(1,) * 5 + (0,))
-    with pytest.raises(CapacityError):
-        path_probability(spec, 0, pattern, method="enumerate")
-    # propagation has no horizon guard
-    value = path_probability(spec, 0, pattern, method="propagate")
+    value = path_probability(spec, 0, pattern)
     assert 0.0 < value < 1.0
 
 
@@ -238,6 +240,15 @@ def test_poisson_mixture_recovers_identity():
     v0 = np.array([0.2, 0.3, 0.5])
     out = poisson_mixture(P, v0, 7.3)
     assert np.allclose(out, v0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mean", [0.3, 1.0, 10.0, 64.0, 256.0, 1000.0])
+def test_poisson_weights_match_scipy(mean):
+    w = poisson_weights(mean, 1e-12)
+    expected = stats.poisson.pmf(np.arange(w.size), mean)
+    assert np.max(np.abs(w - expected)) <= 1e-13
+    # the cut is the first index whose cumulative mass reaches 1 - tail_tol
+    assert stats.poisson.sf(w.size - 1, mean) <= 1e-12 < stats.poisson.sf(w.size - 2, mean)
 
 
 def test_zero_rate_spin_is_frozen():

@@ -9,11 +9,7 @@ from occupancy import exact, indep, meanfield, zoo
 from occupancy.exact import MultiSitePattern, TimePattern
 from occupancy.meanfield import OdeConfig
 
-
-def test_marginal_is_the_recursion_row(interacting):
-    for t in (0, 1, 4):
-        expected = meanfield.iterate(interacting, [0.0, 0.0], t)[-1]
-        assert np.array_equal(indep.marginal(interacting, 0, t), expected)
+from conftest import decomposed_path_probability
 
 
 def test_schedule_matches_family_evaluations(interacting):
@@ -56,7 +52,7 @@ def test_decomposition_equals_forward_recursion(interacting):
                     for site in range(spec.n):
                         pattern = TimePattern(site=site, omega=omega)
                         a = indep.path_probability(spec, x0, pattern)
-                        b = indep.path_probability_decomposed(spec, x0, pattern)
+                        b = decomposed_path_probability(spec, x0, pattern)
                         assert a == pytest.approx(b, abs=1e-14)
 
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occupancy import exact, meanfield, zoo
+from occupancy import exact, zoo
 from occupancy.meanfield import (OdeConfig, integrate_ode, iterate,
                                  mask_self_colonisation, ode_rhs,
-                                 pin_self_survival, recursion_step, step_count)
+                                 recursion_step, step_count)
 
 
 def test_constant_recursion_matches_scalar_oracle(single_site):
@@ -86,16 +86,6 @@ def test_inflating_self_colonisation_raises_trajectory():
     t_plain = iterate(spec, [0.0] * 3, 20)
     assert np.all(t_up >= t_plain - 1e-14)
     assert np.max(t_up - t_plain) > 1e-4
-
-
-def test_pin_self_survival_loosens_increasing_survival():
-    spec = zoo.random_certified_model(2, seed=31)
-    pinned = pin_self_survival(spec)
-    assert np.array_equal(exact.transition_matrix(pinned),
-                          exact.transition_matrix(spec))
-    t_pinned = iterate(pinned, [0.0, 0.0], 20)
-    t_plain = iterate(spec, [0.0, 0.0], 20)
-    assert np.all(t_pinned >= t_plain - 1e-14)
 
 
 # -- ODE ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from occupancy import exact, meanfield, simulate, zoo
+from occupancy import exact, simulate, zoo
 from occupancy.exact import MultiSitePattern
 from occupancy.simulate import (monotone_path_check, simulate_event_probability,
-                                simulate_marginals, step_indep, step_occupancy)
+                                simulate_marginals, step_occupancy)
 from occupancy.streams import REPLICATE_CHUNK, UniformArray
 
 
@@ -43,16 +43,6 @@ def test_table_and_direct_threshold_routes_agree():
     assert np.array_equal(tabled, direct)
     big = zoo.random_certified_model(13, 78)
     assert simulate._threshold_tables(big) is None
-
-
-def test_step_indep_equals_occupancy_for_constant_models():
-    spec = zoo.constant_pair(n=3, c=0.3, s=0.8)
-    rng = np.random.default_rng(2)
-    states = rng.integers(0, 2, size=(100, 3)).astype(np.int8)
-    u = rng.uniform(size=(100, 3))
-    a = step_occupancy(spec, states, u)
-    b = step_indep(spec, states, np.array([0.5, 0.5, 0.5]), u)
-    assert np.array_equal(a, b)
 
 
 def test_marginals_match_manual_replicate_loop(interacting):
