@@ -14,6 +14,11 @@ to the occupancy chain with colonisation delta * lam and survival
 
 All three converge at first order in delta, and path-level vacancy
 orderings established for the chain survive the limit.
+
+Each metric function takes the objects it shares with the others as
+arguments (the chain's kernel, the generator, the spin law, the reference
+ODE endpoint) and builds none of them, so `convergence_table` builds each
+once: the kernel once per delta, the rest once per table.
 """
 
 from __future__ import annotations
@@ -26,11 +31,16 @@ import numpy as np
 
 from . import exact, indep, meanfield
 from .exact import MultiSitePattern
+from .lattice import check_dense
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec
+from .order import OrderReport
 
 DEFAULT_DELTAS = tuple(2.0 ** -k for k in range(4, 9))
+REFERENCE_ODE = OdeConfig(h=1e-3, method="rk4")
 _ADMISSIBLE_SLACK = 1e-12
+# diagnostics at or below this value are numerical floor, not a trend
+_CONVERGENCE_FLOOR = 1e-9
 
 
 class InadmissibleDelta(ValueError):
@@ -76,77 +86,80 @@ def discretise(spec: SpinSpec, config: DiscretisationConfig) -> ModelSpec:
     return ModelSpec(n=spec.n, colonisation=colonisation, survival=survival)
 
 
-def uniformized_rates(spec: SpinSpec, config: DiscretisationConfig) -> np.ndarray:
-    """Generator-shaped matrix from the chain: off-diagonal T/delta, diagonal balancing.
+def uniformized_rates(spec: SpinSpec, config: DiscretisationConfig,
+                      kernel: np.ndarray) -> np.ndarray:
+    """Generator-shaped matrix from the chain's kernel: off-diagonal T/delta, diagonal balancing.
 
     The chain's holding probability contributes nothing off-diagonal, so
     the diagonal is minus the off-diagonal row sum rather than (T_xx-1)/delta.
+    The kernel is left as it is; the rates are a second dense array.
     """
-    T = exact.transition_matrix(discretise(spec, config))
-    Q = T / config.delta
-    size = Q.shape[0]
-    idx = np.arange(size)
+    check_dense(spec.n, 2)
+    Q = kernel / config.delta
+    idx = np.arange(Q.shape[0])
     Q[idx, idx] = 0.0
     Q[idx, idx] = -Q.sum(axis=1)
     return Q
 
 
-def rate_defect(spec: SpinSpec, config: DiscretisationConfig) -> tuple[float, float]:
+def rate_defect(spec: SpinSpec, config: DiscretisationConfig, kernel: np.ndarray,
+                generator: np.ndarray) -> tuple[float, float]:
     """(worst single-flip rate error, worst multi-flip rate) of the chain.
 
     Single-flip entries converge to the generator's at first order in
     delta; transitions flipping two or more bits have probability
-    O(delta^2), hence rate O(delta).
+    O(delta^2), hence rate O(delta).  `kernel` is the chain's transition
+    matrix and `generator` the spin system's; both are left as they are.
     """
-    Q = uniformized_rates(spec, config)
-    G = exact.spin_generator(spec)
-    size = Q.shape[0]
-    words = np.arange(size)
-    ham = np.zeros((size, size), dtype=int)
-    for i in range(int(np.log2(size))):
-        ham += ((words[:, None] ^ words[None, :]) >> i) & 1
-    single = float(np.max(np.abs((Q - G))[ham == 1]))
-    multi = float(np.max(Q[ham >= 2], initial=0.0))
-    return single, multi
+    # the kernel, the generator and the rates are held at once
+    check_dense(spec.n, 3)
+    Q = uniformized_rates(spec, config, kernel)
+    words = np.arange(Q.shape[0])
+    single = 0.0
+    for i in range(spec.n):
+        flip = words ^ (1 << i)
+        single = max(single, float(np.max(np.abs(Q[words, flip] - generator[words, flip]))))
+        Q[words, flip] = 0.0
+    # what is left off the diagonal flips two or more bits
+    Q[words, words] = 0.0
+    return single, float(np.max(Q, initial=0.0))
 
 
 def subordinated_law(spec: SpinSpec, config: DiscretisationConfig, x0: int,
-                     t: float, tail_tol: float = 1e-12) -> np.ndarray:
-    """Law of the chain run for a Poisson(t/delta) number of steps."""
+                     t: float, kernel: np.ndarray, tail_tol: float = 1e-12) -> np.ndarray:
+    """Law of the chain run for a Poisson(t/delta) number of steps.
+
+    `kernel` is the chain's transition matrix.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
-    exact.check_state_cap(spec.n)
-    if not 0 <= x0 < (1 << spec.n):
-        raise ValueError(f"state word {x0} out of range")
-    T = exact.transition_matrix(discretise(spec, config))
-    v0 = np.zeros(T.shape[0])
-    v0[x0] = 1.0
+    v0 = exact.point_mass(spec.n, x0)
     if t == 0:
         return v0
     return exact.as_distribution(
-        exact.poisson_mixture(T, v0, t / config.delta, tail_tol))
+        exact.poisson_mixture(kernel, v0, t / config.delta, tail_tol))
 
 
 def law_distance(spec: SpinSpec, config: DiscretisationConfig, x0: int, t: float,
-                 tail_tol: float = 1e-12) -> float:
-    """Total variation between the subordinated chain and the spin law at t."""
-    approx = subordinated_law(spec, config, x0, t, tail_tol)
-    truth = exact.spin_law(spec, x0, t, tail_tol)
+                 kernel: np.ndarray, truth: np.ndarray, tail_tol: float = 1e-12) -> float:
+    """Total variation between the subordinated chain and the spin law `truth` at t."""
+    approx = subordinated_law(spec, config, x0, t, kernel, tail_tol)
     return 0.5 * float(np.abs(approx - truth).sum())
 
 
 def euler_gap(spec: SpinSpec, p0, t: float, config: DiscretisationConfig,
-              reference: OdeConfig = OdeConfig(h=1e-3, method="rk4")) -> float:
+              reference_end: np.ndarray) -> float:
     """Sup-norm gap at time t between the delta-step Euler path and a fine reference.
 
     The Euler path with step delta is exactly the discretised chain's
     deterministic recursion, so this measures how far the chain's
-    deterministic trajectory sits from the ODE flow.
+    deterministic trajectory sits from the ODE flow.  `reference_end` is
+    the state at t of a fine integration from p0, such as one with
+    `REFERENCE_ODE`.
     """
     _, coarse = meanfield.integrate_ode(spec, p0, t,
                                         OdeConfig(h=config.delta, method="euler"))
-    _, fine = meanfield.integrate_ode(spec, p0, t, reference)
-    return float(np.max(np.abs(coarse[-1] - fine[-1])))
+    return float(np.max(np.abs(coarse[-1] - reference_end)))
 
 
 def ordering_margins(spec: SpinSpec, x0: int, demands,
@@ -197,14 +210,61 @@ class ConvergenceTable:
 
 def convergence_table(spec: SpinSpec, x0: int, t: float, deltas=DEFAULT_DELTAS,
                       tail_tol: float = 1e-12) -> ConvergenceTable:
-    """Rate, law, and Euler diagnostics for each step size on the grid."""
+    """Rate, law, and Euler diagnostics for each step size on the grid.
+
+    The spin law at t, the generator and the reference ODE endpoint are
+    computed once; each delta's chain kernel is built once and shared by
+    its rate defect and its subordinated law.
+    """
+    # the generator with a kernel and its rates, or with the last kernel
+    # while the next is built
+    check_dense(spec.n, 3)
+    configs = [DiscretisationConfig(delta) for delta in deltas]
+    chains = [discretise(spec, config) for config in configs]
     p0 = exact.state_bits(x0, spec.n)
+    truth = exact.spin_law(spec, x0, t, tail_tol)
+    generator = exact.spin_generator(spec)
+    reference_end = meanfield.integrate_ode(spec, p0, t, REFERENCE_ODE)[1][-1]
     rows = []
-    for delta in deltas:
-        config = DiscretisationConfig(delta)
-        single, multi = rate_defect(spec, config)
+    for config, chain in zip(configs, chains):
+        delta = config.delta
+        kernel = exact.transition_matrix(chain)
+        single, multi = rate_defect(spec, config, kernel, generator)
         rows.append((delta, "single-flip-rate-error", single))
         rows.append((delta, "multi-flip-rate", multi))
-        rows.append((delta, "law-distance", law_distance(spec, config, x0, t, tail_tol)))
-        rows.append((delta, "euler-gap", euler_gap(spec, p0, t, config)))
+        rows.append((delta, "law-distance",
+                     law_distance(spec, config, x0, t, kernel, truth, tail_tol)))
+        rows.append((delta, "euler-gap", euler_gap(spec, p0, t, config, reference_end)))
     return ConvergenceTable(rows=tuple(rows))
+
+
+def convergence_report(table: ConvergenceTable, universe: dict, tol: float,
+                       certified: bool) -> OrderReport:
+    """Pass when every diagnostic is nonincreasing along the delta grid.
+
+    Consecutive pairs already at numerical floor are skipped; the margin
+    is the worst observed decrease (negative means a metric grew).
+    """
+    worst = np.inf
+    witness: dict = {"metric": None}
+    for metric in ("single-flip-rate-error", "multi-flip-rate",
+                   "law-distance", "euler-gap"):
+        pairs = table.values(metric)
+        for (d0, v0), (d1, v1) in zip(pairs, pairs[1:]):
+            if max(v0, v1) <= _CONVERGENCE_FLOOR:
+                continue
+            if v0 - v1 < worst:
+                worst = v0 - v1
+                witness = {"metric": metric, "deltas": [d0, d1], "values": [v0, v1]}
+    if not np.isfinite(worst):
+        worst = 0.0
+    return OrderReport(
+        check="discretisation-convergence",
+        universe=universe,
+        worst_margin=float(worst),
+        witness=witness,
+        verdict="pass" if worst >= -tol else ("fail" if certified else "informative"),
+        tol=tol,
+        certified=certified,
+        details={"rows": [list(r) for r in table.rows]},
+    )

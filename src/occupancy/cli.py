@@ -158,39 +158,6 @@ def _default_tol(theorem: str) -> float:
     return {"thm1": 1e-10, "thm3": 1e-10, "thm2": 1e-6, "thm4": 1e-10}[theorem]
 
 
-def _convergence_report(table: bridge.ConvergenceTable, universe: dict,
-                        tol: float, certified: bool) -> order.OrderReport:
-    """Pass when every diagnostic is nonincreasing along the delta grid.
-
-    Consecutive pairs already at numerical floor are skipped; the margin
-    is the worst observed decrease (negative means a metric grew).
-    """
-    floor = 1e-9
-    worst = np.inf
-    witness: dict = {"metric": None}
-    for metric in ("single-flip-rate-error", "multi-flip-rate",
-                    "law-distance", "euler-gap"):
-        pairs = table.values(metric)
-        for (d0, v0), (d1, v1) in zip(pairs, pairs[1:]):
-            if max(v0, v1) <= floor:
-                continue
-            if v0 - v1 < worst:
-                worst = v0 - v1
-                witness = {"metric": metric, "deltas": [d0, d1], "values": [v0, v1]}
-    if not np.isfinite(worst):
-        worst = 0.0
-    return order.OrderReport(
-        check="discretisation-convergence",
-        universe=universe,
-        worst_margin=float(worst),
-        witness=witness,
-        verdict="pass" if worst >= -tol else ("fail" if certified else "informative"),
-        tol=tol,
-        certified=certified,
-        details={"rows": [list(r) for r in table.rows]},
-    )
-
-
 def _cmd_verify(args) -> int:
     spec = _load(args.model)
     t = _parse_t(spec, args.t)
@@ -202,19 +169,23 @@ def _cmd_verify(args) -> int:
         if not isinstance(spec, ModelSpec):
             raise _CliError(f"{args.theorem} needs an occupancy model", EXIT_USAGE)
         x0 = _parse_x0(args.x0, spec.n)
+        # both suites end in site-set scans; reject before any exact work
+        order.check_subset_cap(spec.n)
         if args.theorem == "thm1":
             certified = hypo.passed(BOUND_HYPOTHESES)
-            reports.append(order.marginal_bound(spec, x0, t, tol=tol,
+            # one propagation: its rows feed the bound, its last law the correlations
+            rows, law = exact.law_trajectory(spec, x0, t)
+            reports.append(order.marginal_bound(spec, x0, rows, tol=tol,
                                                 certified=certified))
-            dist = exact.distribution(spec, x0, t)
-            reports.append(order.positive_correlations(dist, tol=tol,
+            reports.append(order.positive_correlations(law, tol=tol,
                                                        certified=certified))
         else:
             certified = hypo.ordering_certified
-            reports.append(order.path_orthant(spec, x0, args.m, tol=tol,
+            kernel = exact.transition_matrix(spec)
+            reports.append(order.path_orthant(spec, x0, args.m, kernel, tol=tol,
                                               certified=certified))
-            reports.append(order.single_time_orthant(spec, x0, t,
-                                                     tol=tol, certified=certified))
+            reports.append(order.single_time_orthant(spec, x0, t, kernel, tol=tol,
+                                                     certified=certified))
     elif args.theorem == "thm2":
         if not isinstance(spec, SpinSpec):
             raise _CliError("thm2 needs a spin model", EXIT_USAGE)
@@ -239,7 +210,7 @@ def _cmd_verify(args) -> int:
             sys.stdout.write(table.to_csv())
         certified = hypo.passed(SPIN_ORDERING_HYPOTHESES)
         universe = {"n": spec.n, "x0": x0, "t": t, "deltas": list(deltas)}
-        reports.append(_convergence_report(table, universe, tol, certified))
+        reports.append(bridge.convergence_report(table, universe, tol, certified))
     doc = {
         "model": args.model,
         "theorem": args.theorem,

@@ -2,7 +2,12 @@
 
 States are the integer words of `occupancy.lattice`.  Everything here
 enumerates the 2^n states explicitly and is the ground truth that the
-approximate modules are checked against; n is capped accordingly.
+approximate modules are checked against; every dense array is checked
+against the byte budget of `occupancy.lattice` before it is allocated.
+
+A kernel is built once and passed to whatever needs it: every function
+that takes `kernel=` uses the given transition matrix instead of building
+its own, and every law is pushed forward by the one loop in `propagate`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import CapacityError  # noqa: F401  (re-exported)
-from .lattice import check_state_cap, lattice_bits, state_bits
+from .lattice import check_bytes, check_dense, lattice_bits, state_bits
 from .model import ModelSpec, SpinSpec
 
 DIST_ATOL = 1e-12
@@ -50,36 +55,96 @@ def site_probabilities(spec: ModelSpec) -> np.ndarray:
 
 
 def transition_matrix(spec: ModelSpec) -> np.ndarray:
-    """Dense one-step kernel; bits update conditionally independently."""
-    check_state_cap(spec.n)
+    """Dense one-step kernel; bits update conditionally independently.
+
+    Built in place one site factor at a time: once sites below i are
+    expanded, column y < 2^i holds the product of their factors for the
+    bits of y, and site i splits it into column y (times 1 - q_i) and
+    column y + 2^i (times q_i).  No full-size temporary is made.
+    """
+    check_dense(spec.n)
     q = site_probabilities(spec)
     size = 1 << spec.n
-    col_bits = lattice_bits(spec.n)
-    T = np.ones((size, size))
+    T = np.empty((size, size))
+    T[:, 0] = 1.0
     for i in range(spec.n):
-        qi = q[:, i][:, None]
-        T *= np.where(col_bits[None, :, i] > 0, qi, 1.0 - qi)
+        w = 1 << i
+        qi = q[:, i:i + 1]
+        np.multiply(T[:, :w], qi, out=T[:, w:2 * w])
+        T[:, :w] *= 1.0 - qi
     return T
 
 
-def distribution_from(spec: ModelSpec, dist: np.ndarray, steps: int) -> np.ndarray:
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    v = np.asarray(dist, float).copy()
-    if steps:
-        T = transition_matrix(spec)
-        for _ in range(steps):
-            v = v @ T
+def _check_word(n: int, x0: int):
+    if not 0 <= x0 < (1 << n):
+        raise ValueError(f"state word {x0} out of range")
+
+
+def point_mass(n: int, x0: int) -> np.ndarray:
+    """The law concentrated on state word x0."""
+    _check_word(n, x0)
+    check_bytes(8 << n, f"n = {n}: a law on 2^{n} states")
+    v = np.zeros(1 << n)
+    v[x0] = 1.0
     return v
 
 
-def distribution(spec: ModelSpec, x0: int, steps: int) -> np.ndarray:
-    check_state_cap(spec.n)
-    if not 0 <= x0 < (1 << spec.n):
-        raise ValueError(f"state word {x0} out of range")
-    v = np.zeros(1 << spec.n)
-    v[x0] = 1.0
-    return distribution_from(spec, v, steps)
+def propagate(T: np.ndarray, v: np.ndarray, steps: int, vacate=None):
+    """Yield the laws v T^t for t = 1..steps; every exact law runs through here.
+
+    `vacate` maps a step to the sites demanded vacant there: right after
+    that step their occupied states are zeroed, so the yielded vectors
+    carry only the mass of paths meeting every demand so far.
+    """
+    words = np.arange(v.size) if vacate else None
+    for t in range(1, steps + 1):
+        v = v @ T
+        for site in vacate.get(t, ()) if vacate else ():
+            v = v * (1 - ((words >> site) & 1))
+        yield v
+
+
+def _kernel(spec: ModelSpec, steps: int, kernel):
+    """The given kernel, else a new one unless no step is taken.
+
+    A run that takes no step is held to the kernel's capacity rule all the
+    same, so every exact route on a model stops at the same n.
+    """
+    if kernel is None:
+        check_dense(spec.n)
+        if steps:
+            kernel = transition_matrix(spec)
+    return kernel
+
+
+def _start(spec: ModelSpec, x0: int, steps: int, kernel):
+    """(point mass at x0, kernel for `steps` steps).
+
+    The word is checked and the kernel built (or rejected by the capacity
+    rule) before the law is allocated.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    _check_word(spec.n, x0)
+    kernel = _kernel(spec, steps, kernel)
+    return point_mass(spec.n, x0), kernel
+
+
+def distribution_from(spec: ModelSpec, dist: np.ndarray, steps: int,
+                      kernel: np.ndarray | None = None) -> np.ndarray:
+    """Law after `steps` steps from the law `dist`."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    v = np.asarray(dist, float).copy()
+    for v in propagate(_kernel(spec, steps, kernel), v, steps):
+        pass
+    return v
+
+
+def distribution(spec: ModelSpec, x0: int, steps: int,
+                 kernel: np.ndarray | None = None) -> np.ndarray:
+    v, kernel = _start(spec, x0, steps, kernel)
+    return distribution_from(spec, v, steps, kernel)
 
 
 def marginals(dist: np.ndarray) -> np.ndarray:
@@ -91,18 +156,19 @@ def marginals(dist: np.ndarray) -> np.ndarray:
     return lattice_bits(n).T @ dist
 
 
-def marginal_trajectory(spec: ModelSpec, x0: int, steps: int) -> np.ndarray:
-    """(steps+1, n) exact occupation probabilities from a point mass at x0."""
-    check_state_cap(spec.n)
-    v = np.zeros(1 << spec.n)
-    v[x0] = 1.0
-    T = transition_matrix(spec) if steps else None
+def law_trajectory(spec: ModelSpec, x0: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(steps+1, n) exact occupation probabilities from x0, and the law at steps."""
+    v, kernel = _start(spec, x0, steps, None)
     out = np.empty((steps + 1, spec.n))
     out[0] = marginals(v)
-    for t in range(1, steps + 1):
-        v = v @ T
+    for t, v in enumerate(propagate(kernel, v, steps), start=1):
         out[t] = marginals(v)
-    return out
+    return out, v
+
+
+def marginal_trajectory(spec: ModelSpec, x0: int, steps: int) -> np.ndarray:
+    """(steps+1, n) exact occupation probabilities from a point mass at x0."""
+    return law_trajectory(spec, x0, steps)[0]
 
 
 # -- event patterns ----------------------------------------------------------
@@ -165,49 +231,37 @@ class MultiSitePattern:
         return tuple((site, t) for site, times in self.entries for t in times)
 
 
-def _event_probability(spec, x0: int, constraints, horizon: int) -> float:
+def _event_probability(spec, x0: int, constraints, kernel) -> float:
     """Push the distribution forward, zeroing constrained states as reached."""
-    check_state_cap(spec.n)
-    if not 0 <= x0 < (1 << spec.n):
-        raise ValueError(f"state word {x0} out of range")
     for site, t in constraints:
         if not 0 <= site < spec.n:
             raise ValueError(f"site {site} out of range")
         if t < 1:
             raise ValueError("constrained steps must be >= 1")
-    if horizon == 0:
-        return 1.0
+    horizon = max((t for _, t in constraints), default=0)
     by_time: dict[int, list[int]] = {}
     for site, t in constraints:
         by_time.setdefault(t, []).append(site)
-    T = transition_matrix(spec)
-    size = 1 << spec.n
-    v = np.zeros(size)
-    v[x0] = 1.0
-    words = np.arange(size)
-    for t in range(1, horizon + 1):
-        v = v @ T
-        for site in by_time.get(t, ()):
-            v = v * (1 - ((words >> site) & 1))
+    v, kernel = _start(spec, x0, horizon, kernel)
+    for v in propagate(kernel, v, horizon, by_time):
+        pass
     return float(v.sum())
 
 
-def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern) -> float:
+def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
+                     kernel: np.ndarray | None = None) -> float:
     """Probability one site's path matches the pattern's vacancy demands.
 
     Trailing unconstrained steps are trimmed, so the distribution is only
     propagated up to the last constrained step, not to len(omega).
     """
-    cons = pattern.constraints()
-    horizon = max((t for _, t in cons), default=0)
-    return _event_probability(spec, x0, cons, horizon)
+    return _event_probability(spec, x0, pattern.constraints(), kernel)
 
 
-def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern) -> float:
+def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
+                          kernel: np.ndarray | None = None) -> float:
     """Probability of joint vacancies across sites and steps."""
-    cons = pattern.constraints()
-    horizon = max((t for _, t in cons), default=0)
-    return _event_probability(spec, x0, cons, horizon)
+    return _event_probability(spec, x0, pattern.constraints(), kernel)
 
 
 # -- spin systems ------------------------------------------------------------
@@ -226,7 +280,7 @@ def spin_rates(spec: SpinSpec) -> np.ndarray:
 
 def spin_generator(spec: SpinSpec) -> np.ndarray:
     """Dense generator; only single-bit flips carry rate."""
-    check_state_cap(spec.n)
+    check_dense(spec.n)
     size = 1 << spec.n
     r = spin_rates(spec)
     Q = np.zeros((size, size))
@@ -276,22 +330,22 @@ def poisson_mixture(P: np.ndarray, v0: np.ndarray, mean: float,
 
 def spin_law_from(spec: SpinSpec, dist: np.ndarray, t: float,
                   tail_tol: float = 1e-12) -> np.ndarray:
-    """Law at time t by uniformisation: Poisson mixture over powers of I + Q/rate."""
+    """Law at time t by uniformisation: Poisson mixture over powers of I + Q/rate.
+
+    The generator built here is turned into I + Q/rate in place, so one
+    dense array is held.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
-    check_state_cap(spec.n)
+    P = spin_generator(spec)
     v0 = np.asarray(dist, float)
-    Q = spin_generator(spec)
-    rate = float(np.max(-np.diag(Q)))
+    rate = float(np.max(-np.diag(P)))
     if rate <= 0.0 or t == 0:
         return v0.copy()
-    P = np.eye(Q.shape[0]) + Q / rate
+    P /= rate
+    P[np.diag_indices_from(P)] += 1.0
     return as_distribution(poisson_mixture(P, v0, rate * t, tail_tol))
 
 
 def spin_law(spec: SpinSpec, x0: int, t: float, tail_tol: float = 1e-12) -> np.ndarray:
-    if not 0 <= x0 < (1 << spec.n):
-        raise ValueError(f"state word {x0} out of range")
-    v = np.zeros(1 << spec.n)
-    v[x0] = 1.0
-    return spin_law_from(spec, v, t, tail_tol)
+    return spin_law_from(spec, point_mass(spec.n, x0), t, tail_tol)

@@ -10,6 +10,7 @@ trajectory itself; joint laws factor across sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +33,14 @@ class SiteChainSchedule:
             raise ValueError("colonise and survive must be equal-length vectors")
 
 
-def site_schedule(spec: ModelSpec, x0: int, horizon: int, site: int) -> SiteChainSchedule:
-    """Schedule driving site's chain for steps 1..horizon from state word x0."""
-    if not 0 <= site < spec.n:
-        raise ValueError(f"site {site} out of range")
+def _driving_trajectory(spec: ModelSpec, x0: int, horizon: int) -> np.ndarray:
+    """Deterministic states at steps 0..horizon-1, which drive steps 1..horizon."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    traj = meanfield.iterate(spec, state_bits(x0, spec.n), horizon - 1)
+    return meanfield.iterate(spec, state_bits(x0, spec.n), horizon - 1)
+
+
+def _schedule(spec: ModelSpec, traj: np.ndarray, site: int) -> SiteChainSchedule:
     return SiteChainSchedule(
         site=site,
         colonise=spec.colonisation[site].eval_batch(traj),
@@ -46,22 +48,52 @@ def site_schedule(spec: ModelSpec, x0: int, horizon: int, site: int) -> SiteChai
     )
 
 
-def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern) -> float:
-    """Forward two-state recursion for one site's vacancy pattern."""
+def site_schedule(spec: ModelSpec, x0: int, horizon: int, site: int) -> SiteChainSchedule:
+    """Schedule driving site's chain for steps 1..horizon from state word x0."""
+    if not 0 <= site < spec.n:
+        raise ValueError(f"site {site} out of range")
+    return _schedule(spec, _driving_trajectory(spec, x0, horizon), site)
+
+
+def site_schedules(spec: ModelSpec, x0: int, horizon: int) -> tuple[SiteChainSchedule, ...]:
+    """Every site's schedule for steps 1..horizon, from one deterministic trajectory.
+
+    A schedule covering more steps than a pattern serves it unchanged, so
+    one call serves a whole scan of patterns up to `horizon`.
+    """
+    traj = _driving_trajectory(spec, x0, horizon)
+    return tuple(_schedule(spec, traj, site) for site in range(spec.n))
+
+
+def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
+                     schedule: SiteChainSchedule | None = None) -> float:
+    """Forward two-state recursion for one site's vacancy pattern.
+
+    `schedule` is the pattern site's schedule over at least the pattern's
+    horizon, if already computed.
+    """
     m = pattern.horizon
-    sched = site_schedule(spec, x0, m, pattern.site)
+    if schedule is None:
+        schedule = site_schedule(spec, x0, m, pattern.site)
+    elif schedule.site != pattern.site or schedule.colonise.size < m:
+        raise ValueError(f"schedule for site {schedule.site} over "
+                         f"{schedule.colonise.size} steps cannot serve the pattern")
     bit = int(state_bits(x0, spec.n)[pattern.site])
     v = np.array([1.0 - bit, float(bit)])
     for t in range(m):
-        c, s = sched.colonise[t], sched.survive[t]
+        c, s = schedule.colonise[t], schedule.survive[t]
         v = np.array([v[0] * (1.0 - c) + v[1] * (1.0 - s), v[0] * c + v[1] * s])
         if pattern.omega[t] == 0:
             v[1] = 0.0
     return float(v.sum())
 
 
-def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern) -> float:
-    """Joint vacancy probability; sites are independent so it is a product."""
+def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
+                          schedules: Sequence[SiteChainSchedule] | None = None) -> float:
+    """Joint vacancy probability; sites are independent so it is a product.
+
+    `schedules` are every site's schedules, as from `site_schedules`.
+    """
     value = 1.0
     for site, times in pattern.entries:
         if not times:
@@ -70,7 +102,8 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern) -
         omega = [1] * m
         for t in times:
             omega[t - 1] = 0
-        value *= path_probability(spec, x0, TimePattern(site=site, omega=tuple(omega)))
+        value *= path_probability(spec, x0, TimePattern(site=site, omega=tuple(omega)),
+                                  None if schedules is None else schedules[site])
     return value
 
 

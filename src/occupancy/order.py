@@ -57,7 +57,8 @@ def _verdict(worst_margin: float, tol: float, certified) -> str:
     return "pass" if worst_margin >= -tol else "fail"
 
 
-def _subset_cap_check(n: int):
+def check_subset_cap(n: int):
+    """Site-set scans cover all 2^n subsets; reject n past SUBSET_CAP."""
     if n > SUBSET_CAP:
         raise exact.CapacityError(
             f"subset scans over 2^{n} site sets exceed the cap 2^{SUBSET_CAP}")
@@ -107,10 +108,17 @@ def _worst(margins: np.ndarray, skip_zero: bool = True):
     return float(m[k]), k
 
 
-def marginal_bound(spec: ModelSpec, x0: int, steps: int, tol: float = DEFAULT_TOL,
-                   certified: bool | None = None) -> OrderReport:
-    """Deterministic trajectory minus exact occupation probabilities, all (t, i)."""
-    pi = exact.marginal_trajectory(spec, x0, steps)
+def marginal_bound(spec: ModelSpec, x0: int, exact_rows: np.ndarray,
+                   tol: float = DEFAULT_TOL, certified: bool | None = None) -> OrderReport:
+    """Deterministic trajectory minus exact occupation probabilities, all (t, i).
+
+    `exact_rows` are the exact occupation probabilities at steps 0..steps,
+    as from `exact.marginal_trajectory(spec, x0, steps)`.
+    """
+    pi = np.asarray(exact_rows, float)
+    if pi.ndim != 2 or pi.shape[0] < 1 or pi.shape[1] != spec.n:
+        raise ValueError(f"exact rows must have shape (steps+1, {spec.n})")
+    steps = pi.shape[0] - 1
     p = meanfield.iterate(spec, exact.state_bits(x0, spec.n), steps)
     margins = p - pi
     t, i = np.unravel_index(np.argmin(margins), margins.shape)
@@ -128,7 +136,8 @@ def marginal_bound(spec: ModelSpec, x0: int, steps: int, tol: float = DEFAULT_TO
     )
 
 
-def single_time_orthant(spec: ModelSpec, x0: int, t: int, tol: float = DEFAULT_TOL,
+def single_time_orthant(spec: ModelSpec, x0: int, t: int, kernel: np.ndarray,
+                        tol: float = DEFAULT_TOL,
                         certified: bool | None = None) -> OrderReport:
     """Joint vacancy comparison at one time over every nonempty site set.
 
@@ -136,9 +145,10 @@ def single_time_orthant(spec: ModelSpec, x0: int, t: int, tol: float = DEFAULT_T
     step is an association inequality for the exact law, the second the
     marginal bound.  Margins of both steps are reported; the check's own
     margin is the end-to-end one against the deterministic product.
+    `kernel` is the chain's transition matrix.
     """
-    _subset_cap_check(spec.n)
-    dist = exact.distribution(spec, x0, t)
+    check_subset_cap(spec.n)
+    dist = exact.distribution(spec, x0, t, kernel)
     pi = exact.marginals(dist)
     p = meanfield.iterate(spec, exact.state_bits(x0, spec.n), t)[-1]
     vac = vacancy_transform(dist)
@@ -174,7 +184,7 @@ def positive_correlations(dist: np.ndarray, tol: float = DEFAULT_TOL,
     """
     dist = np.asarray(dist, float)
     n = int(np.log2(dist.size))
-    _subset_cap_check(n)
+    check_subset_cap(n)
     exact.validate_distribution(dist, atol=1e-9)
     vac = vacancy_transform(dist)
     prod = subset_products(1.0 - exact.marginals(dist))
@@ -210,29 +220,35 @@ def _patterns_for_budget(n: int, m: int, budget: int):
     return patterns
 
 
-def path_orthant(spec: ModelSpec, x0: int, m: int, tol: float = DEFAULT_TOL,
-                 certified: bool | None = None, budget: int = 4) -> OrderReport:
+def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: np.ndarray,
+                 tol: float = DEFAULT_TOL, certified: bool | None = None,
+                 budget: int = 4) -> OrderReport:
     """Exact vacancy-pattern probabilities against the independent surrogate.
 
     Scans every single-site pattern omega in {0,1}^m and every multisite
     pattern demanding at most `budget` vacancies in steps 1..m.  Margins
-    are exact minus surrogate; the surrogate should never exceed.
+    are exact minus surrogate; the surrogate should never exceed.  The
+    chain's transition matrix `kernel` and the surrogate's site schedules
+    serve the whole scan.
     """
+    if m < 1:
+        raise ValueError("path length m must be >= 1")
+    schedules = indep.site_schedules(spec, x0, m)
     worst = np.inf
     witness = {}
     for site in range(spec.n):
         for omega in itertools.product((0, 1), repeat=m):
             pattern = TimePattern(site=site, omega=omega)
-            margin = (exact.path_probability(spec, x0, pattern)
-                      - indep.path_probability(spec, x0, pattern))
+            margin = (exact.path_probability(spec, x0, pattern, kernel)
+                      - indep.path_probability(spec, x0, pattern, schedules[site]))
             if margin < worst:
                 worst = margin
                 witness = {"kind": "single-site", "site": site, "omega": list(omega)}
     multi_worst = np.inf
     multi_witness: dict = {}
     for pattern in _patterns_for_budget(spec.n, m, budget):
-        margin = (exact.multisite_probability(spec, x0, pattern)
-                  - indep.multisite_probability(spec, x0, pattern))
+        margin = (exact.multisite_probability(spec, x0, pattern, kernel)
+                  - indep.multisite_probability(spec, x0, pattern, schedules))
         if margin < multi_worst:
             multi_worst = margin
             multi_witness = {"kind": "multisite",

@@ -3,7 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from occupancy import exact, indep, zoo
+from occupancy import bridge, exact, indep, zoo
+from occupancy.model import VARIANTS, FunctionFamily, ModelSpec, SpinSpec
 
 
 @pytest.fixture
@@ -122,3 +123,79 @@ def decomposed_path_probability(spec, x0: int, pattern) -> float:
         return (1.0 - s) * solve(tuple(freed)) + (s - c) * solve(tuple(lower))
 
     return solve(pattern.omega)
+
+
+def where_transition_matrix(spec):
+    """The kernel as a product of n full-size per-site factors.
+
+    An independent route to exact.transition_matrix, which expands the
+    site factors in place; both multiply the factors in site order, so
+    they agree bit for bit.
+    """
+    q = exact.site_probabilities(spec)
+    size = 1 << spec.n
+    col_bits = exact.lattice_bits(spec.n)
+    T = np.ones((size, size))
+    for i in range(spec.n):
+        qi = q[:, i][:, None]
+        T *= np.where(col_bits[None, :, i] > 0, qi, 1.0 - qi)
+    return T
+
+
+def hamming_rate_defect(spec, config):
+    """bridge.rate_defect by masks over the full matrix of Hamming distances."""
+    T = exact.transition_matrix(bridge.discretise(spec, config))
+    Q = T / config.delta
+    size = Q.shape[0]
+    words = np.arange(size)
+    Q[words, words] = 0.0
+    Q[words, words] = -Q.sum(axis=1)
+    G = exact.spin_generator(spec)
+    ham = np.zeros((size, size), dtype=int)
+    for i in range(spec.n):
+        ham += ((words[:, None] ^ words[None, :]) >> i) & 1
+    single = float(np.max(np.abs(Q - G)[ham == 1]))
+    multi = float(np.max(Q[ham >= 2], initial=0.0))
+    return single, multi
+
+
+def random_family(n, rng, role="probability"):
+    """A random family of any variant, with random offset, scale and pins.
+
+    Probability-role families may take a negative scale or an offset that
+    the clamp cuts; rate-role families keep both nonnegative.
+    """
+    variant = VARIANTS[int(rng.integers(len(VARIANTS)))]
+    params = {
+        "constant": lambda: {"c": float(rng.random())},
+        "affine-saturated": lambda: {"a": float(rng.random()),
+                                     "b": list(rng.random(n) / n)},
+        "product-form": lambda: {"beta": list(rng.random(n))},
+        "hanski-incidence": lambda: {"b": list(rng.random(n)),
+                                     "y": float(0.1 + rng.random())},
+        "tabulated-multilinear": lambda: {"table": list(rng.random(1 << n))},
+    }[variant]()
+    if role == "rate":
+        offset, scale = float(rng.random()), float(rng.random())
+    else:
+        offset, scale = float(rng.uniform(-0.2, 0.5)), float(rng.uniform(-1.0, 1.5))
+    pins = tuple((int(site), float(rng.random()))
+                 for site in np.flatnonzero(rng.random(n) < 0.25))
+    return FunctionFamily(variant=variant, n=n, params=params, role=role,
+                          offset=offset, scale=scale, pins=pins)
+
+
+def random_model(n, seed):
+    """Random occupancy model over all five variants, with pins and clamps."""
+    rng = np.random.default_rng(seed)
+    return ModelSpec(n=n,
+                     colonisation=tuple(random_family(n, rng) for _ in range(n)),
+                     survival=tuple(random_family(n, rng) for _ in range(n)))
+
+
+def random_spin_model(n, seed):
+    """Random spin system over all five variants, with pins."""
+    rng = np.random.default_rng(seed)
+    return SpinSpec(n=n,
+                    birth=tuple(random_family(n, rng, "rate") for _ in range(n)),
+                    death=tuple(random_family(n, rng, "rate") for _ in range(n)))

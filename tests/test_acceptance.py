@@ -89,8 +89,8 @@ def test_criterion_3_path_ordering_suite():
                             split = decomposed_path_probability(spec, x0, pat)
                             assert abs(split - pw) <= 1e-14, (x0, site, omega)
                 # multisite patterns with at most four demanded vacancies
-                report = order.path_orthant(spec, x0, m=4, budget=4,
-                                            certified=True)
+                report = order.path_orthant(spec, x0, 4, exact.transition_matrix(spec),
+                                            budget=4, certified=True)
                 assert report.worst_margin >= -1e-10, (x0, report.witness)
 
 
@@ -118,12 +118,16 @@ def test_criterion_5_discretisation_bridge():
         deltas = [2.0 ** -k for k in range(4, 9)]
         singles, tvs, gaps = [], [], []
         p0 = exact.state_bits(1, 3)
+        generator = exact.spin_generator(ring)
+        truth = exact.spin_law(ring, 1, 1.0)
+        reference_end = meanfield.integrate_ode(ring, p0, 1.0, bridge.REFERENCE_ODE)[1][-1]
         for d in deltas:
             config = DiscretisationConfig(d)
-            single, _ = bridge.rate_defect(ring, config)
+            kernel = exact.transition_matrix(bridge.discretise(ring, config))
+            single, _ = bridge.rate_defect(ring, config, kernel, generator)
             singles.append(single)
-            tvs.append(bridge.law_distance(ring, config, 1, 1.0))
-            gaps.append(bridge.euler_gap(ring, p0, 1.0, config))
+            tvs.append(bridge.law_distance(ring, config, 1, 1.0, kernel, truth))
+            gaps.append(bridge.euler_gap(ring, p0, 1.0, config, reference_end))
         for a, b in zip(singles, singles[1:]):
             assert 1.5 <= a / b <= 2.5, ("rate", singles)
         for a, b in zip(tvs, tvs[1:]):

@@ -10,7 +10,19 @@ from occupancy.bridge import (ConvergenceTable, DiscretisationConfig,
 from occupancy.meanfield import OdeConfig
 from occupancy.model import check_assumptions
 
+from conftest import hamming_rate_defect, random_spin_model
+
 DELTAS = bridge.DEFAULT_DELTAS
+
+
+def chain_kernel(spec, config):
+    """The discretised chain's transition matrix, which the metrics take."""
+    return exact.transition_matrix(discretise(spec, config))
+
+
+def reference_end(spec, p0, t, config=bridge.REFERENCE_ODE):
+    """The fine ODE reference's state at t, which `euler_gap` takes."""
+    return meanfield.integrate_ode(spec, p0, t, config)[1][-1]
 
 
 def test_admissibility_bound_rates():
@@ -51,15 +63,18 @@ def test_discretised_chain_keeps_certification(ring3):
 def test_single_site_uniformized_rates_are_exact():
     spec = zoo.two_state_spin(0.5, 1.0)
     for delta in DELTAS:
-        Q = uniformized_rates(spec, DiscretisationConfig(delta))
+        config = DiscretisationConfig(delta)
+        Q = uniformized_rates(spec, config, chain_kernel(spec, config))
         assert Q[0, 1] == pytest.approx(0.5, abs=1e-14)
         assert Q[1, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rate_defect_first_order(ring3):
     singles, multis = [], []
+    generator = exact.spin_generator(ring3)
     for delta in DELTAS:
-        single, multi = rate_defect(ring3, DiscretisationConfig(delta))
+        config = DiscretisationConfig(delta)
+        single, multi = rate_defect(ring3, config, chain_kernel(ring3, config), generator)
         singles.append(single)
         multis.append(multi)
         assert multi <= 3.0 * delta  # multi-flip mass is O(delta)
@@ -67,8 +82,34 @@ def test_rate_defect_first_order(ring3):
         assert 1.5 < a / b < 2.5
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rate_defect_matches_hamming_masks(n):
+    for seed in range(3):
+        spec = random_spin_model(n, seed=300 * n + seed)
+        config = DiscretisationConfig(0.5 * admissibility_bound(spec))
+        got = rate_defect(spec, config, chain_kernel(spec, config),
+                          exact.spin_generator(spec))
+        assert got == hamming_rate_defect(spec, config)
+
+
+def test_shared_kernel_and_generator_are_left_unchanged(ring3):
+    config = DiscretisationConfig(0.0625)
+    kernel = exact.transition_matrix(discretise(ring3, config))
+    generator = exact.spin_generator(ring3)
+    kept = kernel.copy(), generator.copy()
+    # every metric of one delta runs on the same two arrays, in any order
+    first = rate_defect(ring3, config, kernel, generator)
+    law = subordinated_law(ring3, config, 1, 0.5, kernel)
+    assert rate_defect(ring3, config, kernel, generator) == first
+    assert np.array_equal(subordinated_law(ring3, config, 1, 0.5, kernel), law)
+    assert np.array_equal(kernel, kept[0]) and np.array_equal(generator, kept[1])
+    assert np.array_equal(uniformized_rates(ring3, config, kernel),
+                          uniformized_rates(ring3, config, kept[0]))
+
+
 def test_subordinated_law_at_zero_time(ring3):
-    law = subordinated_law(ring3, DiscretisationConfig(0.0625), 5, 0.0)
+    config = DiscretisationConfig(0.0625)
+    law = subordinated_law(ring3, config, 5, 0.0, chain_kernel(ring3, config))
     assert law[5] == 1.0
 
 
@@ -76,12 +117,16 @@ def test_single_site_subordination_is_exact():
     # two states: (T - I)/delta equals the generator exactly, so the
     # Poisson mixture reproduces the continuous law to numerical precision
     spec = zoo.two_state_spin(0.5, 1.0)
+    truth = exact.spin_law(spec, 0, 1.0)
     for delta in DELTAS:
-        assert law_distance(spec, DiscretisationConfig(delta), 0, 1.0) < 1e-10
+        config = DiscretisationConfig(delta)
+        assert law_distance(spec, config, 0, 1.0, chain_kernel(spec, config), truth) < 1e-10
 
 
 def test_law_distance_decreases_first_order(ring3):
-    tvs = [law_distance(ring3, DiscretisationConfig(d), 1, 1.0) for d in DELTAS]
+    truth = exact.spin_law(ring3, 1, 1.0)
+    configs = [DiscretisationConfig(d) for d in DELTAS]
+    tvs = [law_distance(ring3, c, 1, 1.0, chain_kernel(ring3, c), truth) for c in configs]
     for a, b in zip(tvs, tvs[1:]):
         assert b < a
         assert 1.5 < a / b < 2.5
@@ -90,7 +135,8 @@ def test_law_distance_decreases_first_order(ring3):
 
 def test_euler_gap_first_order(ring3):
     p0 = exact.state_bits(1, 3)
-    gaps = [euler_gap(ring3, p0, 1.0, DiscretisationConfig(d)) for d in DELTAS]
+    end = reference_end(ring3, p0, 1.0)
+    gaps = [euler_gap(ring3, p0, 1.0, DiscretisationConfig(d), end) for d in DELTAS]
     for a, b in zip(gaps, gaps[1:]):
         assert 1.5 < a / b < 2.5
 
@@ -110,7 +156,7 @@ def test_euler_gap_two_state_closed_form():
     spec = zoo.two_state_spin(0.5, 1.0)
     delta = 1.0 / 64
     got = euler_gap(spec, [0.0], 1.0, DiscretisationConfig(delta),
-                    reference=OdeConfig(h=1e-4, method="rk4"))
+                    reference_end(spec, [0.0], 1.0, OdeConfig(h=1e-4, method="rk4")))
     exact_p = (1 - np.exp(-1.5)) / 3
     euler_p = (1 - (1 - 1.5 * delta) ** 64) / 3
     assert got == pytest.approx(abs(euler_p - exact_p), abs=1e-8)
@@ -142,6 +188,44 @@ def test_convergence_table_round_trip(ring3):
     for row, line in zip(table.rows, lines[1:]):
         d, m, v = line.split(",")
         assert float(d) == row[0] and m == row[1] and float(v) == row[2]
+
+
+def test_convergence_table_rows_equal_standalone_metrics():
+    spec = random_spin_model(3, seed=11)
+    deltas = (0.5 * admissibility_bound(spec), 0.25 * admissibility_bound(spec))
+    x0, t = 5, 0.75
+    table = convergence_table(spec, x0, t, deltas=deltas)
+    p0 = exact.state_bits(x0, spec.n)
+    expected = []
+    for delta in deltas:
+        # every shared object built afresh for each metric call
+        config = DiscretisationConfig(delta)
+        single, multi = rate_defect(spec, config, chain_kernel(spec, config),
+                                    exact.spin_generator(spec))
+        tv = law_distance(spec, config, x0, t, chain_kernel(spec, config),
+                          exact.spin_law(spec, x0, t))
+        gap = euler_gap(spec, p0, t, config, reference_end(spec, p0, t))
+        expected += [(delta, "single-flip-rate-error", single),
+                     (delta, "multi-flip-rate", multi),
+                     (delta, "law-distance", tv),
+                     (delta, "euler-gap", gap)]
+    assert table.rows == tuple(expected)
+
+
+def test_convergence_report_flags_a_growing_metric():
+    table = ConvergenceTable(rows=((0.5, "law-distance", 1e-3),
+                                   (0.25, "law-distance", 2e-3),
+                                   (0.125, "law-distance", 1e-12),
+                                   (0.0625, "law-distance", 1e-11)))
+    report = bridge.convergence_report(table, {}, 1e-10, certified=True)
+    assert report.verdict == "fail"
+    assert report.worst_margin == pytest.approx(-1e-3, abs=1e-15)
+    assert report.witness["deltas"] == [0.5, 0.25]
+    informative = bridge.convergence_report(table, {}, 1e-10, certified=False)
+    assert informative.verdict == "informative"
+    # pairs at numerical floor are skipped
+    floor = ConvergenceTable(rows=table.rows[2:])
+    assert bridge.convergence_report(floor, {}, 1e-10, True).verdict == "pass"
 
 
 def test_config_validation():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from occupancy import cli, zoo
+from occupancy import cli, exact, lattice, zoo
 from occupancy.model import save_model
 
 
@@ -245,7 +245,66 @@ def test_capacity_exit_code(model_dir, capsys):
                    "--mode", "exact", "--t", "1")
     err = capsys.readouterr().err
     assert code == cli.EXIT_CAPACITY
-    assert "25" in err
+    assert err.startswith("error: n = 25: 1 dense 2^25 x 2^25 array needs ")
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["verify", "--model", "pair.json", "--theorem", "thm1", "--t", "6"], 1),
+    (["verify", "--model", "pair.json", "--theorem", "thm3", "--t", "4", "--m", "3"], 1),
+    (["verify", "--model", "ring.json", "--theorem", "thm4", "--t", "0.5",
+      "--delta-grid", "0.125,0.0625,0.03125"], 3),
+])
+def test_each_kernel_is_built_once(model_dir, capsys, monkeypatch, argv, builds):
+    calls = []
+    build = exact.transition_matrix
+
+    def counted(spec):
+        calls.append(spec.n)
+        return build(spec)
+
+    monkeypatch.setattr(exact, "transition_matrix", counted)
+    argv = [str(model_dir / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == cli.EXIT_PASS
+    capsys.readouterr()
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("model, argv", [
+    ("pair.json", ["verify", "--theorem", "thm1", "--t", "3"]),
+    ("pair.json", ["verify", "--theorem", "thm3", "--t", "3", "--m", "2"]),
+    ("pair.json", ["run", "--mode", "exact", "--t", "3"]),
+    ("pair.json", ["run", "--mode", "exact", "--t", "0"]),
+    ("ring.json", ["verify", "--theorem", "thm2", "--t", "0.5"]),
+    ("ring.json", ["verify", "--theorem", "thm4", "--t", "0.5"]),
+    ("ring.json", ["bridge", "--t", "0.5"]),
+])
+def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv):
+    # a budget below one 4 x 4 kernel rejects every dense route on a tiny model
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2) - 1)
+    code = run_cli(*argv, "--model", model_dir / model)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm3"])
+def test_site_set_cap_rejects_before_exact_work(tmp_path, capsys, monkeypatch, theorem):
+    save_model(zoo.random_certified_model(13, seed=0), tmp_path / "m13.json")
+    calls = []
+    monkeypatch.setattr(exact, "transition_matrix", calls.append)
+    code = run_cli("verify", "--model", tmp_path / "m13.json", "--theorem", theorem,
+                   "--t", "2", "--m", "2", "--samples", "64")
+    assert code == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
+def test_zero_path_length_is_usage_error(model_dir, capsys):
+    code = run_cli("verify", "--model", model_dir / "pair.json",
+                   "--theorem", "thm3", "--m", "0")
+    assert code == cli.EXIT_USAGE
+    assert "m must be >= 1" in capsys.readouterr().err
 
 
 def test_bridge_writes_table(model_dir, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import expm
 
-from occupancy import exact, zoo
+from occupancy import bridge, exact, lattice, zoo
 from occupancy.exact import (CapacityError, MultiSitePattern, TimePattern,
                              as_distribution, lattice_bits,
                              marginal_trajectory, marginals, path_probability,
@@ -15,7 +15,8 @@ from occupancy.exact import (CapacityError, MultiSitePattern, TimePattern,
 from occupancy.lattice import bits_to_word
 
 from conftest import (enumerate_event_probability, naive_event_probability,
-                      naive_transition_probability)
+                      naive_transition_probability, random_model,
+                      random_spin_model, where_transition_matrix)
 
 
 def test_bit_conventions():
@@ -44,6 +45,19 @@ def test_transition_matrix_matches_naive_product(interacting, broken):
         assert np.allclose(T.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_build_matches_per_site_factors(n):
+    # random models over all five variants with pins and clamped offsets,
+    # and discretised spin systems whose survival has a negative scale
+    for seed in range(3):
+        spec = random_model(n, seed=1000 * n + seed)
+        assert np.array_equal(transition_matrix(spec), where_transition_matrix(spec))
+        chain = bridge.discretise(random_spin_model(n, seed=2000 * n + seed),
+                                  bridge.DiscretisationConfig(0.25 / n))
+        assert any(fam.scale < 0 for fam in chain.survival)
+        assert np.array_equal(transition_matrix(chain), where_transition_matrix(chain))
+
+
 def test_empty_state_absorbing_without_colonisation():
     spec = zoo.constant_pair(n=2, c=0.0, s=0.8)
     T = transition_matrix(spec)
@@ -58,6 +72,41 @@ def test_distribution_basics(interacting):
     # matches marginal_trajectory
     assert np.allclose(marginals(d3), marginal_trajectory(interacting, 0, 3)[-1],
                        atol=1e-14)
+
+
+def test_start_state_is_checked(interacting):
+    for x0 in (-1, 1 << interacting.n):
+        with pytest.raises(ValueError, match="out of range"):
+            marginal_trajectory(interacting, x0, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            marginal_trajectory(interacting, x0, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            exact.distribution(interacting, x0, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            path_probability(interacting, x0, TimePattern(site=0, omega=(0,)))
+
+
+def test_law_trajectory_is_one_propagation(interacting):
+    rows, law = exact.law_trajectory(interacting, 1, 6)
+    assert np.array_equal(rows, marginal_trajectory(interacting, 1, 6))
+    assert np.array_equal(law, exact.distribution(interacting, 1, 6))
+
+
+def test_given_kernel_is_used_and_kept(interacting):
+    spec = random_model(3, seed=7)
+    T = transition_matrix(spec)
+    before = T.copy()
+    assert np.array_equal(exact.distribution(spec, 5, 4, kernel=T),
+                          exact.distribution(spec, 5, 4))
+    pattern = MultiSitePattern(entries=((0, (1, 3)), (2, (2,))))
+    assert (exact.multisite_probability(spec, 2, pattern, kernel=T)
+            == exact.multisite_probability(spec, 2, pattern))
+    single = TimePattern(site=1, omega=(1, 0, 0))
+    assert (path_probability(spec, 2, single, kernel=T)
+            == path_probability(spec, 2, single))
+    assert np.array_equal(T, before)
+    # a kernel handed in is used as it is, never rebuilt from the spec
+    assert exact.distribution(spec, 0, 1, kernel=np.eye(8))[0] == 1.0
 
 
 def test_interacting_marginals_frozen_values(interacting):
@@ -174,6 +223,81 @@ def test_state_cap():
     spec = zoo.constant_pair(n=21, c=0.2, s=0.8)
     with pytest.raises(CapacityError):
         transition_matrix(spec)
+
+
+def test_capacity_rule_cost_function():
+    # the rule is checked through its cost function; nothing large is allocated
+    assert lattice.dense_bytes(12) == 8 * 4 ** 12
+    assert lattice.dense_bytes(10, 3) == 3 * 8 * 4 ** 10
+    budget = lattice.DENSE_BYTES_BUDGET
+    biggest = max(n for n in range(40) if lattice.dense_bytes(n) <= budget)
+    lattice.check_dense(biggest)
+    for n, arrays in ((biggest + 1, 1), (30, 1), (64, 1), (biggest, 2)):
+        with pytest.raises(CapacityError, match=f"^n = {n}: {arrays} dense .* budget"):
+            lattice.check_dense(n, arrays)
+    with pytest.raises(CapacityError):
+        lattice.lattice_bits(60)
+
+
+def test_capacity_rule_guards_dense_builders():
+    n = max(n for n in range(40) if lattice.dense_bytes(n) <= lattice.DENSE_BYTES_BUDGET) + 1
+    ring = zoo.contact_ring(n)
+    config = bridge.DiscretisationConfig(0.0625)
+    for build in (lambda: transition_matrix(zoo.constant_pair(n=n)),
+                  lambda: spin_generator(ring),
+                  lambda: spin_law(ring, 0, 1.0),
+                  # rejected before the stand-in kernel and generator are read
+                  lambda: bridge.uniformized_rates(ring, config, np.ones((1, 1))),
+                  lambda: bridge.rate_defect(ring, config, np.ones((1, 1)), np.ones((1, 1))),
+                  lambda: bridge.convergence_table(ring, 0, 1.0),
+                  lambda: exact.marginal_trajectory(zoo.constant_pair(n=n), 0, 1),
+                  lambda: exact.marginal_trajectory(zoo.constant_pair(n=n), 0, 0)):
+        with pytest.raises(CapacityError):
+            build()
+
+
+def test_capacity_rule_counts_every_array_held(monkeypatch):
+    # budgets of one to three dense arrays at n = 2 against what each holder keeps
+    ring = zoo.contact_ring(2)
+    config = bridge.DiscretisationConfig(0.0625)
+    T = transition_matrix(bridge.discretise(ring, config))
+    G = spin_generator(ring)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2, 1))
+    spin_law(ring, 0, 1.0)  # its generator becomes I + Q/rate in place
+    transition_matrix(bridge.discretise(ring, config))
+    with pytest.raises(CapacityError):
+        bridge.uniformized_rates(ring, config, T)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2, 2))
+    bridge.uniformized_rates(ring, config, T)
+    with pytest.raises(CapacityError):
+        bridge.rate_defect(ring, config, T, G)
+    with pytest.raises(CapacityError):
+        bridge.convergence_table(ring, 0, 1.0)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2, 3))
+    bridge.rate_defect(ring, config, T, G)
+    bridge.convergence_table(ring, 0, 1.0)
+
+
+def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
+    # the int64 bits and their float copy: one table's bytes are not enough
+    n = 5
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", n * (8 << n))
+    lattice.lattice_bits.cache_clear()
+    with pytest.raises(CapacityError, match="n = 5: the lattice table"):
+        lattice.lattice_bits(n)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", 2 * n * (8 << n))
+    assert lattice.lattice_bits(n).shape == (1 << n, n)
+
+
+def test_zero_step_runs_keep_the_kernel_limit(monkeypatch):
+    # a run that takes no step stops at the same n as one that does
+    spec = zoo.constant_pair(n=2)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2) - 1)
+    for run in (lambda: marginal_trajectory(spec, 0, 0),
+                lambda: exact.distribution(spec, 0, 0),
+                lambda: exact.law_trajectory(spec, 0, 0)):
+        with pytest.raises(CapacityError, match="n = 2: 1 dense 2\\^2 x 2\\^2 array needs"):
+            run()
 
 
 # -- spin systems ------------------------------------------------------------

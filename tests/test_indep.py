@@ -9,7 +9,7 @@ from occupancy import exact, indep, meanfield, zoo
 from occupancy.exact import MultiSitePattern, TimePattern
 from occupancy.meanfield import OdeConfig
 
-from conftest import decomposed_path_probability
+from conftest import decomposed_path_probability, random_model
 
 
 def test_schedule_matches_family_evaluations(interacting):
@@ -18,6 +18,37 @@ def test_schedule_matches_family_evaluations(interacting):
     for t in range(4):
         assert sched.colonise[t] == interacting.colonisation[1].eval(traj[t])
         assert sched.survive[t] == interacting.survival[1].eval(traj[t])
+
+
+def test_site_schedules_share_one_trajectory():
+    spec = zoo.random_certified_model(3, 4)
+    schedules = indep.site_schedules(spec, 5, 6)
+    for site, sched in enumerate(schedules):
+        alone = indep.site_schedule(spec, 5, 6, site)
+        assert sched.site == site
+        assert np.array_equal(sched.colonise, alone.colonise)
+        assert np.array_equal(sched.survive, alone.survive)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_longer_schedule_serves_shorter_patterns(seed):
+    # numpy sums a one-row batch in another order than a longer one, so a
+    # prefix of a longer schedule may differ from a short one by an ulp
+    tol = 16 * np.finfo(float).eps
+    spec = random_model(3, seed=seed)
+    schedules = indep.site_schedules(spec, 2, 5)
+    for omega in [(0,), (1, 0), (0, 1, 0), (1, 1, 0, 0, 1)]:
+        pattern = TimePattern(site=1, omega=omega)
+        assert indep.path_probability(spec, 2, pattern, schedules[1]) == pytest.approx(
+            indep.path_probability(spec, 2, pattern), abs=tol)
+    multi = MultiSitePattern(entries=((0, (2,)), (2, (1, 4))))
+    assert indep.multisite_probability(spec, 2, multi, schedules) == pytest.approx(
+        indep.multisite_probability(spec, 2, multi), abs=tol)
+    with pytest.raises(ValueError, match="cannot serve"):
+        indep.path_probability(spec, 2, TimePattern(site=0, omega=(0,)), schedules[1])
+    with pytest.raises(ValueError, match="cannot serve"):
+        indep.path_probability(spec, 2, TimePattern(site=1, omega=(1,) * 5 + (0,)),
+                               schedules[1])
 
 
 def test_path_probability_trivial_cases(interacting):

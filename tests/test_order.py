@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from occupancy import exact, indep, meanfield, order, zoo
-from occupancy.exact import MultiSitePattern, TimePattern
+from occupancy.exact import (MultiSitePattern, TimePattern, marginal_trajectory,
+                             transition_matrix)
 from occupancy.order import (marginal_bound, path_orthant,
                              positive_correlations, single_time_orthant,
                              spin_marginal_bound, subset_products,
@@ -46,13 +47,13 @@ def test_subset_products_matches_naive():
 
 
 def test_marginal_bound_constant_model_is_tight(single_site):
-    report = marginal_bound(single_site, 0, steps=12)
+    report = marginal_bound(single_site, 0, marginal_trajectory(single_site, 0, 12))
     assert report.verdict == "pass"
     assert abs(report.worst_margin) < 1e-13
 
 
 def test_marginal_bound_interacting(interacting):
-    report = marginal_bound(interacting, 0, steps=10)
+    report = marginal_bound(interacting, 0, marginal_trajectory(interacting, 0, 10))
     assert report.verdict == "pass"
     assert report.worst_margin >= -1e-12
     # witness values reproduce from scratch
@@ -68,13 +69,13 @@ def test_marginal_bound_interacting(interacting):
 
 
 def test_marginal_bound_becomes_strict(interacting):
-    report = marginal_bound(interacting, 0, steps=3)
+    report = marginal_bound(interacting, 0, marginal_trajectory(interacting, 0, 3))
     per_step = report.details["min_margin_per_step"]
     assert per_step[3] > 1e-3  # the chain feels the correlations by then
 
 
 def test_single_time_orthant_matches_direct_recomputation(interacting):
-    report = single_time_orthant(interacting, 0, t=4)
+    report = single_time_orthant(interacting, 0, 4, transition_matrix(interacting))
     dist = exact.distribution(interacting, 0, 4)
     vac = vacancy_transform(dist)
     pi = exact.marginals(dist)
@@ -92,12 +93,12 @@ def test_single_time_orthant_matches_direct_recomputation(interacting):
 
 
 def test_single_time_orthant_trivial_at_start(interacting):
-    report = single_time_orthant(interacting, 0, t=0)
+    report = single_time_orthant(interacting, 0, 0, transition_matrix(interacting))
     assert abs(report.worst_margin) < 1e-15
 
 
 def test_path_orthant_single_step_matches_marginal(interacting):
-    report = path_orthant(interacting, 0, m=1)
+    report = path_orthant(interacting, 0, 1, transition_matrix(interacting))
     traj = exact.marginal_trajectory(interacting, 0, 1)
     field = meanfield.iterate(interacting, exact.state_bits(0, 2), 1)
     margins = [traj[1, i] - field[1, i] for i in range(2)]
@@ -106,7 +107,7 @@ def test_path_orthant_single_step_matches_marginal(interacting):
 
 
 def test_path_orthant_interacting(interacting):
-    report = path_orthant(interacting, 0, m=4)
+    report = path_orthant(interacting, 0, 4, transition_matrix(interacting))
     assert report.verdict == "pass"
     assert report.worst_margin >= -1e-10
     # witness re-evaluates to the reported margin
@@ -149,11 +150,12 @@ def test_positive_correlations_occupancy_law(interacting):
 
 
 def test_uncertified_checks_are_informative(broken):
-    report = marginal_bound(broken, 0, steps=6, certified=False)
+    report = marginal_bound(broken, 0, marginal_trajectory(broken, 0, 6),
+                            certified=False)
     assert report.verdict == "informative"
     assert report.certified is False
     # informative even when the margin itself is fine
-    good = marginal_bound(broken, 3, steps=0, certified=False)
+    good = marginal_bound(broken, 3, marginal_trajectory(broken, 3, 0), certified=False)
     assert good.worst_margin >= -1e-15
     assert good.verdict == "informative"
 
@@ -176,7 +178,7 @@ def test_spin_marginal_bound_ring(ring3):
 
 
 def test_report_serializes(interacting):
-    report = single_time_orthant(interacting, 0, t=3)
+    report = single_time_orthant(interacting, 0, 3, transition_matrix(interacting))
     doc = report.to_dict()
     text = json.dumps(doc)
     back = json.loads(text)
@@ -188,4 +190,34 @@ def test_report_serializes(interacting):
 def test_subset_cap_enforced():
     spec = zoo.random_certified_model(13, seed=0)
     with pytest.raises(exact.CapacityError):
-        single_time_orthant(spec, 0, t=1)
+        # rejected before the kernel is used, so a 1 x 1 stand-in will do
+        single_time_orthant(spec, 0, 1, np.ones((1, 1)))
+
+
+def test_shared_exact_objects_give_the_same_reports():
+    spec = zoo.random_certified_model(3, 9)
+    rows, law = exact.law_trajectory(spec, 2, 5)
+    assert (marginal_bound(spec, 2, rows).to_dict()
+            == marginal_bound(spec, 2, marginal_trajectory(spec, 2, 5)).to_dict())
+    assert (positive_correlations(law).to_dict()
+            == positive_correlations(exact.distribution(spec, 2, 5)).to_dict())
+    # one kernel serves both scans and is left as it was
+    kernel = transition_matrix(spec)
+    scan = path_orthant(spec, 2, 3, kernel)
+    orthant = single_time_orthant(spec, 2, 4, kernel)
+    assert np.array_equal(kernel, transition_matrix(spec))
+    assert scan.to_dict() == path_orthant(spec, 2, 3, transition_matrix(spec)).to_dict()
+    assert (orthant.to_dict()
+            == single_time_orthant(spec, 2, 4, transition_matrix(spec)).to_dict())
+    w = scan.witness
+    pattern = TimePattern(site=w["site"], omega=tuple(w["omega"]))
+    assert scan.worst_margin == pytest.approx(exact.path_probability(spec, 2, pattern)
+                                              - indep.path_probability(spec, 2, pattern),
+                                              abs=1e-15)
+
+
+def test_marginal_bound_checks_the_rows_shape(interacting):
+    rows = marginal_trajectory(interacting, 0, 3)
+    for bad in (rows[:, :1], rows[0], rows[:0]):
+        with pytest.raises(ValueError, match="shape"):
+            marginal_bound(interacting, 0, bad)
