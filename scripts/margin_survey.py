@@ -22,11 +22,13 @@ def survey_row(n: int, seed: int, steps: int, m: int):
     report = check_assumptions(spec, seed=seed)
     certified = report.ordering_certified
     x0 = seed % (1 << n)
-    marginal = order.marginal_bound(spec, x0, steps, certified=certified)
-    joint = order.single_time_orthant(spec, x0, steps, certified=certified)
-    paths = order.path_orthant(spec, x0, m, certified=certified)
-    assoc = order.positive_correlations(exact.distribution(spec, x0, steps),
-                                        certified=certified)
+    # one propagation and one kernel serve every check of the model
+    rows, law = exact.law_trajectory(spec, x0, steps)
+    kernel = exact.transition_matrix(spec)
+    marginal = order.marginal_bound(spec, x0, rows, certified=certified)
+    joint = order.single_time_orthant(spec, x0, steps, kernel, certified=certified)
+    paths = order.path_orthant(spec, x0, m, kernel, certified=certified)
+    assoc = order.positive_correlations(law, certified=certified)
     return {
         "n": n,
         "seed": seed,

@@ -9,7 +9,8 @@ continuous-time model classes.
 from .model import (AssumptionReport, FunctionFamily, ModelError, ModelSpec,
                     SpinSpec, check_assumptions, load_model, model_from_dict,
                     model_to_dict, save_model)
-from .exact import CapacityError, MultiSitePattern, TimePattern
+from .exact import MultiSitePattern, TimePattern
+from .lattice import CapacityError
 from .meanfield import OdeConfig
 from .bridge import DiscretisationConfig, InadmissibleDelta
 from .order import OrderReport

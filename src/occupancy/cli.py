@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import bridge, exact, meanfield, order, simulate
-from .exact import CapacityError
+from .lattice import CapacityError
 from .meanfield import OdeConfig
 from .model import (BOUND_HYPOTHESES, ModelError, ModelSpec, SpinSpec,
                     SPIN_BOUND_HYPOTHESES, SPIN_ORDERING_HYPOTHESES,

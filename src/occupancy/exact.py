@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CapacityError  # noqa: F401  (re-exported)
 from .lattice import check_bytes, check_dense, lattice_bits, state_bits
-from .model import ModelSpec, SpinSpec
+from .model import ModelSpec, SpinSpec, transition_values
 
 DIST_ATOL = 1e-12
 
@@ -43,17 +42,6 @@ def as_distribution(values: np.ndarray) -> np.ndarray:
     return v / total
 
 
-def site_probabilities(spec: ModelSpec) -> np.ndarray:
-    """(2^n, n) table: entry [x, i] is the chance bit i is set next, from x."""
-    bits = lattice_bits(spec.n)
-    q = np.empty((1 << spec.n, spec.n))
-    for i in range(spec.n):
-        c = spec.colonisation[i].eval_batch(bits)
-        s = spec.survival[i].eval_batch(bits)
-        q[:, i] = c * (1.0 - bits[:, i]) + s * bits[:, i]
-    return q
-
-
 def transition_matrix(spec: ModelSpec) -> np.ndarray:
     """Dense one-step kernel; bits update conditionally independently.
 
@@ -63,7 +51,7 @@ def transition_matrix(spec: ModelSpec) -> np.ndarray:
     column y + 2^i (times q_i).  No full-size temporary is made.
     """
     check_dense(spec.n)
-    q = site_probabilities(spec)
+    q = transition_values(spec, lattice_bits(spec.n))
     size = 1 << spec.n
     T = np.empty((size, size))
     T[:, 0] = 1.0
@@ -267,22 +255,11 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
 # -- spin systems ------------------------------------------------------------
 
 
-def spin_rates(spec: SpinSpec) -> np.ndarray:
-    """(2^n, n) flip rates: birth rate off an empty site, death rate off an occupied one."""
-    bits = lattice_bits(spec.n)
-    r = np.empty((1 << spec.n, spec.n))
-    for i in range(spec.n):
-        lam = spec.birth[i].eval_batch(bits)
-        mu = spec.death[i].eval_batch(bits)
-        r[:, i] = lam * (1.0 - bits[:, i]) + mu * bits[:, i]
-    return r
-
-
 def spin_generator(spec: SpinSpec) -> np.ndarray:
-    """Dense generator; only single-bit flips carry rate."""
+    """Dense generator; only single-bit flips carry rate (birth if empty, death if occupied)."""
     check_dense(spec.n)
     size = 1 << spec.n
-    r = spin_rates(spec)
+    r = transition_values(spec, lattice_bits(spec.n))
     Q = np.zeros((size, size))
     words = np.arange(size)
     for i in range(spec.n):

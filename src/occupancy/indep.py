@@ -17,7 +17,7 @@ import numpy as np
 from . import meanfield
 from .exact import MultiSitePattern, TimePattern, state_bits
 from .meanfield import OdeConfig
-from .model import ModelSpec, SpinSpec
+from .model import ModelSpec, SpinSpec, site_values
 
 
 @dataclass(frozen=True)
@@ -33,26 +33,9 @@ class SiteChainSchedule:
             raise ValueError("colonise and survive must be equal-length vectors")
 
 
-def _driving_trajectory(spec: ModelSpec, x0: int, horizon: int) -> np.ndarray:
-    """Deterministic states at steps 0..horizon-1, which drive steps 1..horizon."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return meanfield.iterate(spec, state_bits(x0, spec.n), horizon - 1)
-
-
-def _schedule(spec: ModelSpec, traj: np.ndarray, site: int) -> SiteChainSchedule:
-    return SiteChainSchedule(
-        site=site,
-        colonise=spec.colonisation[site].eval_batch(traj),
-        survive=spec.survival[site].eval_batch(traj),
-    )
-
-
-def site_schedule(spec: ModelSpec, x0: int, horizon: int, site: int) -> SiteChainSchedule:
-    """Schedule driving site's chain for steps 1..horizon from state word x0."""
+def _check_site(spec, site: int):
     if not 0 <= site < spec.n:
         raise ValueError(f"site {site} out of range")
-    return _schedule(spec, _driving_trajectory(spec, x0, horizon), site)
 
 
 def site_schedules(spec: ModelSpec, x0: int, horizon: int) -> tuple[SiteChainSchedule, ...]:
@@ -61,8 +44,13 @@ def site_schedules(spec: ModelSpec, x0: int, horizon: int) -> tuple[SiteChainSch
     A schedule covering more steps than a pattern serves it unchanged, so
     one call serves a whole scan of patterns up to `horizon`.
     """
-    traj = _driving_trajectory(spec, x0, horizon)
-    return tuple(_schedule(spec, traj, site) for site in range(spec.n))
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    # the deterministic states at steps 0..horizon-1 drive steps 1..horizon
+    traj = meanfield.iterate(spec, state_bits(x0, spec.n), horizon - 1)
+    colonise, survive = site_values(spec, traj)
+    return tuple(SiteChainSchedule(site, colonise[:, site], survive[:, site])
+                 for site in range(spec.n))
 
 
 def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
@@ -73,8 +61,9 @@ def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
     horizon, if already computed.
     """
     m = pattern.horizon
+    _check_site(spec, pattern.site)
     if schedule is None:
-        schedule = site_schedule(spec, x0, m, pattern.site)
+        schedule = site_schedules(spec, x0, m)[pattern.site]
     elif schedule.site != pattern.site or schedule.colonise.size < m:
         raise ValueError(f"schedule for site {schedule.site} over "
                          f"{schedule.colonise.size} steps cannot serve the pattern")
@@ -92,8 +81,14 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
                           schedules: Sequence[SiteChainSchedule] | None = None) -> float:
     """Joint vacancy probability; sites are independent so it is a product.
 
-    `schedules` are every site's schedules, as from `site_schedules`.
+    `schedules` are every site's schedules, as from `site_schedules`; one
+    call covering the pattern's horizon serves all its sites when none are
+    given.
     """
+    for site, _ in pattern.constraints():
+        _check_site(spec, site)
+    if schedules is None and pattern.horizon:
+        schedules = site_schedules(spec, x0, pattern.horizon)
     value = 1.0
     for site, times in pattern.entries:
         if not times:
@@ -103,7 +98,7 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
         for t in times:
             omega[t - 1] = 0
         value *= path_probability(spec, x0, TimePattern(site=site, omega=tuple(omega)),
-                                  None if schedules is None else schedules[site])
+                                  schedules[site])
     return value
 
 
@@ -115,21 +110,21 @@ def spin_path_probability(spec: SpinSpec, x0: int, site: int, times,
     occupancy ODE that drives its rates; at each listed time the occupied
     mass is projected out (conditioning on vacancy without renormalising).
     """
-    if not 0 <= site < spec.n:
-        raise ValueError(f"site {site} out of range")
+    _check_site(spec, site)
     times = [float(t) for t in times]
     if any(t <= 0 for t in times):
         raise ValueError("times must be > 0")
     if sorted(set(times)) != times:
         raise ValueError("times must be strictly increasing")
     n = spec.n
-    birth, death = spec.birth[site], spec.death[site]
 
     def rhs(y):
-        # y stacks the ODE point p with the site's (P(vacant), P(occupied))
+        # y stacks the ODE point p with the site's (P(vacant), P(occupied));
+        # the rates at p drive both the ODE and the site's chain
         p, vacant, occupied = y[:n], y[n], y[n + 1]
-        flow = vacant * birth.eval(p) - occupied * death.eval(p)
-        return np.concatenate([meanfield.ode_rhs(spec, p), [-flow, flow]])
+        (lam,), (mu,) = site_values(spec, p[None])
+        flow = vacant * lam[site] - occupied * mu[site]
+        return np.concatenate([(1.0 - p) * lam - p * mu, [-flow, flow]])
 
     p0 = state_bits(x0, n)
     y = np.concatenate([p0, [1.0 - p0[site], p0[site]]])

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import ModelSpec, SpinSpec
+from .model import ModelSpec, SpinSpec, site_values, transition_values
 
 
 def _check_point(spec, p) -> np.ndarray:
@@ -27,10 +27,7 @@ def _check_point(spec, p) -> np.ndarray:
 
 def recursion_step(spec: ModelSpec, p) -> np.ndarray:
     """One step of the deterministic occupancy recursion."""
-    p = _check_point(spec, p)
-    c = np.array([fam.eval(p) for fam in spec.colonisation])
-    s = np.array([fam.eval(p) for fam in spec.survival])
-    return c * (1.0 - p) + s * p
+    return transition_values(spec, _check_point(spec, p)[None])[0]
 
 
 def iterate(spec: ModelSpec, p0, steps: int) -> np.ndarray:
@@ -76,8 +73,7 @@ class OdeConfig:
 def ode_rhs(spec: SpinSpec, p) -> np.ndarray:
     """Right-hand side of the spin occupancy ODE."""
     p = _check_point(spec, p)
-    lam = np.array([fam.eval(p) for fam in spec.birth])
-    mu = np.array([fam.eval(p) for fam in spec.death])
+    (lam,), (mu,) = site_values(spec, p[None])
     return (1.0 - p) * lam - p * mu
 
 

@@ -291,6 +291,38 @@ class SpinSpec:
                            _check_site_functions(self.n, self.death, "death", "rate"))
 
 
+# -- the per-site functions, all sites at once ------------------------------
+
+
+def site_values(spec, points) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down) at a (B, n) batch of points, each of shape (B, n).
+
+    Column i holds site i's colonisation and survival probabilities for a
+    ModelSpec, its birth and death rates for a SpinSpec.  Every per-site
+    evaluation outside the hypothesis scans goes through here.
+    """
+    roles = ((spec.colonisation, spec.survival) if isinstance(spec, ModelSpec)
+             else (spec.birth, spec.death))
+    pts = np.asarray(points, dtype=float)
+    out = np.empty((2, pts.shape[0], spec.n))
+    for k, fams in enumerate(roles):
+        for i, fam in enumerate(fams):
+            out[k, :, i] = fam.eval_batch(pts)
+    return out[0], out[1]
+
+
+def transition_values(spec, points) -> np.ndarray:
+    """up * (1 - x) + down * x at a (B, n) batch of points x.
+
+    On the lattice, entry [b, i] is the chance bit i is on next from state
+    b (occupancy) or bit i's flip rate (spin); at a cube point it is the
+    next value of the deterministic recursion.
+    """
+    pts = np.asarray(points, dtype=float)
+    up, down = site_values(spec, pts)
+    return up * (1.0 - pts) + down * pts
+
+
 # -- JSON documents ---------------------------------------------------------
 
 _FAMILY_KEYS = {"family", "params", "offset", "scale", "pins"}

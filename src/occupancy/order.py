@@ -18,6 +18,7 @@ import numpy as np
 
 from . import exact, indep, meanfield
 from .exact import MultiSitePattern, TimePattern
+from .lattice import CapacityError
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec
 
@@ -60,7 +61,7 @@ def _verdict(worst_margin: float, tol: float, certified) -> str:
 def check_subset_cap(n: int):
     """Site-set scans cover all 2^n subsets; reject n past SUBSET_CAP."""
     if n > SUBSET_CAP:
-        raise exact.CapacityError(
+        raise CapacityError(
             f"subset scans over 2^{n} site sets exceed the cap 2^{SUBSET_CAP}")
 
 

@@ -21,42 +21,35 @@ import numpy as np
 
 from .exact import MultiSitePattern
 from .lattice import lattice_bits, state_bits
-from .model import ModelSpec
+from .model import ModelSpec, transition_values
 from .streams import REPLICATE_CHUNK, UniformArray
 
-# per-word threshold tables are precomputed below this dimension
+# the per-word threshold table is precomputed up to this dimension
 _TABLE_CAP = 12
 
 
-def _threshold_tables(spec: ModelSpec):
+def _threshold_table(spec: ModelSpec):
+    """(2^n, n) table of each bit's chance to be on next, by state word; None past the cap."""
     if spec.n > _TABLE_CAP:
         return None
-    bits = lattice_bits(spec.n)
-    c = np.column_stack([fam.eval_batch(bits) for fam in spec.colonisation])
-    s = np.column_stack([fam.eval_batch(bits) for fam in spec.survival])
-    return c, s
+    return transition_values(spec, lattice_bits(spec.n))
 
 
-def _thresholds(spec: ModelSpec, states: np.ndarray, tables) -> np.ndarray:
-    if tables is not None:
-        c_tab, s_tab = tables
-        words = states @ (1 << np.arange(spec.n))
-        return np.where(states > 0, s_tab[words], c_tab[words])
-    pts = states.astype(float)
-    c = np.column_stack([fam.eval_batch(pts) for fam in spec.colonisation])
-    s = np.column_stack([fam.eval_batch(pts) for fam in spec.survival])
-    return np.where(states > 0, s, c)
+def _thresholds(spec: ModelSpec, states: np.ndarray, table) -> np.ndarray:
+    if table is None:
+        return transition_values(spec, states)
+    return table[states @ (1 << np.arange(spec.n))]
 
 
 def step_occupancy(spec: ModelSpec, states: np.ndarray, uniforms: np.ndarray,
-                   tables=None) -> np.ndarray:
+                   table=None) -> np.ndarray:
     """Advance a (B, n) batch of 0/1 states one step with given uniforms."""
     states = np.asarray(states)
     if states.shape != uniforms.shape or states.shape[-1] != spec.n:
         raise ValueError("states and uniforms must both have shape (B, n)")
-    if tables is None:
-        tables = _threshold_tables(spec)
-    return (uniforms < _thresholds(spec, states, tables)).astype(np.int8)
+    if table is None:
+        table = _threshold_table(spec)
+    return (uniforms < _thresholds(spec, states, table)).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +108,7 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
         raise ValueError("steps must be >= 0")
     ua = UniformArray(seed=seed, n_sites=spec.n)
     x0_bits = state_bits(x0, spec.n).astype(np.int8)
-    tables = _threshold_tables(spec)
+    table = _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
         states = np.tile(x0_bits, (rows, 1))
@@ -123,7 +116,7 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
         counts[0] = states.sum(axis=0)
         for t in range(1, steps + 1):
             u = ua.chunk_values(t, chunk, rows)
-            states = step_occupancy(spec, states, u, tables)
+            states = step_occupancy(spec, states, u, table)
             counts[t] = states.sum(axis=0)
         return counts
 
@@ -141,14 +134,14 @@ def simulate_event_probability(spec: ModelSpec, x0: int, pattern: MultiSitePatte
         by_time.setdefault(t, []).append(site)
     ua = UniformArray(seed=seed, n_sites=spec.n)
     x0_bits = state_bits(x0, spec.n).astype(np.int8)
-    tables = _threshold_tables(spec)
+    table = _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
         states = np.tile(x0_bits, (rows, 1))
         alive = np.ones(rows, dtype=bool)
         for t in range(1, horizon + 1):
             u = ua.chunk_values(t, chunk, rows)
-            states = step_occupancy(spec, states, u, tables)
+            states = step_occupancy(spec, states, u, table)
             for site in by_time.get(t, ()):
                 alive &= states[:, site] == 0
         return np.asarray(alive.sum(), dtype=np.int64)
@@ -171,7 +164,7 @@ def monotone_path_check(spec: ModelSpec, x0: int, steps: int, reps: int, seed: i
         raise ValueError("gamma must be in (0, 1]")
     ua = UniformArray(seed=seed, n_sites=spec.n)
     x0_bits = state_bits(x0, spec.n).astype(np.int8)
-    tables = _threshold_tables(spec)
+    table = _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
         lo = np.tile(x0_bits, (rows, 1))
@@ -179,8 +172,8 @@ def monotone_path_check(spec: ModelSpec, x0: int, steps: int, reps: int, seed: i
         bad = 0
         for t in range(1, steps + 1):
             u = ua.chunk_values(t, chunk, rows)
-            hi = step_occupancy(spec, hi, u, tables)
-            lo = step_occupancy(spec, lo, u ** gamma, tables)
+            hi = step_occupancy(spec, hi, u, table)
+            lo = step_occupancy(spec, lo, u ** gamma, table)
             bad += int(np.sum(lo > hi))
         return np.asarray(bad, dtype=np.int64)
 

@@ -104,7 +104,7 @@ def decomposed_path_probability(spec, x0: int, pattern) -> float:
     (survive - colonise) * P(pattern with phi freed and phi-1 demanded).
     An independent route to indep.path_probability's forward recursion.
     """
-    sched = indep.site_schedule(spec, x0, pattern.horizon, pattern.site)
+    sched = indep.site_schedules(spec, x0, pattern.horizon)[pattern.site]
     bit = int(exact.state_bits(x0, spec.n)[pattern.site])
 
     @functools.lru_cache(maxsize=None)
@@ -125,16 +125,25 @@ def decomposed_path_probability(spec, x0: int, pattern) -> float:
     return solve(pattern.omega)
 
 
+def family_site_values(spec, points):
+    """(up, down) of model.site_values, one family at a time."""
+    up, down = ((spec.colonisation, spec.survival) if isinstance(spec, ModelSpec)
+                else (spec.birth, spec.death))
+    return (np.column_stack([fam.eval_batch(points) for fam in up]),
+            np.column_stack([fam.eval_batch(points) for fam in down]))
+
+
 def where_transition_matrix(spec):
     """The kernel as a product of n full-size per-site factors.
 
     An independent route to exact.transition_matrix, which expands the
     site factors in place; both multiply the factors in site order, so
-    they agree bit for bit.
+    they agree bit for bit.  The site factors come one family at a time.
     """
-    q = exact.site_probabilities(spec)
-    size = 1 << spec.n
     col_bits = exact.lattice_bits(spec.n)
+    c, s = family_site_values(spec, col_bits)
+    q = np.where(col_bits > 0, s, c)
+    size = 1 << spec.n
     T = np.ones((size, size))
     for i in range(spec.n):
         qi = q[:, i][:, None]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import pytest
 
 from occupancy import cli, exact, lattice, zoo
 from occupancy.model import save_model
+
+from conftest import random_model
 
 
 @pytest.fixture()
@@ -110,6 +113,27 @@ def test_run_mc_is_reproducible(model_dir, capsys):
     eight = capsys.readouterr().out
     assert first == second == eight
     assert first.splitlines()[0] == "step,site,mean,se"
+
+
+# sha256 of the `run --mode mc` CSV, fixed once and never updated: Monte
+# Carlo output stays byte-identical across refactors and worker counts
+@pytest.mark.parametrize("spec, argv, digest", [
+    pytest.param(zoo.random_certified_model(12, 7), ["--t", "20", "--reps", "40000"],
+                 "9dab4ebf503ebb7ef11e88db889b65b2f09753c6904d94fa23aafd52f2e75585",
+                 id="certified-n12"),
+    pytest.param(random_model(5, 0), ["--t", "8", "--x0", "3", "--reps", "5000"],
+                 "2a533d64053ca5ba5f15496863acf7beb6131c5b42fc4fe294cab072cdf072a7",
+                 id="random-n5"),
+])
+def test_run_mc_bytes_are_frozen(tmp_path, capsys, spec, argv, digest):
+    save_model(spec, tmp_path / "model.json")
+    for workers in ("1", "2"):
+        out_path = tmp_path / f"mc{workers}.csv"
+        code = run_cli("run", "--model", tmp_path / "model.json", "--mode", "mc",
+                       "--workers", workers, "--out", out_path, *argv)
+        assert code == cli.EXIT_PASS
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
 
 
 def test_run_writes_file(model_dir, capsys):

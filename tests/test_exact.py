@@ -6,13 +6,14 @@ from scipy import stats
 from scipy.linalg import expm
 
 from occupancy import bridge, exact, lattice, zoo
-from occupancy.exact import (CapacityError, MultiSitePattern, TimePattern,
+from occupancy.exact import (MultiSitePattern, TimePattern,
                              as_distribution, lattice_bits,
                              marginal_trajectory, marginals, path_probability,
                              poisson_mixture, poisson_weights, spin_generator,
                              spin_law, state_bits, transition_matrix,
                              validate_distribution)
-from occupancy.lattice import bits_to_word
+from occupancy.lattice import CapacityError, bits_to_word
+from occupancy.model import transition_values
 
 from conftest import (enumerate_event_probability, naive_event_probability,
                       naive_transition_probability, random_model,
@@ -320,7 +321,7 @@ def test_generator_sparsity_matches_adjacency(ring3):
 
 def test_spin_rates_values(ring3):
     # from state 0b001, site 1 sees one occupied neighbour
-    r = exact.spin_rates(ring3)
+    r = transition_values(ring3, lattice_bits(3))
     assert r[0b001, 1] == pytest.approx(0.35, abs=1e-15)
     assert r[0b001, 0] == pytest.approx(1.0, abs=1e-15)  # death
     assert r[0b101, 1] == pytest.approx(0.7, abs=1e-15)

@@ -13,7 +13,7 @@ from conftest import decomposed_path_probability, random_model
 
 
 def test_schedule_matches_family_evaluations(interacting):
-    sched = indep.site_schedule(interacting, 0, 4, site=1)
+    sched = indep.site_schedules(interacting, 0, 4)[1]
     traj = meanfield.iterate(interacting, [0.0, 0.0], 3)
     for t in range(4):
         assert sched.colonise[t] == interacting.colonisation[1].eval(traj[t])
@@ -23,11 +23,24 @@ def test_schedule_matches_family_evaluations(interacting):
 def test_site_schedules_share_one_trajectory():
     spec = zoo.random_certified_model(3, 4)
     schedules = indep.site_schedules(spec, 5, 6)
+    traj = meanfield.iterate(spec, exact.state_bits(5, 3), 5)
     for site, sched in enumerate(schedules):
-        alone = indep.site_schedule(spec, 5, 6, site)
         assert sched.site == site
-        assert np.array_equal(sched.colonise, alone.colonise)
-        assert np.array_equal(sched.survive, alone.survive)
+        assert np.array_equal(sched.colonise, spec.colonisation[site].eval_batch(traj))
+        assert np.array_equal(sched.survive, spec.survival[site].eval_batch(traj))
+
+
+def test_patterns_without_schedules(interacting):
+    # no demand: certain, and no trajectory is needed
+    assert indep.multisite_probability(interacting, 0, MultiSitePattern(entries=())) == 1.0
+    assert indep.multisite_probability(
+        interacting, 0, MultiSitePattern(entries=((0, ()), (1, ())))) == 1.0
+    for site in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            indep.path_probability(interacting, 0, TimePattern(site=site, omega=(0,)))
+        with pytest.raises(ValueError, match="out of range"):
+            indep.multisite_probability(interacting, 0,
+                                        MultiSitePattern(entries=((site, (1,)),)))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -10,7 +10,9 @@ from occupancy.model import (BOUND_HYPOTHESES, DimensionError, FunctionFamily,
                              ModelError, ModelSpec, ORDERING_HYPOTHESES,
                              SpinSpec, check_assumptions, hypothesis_margin,
                              load_model, model_from_dict, model_to_dict,
-                             save_model)
+                             save_model, site_values, transition_values)
+
+from conftest import random_model, random_spin_model
 
 
 def aff(n, a, b, **kw):
@@ -19,6 +21,27 @@ def aff(n, a, b, **kw):
 
 
 # -- family evaluation -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_site_values_are_the_family_columns(n):
+    # the per-family path is the oracle: column i is site i's family
+    # evaluated on the same batch, bit for bit, whatever the batch size
+    rng = np.random.default_rng(n)
+    for seed in range(3):
+        occupancy, spin = random_model(n, seed), random_spin_model(n, seed)
+        for rows in (1, 2, 57):
+            pts = rng.random((rows, n))
+            for spec, up_fams, down_fams in (
+                    (occupancy, occupancy.colonisation, occupancy.survival),
+                    (spin, spin.birth, spin.death)):
+                up, down = site_values(spec, pts)
+                assert up.shape == down.shape == (rows, n)
+                for i in range(n):
+                    assert np.array_equal(up[:, i], up_fams[i].eval_batch(pts))
+                    assert np.array_equal(down[:, i], down_fams[i].eval_batch(pts))
+                assert np.array_equal(transition_values(spec, pts),
+                                      up * (1.0 - pts) + down * pts)
 
 
 def test_affine_example():

@@ -7,10 +7,15 @@ from occupancy.simulate import (monotone_path_check, simulate_event_probability,
                                 simulate_marginals, step_occupancy)
 from occupancy.streams import REPLICATE_CHUNK, UniformArray
 
+from conftest import family_site_values, random_model
+
+# random models of every variant, with pins, clamps and negative scales
+RANDOM_MODELS = [(n, seed) for seed, n in enumerate((1, 2, 3, 4, 5, 6, 3, 4))]
+
 
 def test_step_matches_naive_thresholds(interacting, broken):
     rng = np.random.default_rng(0)
-    for spec in (interacting, broken):
+    for spec in [interacting, broken] + [random_model(*m) for m in RANDOM_MODELS]:
         states = rng.integers(0, 2, size=(64, spec.n)).astype(np.int8)
         u = rng.uniform(size=(64, spec.n))
         nxt = step_occupancy(spec, states, u)
@@ -34,15 +39,19 @@ def test_step_extremes(interacting):
 
 def test_table_and_direct_threshold_routes_agree():
     # above the table cap thresholds are evaluated directly; both routes
-    # must produce identical values
-    spec = zoo.random_certified_model(3, 77)
+    # must equal the per-family choice of survival (occupied) or
+    # colonisation (vacant), bit for bit
     rng = np.random.default_rng(1)
-    states = rng.integers(0, 2, size=(200, 3)).astype(np.int8)
-    tabled = simulate._thresholds(spec, states, simulate._threshold_tables(spec))
-    direct = simulate._thresholds(spec, states, None)
-    assert np.array_equal(tabled, direct)
+    for spec in [zoo.random_certified_model(3, 77)] + [random_model(*m) for m in RANDOM_MODELS]:
+        states = rng.integers(0, 2, size=(200, spec.n)).astype(np.int8)
+        c, s = family_site_values(spec, states.astype(float))
+        oracle = np.where(states > 0, s, c)
+        tabled = simulate._thresholds(spec, states, simulate._threshold_table(spec))
+        direct = simulate._thresholds(spec, states, None)
+        assert np.array_equal(tabled, oracle)
+        assert np.array_equal(direct, oracle)
     big = zoo.random_certified_model(13, 78)
-    assert simulate._threshold_tables(big) is None
+    assert simulate._threshold_table(big) is None
 
 
 def test_marginals_match_manual_replicate_loop(interacting):
