@@ -184,8 +184,10 @@ def ordering_margins(spec: SpinSpec, x0: int, demands,
             entries.append((site, tuple(steps)))
         chain = discretise(spec, DiscretisationConfig(delta))
         discrete = MultiSitePattern(entries=tuple(entries))
-        p_chain = exact.multisite_probability(chain, x0, discrete)
-        p_indep = indep.multisite_probability(chain, x0, discrete)
+        kernel = exact.transition_matrix(chain)
+        schedules = indep.site_schedules(chain, x0, max(1, discrete.horizon))
+        p_chain = exact.multisite_probability(chain, x0, discrete, kernel)
+        p_indep = indep.multisite_probability(chain, x0, discrete, schedules)
         out.append((delta, p_chain - p_indep))
     return out
 
@@ -212,9 +214,10 @@ def convergence_table(spec: SpinSpec, x0: int, t: float, deltas=DEFAULT_DELTAS,
                       tail_tol: float = 1e-12) -> ConvergenceTable:
     """Rate, law, and Euler diagnostics for each step size on the grid.
 
-    The spin law at t, the generator and the reference ODE endpoint are
-    computed once; each delta's chain kernel is built once and shared by
-    its rate defect and its subordinated law.
+    The generator, the spin law at t (from a uniformised copy of the
+    generator) and the reference ODE endpoint are computed once; each
+    delta's chain kernel is built once and shared by its rate defect and
+    its subordinated law.
     """
     # the generator with a kernel and its rates, or with the last kernel
     # while the next is built
@@ -222,8 +225,11 @@ def convergence_table(spec: SpinSpec, x0: int, t: float, deltas=DEFAULT_DELTAS,
     configs = [DiscretisationConfig(delta) for delta in deltas]
     chains = [discretise(spec, config) for config in configs]
     p0 = exact.state_bits(x0, spec.n)
-    truth = exact.spin_law(spec, x0, t, tail_tol)
     generator = exact.spin_generator(spec)
+    uniformised = generator.copy()
+    rate = exact.uniformise(uniformised)
+    truth = exact.spin_law(uniformised, rate, x0, t, tail_tol)
+    del uniformised
     reference_end = meanfield.integrate_ode(spec, p0, t, REFERENCE_ODE)[1][-1]
     rows = []
     for config, chain in zip(configs, chains):

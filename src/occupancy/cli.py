@@ -76,6 +76,12 @@ def _parse_t(spec, t: float):
     return int(t)
 
 
+def _parse_tol(tol: float) -> float:
+    if not 0 <= tol < np.inf:
+        raise _CliError(f"--tol must be finite and >= 0, got {tol!r}", EXIT_USAGE)
+    return tol
+
+
 def _write_out(path, text: str):
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -103,7 +109,8 @@ def _report_exit(verdicts) -> int:
 
 def _cmd_check(args) -> int:
     spec = _load(args.model)
-    report = check_assumptions(spec, samples=args.samples, tol=args.tol, seed=args.seed)
+    tol = _parse_tol(args.tol)
+    report = check_assumptions(spec, samples=args.samples, tol=tol, seed=args.seed)
     for f in report.findings:
         margin = "n/a" if not np.isfinite(f.worst_margin) else f"{f.worst_margin:+.3e}"
         extra = "" if f.estimate is None else f"  estimate={f.estimate:.6g}"
@@ -161,7 +168,7 @@ def _default_tol(theorem: str) -> float:
 def _cmd_verify(args) -> int:
     spec = _load(args.model)
     t = _parse_t(spec, args.t)
-    tol = args.tol if args.tol is not None else _default_tol(args.theorem)
+    tol = _parse_tol(args.tol if args.tol is not None else _default_tol(args.theorem))
     hypo = check_assumptions(spec, samples=args.samples, tol=1e-9, seed=args.seed)
     reports = []
     extra_files = []
@@ -190,9 +197,10 @@ def _cmd_verify(args) -> int:
         if not isinstance(spec, SpinSpec):
             raise _CliError("thm2 needs a spin model", EXIT_USAGE)
         x0 = _parse_x0(args.x0, spec.n)
+        if args.grid_points < 2:
+            raise _CliError(f"--grid-points must be >= 2, got {args.grid_points}", EXIT_USAGE)
         certified = hypo.passed(SPIN_BOUND_HYPOTHESES)
-        grid = [k * t / max(1, args.grid_points - 1)
-                for k in range(args.grid_points)]
+        grid = [k * t / (args.grid_points - 1) for k in range(args.grid_points)]
         reports.append(order.spin_marginal_bound(spec, x0, grid, tol=tol,
                                                  certified=certified,
                                                  config=OdeConfig(h=args.h)))
@@ -230,8 +238,10 @@ def _parse_deltas(text: str):
         deltas = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise _CliError(f"cannot parse delta grid {text!r}", EXIT_USAGE)
-    if not deltas or any(d <= 0 for d in deltas):
-        raise _CliError("delta grid must be positive", EXIT_USAGE)
+    if not (all(0 < d < np.inf for d in deltas)
+            and all(a > b for a, b in zip(deltas, deltas[1:]))):
+        raise _CliError(f"delta grid must be positive, finite and strictly "
+                        f"decreasing, got {text!r}", EXIT_USAGE)
     return deltas
 
 

@@ -5,9 +5,10 @@ enumerates the 2^n states explicitly and is the ground truth that the
 approximate modules are checked against; every dense array is checked
 against the byte budget of `occupancy.lattice` before it is allocated.
 
-A kernel is built once and passed to whatever needs it: every function
-that takes `kernel=` uses the given transition matrix instead of building
-its own, and every law is pushed forward by the one loop in `propagate`.
+Each dense object has one builder, `transition_matrix` for the kernel and
+`spin_generator` (uniformised in place by `uniformise`) for spin laws; a
+run builds it once and passes it to every function that needs it, and
+every law is pushed forward by the one loop in `propagate`.
 """
 
 from __future__ import annotations
@@ -92,47 +93,14 @@ def propagate(T: np.ndarray, v: np.ndarray, steps: int, vacate=None):
         yield v
 
 
-def _kernel(spec: ModelSpec, steps: int, kernel):
-    """The given kernel, else a new one unless no step is taken.
-
-    A run that takes no step is held to the kernel's capacity rule all the
-    same, so every exact route on a model stops at the same n.
-    """
-    if kernel is None:
-        check_dense(spec.n)
-        if steps:
-            kernel = transition_matrix(spec)
-    return kernel
-
-
-def _start(spec: ModelSpec, x0: int, steps: int, kernel):
-    """(point mass at x0, kernel for `steps` steps).
-
-    The word is checked and the kernel built (or rejected by the capacity
-    rule) before the law is allocated.
-    """
+def distribution(spec: ModelSpec, x0: int, steps: int, kernel: np.ndarray) -> np.ndarray:
+    """Law after `steps` steps from x0 under the chain's transition matrix `kernel`."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_word(spec.n, x0)
-    kernel = _kernel(spec, steps, kernel)
-    return point_mass(spec.n, x0), kernel
-
-
-def distribution_from(spec: ModelSpec, dist: np.ndarray, steps: int,
-                      kernel: np.ndarray | None = None) -> np.ndarray:
-    """Law after `steps` steps from the law `dist`."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    v = np.asarray(dist, float).copy()
-    for v in propagate(_kernel(spec, steps, kernel), v, steps):
+    v = point_mass(spec.n, x0)
+    for v in propagate(kernel, v, steps):
         pass
     return v
-
-
-def distribution(spec: ModelSpec, x0: int, steps: int,
-                 kernel: np.ndarray | None = None) -> np.ndarray:
-    v, kernel = _start(spec, x0, steps, kernel)
-    return distribution_from(spec, v, steps, kernel)
 
 
 def marginals(dist: np.ndarray) -> np.ndarray:
@@ -145,8 +113,15 @@ def marginals(dist: np.ndarray) -> np.ndarray:
 
 
 def law_trajectory(spec: ModelSpec, x0: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(steps+1, n) exact occupation probabilities from x0, and the law at steps."""
-    v, kernel = _start(spec, x0, steps, None)
+    """(steps+1, n) exact occupation probabilities from x0, and the law at steps.
+
+    The kernel is built even for no step: every exact route stops at the same n.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    _check_word(spec.n, x0)
+    kernel = transition_matrix(spec)
+    v = point_mass(spec.n, x0)
     out = np.empty((steps + 1, spec.n))
     out[0] = marginals(v)
     for t, v in enumerate(propagate(kernel, v, steps), start=1):
@@ -230,14 +205,14 @@ def _event_probability(spec, x0: int, constraints, kernel) -> float:
     by_time: dict[int, list[int]] = {}
     for site, t in constraints:
         by_time.setdefault(t, []).append(site)
-    v, kernel = _start(spec, x0, horizon, kernel)
+    v = point_mass(spec.n, x0)
     for v in propagate(kernel, v, horizon, by_time):
         pass
     return float(v.sum())
 
 
 def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
-                     kernel: np.ndarray | None = None) -> float:
+                     kernel: np.ndarray) -> float:
     """Probability one site's path matches the pattern's vacancy demands.
 
     Trailing unconstrained steps are trimmed, so the distribution is only
@@ -247,7 +222,7 @@ def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
 
 
 def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
-                          kernel: np.ndarray | None = None) -> float:
+                          kernel: np.ndarray) -> float:
     """Probability of joint vacancies across sites and steps."""
     return _event_probability(spec, x0, pattern.constraints(), kernel)
 
@@ -305,24 +280,31 @@ def poisson_mixture(P: np.ndarray, v0: np.ndarray, mean: float,
     return acc
 
 
-def spin_law_from(spec: SpinSpec, dist: np.ndarray, t: float,
-                  tail_tol: float = 1e-12) -> np.ndarray:
-    """Law at time t by uniformisation: Poisson mixture over powers of I + Q/rate.
+def uniformise(Q: np.ndarray) -> float:
+    """Turn the generator Q into I + Q/rate in place, rate its largest exit rate.
 
-    The generator built here is turned into I + Q/rate in place, so one
-    dense array is held.
+    Returns rate; a generator of rate 0 is left as it is.
     """
+    rate = float(np.max(-np.diag(Q)))
+    if rate > 0.0:
+        Q /= rate
+        Q[np.diag_indices_from(Q)] += 1.0
+    return rate
+
+
+def spin_law_from(P: np.ndarray, rate: float, dist: np.ndarray, t: float,
+                  tail_tol: float = 1e-12) -> np.ndarray:
+    """Law at time t from `dist`: Poisson(rate t) mixture of powers of P = I + Q/rate."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    P = spin_generator(spec)
     v0 = np.asarray(dist, float)
-    rate = float(np.max(-np.diag(P)))
     if rate <= 0.0 or t == 0:
         return v0.copy()
-    P /= rate
-    P[np.diag_indices_from(P)] += 1.0
     return as_distribution(poisson_mixture(P, v0, rate * t, tail_tol))
 
 
-def spin_law(spec: SpinSpec, x0: int, t: float, tail_tol: float = 1e-12) -> np.ndarray:
-    return spin_law_from(spec, point_mass(spec.n, x0), t, tail_tol)
+def spin_law(P: np.ndarray, rate: float, x0: int, t: float,
+             tail_tol: float = 1e-12) -> np.ndarray:
+    """Law at time t from the state word x0; `P` and `rate` as for `spin_law_from`."""
+    n = P.shape[0].bit_length() - 1
+    return spin_law_from(P, rate, point_mass(n, x0), t, tail_tol)

@@ -54,17 +54,15 @@ def site_schedules(spec: ModelSpec, x0: int, horizon: int) -> tuple[SiteChainSch
 
 
 def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
-                     schedule: SiteChainSchedule | None = None) -> float:
+                     schedule: SiteChainSchedule) -> float:
     """Forward two-state recursion for one site's vacancy pattern.
 
     `schedule` is the pattern site's schedule over at least the pattern's
-    horizon, if already computed.
+    horizon, as from `site_schedules`.
     """
     m = pattern.horizon
     _check_site(spec, pattern.site)
-    if schedule is None:
-        schedule = site_schedules(spec, x0, m)[pattern.site]
-    elif schedule.site != pattern.site or schedule.colonise.size < m:
+    if schedule.site != pattern.site or schedule.colonise.size < m:
         raise ValueError(f"schedule for site {schedule.site} over "
                          f"{schedule.colonise.size} steps cannot serve the pattern")
     bit = int(state_bits(x0, spec.n)[pattern.site])
@@ -78,17 +76,15 @@ def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
 
 
 def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
-                          schedules: Sequence[SiteChainSchedule] | None = None) -> float:
+                          schedules: Sequence[SiteChainSchedule]) -> float:
     """Joint vacancy probability; sites are independent so it is a product.
 
-    `schedules` are every site's schedules, as from `site_schedules`; one
-    call covering the pattern's horizon serves all its sites when none are
-    given.
+    `schedules` are every site's schedules over at least the pattern's
+    horizon, as from `site_schedules`; a pattern with no demand reads none
+    of them and has probability 1.
     """
     for site, _ in pattern.constraints():
         _check_site(spec, site)
-    if schedules is None and pattern.horizon:
-        schedules = site_schedules(spec, x0, pattern.horizon)
     value = 1.0
     for site, times in pattern.entries:
         if not times:

@@ -203,9 +203,8 @@ def positive_correlations(dist: np.ndarray, tol: float = DEFAULT_TOL,
 
 
 def _patterns_for_budget(n: int, m: int, budget: int):
-    """Multisite patterns with total demanded vacancies <= budget."""
+    """Multisite patterns with total demanded vacancies <= budget, one at a time."""
     times = range(1, m + 1)
-    patterns = []
     # choose a nonempty set of sites, then for each a nonempty time set,
     # keeping the total count within budget
     for sites_count in range(1, min(n, budget) + 1):
@@ -216,9 +215,7 @@ def _patterns_for_budget(n: int, m: int, budget: int):
         for sites in itertools.combinations(range(n), sites_count):
             for combo in itertools.product(opts, repeat=sites_count):
                 if sum(len(ts) for ts in combo) <= budget:
-                    patterns.append(MultiSitePattern(
-                        entries=tuple(zip(sites, combo))))
-    return patterns
+                    yield MultiSitePattern(entries=tuple(zip(sites, combo)))
 
 
 def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: np.ndarray,
@@ -273,10 +270,15 @@ def spin_marginal_bound(spec: SpinSpec, x0: int, t_grid, tol: float = 1e-6,
                         certified: bool | None = None,
                         config: OdeConfig = OdeConfig(h=1e-3, method="rk4"),
                         tail_tol: float = 1e-12) -> OrderReport:
-    """ODE trajectory minus exact spin occupation probabilities on a time grid."""
+    """ODE trajectory minus exact spin occupation probabilities on a time grid.
+
+    One generator, uniformised in place, serves every law on the grid.
+    """
     t_grid = [float(t) for t in t_grid]
     if any(t < 0 for t in t_grid) or sorted(t_grid) != t_grid:
         raise ValueError("t_grid must be nondecreasing and nonnegative")
+    P = exact.spin_generator(spec)
+    rate = exact.uniformise(P)
     p = exact.state_bits(x0, spec.n)
     worst = np.inf
     witness = {}
@@ -287,7 +289,7 @@ def spin_marginal_bound(spec: SpinSpec, x0: int, t_grid, tol: float = 1e-6,
             _, states = meanfield.integrate_ode(spec, p, t - t_cur, config)
             p = states[-1]
             t_cur = t
-        pi = exact.marginals(exact.spin_law(spec, x0, t, tail_tol))
+        pi = exact.marginals(exact.spin_law(P, rate, x0, t, tail_tol))
         margins = p - pi
         i = int(np.argmin(margins))
         per_time.append(float(margins[i]))

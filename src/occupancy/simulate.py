@@ -42,13 +42,15 @@ def _thresholds(spec: ModelSpec, states: np.ndarray, table) -> np.ndarray:
 
 
 def step_occupancy(spec: ModelSpec, states: np.ndarray, uniforms: np.ndarray,
-                   table=None) -> np.ndarray:
-    """Advance a (B, n) batch of 0/1 states one step with given uniforms."""
+                   table) -> np.ndarray:
+    """Advance a (B, n) batch of 0/1 states one step with given uniforms.
+
+    `table` is `_threshold_table(spec)`; None, as past the cap, evaluates
+    the thresholds at the states.
+    """
     states = np.asarray(states)
     if states.shape != uniforms.shape or states.shape[-1] != spec.n:
         raise ValueError("states and uniforms must both have shape (B, n)")
-    if table is None:
-        table = _threshold_table(spec)
     return (uniforms < _thresholds(spec, states, table)).astype(np.int8)
 
 

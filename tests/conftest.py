@@ -125,6 +125,12 @@ def decomposed_path_probability(spec, x0: int, pattern) -> float:
     return solve(pattern.omega)
 
 
+def uniformised(spec):
+    """(I + Q/rate, rate) for the spin system's generator Q."""
+    P = exact.spin_generator(spec)
+    return P, exact.uniformise(P)
+
+
 def family_site_values(spec, points):
     """(up, down) of model.site_values, one family at a time."""
     up, down = ((spec.colonisation, spec.survival) if isinstance(spec, ModelSpec)

@@ -19,7 +19,8 @@ from occupancy.model import (BOUND_HYPOTHESES, FunctionFamily, ModelSpec,
                              ORDERING_HYPOTHESES, SPIN_BOUND_HYPOTHESES,
                              check_assumptions)
 
-from conftest import decomposed_path_probability, enumerate_event_probability
+from conftest import (decomposed_path_probability, enumerate_event_probability,
+                      uniformised)
 
 
 @contextmanager
@@ -79,12 +80,13 @@ def test_criterion_3_path_ordering_suite():
                 # exact law by trajectory enumeration against the
                 # two-state surrogate recursion
                 for m in range(1, 5):
+                    schedules = indep.site_schedules(spec, x0, m)
                     for site in range(spec.n):
                         for omega in itertools.product((0, 1), repeat=m):
                             pat = TimePattern(site=site, omega=omega)
                             px = enumerate_event_probability(
                                 spec, x0, pat.constraints(), m)
-                            pw = indep.path_probability(spec, x0, pat)
+                            pw = indep.path_probability(spec, x0, pat, schedules[site])
                             assert px - pw >= -1e-10, (x0, site, omega)
                             split = decomposed_path_probability(spec, x0, pat)
                             assert abs(split - pw) <= 1e-14, (x0, site, omega)
@@ -119,7 +121,7 @@ def test_criterion_5_discretisation_bridge():
         singles, tvs, gaps = [], [], []
         p0 = exact.state_bits(1, 3)
         generator = exact.spin_generator(ring)
-        truth = exact.spin_law(ring, 1, 1.0)
+        truth = exact.spin_law(*uniformised(ring), 1, 1.0)
         reference_end = meanfield.integrate_ode(ring, p0, 1.0, bridge.REFERENCE_ODE)[1][-1]
         for d in deltas:
             config = DiscretisationConfig(d)

@@ -10,7 +10,7 @@ from occupancy.bridge import (ConvergenceTable, DiscretisationConfig,
 from occupancy.meanfield import OdeConfig
 from occupancy.model import check_assumptions
 
-from conftest import hamming_rate_defect, random_spin_model
+from conftest import hamming_rate_defect, random_spin_model, uniformised
 
 DELTAS = bridge.DEFAULT_DELTAS
 
@@ -117,14 +117,14 @@ def test_single_site_subordination_is_exact():
     # two states: (T - I)/delta equals the generator exactly, so the
     # Poisson mixture reproduces the continuous law to numerical precision
     spec = zoo.two_state_spin(0.5, 1.0)
-    truth = exact.spin_law(spec, 0, 1.0)
+    truth = exact.spin_law(*uniformised(spec), 0, 1.0)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
         assert law_distance(spec, config, 0, 1.0, chain_kernel(spec, config), truth) < 1e-10
 
 
 def test_law_distance_decreases_first_order(ring3):
-    truth = exact.spin_law(ring3, 1, 1.0)
+    truth = exact.spin_law(*uniformised(ring3), 1, 1.0)
     configs = [DiscretisationConfig(d) for d in DELTAS]
     tvs = [law_distance(ring3, c, 1, 1.0, chain_kernel(ring3, c), truth) for c in configs]
     for a, b in zip(tvs, tvs[1:]):
@@ -203,7 +203,7 @@ def test_convergence_table_rows_equal_standalone_metrics():
         single, multi = rate_defect(spec, config, chain_kernel(spec, config),
                                     exact.spin_generator(spec))
         tv = law_distance(spec, config, x0, t, chain_kernel(spec, config),
-                          exact.spin_law(spec, x0, t))
+                          exact.spin_law(*uniformised(spec), x0, t))
         gap = euler_gap(spec, p0, t, config, reference_end(spec, p0, t))
         expected += [(delta, "single-flip-rate-error", single),
                      (delta, "multi-flip-rate", multi),

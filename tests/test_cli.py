@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from occupancy import cli, exact, lattice, zoo
+from occupancy import cli, exact, indep, lattice, zoo
 from occupancy.model import save_model
 
 from conftest import random_model
@@ -151,6 +151,18 @@ def test_run_writes_file(model_dir, capsys):
     ("pair.json", ["verify", "--theorem", "thm3", "--t", "2.5", "--m", "2"]),
     ("single.json", ["run", "--mode", "mc", "--t", "2", "--workers", "0"]),
     ("ring.json", ["run", "--mode", "meanfield", "--t", "inf"]),
+    ("ring.json", ["verify", "--theorem", "thm2", "--t", "0.5", "--grid-points", "0"]),
+    ("ring.json", ["verify", "--theorem", "thm2", "--t", "0.5", "--grid-points", "-3"]),
+    ("ring.json", ["verify", "--theorem", "thm2", "--t", "0.5", "--grid-points", "1"]),
+    ("pair.json", ["check", "--tol", "nan"]),
+    ("pair.json", ["check", "--tol", "inf"]),
+    ("pair.json", ["check", "--tol", "-1"]),
+    ("pair.json", ["verify", "--theorem", "thm1", "--t", "3", "--tol", "nan"]),
+    ("pair.json", ["verify", "--theorem", "thm1", "--t", "3", "--tol", "inf"]),
+    ("pair.json", ["verify", "--theorem", "thm1", "--t", "3", "--tol", "-1"]),
+    ("ring.json", ["verify", "--theorem", "thm4", "--t", "0.5",
+                   "--delta-grid", "0.00390625,0.0625"]),
+    ("ring.json", ["bridge", "--t", "0.5", "--delta-grid", "0.0625,0.0625"]),
 ])
 def test_malformed_flag_is_usage_error(model_dir, capsys, model, argv):
     code = run_cli(*argv, "--model", model_dir / model)
@@ -277,20 +289,29 @@ def test_capacity_exit_code(model_dir, capsys):
     (["verify", "--model", "pair.json", "--theorem", "thm3", "--t", "4", "--m", "3"], 1),
     (["verify", "--model", "ring.json", "--theorem", "thm4", "--t", "0.5",
       "--delta-grid", "0.125,0.0625,0.03125"], 3),
+    (["verify", "--model", "ring.json", "--theorem", "thm2", "--t", "0.5",
+      "--grid-points", "5"], 0),
+    (["verify", "--model", "ring.json", "--theorem", "thm2", "--t", "0.5",
+      "--grid-points", "11"], 0),
+    (["bridge", "--model", "ring.json", "--t", "0.5", "--delta-grid", "0.125,0.0625"], 2),
 ])
 def test_each_kernel_is_built_once(model_dir, capsys, monkeypatch, argv, builds):
-    calls = []
-    build = exact.transition_matrix
+    # `builds` kernels (one per delta on the spin routes); every spin route
+    # builds one generator, and thm3 one set of surrogate schedules
+    expected = {"transition_matrix": builds, "spin_generator": int("ring.json" in argv),
+                "site_schedules": int("thm3" in argv)}
+    calls = dict.fromkeys(expected, 0)
+    for module, name in ((exact, "transition_matrix"), (exact, "spin_generator"),
+                         (indep, "site_schedules")):
+        def counted(*args, build=getattr(module, name), name=name):
+            calls[name] += 1
+            return build(*args)
 
-    def counted(spec):
-        calls.append(spec.n)
-        return build(spec)
-
-    monkeypatch.setattr(exact, "transition_matrix", counted)
+        monkeypatch.setattr(module, name, counted)
     argv = [str(model_dir / a) if a.endswith(".json") else a for a in argv]
     assert cli.main(argv) == cli.EXIT_PASS
     capsys.readouterr()
-    assert len(calls) == builds
+    assert calls == expected
 
 
 @pytest.mark.parametrize("model, argv", [

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import expm
 
-from occupancy import bridge, exact, lattice, zoo
+from occupancy import bridge, exact, lattice, order, zoo
 from occupancy.exact import (MultiSitePattern, TimePattern,
                              as_distribution, lattice_bits,
                              marginal_trajectory, marginals, path_probability,
@@ -17,7 +17,7 @@ from occupancy.model import transition_values
 
 from conftest import (enumerate_event_probability, naive_event_probability,
                       naive_transition_probability, random_model,
-                      random_spin_model, where_transition_matrix)
+                      random_spin_model, uniformised, where_transition_matrix)
 
 
 def test_bit_conventions():
@@ -66,9 +66,10 @@ def test_empty_state_absorbing_without_colonisation():
 
 
 def test_distribution_basics(interacting):
-    d0 = exact.distribution(interacting, 2, 0)
+    T = transition_matrix(interacting)
+    d0 = exact.distribution(interacting, 2, 0, T)
     assert d0[2] == 1.0 and d0.sum() == 1.0
-    d3 = exact.distribution(interacting, 0, 3)
+    d3 = exact.distribution(interacting, 0, 3, T)
     validate_distribution(d3)
     # matches marginal_trajectory
     assert np.allclose(marginals(d3), marginal_trajectory(interacting, 0, 3)[-1],
@@ -76,38 +77,41 @@ def test_distribution_basics(interacting):
 
 
 def test_start_state_is_checked(interacting):
+    T = transition_matrix(interacting)
     for x0 in (-1, 1 << interacting.n):
         with pytest.raises(ValueError, match="out of range"):
             marginal_trajectory(interacting, x0, 1)
         with pytest.raises(ValueError, match="out of range"):
             marginal_trajectory(interacting, x0, 0)
         with pytest.raises(ValueError, match="out of range"):
-            exact.distribution(interacting, x0, 2)
+            exact.distribution(interacting, x0, 2, T)
         with pytest.raises(ValueError, match="out of range"):
-            path_probability(interacting, x0, TimePattern(site=0, omega=(0,)))
+            path_probability(interacting, x0, TimePattern(site=0, omega=(0,)), T)
 
 
 def test_law_trajectory_is_one_propagation(interacting):
     rows, law = exact.law_trajectory(interacting, 1, 6)
     assert np.array_equal(rows, marginal_trajectory(interacting, 1, 6))
-    assert np.array_equal(law, exact.distribution(interacting, 1, 6))
+    assert np.array_equal(law, exact.distribution(interacting, 1, 6,
+                                                  transition_matrix(interacting)))
 
 
 def test_given_kernel_is_used_and_kept(interacting):
     spec = random_model(3, seed=7)
     T = transition_matrix(spec)
     before = T.copy()
-    assert np.array_equal(exact.distribution(spec, 5, 4, kernel=T),
-                          exact.distribution(spec, 5, 4))
+    # the kernel one run shares gives what a fresh kernel gives, and is kept
+    assert np.array_equal(exact.distribution(spec, 5, 4, T),
+                          exact.law_trajectory(spec, 5, 4)[1])
     pattern = MultiSitePattern(entries=((0, (1, 3)), (2, (2,))))
-    assert (exact.multisite_probability(spec, 2, pattern, kernel=T)
-            == exact.multisite_probability(spec, 2, pattern))
+    assert (exact.multisite_probability(spec, 2, pattern, T)
+            == exact.multisite_probability(spec, 2, pattern, transition_matrix(spec)))
     single = TimePattern(site=1, omega=(1, 0, 0))
-    assert (path_probability(spec, 2, single, kernel=T)
-            == path_probability(spec, 2, single))
+    assert (path_probability(spec, 2, single, T)
+            == path_probability(spec, 2, single, transition_matrix(spec)))
     assert np.array_equal(T, before)
     # a kernel handed in is used as it is, never rebuilt from the spec
-    assert exact.distribution(spec, 0, 1, kernel=np.eye(8))[0] == 1.0
+    assert exact.distribution(spec, 0, 1, np.eye(8))[0] == 1.0
 
 
 def test_interacting_marginals_frozen_values(interacting):
@@ -154,32 +158,35 @@ def test_pattern_validation():
 
 def test_all_ones_pattern_is_certain(interacting):
     pattern = TimePattern(site=0, omega=(1, 1, 1))
-    assert path_probability(interacting, 0, pattern) == 1.0
+    assert path_probability(interacting, 0, pattern, transition_matrix(interacting)) == 1.0
 
 
 def test_single_step_pattern_matches_marginal(interacting):
+    T = transition_matrix(interacting)
     for site in range(2):
         for x0 in range(4):
             p1 = marginal_trajectory(interacting, x0, 1)[1, site]
-            value = path_probability(interacting, x0, TimePattern(site=site, omega=(0,)))
+            value = path_probability(interacting, x0, TimePattern(site=site, omega=(0,)), T)
             assert value == pytest.approx(1.0 - p1, abs=5e-15)
 
 
 def test_path_probability_against_naive_enumeration(interacting, broken):
     for spec in (interacting, broken):
+        T = transition_matrix(spec)
         for site in range(spec.n):
             for omega in [(0,), (0, 0), (1, 0), (0, 1, 0), (1, 1, 0)]:
                 pattern = TimePattern(site=site, omega=omega)
                 cons = pattern.constraints()
                 horizon = max(t for _, t in cons)
                 expected = naive_event_probability(spec, 0, cons, horizon)
-                got = path_probability(spec, 0, pattern)
+                got = path_probability(spec, 0, pattern, T)
                 assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_enumerate_and_propagate_agree(interacting):
     rng = np.random.default_rng(0)
     spec = zoo.random_certified_model(3, 23)
+    T = transition_matrix(spec)
     for _ in range(10):
         site = int(rng.integers(spec.n))
         omega = tuple(int(b) for b in rng.integers(0, 2, size=4))
@@ -187,21 +194,22 @@ def test_enumerate_and_propagate_agree(interacting):
             continue
         pattern = TimePattern(site=site, omega=omega)
         a = enumerate_event_probability(spec, 1, pattern.constraints(), 4)
-        b = path_probability(spec, 1, pattern)
+        b = path_probability(spec, 1, pattern, T)
         assert a == pytest.approx(b, abs=1e-13)
 
 
 def test_trailing_ones_do_not_change_value(interacting):
     short = TimePattern(site=1, omega=(0, 1, 0))
     long = TimePattern(site=1, omega=(0, 1, 0, 1, 1, 1, 1, 1, 1, 1))
-    assert path_probability(interacting, 0, long) == pytest.approx(
-        path_probability(interacting, 0, short), abs=1e-15)
+    T = transition_matrix(interacting)
+    assert path_probability(interacting, 0, long, T) == pytest.approx(
+        path_probability(interacting, 0, short, T), abs=1e-15)
 
 
 def test_multisite_against_naive(interacting):
     pattern = MultiSitePattern(entries=((0, (1, 3)), (1, (2,))))
     expected = naive_event_probability(interacting, 0, pattern.constraints(), 3)
-    got = exact.multisite_probability(interacting, 0, pattern)
+    got = exact.multisite_probability(interacting, 0, pattern, transition_matrix(interacting))
     assert got == pytest.approx(expected, abs=1e-12)
     oracle = enumerate_event_probability(interacting, 0, pattern.constraints(), 3)
     assert oracle == pytest.approx(expected, abs=1e-12)
@@ -209,14 +217,14 @@ def test_multisite_against_naive(interacting):
 
 def test_empty_multisite_is_certain(interacting):
     assert exact.multisite_probability(
-        interacting, 0, MultiSitePattern(entries=())) == 1.0
+        interacting, 0, MultiSitePattern(entries=()), transition_matrix(interacting)) == 1.0
 
 
 def test_enumeration_guard():
     # 2^(5*6) literal trajectories; propagation has no horizon guard
     spec = zoo.random_certified_model(5, 3)
     pattern = TimePattern(site=0, omega=(1,) * 5 + (0,))
-    value = path_probability(spec, 0, pattern)
+    value = path_probability(spec, 0, pattern, transition_matrix(spec))
     assert 0.0 < value < 1.0
 
 
@@ -246,7 +254,7 @@ def test_capacity_rule_guards_dense_builders():
     config = bridge.DiscretisationConfig(0.0625)
     for build in (lambda: transition_matrix(zoo.constant_pair(n=n)),
                   lambda: spin_generator(ring),
-                  lambda: spin_law(ring, 0, 1.0),
+                  lambda: order.spin_marginal_bound(ring, 0, [1.0]),
                   # rejected before the stand-in kernel and generator are read
                   lambda: bridge.uniformized_rates(ring, config, np.ones((1, 1))),
                   lambda: bridge.rate_defect(ring, config, np.ones((1, 1)), np.ones((1, 1))),
@@ -264,7 +272,8 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
     T = transition_matrix(bridge.discretise(ring, config))
     G = spin_generator(ring)
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2, 1))
-    spin_law(ring, 0, 1.0)  # its generator becomes I + Q/rate in place
+    # one generator, made I + Q/rate in place, serves the whole grid
+    order.spin_marginal_bound(ring, 0, [0.5, 1.0])
     transition_matrix(bridge.discretise(ring, config))
     with pytest.raises(CapacityError):
         bridge.uniformized_rates(ring, config, T)
@@ -295,7 +304,6 @@ def test_zero_step_runs_keep_the_kernel_limit(monkeypatch):
     spec = zoo.constant_pair(n=2)
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2) - 1)
     for run in (lambda: marginal_trajectory(spec, 0, 0),
-                lambda: exact.distribution(spec, 0, 0),
                 lambda: exact.law_trajectory(spec, 0, 0)):
         with pytest.raises(CapacityError, match="n = 2: 1 dense 2\\^2 x 2\\^2 array needs"):
             run()
@@ -330,25 +338,28 @@ def test_spin_rates_values(ring3):
 def test_two_state_law_closed_form():
     lam, mu = 0.5, 1.0
     spec = zoo.two_state_spin(lam, mu)
+    P, rate = uniformised(spec)
     for t in (0.0, 0.3, 1.0, 2.5):
-        law = spin_law(spec, 0, t)
+        law = spin_law(P, rate, 0, t)
         expected = lam / (lam + mu) * (1.0 - np.exp(-(lam + mu) * t))
         assert law[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_spin_law_matches_matrix_exponential(ring3):
     Q = spin_generator(ring3)
+    P, rate = uniformised(ring3)
     for t in (0.25, 1.0, 3.0):
         truth = np.zeros(8)
         truth[1] = 1.0
         truth = truth @ expm(Q * t)
-        law = spin_law(ring3, 1, t)
+        law = spin_law(P, rate, 1, t)
         assert np.allclose(law, truth, atol=1e-9)
 
 
 def test_spin_semigroup_property(ring3):
-    one = spin_law(ring3, 1, 1.5)
-    two = exact.spin_law_from(ring3, spin_law(ring3, 1, 0.9), 0.6)
+    P, rate = uniformised(ring3)
+    one = spin_law(P, rate, 1, 1.5)
+    two = exact.spin_law_from(P, rate, spin_law(P, rate, 1, 0.9), 0.6)
     assert np.allclose(one, two, atol=1e-11)
 
 
@@ -356,8 +367,17 @@ def test_generator_from_finite_difference(ring3):
     h = 1e-6
     v0 = np.zeros(8)
     v0[1] = 1.0
-    approx = (spin_law(ring3, 1, h) - v0) / h
+    approx = (spin_law(*uniformised(ring3), 1, h) - v0) / h
     assert np.allclose(approx, v0 @ spin_generator(ring3), atol=1e-5)
+
+
+def test_uniformise_in_place(ring3):
+    Q = spin_generator(ring3)
+    P = Q.copy()
+    rate = exact.uniformise(P)
+    assert rate == np.max(-np.diag(Q))
+    assert np.allclose(P, np.eye(8) + Q / rate, atol=1e-15)
+    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12) and np.min(P) >= 0.0
 
 
 def test_poisson_mixture_recovers_identity():
@@ -378,7 +398,9 @@ def test_poisson_weights_match_scipy(mean):
 
 def test_zero_rate_spin_is_frozen():
     spec = zoo.contact_ring(2, beta=0.0, mu=0.0)
-    law = spin_law(spec, 1, 5.0)
+    P, rate = uniformised(spec)
+    assert rate == 0.0 and not np.any(P)
+    law = spin_law(P, rate, 1, 5.0)
     assert law[1] == 1.0
 
 
@@ -386,7 +408,7 @@ def test_zero_rate_spin_is_frozen():
 @given(seed=st.integers(0, 5000), steps=st.integers(0, 6))
 def test_distributions_stay_normalised(seed, steps):
     spec = zoo.random_certified_model(3, seed)
-    dist = exact.distribution(spec, seed % 8, steps)
+    dist = exact.distribution(spec, seed % 8, steps, transition_matrix(spec))
     validate_distribution(dist)
 
 
@@ -394,6 +416,7 @@ def test_distributions_stay_normalised(seed, steps):
 @given(seed=st.integers(0, 5000))
 def test_chapman_kolmogorov(seed):
     spec = zoo.random_certified_model(2, seed)
-    d_direct = exact.distribution(spec, 0, 5)
-    d_chained = exact.distribution_from(spec, exact.distribution(spec, 0, 2), 3)
+    T = transition_matrix(spec)
+    d_direct = exact.distribution(spec, 0, 5, T)
+    *_, d_chained = exact.propagate(T, exact.distribution(spec, 0, 2, T), 3)
     assert np.allclose(d_direct, d_chained, atol=1e-12)

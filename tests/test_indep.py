@@ -31,16 +31,18 @@ def test_site_schedules_share_one_trajectory():
 
 
 def test_patterns_without_schedules(interacting):
-    # no demand: certain, and no trajectory is needed
-    assert indep.multisite_probability(interacting, 0, MultiSitePattern(entries=())) == 1.0
+    # no demand: certain, and no schedule is read
+    assert indep.multisite_probability(interacting, 0, MultiSitePattern(entries=()), ()) == 1.0
     assert indep.multisite_probability(
-        interacting, 0, MultiSitePattern(entries=((0, ()), (1, ())))) == 1.0
+        interacting, 0, MultiSitePattern(entries=((0, ()), (1, ()))), ()) == 1.0
+    schedules = indep.site_schedules(interacting, 0, 1)
     for site in (-1, 2):
         with pytest.raises(ValueError, match="out of range"):
-            indep.path_probability(interacting, 0, TimePattern(site=site, omega=(0,)))
+            indep.path_probability(interacting, 0, TimePattern(site=site, omega=(0,)),
+                                   schedules[0])
         with pytest.raises(ValueError, match="out of range"):
             indep.multisite_probability(interacting, 0,
-                                        MultiSitePattern(entries=((site, (1,)),)))
+                                        MultiSitePattern(entries=((site, (1,)),)), schedules)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -52,11 +54,13 @@ def test_longer_schedule_serves_shorter_patterns(seed):
     schedules = indep.site_schedules(spec, 2, 5)
     for omega in [(0,), (1, 0), (0, 1, 0), (1, 1, 0, 0, 1)]:
         pattern = TimePattern(site=1, omega=omega)
+        own = indep.site_schedules(spec, 2, pattern.horizon)[1]
         assert indep.path_probability(spec, 2, pattern, schedules[1]) == pytest.approx(
-            indep.path_probability(spec, 2, pattern), abs=tol)
+            indep.path_probability(spec, 2, pattern, own), abs=tol)
     multi = MultiSitePattern(entries=((0, (2,)), (2, (1, 4))))
+    own = indep.site_schedules(spec, 2, multi.horizon)
     assert indep.multisite_probability(spec, 2, multi, schedules) == pytest.approx(
-        indep.multisite_probability(spec, 2, multi), abs=tol)
+        indep.multisite_probability(spec, 2, multi, own), abs=tol)
     with pytest.raises(ValueError, match="cannot serve"):
         indep.path_probability(spec, 2, TimePattern(site=0, omega=(0,)), schedules[1])
     with pytest.raises(ValueError, match="cannot serve"):
@@ -65,25 +69,29 @@ def test_longer_schedule_serves_shorter_patterns(seed):
 
 
 def test_path_probability_trivial_cases(interacting):
+    schedule = indep.site_schedules(interacting, 0, 3)[0]
     assert indep.path_probability(interacting, 0,
-                                  TimePattern(site=0, omega=(1, 1, 1))) == 1.0
-    one = indep.path_probability(interacting, 0, TimePattern(site=0, omega=(0,)))
+                                  TimePattern(site=0, omega=(1, 1, 1)), schedule) == 1.0
+    one = indep.path_probability(interacting, 0, TimePattern(site=0, omega=(0,)), schedule)
     assert one == pytest.approx(1.0 - 0.2, abs=1e-15)
 
 
 def test_constant_model_frozen_value(single_site):
-    value = indep.path_probability(single_site, 0, TimePattern(site=0, omega=(0, 0)))
+    value = indep.path_probability(single_site, 0, TimePattern(site=0, omega=(0, 0)),
+                                   indep.site_schedules(single_site, 0, 2)[0])
     assert value == pytest.approx(0.49, abs=1e-15)
 
 
 def test_constant_model_surrogate_equals_chain(single_site):
     # one independent site: the surrogate IS the chain
+    schedule = indep.site_schedules(single_site, 0, 4)[0]
+    kernel = exact.transition_matrix(single_site)
     for omega in itertools.product((0, 1), repeat=4):
         if all(omega):
             continue
         pattern = TimePattern(site=0, omega=omega)
-        assert indep.path_probability(single_site, 0, pattern) == pytest.approx(
-            exact.path_probability(single_site, 0, pattern), abs=1e-14)
+        assert indep.path_probability(single_site, 0, pattern, schedule) == pytest.approx(
+            exact.path_probability(single_site, 0, pattern, kernel), abs=1e-14)
 
 
 def test_decomposition_equals_forward_recursion(interacting):
@@ -92,29 +100,35 @@ def test_decomposition_equals_forward_recursion(interacting):
     for spec in specs:
         for x0 in (0, (1 << spec.n) - 1, 1):
             for m in (1, 2, 3, 4):
+                schedules = indep.site_schedules(spec, x0, m)
                 for omega in itertools.product((0, 1), repeat=m):
                     for site in range(spec.n):
                         pattern = TimePattern(site=site, omega=omega)
-                        a = indep.path_probability(spec, x0, pattern)
+                        a = indep.path_probability(spec, x0, pattern, schedules[site])
                         b = decomposed_path_probability(spec, x0, pattern)
                         assert a == pytest.approx(b, abs=1e-14)
 
 
 def test_multisite_factorises(interacting):
     pattern = MultiSitePattern(entries=((0, (1, 3)), (1, (2,))))
+    schedules = indep.site_schedules(interacting, 0, 3)
     by_hand = (
-        indep.path_probability(interacting, 0, TimePattern(site=0, omega=(0, 1, 0)))
-        * indep.path_probability(interacting, 0, TimePattern(site=1, omega=(1, 0)))
+        indep.path_probability(interacting, 0, TimePattern(site=0, omega=(0, 1, 0)),
+                               schedules[0])
+        * indep.path_probability(interacting, 0, TimePattern(site=1, omega=(1, 0)),
+                                 schedules[1])
     )
-    assert indep.multisite_probability(interacting, 0, pattern) == pytest.approx(
+    assert indep.multisite_probability(interacting, 0, pattern, schedules) == pytest.approx(
         by_hand, abs=1e-15)
 
 
 def test_multisite_equals_exact_for_constant_models():
     spec = zoo.constant_pair(n=3, c=0.25, s=0.7)
     pattern = MultiSitePattern(entries=((0, (1, 2)), (2, (2, 4))))
-    assert indep.multisite_probability(spec, 0, pattern) == pytest.approx(
-        exact.multisite_probability(spec, 0, pattern), abs=1e-13)
+    assert indep.multisite_probability(
+        spec, 0, pattern, indep.site_schedules(spec, 0, 4)) == pytest.approx(
+        exact.multisite_probability(spec, 0, pattern, exact.transition_matrix(spec)),
+        abs=1e-13)
 
 
 @settings(max_examples=20, deadline=None)
@@ -123,10 +137,11 @@ def test_more_constraints_never_raise_probability(seed):
     rng = np.random.default_rng(seed)
     spec = zoo.random_certified_model(2, seed)
     omega = [int(b) for b in rng.integers(0, 2, size=5)]
-    loose = indep.path_probability(spec, 0, TimePattern(site=0, omega=tuple(omega)))
+    schedule = indep.site_schedules(spec, 0, 5)[0]
+    loose = indep.path_probability(spec, 0, TimePattern(site=0, omega=tuple(omega)), schedule)
     k = int(rng.integers(5))
     omega[k] = 0
-    tight = indep.path_probability(spec, 0, TimePattern(site=0, omega=tuple(omega)))
+    tight = indep.path_probability(spec, 0, TimePattern(site=0, omega=tuple(omega)), schedule)
     assert tight <= loose + 1e-15
 
 

@@ -76,8 +76,9 @@ def test_marginal_bound_becomes_strict(interacting):
 
 
 def test_single_time_orthant_matches_direct_recomputation(interacting):
-    report = single_time_orthant(interacting, 0, 4, transition_matrix(interacting))
-    dist = exact.distribution(interacting, 0, 4)
+    kernel = transition_matrix(interacting)
+    report = single_time_orthant(interacting, 0, 4, kernel)
+    dist = exact.distribution(interacting, 0, 4, kernel)
     vac = vacancy_transform(dist)
     pi = exact.marginals(dist)
     field = meanfield.iterate(interacting, exact.state_bits(0, 2), 4)[-1]
@@ -108,20 +109,22 @@ def test_path_orthant_single_step_matches_marginal(interacting):
 
 
 def test_path_orthant_interacting(interacting):
-    report = path_orthant(interacting, 0, 4, transition_matrix(interacting))
+    kernel = transition_matrix(interacting)
+    report = path_orthant(interacting, 0, 4, kernel)
     assert report.verdict == "pass"
     assert report.worst_margin >= -1e-10
     # witness re-evaluates to the reported margin
     w = report.witness
+    schedules = indep.site_schedules(interacting, 0, 4)
     if w["kind"] == "single-site":
         pattern = TimePattern(site=w["site"], omega=tuple(w["omega"]))
-        got = exact.path_probability(interacting, 0, pattern)
-        sur = indep.path_probability(interacting, 0, pattern)
+        got = exact.path_probability(interacting, 0, pattern, kernel)
+        sur = indep.path_probability(interacting, 0, pattern, schedules[w["site"]])
     else:
         pattern = MultiSitePattern(tuple(
             (site, tuple(ts)) for site, ts in w["entries"]))
-        got = exact.multisite_probability(interacting, 0, pattern)
-        sur = indep.multisite_probability(interacting, 0, pattern)
+        got = exact.multisite_probability(interacting, 0, pattern, kernel)
+        sur = indep.multisite_probability(interacting, 0, pattern, schedules)
     assert report.worst_margin == pytest.approx(got - sur, abs=1e-13)
     assert report.details["worst_multisite_margin"] >= -1e-10
 
@@ -145,8 +148,9 @@ def test_positive_correlations_point_mass():
 
 
 def test_positive_correlations_occupancy_law(interacting):
+    kernel = transition_matrix(interacting)
     for t in range(6):
-        dist = exact.distribution(interacting, 0, t)
+        dist = exact.distribution(interacting, 0, t, kernel)
         assert positive_correlations(dist).worst_margin >= -1e-10
 
 
@@ -201,7 +205,8 @@ def test_shared_exact_objects_give_the_same_reports():
     assert (marginal_bound(spec, 2, rows).to_dict()
             == marginal_bound(spec, 2, marginal_trajectory(spec, 2, 5)).to_dict())
     assert (positive_correlations(law).to_dict()
-            == positive_correlations(exact.distribution(spec, 2, 5)).to_dict())
+            == positive_correlations(exact.distribution(spec, 2, 5,
+                                                        transition_matrix(spec))).to_dict())
     # one kernel serves both scans and is left as it was
     kernel = transition_matrix(spec)
     scan = path_orthant(spec, 2, 3, kernel)
@@ -212,8 +217,10 @@ def test_shared_exact_objects_give_the_same_reports():
             == single_time_orthant(spec, 2, 4, transition_matrix(spec)).to_dict())
     w = scan.witness
     pattern = TimePattern(site=w["site"], omega=tuple(w["omega"]))
-    assert scan.worst_margin == pytest.approx(exact.path_probability(spec, 2, pattern)
-                                              - indep.path_probability(spec, 2, pattern),
+    schedule = indep.site_schedules(spec, 2, 3)[w["site"]]
+    assert scan.worst_margin == pytest.approx(exact.path_probability(spec, 2, pattern, kernel)
+                                              - indep.path_probability(spec, 2, pattern,
+                                                                       schedule),
                                               abs=1e-15)
 
 

@@ -18,7 +18,7 @@ def test_step_matches_naive_thresholds(interacting, broken):
     for spec in [interacting, broken] + [random_model(*m) for m in RANDOM_MODELS]:
         states = rng.integers(0, 2, size=(64, spec.n)).astype(np.int8)
         u = rng.uniform(size=(64, spec.n))
-        nxt = step_occupancy(spec, states, u)
+        nxt = step_occupancy(spec, states, u, simulate._threshold_table(spec))
         for r in range(64):
             point = states[r].astype(float)
             for i in range(spec.n):
@@ -33,8 +33,9 @@ def test_step_extremes(interacting):
     states = np.array([[0, 1], [1, 0]], dtype=np.int8)
     ones = np.ones_like(states, dtype=float)
     zeros = np.zeros_like(states, dtype=float)
-    assert np.all(step_occupancy(interacting, states, ones) == 0)
-    assert np.all(step_occupancy(interacting, states, zeros) == 1)
+    table = simulate._threshold_table(interacting)
+    assert np.all(step_occupancy(interacting, states, ones, table) == 0)
+    assert np.all(step_occupancy(interacting, states, zeros, table) == 1)
 
 
 def test_table_and_direct_threshold_routes_agree():
@@ -59,12 +60,13 @@ def test_marginals_match_manual_replicate_loop(interacting):
     est = simulate_marginals(interacting, 1, steps, reps, seed)
     ua = UniformArray(seed=seed, n_sites=2)
     counts = np.zeros((steps + 1, 2), dtype=int)
+    table = simulate._threshold_table(interacting)
     for r in range(reps):
         state = exact.state_bits(1, 2).astype(np.int8)[None, :]
         counts[0] += state[0]
         for t in range(1, steps + 1):
             u = ua.replicate_values(r, t)[None, :]
-            state = step_occupancy(interacting, state, u)
+            state = step_occupancy(interacting, state, u, table)
             counts[t] += state[0]
     assert np.array_equal(est.means, counts / reps)
 
@@ -95,6 +97,7 @@ def test_estimates_match_exact_within_sampling_error(interacting):
 def test_one_step_law_chi_square(interacting):
     # empirical next-state frequencies against the kernel row, each start state
     T = exact.transition_matrix(interacting)
+    table = simulate._threshold_table(interacting)
     reps = 100_000
     ua = UniformArray(seed=21, n_sites=2)
     for x0 in range(4):
@@ -104,7 +107,7 @@ def test_one_step_law_chi_square(interacting):
         for chunk in range((reps + REPLICATE_CHUNK - 1) // REPLICATE_CHUNK):
             rows = min(REPLICATE_CHUNK, reps - done)
             u = ua.chunk_values(1, chunk, rows)
-            nxt = step_occupancy(interacting, states[done:done + rows], u)
+            nxt = step_occupancy(interacting, states[done:done + rows], u, table)
             out[done:done + rows] = nxt @ np.array([1, 2])
             done += rows
         freq = np.bincount(out, minlength=4)
@@ -120,13 +123,14 @@ def test_se_formula_matches_sample_variance(interacting):
     ua = UniformArray(seed=5, n_sites=2)
     rows = np.zeros((reps, 2), dtype=np.int8)
     states = np.tile(exact.state_bits(0, 2).astype(np.int8), (reps, 1))
+    table = simulate._threshold_table(interacting)
     for t in range(1, steps + 1):
         done = 0
         for chunk in range((reps + REPLICATE_CHUNK - 1) // REPLICATE_CHUNK):
             n_rows = min(REPLICATE_CHUNK, reps - done)
             u = ua.chunk_values(t, chunk, n_rows)
             states[done:done + n_rows] = step_occupancy(
-                interacting, states[done:done + n_rows], u)
+                interacting, states[done:done + n_rows], u, table)
             done += n_rows
     rows = states
     for i in range(2):
@@ -143,7 +147,8 @@ def test_zero_step_estimates_are_exact(interacting):
 
 def test_event_probability_against_exact(interacting):
     pattern = MultiSitePattern(entries=((0, (1, 3)), (1, (2,))))
-    truth = exact.multisite_probability(interacting, 0, pattern)
+    truth = exact.multisite_probability(interacting, 0, pattern,
+                                        exact.transition_matrix(interacting))
     est = simulate_event_probability(interacting, 0, pattern, 100_000, seed=19)
     assert abs(est.mean - truth) < 4.0 * est.se
     est8 = simulate_event_probability(interacting, 0, pattern, 100_000, seed=19,
@@ -180,4 +185,4 @@ def test_input_validation(interacting):
         monotone_path_check(interacting, 0, 5, 10, seed=0, gamma=0.0)
     with pytest.raises(ValueError):
         step_occupancy(interacting, np.zeros((4, 2), dtype=np.int8),
-                       np.zeros((4, 3)))
+                       np.zeros((4, 3)), None)
