@@ -7,8 +7,10 @@ against the byte budget of `occupancy.lattice` before it is allocated.
 
 Each dense object has one builder, `transition_matrix` for the kernel and
 `spin_generator` (uniformised in place by `uniformise`) for spin laws; a
-run builds it once and passes it to every function that needs it, and
-every law is pushed forward by the one loop in `propagate`.
+run builds it once and passes it to every function that needs it.  A
+single law is pushed forward by the one loop in `propagate`; the path
+scan of `occupancy.order` pushes stacks of laws, one matrix product per
+block.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def point_mass(n: int, x0: int) -> np.ndarray:
 
 
 def propagate(T: np.ndarray, v: np.ndarray, steps: int, vacate=None):
-    """Yield the laws v T^t for t = 1..steps; every exact law runs through here.
+    """Yield the laws v T^t for t = 1..steps; every single exact law runs through here.
 
     `vacate` maps a step to the sites demanded vacant there: right after
     that step their occupied states are zeroed, so the yielded vectors
@@ -120,6 +122,8 @@ def law_trajectory(spec: ModelSpec, x0: int, steps: int) -> tuple[np.ndarray, np
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_word(spec.n, x0)
+    check_bytes(8 * (steps + 1) * spec.n,
+                f"{steps} steps: a ({steps + 1}, {spec.n}) table of marginals")
     kernel = transition_matrix(spec)
     v = point_mass(spec.n, x0)
     out = np.empty((steps + 1, spec.n))

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import meanfield
 from .exact import MultiSitePattern, TimePattern, state_bits
+from .lattice import check_bytes
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec, site_values
 
@@ -96,6 +97,39 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
         value *= path_probability(spec, x0, TimePattern(site=site, omega=tuple(omega)),
                                   schedules[site])
     return value
+
+
+def vacancy_tables(spec: ModelSpec, x0: int, schedules: Sequence[SiteChainSchedule],
+                   m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every site's vacancy-pattern probabilities, over every set of steps in 1..m.
+
+    A set S of steps is the mask with bit t-1 for step t.  Returns two
+    (n, 2^m) tables: `at_last[i, S]` is `path_probability` of site i
+    demanding vacancy exactly at the steps of S, run to S's last step;
+    `at_end[i, S]` is the same run to step m.  All sets go through one
+    vectorised forward recursion with `path_probability`'s float
+    operations, so the tables equal its values bit for bit.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if len(schedules) != spec.n or any(s.colonise.size < m for s in schedules):
+        raise ValueError(f"schedules must cover all {spec.n} sites over {m} steps")
+    # the two state masses, their products, the new masses and the tables
+    check_bytes(6 * spec.n * (8 << m), f"n = {spec.n}, m = {m}: the surrogate tables")
+    bits = state_bits(x0, spec.n)[:, None]
+    colonise = np.stack([s.colonise[:m] for s in schedules])
+    survive = np.stack([s.survive[:m] for s in schedules])
+    sets = np.arange(1 << m)
+    vacant = np.repeat(1.0 - bits, 1 << m, axis=1)
+    occupied = np.repeat(bits, 1 << m, axis=1)
+    at_last = np.ones((spec.n, 1 << m))
+    for t in range(m):
+        c, s = colonise[:, t:t + 1], survive[:, t:t + 1]
+        vacant, occupied = vacant * (1.0 - c) + occupied * (1.0 - s), vacant * c + occupied * s
+        occupied[:, (sets >> t) & 1 == 1] = 0.0
+        at_end = vacant + occupied
+        at_last[:, 1 << t:2 << t] = at_end[:, 1 << t:2 << t]
+    return at_last, at_end
 
 
 def spin_path_probability(spec: SpinSpec, x0: int, site: int, times,

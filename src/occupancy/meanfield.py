@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 
+from .lattice import check_bytes
 from .model import ModelSpec, SpinSpec, site_values, transition_values
 
 
@@ -35,6 +36,8 @@ def iterate(spec: ModelSpec, p0, steps: int) -> np.ndarray:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     p = _check_point(spec, p0)
+    check_bytes(8 * (steps + 1) * spec.n,
+                f"{steps} steps: a ({steps + 1}, {spec.n}) trajectory")
     out = np.empty((steps + 1, spec.n))
     out[0] = p
     for t in range(1, steps + 1):

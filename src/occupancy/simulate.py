@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import MultiSitePattern
-from .lattice import lattice_bits, state_bits
+from .lattice import check_bytes, lattice_bits, state_bits
 from .model import ModelSpec, transition_values
 from .streams import REPLICATE_CHUNK, UniformArray
 
@@ -88,11 +88,17 @@ def _chunk_plan(reps: int):
 
 
 def _run_chunks(plan, worker, workers: int):
-    """Run per-chunk jobs and return results in plan order."""
+    """Run per-chunk jobs and yield their results in plan order.
+
+    One worker runs each job as its result is asked for, so a caller that
+    folds the results holds one at a time.
+    """
     if workers <= 1:
-        return [worker(chunk, rows) for chunk, rows in plan]
+        for chunk, rows in plan:
+            yield worker(chunk, rows)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: worker(*job), plan))
+        yield from pool.map(lambda job: worker(*job), plan)
 
 
 def _bernoulli_se(count: np.ndarray, reps: int) -> np.ndarray:
@@ -108,6 +114,13 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
     """Estimate occupation probabilities at steps 0..steps from reps paths."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    chunks = -(-reps // REPLICATE_CHUNK)
+    # the sum, means and ses, and every chunk's counts, which a pool of
+    # workers may finish before the sum reaches them; one rule for every
+    # worker count, so --workers never decides whether a run is accepted
+    check_bytes(8 * (chunks + 3) * (steps + 1) * spec.n,
+                f"{steps} steps, {reps} replicates: {chunks + 3} ({steps + 1}, {spec.n}) "
+                f"count tables")
     ua = UniformArray(seed=seed, n_sites=spec.n)
     x0_bits = state_bits(x0, spec.n).astype(np.int8)
     table = _threshold_table(spec)

@@ -1,9 +1,11 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
-from occupancy import bridge, exact, indep, zoo
+from occupancy import bridge, exact, indep, order, zoo
+from occupancy.exact import MultiSitePattern, TimePattern
 from occupancy.model import VARIANTS, FunctionFamily, ModelSpec, SpinSpec
 
 
@@ -123,6 +125,26 @@ def decomposed_path_probability(spec, x0: int, pattern) -> float:
         return (1.0 - s) * solve(tuple(freed)) + (s - c) * solve(tuple(lower))
 
     return solve(pattern.omega)
+
+
+def per_pattern_scan(spec, x0: int, m: int, kernel, budget: int = 4):
+    """order.path_orthant's patterns in scan order, each computed on its own.
+
+    Yields (pattern, exact, surrogate): every single-site pattern, then
+    every multisite one, propagated from the point mass by exact's and
+    recursed by indep's per-pattern functions.  The route the prefix-tree
+    scan replaced, kept as its oracle.
+    """
+    schedules = indep.site_schedules(spec, x0, m)
+    for site in range(spec.n):
+        for omega in itertools.product((0, 1), repeat=m):
+            pattern = TimePattern(site=site, omega=omega)
+            yield (pattern, exact.path_probability(spec, x0, pattern, kernel),
+                   indep.path_probability(spec, x0, pattern, schedules[site]))
+    for entries in order._patterns_for_budget(spec.n, m, budget):
+        pattern = MultiSitePattern(entries)
+        yield (pattern, exact.multisite_probability(spec, x0, pattern, kernel),
+               indep.multisite_probability(spec, x0, pattern, schedules))
 
 
 def uniformised(spec):

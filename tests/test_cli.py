@@ -322,15 +322,53 @@ def test_each_kernel_is_built_once(model_dir, capsys, monkeypatch, argv, builds)
     ("ring.json", ["verify", "--theorem", "thm2", "--t", "0.5"]),
     ("ring.json", ["verify", "--theorem", "thm4", "--t", "0.5"]),
     ("ring.json", ["bridge", "--t", "0.5"]),
+    # one site: the kernel fits, the path scan's laws and tables do not
+    ("single.json", ["verify", "--theorem", "thm3", "--t", "1", "--m", "2",
+                     "--samples", "2"]),
 ])
 def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv):
     # a budget below one 4 x 4 kernel rejects every dense route on a tiny model
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2) - 1)
+    allocated = []
+    for module, name in ((exact, "point_mass"), (indep, "vacancy_tables")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: allocated.append(name))
     code = run_cli(*argv, "--model", model_dir / model)
     captured = capsys.readouterr()
     assert code == cli.EXIT_CAPACITY
     assert captured.err.startswith("error: ") and "budget" in captured.err
     assert "Traceback" not in captured.err
+    # rejected before any law or surrogate table exists
+    assert allocated == []
+    if model == "single.json":
+        assert "the path scan needs" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--mode", "meanfield", "--t", "1e12"],
+    ["run", "--mode", "exact", "--t", "1e12"],
+    ["run", "--mode", "mc", "--t", "1e12"],
+    ["verify", "--theorem", "thm1", "--t", "1e12"],
+    ["check", "--samples", "1000000000000"],
+])
+def test_oversized_flag_exits_four(model_dir, capsys, argv):
+    code = run_cli(*argv, "--model", model_dir / "pair.json")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["verify", "--theorem", "thm3", "--t", "2", "--m", "40"], "the path scan"),
+    (["verify", "--theorem", "thm3", "--t", "2", "--m", "1000"], "the path scan"),
+    (["run", "--mode", "mc", "--t", "2", "--reps", "1000000000000"], "count tables"),
+])
+def test_runaway_flag_exits_four(model_dir, capsys, argv, what):
+    # refused by its arrays' size before the work that would never end
+    code = run_cli(*argv, "--model", model_dir / "pair.json")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY
+    assert captured.err.startswith("error: ") and what in captured.err
 
 
 @pytest.mark.parametrize("theorem", ["thm1", "thm3"])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occupancy import exact, zoo
+from occupancy import exact, lattice, zoo
+from occupancy.lattice import CapacityError
 from occupancy.meanfield import (OdeConfig, integrate_ode, iterate,
                                  mask_self_colonisation, ode_rhs,
                                  recursion_step, step_count)
@@ -160,3 +161,11 @@ def test_config_validation():
         OdeConfig(h=0.1, method="heun")
     with pytest.raises(ValueError):
         recursion_step(zoo.interacting_pair(), [0.5])
+
+
+def test_trajectory_is_checked_before_it_exists(interacting, monkeypatch):
+    # 100 rows of two sites fit a 2 KB budget; 1,001 rows do not
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", 2048)
+    assert iterate(interacting, [0.0, 0.0], 99).shape == (100, 2)
+    with pytest.raises(CapacityError, match="1000 steps"):
+        iterate(interacting, [0.0, 0.0], 1000)

@@ -3,15 +3,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occupancy import exact, indep, meanfield, order, zoo
 from occupancy.exact import (MultiSitePattern, TimePattern, marginal_trajectory,
                              transition_matrix)
 from occupancy.lattice import CapacityError
+from occupancy.meanfield import OdeConfig
 from occupancy.order import (marginal_bound, path_orthant,
                              positive_correlations, single_time_orthant,
                              spin_marginal_bound, subset_products,
                              vacancy_transform)
+
+from conftest import per_pattern_scan, random_model, uniformised
 
 
 def naive_vacancy_probabilities(dist, n):
@@ -34,6 +39,19 @@ def test_vacancy_transform_matches_naive():
         got = vacancy_transform(dist)
         want = naive_vacancy_probabilities(dist, n)
         assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_vacancy_transform_of_a_stack_is_row_by_row():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 4):
+        laws = rng.random((7, 1 << n))
+        stacked = vacancy_transform(laws)
+        assert stacked.shape == laws.shape
+        for row, law in zip(stacked, laws):
+            assert np.array_equal(row, vacancy_transform(law))
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="power of two"):
+            vacancy_transform(bad)
 
 
 def test_subset_products_matches_naive():
@@ -229,3 +247,91 @@ def test_marginal_bound_checks_the_rows_shape(interacting):
     for bad in (rows[:, :1], rows[0], rows[:0]):
         with pytest.raises(ValueError, match="shape"):
             marginal_bound(interacting, 0, bad)
+
+
+def test_spin_bound_steps_each_law_from_the_previous(ring3, monkeypatch):
+    # one interval of length 1 at rate 10 takes 39 powers of P; ten intervals
+    # take 390, where every law from the point mass would take 1,124
+    sizes = []
+    weights = exact.poisson_weights
+
+    def counted(*args):
+        w = weights(*args)
+        sizes.append(w.size)
+        return w
+
+    monkeypatch.setattr(exact, "poisson_weights", counted)
+    spin_marginal_bound(zoo.contact_ring(10), 1, np.linspace(0.0, 10.0, 11),
+                        config=OdeConfig(h=0.1))
+    assert sum(sizes) - len(sizes) == 390
+    # a stepped law is the law from the point mass, up to the Poisson tails
+    report = spin_marginal_bound(ring3, 1, np.linspace(0.0, 2.0, 9))
+    w = report.witness
+    law = exact.spin_law(*uniformised(ring3), 1, w["t"])
+    assert w["exact"] == pytest.approx(exact.marginals(law)[w["site"]], abs=1e-12)
+
+
+@pytest.mark.parametrize("n, nodes", [(4, 408), (10, 6054), (12, 10432)])
+def test_prefix_tree_sizes(n, nodes):
+    # the default scan, m = 4 and budget 4
+    rows, _ = order._tree_sizes(n, 4, 4)
+    assert sum(rows) == nodes
+
+
+def test_prefix_tree_matches_its_size_formula():
+    for n, m, budget in itertools.product((1, 2, 4), (1, 3, 6), (1, 2, 5)):
+        levels = [list(level) for level in order._prefix_levels(n, m, budget)]
+        rows, stored = order._tree_sizes(n, m, budget)
+        assert [len(level) for level in levels] == rows
+        assert stored == sum(order._weight_count(n, max(1, budget - node[3]))
+                             for level in levels for node in level)
+        # every node is one prefix
+        assert all(len({node[2] for node in level}) == len(level) for level in levels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 6), m=st.integers(1, 5), budget=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_scan_matches_the_per_pattern_oracle(n, m, budget, seed, data):
+    x0 = data.draw(st.integers(0, (1 << n) - 1), label="x0")
+    spec = random_model(n, seed)
+    kernel = transition_matrix(spec)
+    scan = order._exact_scan(kernel, x0, m, budget)
+    at_last, at_end = indep.vacancy_tables(spec, x0, indep.site_schedules(spec, x0, m), m)
+    single = multi = np.inf
+    margins = {}
+    surrogates, oracle = [], []
+    for pattern, exact_p, surrogate in per_pattern_scan(spec, x0, m, kernel, budget):
+        if isinstance(pattern, TimePattern):
+            times = tuple(t for _, t in pattern.constraints())
+            entries = ((pattern.site, times),)
+            surrogates.append(at_end[pattern.site, sum(1 << (t - 1) for t in times)])
+            key = ("single-site", pattern.site, list(pattern.omega))
+        else:
+            entries = pattern.entries
+            surrogates.append(np.prod([at_last[site, sum(1 << (t - 1) for t in ts)]
+                                       for site, ts in entries]))
+            key = ("multisite", [[site, list(ts)] for site, ts in entries])
+        oracle.append(surrogate)
+        if any(ts for _, ts in entries):
+            assert abs(scan(entries) - exact_p) <= 1e-15
+        margin = exact_p - surrogate
+        margins[repr(key)] = margin
+        if isinstance(pattern, TimePattern):
+            single = min(single, margin)
+        else:
+            multi = min(multi, margin)
+    assert np.array_equal(surrogates, oracle)
+    report = path_orthant(spec, x0, m, kernel, budget=budget)
+    assert abs(report.worst_margin - min(single, multi)) <= 1e-15
+    assert abs(report.details["worst_multisite_margin"] - multi) <= 1e-15
+    # the witness is a pattern whose oracle margin ties the worst
+    w = report.witness
+    key = ((w["kind"], w["site"], w["omega"]) if w["kind"] == "single-site"
+           else (w["kind"], w["entries"]))
+    assert abs(margins[repr(key)] - min(single, multi)) <= 1e-15
+
+
+def test_scan_budget_must_be_positive(interacting):
+    with pytest.raises(ValueError, match="budget"):
+        path_orthant(interacting, 0, 2, transition_matrix(interacting), budget=0)
