@@ -6,7 +6,7 @@ to the occupancy chain with colonisation delta * lam and survival
 1 - delta * mu.  Three quantities measure how faithful the chain is:
 
   * uniformised flip rates (off-diagonal transition mass over delta)
-    against the generator;
+    against the generator's rate table;
   * the law of the chain subordinated to a Poisson(t / delta) number of
     steps against the continuous-time law;
   * the chain's deterministic recursion (an Euler scheme with step
@@ -15,10 +15,11 @@ to the occupancy chain with colonisation delta * lam and survival
 All three converge at first order in delta, and path-level vacancy
 orderings established for the chain survive the limit.
 
-Each metric function takes the objects it shares with the others as
-arguments (the chain's kernel, the generator, the spin law, the reference
-ODE endpoint) and builds none of them, so `convergence_table` builds each
-once: the kernel once per delta, the rest once per table.
+Each metric function takes the objects it shares as arguments (the
+chain's kernel, the one dense array; the spin generator as its rate table
+`exact.spin_generator`; the spin law; the reference ODE endpoint), so
+`convergence_table` builds each once: a kernel per delta, dropped before
+the next, the rest once per table.
 """
 
 from __future__ import annotations
@@ -86,43 +87,33 @@ def discretise(spec: SpinSpec, config: DiscretisationConfig) -> ModelSpec:
     return ModelSpec(n=spec.n, colonisation=colonisation, survival=survival)
 
 
-def uniformized_rates(spec: SpinSpec, config: DiscretisationConfig,
-                      kernel: np.ndarray) -> np.ndarray:
-    """Generator-shaped matrix from the chain's kernel: off-diagonal T/delta, diagonal balancing.
-
-    The chain's holding probability contributes nothing off-diagonal, so
-    the diagonal is minus the off-diagonal row sum rather than (T_xx-1)/delta.
-    The kernel is left as it is; the rates are a second dense array.
-    """
-    check_dense(spec.n, 2)
-    Q = kernel / config.delta
-    idx = np.arange(Q.shape[0])
-    Q[idx, idx] = 0.0
-    Q[idx, idx] = -Q.sum(axis=1)
-    return Q
+# kernel entries per row block of the multi-flip scan
+_BLOCK_ENTRIES = 1 << 16
 
 
 def rate_defect(spec: SpinSpec, config: DiscretisationConfig, kernel: np.ndarray,
-                generator: np.ndarray) -> tuple[float, float]:
+                rates: np.ndarray) -> tuple[float, float]:
     """(worst single-flip rate error, worst multi-flip rate) of the chain.
 
-    Single-flip entries converge to the generator's at first order in
-    delta; transitions flipping two or more bits have probability
-    O(delta^2), hence rate O(delta).  `kernel` is the chain's transition
-    matrix and `generator` the spin system's; both are left as they are.
+    Single-flip rates kernel[w, w ^ 2^i] / delta converge to rates[w, i] at
+    first order in delta; transitions flipping two or more bits have
+    probability O(delta^2), hence rate O(delta).  `kernel` (the chain's)
+    and `rates` (the spin system's table) are left as they are.
     """
-    # the kernel, the generator and the rates are held at once
-    check_dense(spec.n, 3)
-    Q = uniformized_rates(spec, config, kernel)
-    words = np.arange(Q.shape[0])
+    delta = config.delta
+    words = np.arange(kernel.shape[0])
     single = 0.0
     for i in range(spec.n):
-        flip = words ^ (1 << i)
-        single = max(single, float(np.max(np.abs(Q[words, flip] - generator[words, flip]))))
-        Q[words, flip] = 0.0
-    # what is left off the diagonal flips two or more bits
-    Q[words, words] = 0.0
-    return single, float(np.max(Q, initial=0.0))
+        flips = kernel[words, words ^ (1 << i)] / delta
+        single = max(single, float(np.max(np.abs(flips - rates[:, i]))))
+    rows = max(1, _BLOCK_ENTRIES // words.size)
+    multi = 0.0
+    for start in range(0, words.size, rows):
+        hops = words[start:start + rows, None] ^ words
+        # a hop with two or more bits set flips two or more sites
+        multi = max(multi, float(np.max(kernel[start:start + rows],
+                                        where=(hops & (hops - 1)) != 0, initial=0.0)))
+    return single, multi / delta
 
 
 def subordinated_law(spec: SpinSpec, config: DiscretisationConfig, x0: int,
@@ -134,10 +125,8 @@ def subordinated_law(spec: SpinSpec, config: DiscretisationConfig, x0: int,
     if t < 0:
         raise ValueError("t must be >= 0")
     v0 = exact.point_mass(spec.n, x0)
-    if t == 0:
-        return v0
     return exact.as_distribution(
-        exact.poisson_mixture(kernel, v0, t / config.delta, tail_tol))
+        exact.poisson_mixture(lambda v: v @ kernel, v0, t / config.delta, tail_tol))
 
 
 def law_distance(spec: SpinSpec, config: DiscretisationConfig, x0: int, t: float,
@@ -214,32 +203,28 @@ def convergence_table(spec: SpinSpec, x0: int, t: float, deltas=DEFAULT_DELTAS,
                       tail_tol: float = 1e-12) -> ConvergenceTable:
     """Rate, law, and Euler diagnostics for each step size on the grid.
 
-    The generator, the spin law at t (from a uniformised copy of the
-    generator) and the reference ODE endpoint are computed once; each
-    delta's chain kernel is built once and shared by its rate defect and
-    its subordinated law.
+    The rate table, the spin law at t and the reference ODE endpoint are
+    computed once; each delta's chain kernel is built once, shared by its
+    rate defect and its subordinated law, and dropped before the next is
+    built, so one dense array is held at a time.
     """
-    # the generator with a kernel and its rates, or with the last kernel
-    # while the next is built
-    check_dense(spec.n, 3)
+    check_dense(spec.n)
     configs = [DiscretisationConfig(delta) for delta in deltas]
     chains = [discretise(spec, config) for config in configs]
     p0 = exact.state_bits(x0, spec.n)
-    generator = exact.spin_generator(spec)
-    uniformised = generator.copy()
-    rate = exact.uniformise(uniformised)
-    truth = exact.spin_law(uniformised, rate, x0, t, tail_tol)
-    del uniformised
+    rates = exact.spin_generator(spec)
+    truth = exact.spin_law(rates, x0, t, tail_tol)
     reference_end = meanfield.integrate_ode(spec, p0, t, REFERENCE_ODE)[1][-1]
     rows = []
     for config, chain in zip(configs, chains):
         delta = config.delta
         kernel = exact.transition_matrix(chain)
-        single, multi = rate_defect(spec, config, kernel, generator)
+        single, multi = rate_defect(spec, config, kernel, rates)
         rows.append((delta, "single-flip-rate-error", single))
         rows.append((delta, "multi-flip-rate", multi))
         rows.append((delta, "law-distance",
                      law_distance(spec, config, x0, t, kernel, truth, tail_tol)))
+        del kernel
         rows.append((delta, "euler-gap", euler_gap(spec, p0, t, config, reference_end)))
     return ConvergenceTable(rows=tuple(rows))
 

@@ -5,12 +5,12 @@ enumerates the 2^n states explicitly and is the ground truth that the
 approximate modules are checked against; every dense array is checked
 against the byte budget of `occupancy.lattice` before it is allocated.
 
-Each dense object has one builder, `transition_matrix` for the kernel and
-`spin_generator` (uniformised in place by `uniformise`) for spin laws; a
-run builds it once and passes it to every function that needs it.  A
-single law is pushed forward by the one loop in `propagate`; the path
-scan of `occupancy.order` pushes stacks of laws, one matrix product per
-block.
+The one dense builder is `transition_matrix`, for the kernel; a run builds
+it once and passes it to every function that needs it.  A single law is
+pushed forward by the one loop in `propagate`; the path scan of
+`occupancy.order` pushes stacks of laws, one matrix product per block.  A
+spin generator is its (2^n, n) rate table, `spin_generator`: spin laws
+take matrix-free uniformised steps, in O(n 2^n), and no spin array is dense.
 """
 
 from __future__ import annotations
@@ -198,13 +198,18 @@ class MultiSitePattern:
         return tuple((site, t) for site, times in self.entries for t in times)
 
 
-def _event_probability(spec, x0: int, constraints, kernel) -> float:
-    """Push the distribution forward, zeroing constrained states as reached."""
+def check_constraints(n: int, constraints):
+    """Reject a (site, step) demand off the n sites or before step 1."""
     for site, t in constraints:
-        if not 0 <= site < spec.n:
+        if not 0 <= site < n:
             raise ValueError(f"site {site} out of range")
         if t < 1:
             raise ValueError("constrained steps must be >= 1")
+
+
+def _event_probability(spec, x0: int, constraints, kernel) -> float:
+    """Push the distribution forward, zeroing constrained states as reached."""
+    check_constraints(spec.n, constraints)
     horizon = max((t for _, t in constraints), default=0)
     by_time: dict[int, list[int]] = {}
     for site, t in constraints:
@@ -234,18 +239,23 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
 # -- spin systems ------------------------------------------------------------
 
 
+def spin_bytes(n: int) -> int:
+    """Bytes the spin engine holds at its peak: five (2^n, n) tables and eight laws.
+
+    Building the rate table holds the lattice bits, the birth and death
+    values and two products; a law steps next to three tables.
+    """
+    return (8 * (5 * n + 8)) << n
+
+
 def spin_generator(spec: SpinSpec) -> np.ndarray:
-    """Dense generator; only single-bit flips carry rate (birth if empty, death if occupied)."""
-    check_dense(spec.n)
-    size = 1 << spec.n
-    r = transition_values(spec, lattice_bits(spec.n))
-    Q = np.zeros((size, size))
-    words = np.arange(size)
-    for i in range(spec.n):
-        Q[words, words ^ (1 << i)] = r[:, i]
-    Q[words, words] = 0.0
-    Q[words, words] = -Q.sum(axis=1)
-    return Q
+    """The generator as its (2^n, n) rate table: entry [w, i] is the rate at which bit i flips from w.
+
+    A spin system flips one bit at a time (birth if empty, death if
+    occupied), so these n rates per state are the whole generator.
+    """
+    check_bytes(spin_bytes(spec.n), f"n = {spec.n}: the spin rate tables")
+    return transition_values(spec, lattice_bits(spec.n))
 
 
 def poisson_weights(mean: float, tail_tol: float = 1e-12) -> np.ndarray:
@@ -257,9 +267,11 @@ def poisson_weights(mean: float, tail_tol: float = 1e-12) -> np.ndarray:
     """
     if mean < 0:
         raise ValueError("mean must be >= 0")
-    mode = int(mean)
     # forty standard deviations past the mode the mass left is far below an ulp
-    span = int(40.0 * (math.sqrt(mean) + 1.0))
+    span = 40.0 * (math.sqrt(mean) + 1.0)
+    # the ratios, the pmf and its running sum, counted before int() overflows
+    check_bytes(24 * (mean + span + 1.0), f"mean {mean:.6g}: the Poisson weights")
+    mode, span = int(mean), int(span)
     below = np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
     above = np.cumprod(mean / np.arange(mode + 1, mode + span + 1))
     w = np.concatenate([below, [1.0], above])
@@ -268,47 +280,49 @@ def poisson_weights(mean: float, tail_tol: float = 1e-12) -> np.ndarray:
     return w[:last + 1]
 
 
-def poisson_mixture(P: np.ndarray, v0: np.ndarray, mean: float,
+def poisson_mixture(step, v0: np.ndarray, mean: float,
                     tail_tol: float = 1e-12) -> np.ndarray:
-    """Sum of pmf(k; mean) * v0 P^k, truncated once the pmf mass reaches 1 - tail_tol."""
+    """Sum of pmf(k; mean) * step^k(v0), truncated once the pmf mass reaches 1 - tail_tol."""
     if mean < 0:
         raise ValueError("mean must be >= 0")
-    if mean == 0:
-        return np.asarray(v0, float).copy()
-    pmf = poisson_weights(mean, tail_tol)
-    acc = pmf[0] * np.asarray(v0, float)
     v = np.asarray(v0, float)
+    pmf = poisson_weights(mean, tail_tol)
+    acc = pmf[0] * v
     for k in range(1, pmf.size):
-        v = v @ P
-        acc = acc + pmf[k] * v
+        v = step(v)
+        acc += pmf[k] * v
     return acc
 
 
-def uniformise(Q: np.ndarray) -> float:
-    """Turn the generator Q into I + Q/rate in place, rate its largest exit rate.
-
-    Returns rate; a generator of rate 0 is left as it is.
-    """
-    rate = float(np.max(-np.diag(Q)))
-    if rate > 0.0:
-        Q /= rate
-        Q[np.diag_indices_from(Q)] += 1.0
-    return rate
-
-
-def spin_law_from(P: np.ndarray, rate: float, dist: np.ndarray, t: float,
+def spin_law_from(rates: np.ndarray, dist: np.ndarray, t: float,
                   tail_tol: float = 1e-12) -> np.ndarray:
-    """Law at time t from `dist`: Poisson(rate t) mixture of powers of P = I + Q/rate."""
+    """Law at time t from `dist` under the rate table `rates` (see `spin_generator`).
+
+    A Poisson(rate t) mixture of uniformised steps v -> v (I + Q/rate), rate
+    the largest exit rate, each taken without a matrix: the mass at w keeps
+    the share 1 - sum_i r_i(w)/rate and moves r_i(w)/rate to w ^ 2^i, which
+    for bit i swaps the halves of every block of 2^(i+1) states.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
     v0 = np.asarray(dist, float)
+    total = rates.sum(axis=1)
+    rate = float(np.max(total, initial=0.0))
     if rate <= 0.0 or t == 0:
         return v0.copy()
-    return as_distribution(poisson_mixture(P, v0, rate * t, tail_tol))
+    stay = 1.0 - total / rate
+    jump = np.divide(rates.T, rate, out=np.empty(rates.shape[::-1]))
+
+    def step(v):
+        out = v * stay
+        for i, share in enumerate(jump):
+            out.reshape(-1, 2, 1 << i)[...] += (v * share).reshape(-1, 2, 1 << i)[:, ::-1]
+        return out
+
+    return as_distribution(poisson_mixture(step, v0, rate * t, tail_tol))
 
 
-def spin_law(P: np.ndarray, rate: float, x0: int, t: float,
+def spin_law(rates: np.ndarray, x0: int, t: float,
              tail_tol: float = 1e-12) -> np.ndarray:
-    """Law at time t from the state word x0; `P` and `rate` as for `spin_law_from`."""
-    n = P.shape[0].bit_length() - 1
-    return spin_law_from(P, rate, point_mass(n, x0), t, tail_tol)
+    """Law at time t from the state word x0 under the rate table `rates`."""
+    return spin_law_from(rates, point_mass(rates.shape[1], x0), t, tail_tol)

@@ -11,8 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 # bytes of dense arrays one exact computation may hold at once; a single
-# 2^n x 2^n float64 array takes 8 * 4^n bytes, so one kernel fits up to
-# n = 14 and the three the bridge holds at once fit up to n = 13
+# 2^n x 2^n float64 array takes 8 * 4^n bytes, so one kernel fits up to n = 14
 DENSE_BYTES_BUDGET = 2 << 30
 
 
@@ -20,7 +19,7 @@ class CapacityError(RuntimeError):
     """Problem too large for dense enumeration."""
 
 
-def check_bytes(nbytes: int, what: str):
+def check_bytes(nbytes: int | float, what: str):
     """Raise CapacityError, before anything is allocated, past the budget."""
     if nbytes > DENSE_BYTES_BUDGET:
         raise CapacityError(f"{what} needs {nbytes} bytes, over the dense budget "

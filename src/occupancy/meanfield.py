@@ -67,8 +67,8 @@ class OdeConfig:
     method: str = "rk4"
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("step size h must be > 0")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"step size h must be finite and > 0, got {self.h!r}")
         if self.method not in ("rk4", "euler"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -114,15 +114,16 @@ def integrate_ode(spec: SpinSpec, p0, t_end: float,
     """
     p = np.clip(_check_point(spec, p0), 0.0, 1.0)
     rhs = partial(ode_rhs, spec)
+    # the times and states, counted before step_count's int() can overflow
+    check_bytes(8 * (spec.n + 1) * (t_end / config.h + 2.0),
+                f"t = {t_end!r}, h = {config.h!r}: a trajectory of times and states")
     full, rem = step_count(t_end, config.h)
-    times = [0.0]
-    states = [p]
-    for k in range(full):
+    times = np.empty(full + 1 + (rem > 0.0))
+    states = np.empty((times.size, spec.n))
+    times[0], states[0] = 0.0, p
+    for k in range(1, full + 1):
         p = advance(rhs, p, config.h, config.method)
-        times.append((k + 1) * config.h)
-        states.append(p)
+        times[k], states[k] = k * config.h, p
     if rem > 0.0:
-        p = advance(rhs, p, rem, config.method)
-        times.append(t_end)
-        states.append(p)
-    return np.asarray(times), np.vstack(states)
+        times[-1], states[-1] = t_end, advance(rhs, p, rem, config.method)
+    return times, states

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import MultiSitePattern
+from .exact import MultiSitePattern, check_constraints
 from .lattice import check_bytes, lattice_bits, state_bits
 from .model import ModelSpec, transition_values
 from .streams import REPLICATE_CHUNK, UniformArray
@@ -143,6 +143,7 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
 def simulate_event_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
                                reps: int, seed: int, workers: int = 1) -> McEstimate:
     """Estimate the probability of a joint vacancy pattern."""
+    check_constraints(spec.n, pattern.constraints())
     horizon = pattern.horizon
     by_time: dict[int, list[int]] = {}
     for site, t in pattern.constraints():

@@ -147,10 +147,43 @@ def per_pattern_scan(spec, x0: int, m: int, kernel, budget: int = 4):
                indep.multisite_probability(spec, x0, pattern, schedules))
 
 
+def dense_spin_generator(spec):
+    """The spin system's generator Q as a dense 2^n x 2^n matrix.
+
+    Only single-bit flips carry rate, read off the rate table
+    exact.spin_generator; the oracle for the matrix-free spin engine.
+    """
+    r = exact.spin_generator(spec)
+    size = 1 << spec.n
+    Q = np.zeros((size, size))
+    words = np.arange(size)
+    for i in range(spec.n):
+        Q[words, words ^ (1 << i)] = r[:, i]
+    Q[words, words] = 0.0
+    Q[words, words] = -Q.sum(axis=1)
+    return Q
+
+
 def uniformised(spec):
-    """(I + Q/rate, rate) for the spin system's generator Q."""
-    P = exact.spin_generator(spec)
-    return P, exact.uniformise(P)
+    """(I + Q/rate, rate) for the dense generator Q, rate its largest exit rate.
+
+    A generator of rate 0 is returned as it is.
+    """
+    P = dense_spin_generator(spec)
+    rate = float(np.max(-np.diag(P)))
+    if rate > 0.0:
+        P /= rate
+        P[np.diag_indices_from(P)] += 1.0
+    return P, rate
+
+
+def dense_spin_law(spec, x0: int, t: float):
+    """exact.spin_law by powers of the dense uniformised generator."""
+    P, rate = uniformised(spec)
+    v0 = exact.point_mass(spec.n, x0)
+    if rate == 0.0 or t == 0:
+        return v0
+    return exact.as_distribution(exact.poisson_mixture(lambda v: v @ P, v0, rate * t))
 
 
 def family_site_values(spec, points):
@@ -187,7 +220,7 @@ def hamming_rate_defect(spec, config):
     words = np.arange(size)
     Q[words, words] = 0.0
     Q[words, words] = -Q.sum(axis=1)
-    G = exact.spin_generator(spec)
+    G = dense_spin_generator(spec)
     ham = np.zeros((size, size), dtype=int)
     for i in range(spec.n):
         ham += ((words[:, None] ^ words[None, :]) >> i) & 1

@@ -19,8 +19,7 @@ from occupancy.model import (BOUND_HYPOTHESES, FunctionFamily, ModelSpec,
                              ORDERING_HYPOTHESES, SPIN_BOUND_HYPOTHESES,
                              check_assumptions)
 
-from conftest import (decomposed_path_probability, enumerate_event_probability,
-                      uniformised)
+from conftest import decomposed_path_probability, enumerate_event_probability
 
 
 @contextmanager
@@ -120,13 +119,13 @@ def test_criterion_5_discretisation_bridge():
         deltas = [2.0 ** -k for k in range(4, 9)]
         singles, tvs, gaps = [], [], []
         p0 = exact.state_bits(1, 3)
-        generator = exact.spin_generator(ring)
-        truth = exact.spin_law(*uniformised(ring), 1, 1.0)
+        rates = exact.spin_generator(ring)
+        truth = exact.spin_law(rates, 1, 1.0)
         reference_end = meanfield.integrate_ode(ring, p0, 1.0, bridge.REFERENCE_ODE)[1][-1]
         for d in deltas:
             config = DiscretisationConfig(d)
             kernel = exact.transition_matrix(bridge.discretise(ring, config))
-            single, _ = bridge.rate_defect(ring, config, kernel, generator)
+            single, _ = bridge.rate_defect(ring, config, kernel, rates)
             singles.append(single)
             tvs.append(bridge.law_distance(ring, config, 1, 1.0, kernel, truth))
             gaps.append(bridge.euler_gap(ring, p0, 1.0, config, reference_end))

@@ -6,11 +6,11 @@ from occupancy.bridge import (ConvergenceTable, DiscretisationConfig,
                               InadmissibleDelta, admissibility_bound,
                               convergence_table, discretise, euler_gap,
                               law_distance, ordering_margins, rate_defect,
-                              subordinated_law, uniformized_rates)
+                              subordinated_law)
 from occupancy.meanfield import OdeConfig
 from occupancy.model import check_assumptions
 
-from conftest import hamming_rate_defect, random_spin_model, uniformised
+from conftest import hamming_rate_defect, random_spin_model
 
 DELTAS = bridge.DEFAULT_DELTAS
 
@@ -60,21 +60,22 @@ def test_discretised_chain_keeps_certification(ring3):
         assert report.ordering_certified
 
 
-def test_single_site_uniformized_rates_are_exact():
+def test_single_site_rate_defect_is_exact():
+    # one site: the chain's flip probabilities are delta times the rates
     spec = zoo.two_state_spin(0.5, 1.0)
+    rates = exact.spin_generator(spec)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
-        Q = uniformized_rates(spec, config, chain_kernel(spec, config))
-        assert Q[0, 1] == pytest.approx(0.5, abs=1e-14)
-        assert Q[1, 0] == pytest.approx(1.0, abs=1e-14)
+        single, multi = rate_defect(spec, config, chain_kernel(spec, config), rates)
+        assert single <= 1e-14 and multi == 0.0
 
 
 def test_rate_defect_first_order(ring3):
     singles, multis = [], []
-    generator = exact.spin_generator(ring3)
+    rates = exact.spin_generator(ring3)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
-        single, multi = rate_defect(ring3, config, chain_kernel(ring3, config), generator)
+        single, multi = rate_defect(ring3, config, chain_kernel(ring3, config), rates)
         singles.append(single)
         multis.append(multi)
         assert multi <= 3.0 * delta  # multi-flip mass is O(delta)
@@ -95,16 +96,27 @@ def test_rate_defect_matches_hamming_masks(n):
 def test_shared_kernel_and_generator_are_left_unchanged(ring3):
     config = DiscretisationConfig(0.0625)
     kernel = exact.transition_matrix(discretise(ring3, config))
-    generator = exact.spin_generator(ring3)
-    kept = kernel.copy(), generator.copy()
+    rates = exact.spin_generator(ring3)
+    kept = kernel.copy(), rates.copy()
     # every metric of one delta runs on the same two arrays, in any order
-    first = rate_defect(ring3, config, kernel, generator)
+    first = rate_defect(ring3, config, kernel, rates)
     law = subordinated_law(ring3, config, 1, 0.5, kernel)
-    assert rate_defect(ring3, config, kernel, generator) == first
+    assert rate_defect(ring3, config, kernel, rates) == first
     assert np.array_equal(subordinated_law(ring3, config, 1, 0.5, kernel), law)
-    assert np.array_equal(kernel, kept[0]) and np.array_equal(generator, kept[1])
-    assert np.array_equal(uniformized_rates(ring3, config, kernel),
-                          uniformized_rates(ring3, config, kept[0]))
+    assert np.array_equal(kernel, kept[0]) and np.array_equal(rates, kept[1])
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_rate_defect_reads_row_blocks(monkeypatch, n):
+    # blocks of one row, or of a few, give the whole-kernel answer
+    spec = random_spin_model(n, seed=40 + n)
+    config = DiscretisationConfig(0.5 * admissibility_bound(spec))
+    kernel, rates = chain_kernel(spec, config), exact.spin_generator(spec)
+    whole = rate_defect(spec, config, kernel, rates)
+    for entries in (1, 3 << n):
+        monkeypatch.setattr(bridge, "_BLOCK_ENTRIES", entries)
+        assert rate_defect(spec, config, kernel, rates) == whole
+    assert whole == hamming_rate_defect(spec, config)
 
 
 def test_subordinated_law_at_zero_time(ring3):
@@ -117,14 +129,14 @@ def test_single_site_subordination_is_exact():
     # two states: (T - I)/delta equals the generator exactly, so the
     # Poisson mixture reproduces the continuous law to numerical precision
     spec = zoo.two_state_spin(0.5, 1.0)
-    truth = exact.spin_law(*uniformised(spec), 0, 1.0)
+    truth = exact.spin_law(exact.spin_generator(spec), 0, 1.0)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
         assert law_distance(spec, config, 0, 1.0, chain_kernel(spec, config), truth) < 1e-10
 
 
 def test_law_distance_decreases_first_order(ring3):
-    truth = exact.spin_law(*uniformised(ring3), 1, 1.0)
+    truth = exact.spin_law(exact.spin_generator(ring3), 1, 1.0)
     configs = [DiscretisationConfig(d) for d in DELTAS]
     tvs = [law_distance(ring3, c, 1, 1.0, chain_kernel(ring3, c), truth) for c in configs]
     for a, b in zip(tvs, tvs[1:]):
@@ -203,7 +215,7 @@ def test_convergence_table_rows_equal_standalone_metrics():
         single, multi = rate_defect(spec, config, chain_kernel(spec, config),
                                     exact.spin_generator(spec))
         tv = law_distance(spec, config, x0, t, chain_kernel(spec, config),
-                          exact.spin_law(*uniformised(spec), x0, t))
+                          exact.spin_law(exact.spin_generator(spec), x0, t))
         gap = euler_gap(spec, p0, t, config, reference_end(spec, p0, t))
         expected += [(delta, "single-flip-rate-error", single),
                      (delta, "multi-flip-rate", multi),

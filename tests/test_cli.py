@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from occupancy import cli, exact, indep, lattice, zoo
-from occupancy.model import save_model
+from occupancy.model import load_model, save_model
 
 from conftest import random_model
 
@@ -297,7 +297,7 @@ def test_capacity_exit_code(model_dir, capsys):
 ])
 def test_each_kernel_is_built_once(model_dir, capsys, monkeypatch, argv, builds):
     # `builds` kernels (one per delta on the spin routes); every spin route
-    # builds one generator, and thm3 one set of surrogate schedules
+    # builds one rate table, and thm3 one set of surrogate schedules
     expected = {"transition_matrix": builds, "spin_generator": int("ring.json" in argv),
                 "site_schedules": int("thm3" in argv)}
     calls = dict.fromkeys(expected, 0)
@@ -315,32 +315,41 @@ def test_each_kernel_is_built_once(model_dir, capsys, monkeypatch, argv, builds)
 
 
 @pytest.mark.parametrize("model, argv", [
-    ("pair.json", ["verify", "--theorem", "thm1", "--t", "3"]),
-    ("pair.json", ["verify", "--theorem", "thm3", "--t", "3", "--m", "2"]),
+    ("pair.json", ["verify", "--theorem", "thm1", "--t", "3", "--samples", "1"]),
+    ("pair.json", ["verify", "--theorem", "thm3", "--t", "3", "--m", "2", "--samples", "1"]),
     ("pair.json", ["run", "--mode", "exact", "--t", "3"]),
     ("pair.json", ["run", "--mode", "exact", "--t", "0"]),
-    ("ring.json", ["verify", "--theorem", "thm2", "--t", "0.5"]),
-    ("ring.json", ["verify", "--theorem", "thm4", "--t", "0.5"]),
+    ("ring.json", ["verify", "--theorem", "thm2", "--t", "0.5", "--samples", "1"]),
+    ("ring.json", ["verify", "--theorem", "thm4", "--t", "0.5", "--samples", "1"]),
     ("ring.json", ["bridge", "--t", "0.5"]),
     # one site: the kernel fits, the path scan's laws and tables do not
     ("single.json", ["verify", "--theorem", "thm3", "--t", "1", "--m", "2",
                      "--samples", "2"]),
 ])
 def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv):
-    # a budget below one 4 x 4 kernel rejects every dense route on a tiny model
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2) - 1)
+    # a budget one byte below the route's own first array: the rate tables
+    # on thm2, one kernel on every other route but the one-site path scan;
+    # one sample, and the shared lattice table built before the budget
+    # drops, so no other array is rejected first
+    n = load_model(model_dir / model).n
+    if "thm2" in argv:
+        budget, what = exact.spin_bytes(n), f"n = {n}: the spin rate tables needs"
+    elif model == "single.json":
+        budget, what = lattice.dense_bytes(2), "the path scan needs"
+    else:
+        budget, what = lattice.dense_bytes(n), f"n = {n}: 1 dense 2^{n} x 2^{n} array needs"
+    lattice.lattice_bits(n)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget - 1)
     allocated = []
     for module, name in ((exact, "point_mass"), (indep, "vacancy_tables")):
         monkeypatch.setattr(module, name, lambda *args, name=name: allocated.append(name))
     code = run_cli(*argv, "--model", model_dir / model)
     captured = capsys.readouterr()
     assert code == cli.EXIT_CAPACITY
-    assert captured.err.startswith("error: ") and "budget" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and what in captured.err
+    assert "budget" in captured.err and "Traceback" not in captured.err
     # rejected before any law or surrogate table exists
     assert allocated == []
-    if model == "single.json":
-        assert "the path scan needs" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -349,12 +358,36 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv)
     ["run", "--mode", "mc", "--t", "1e12"],
     ["verify", "--theorem", "thm1", "--t", "1e12"],
     ["check", "--samples", "1000000000000"],
+    ["run", "--model", "ring.json", "--mode", "meanfield", "--t", "1e12"],
+    ["verify", "--model", "ring.json", "--theorem", "thm2", "--t", "1e12"],
+    ["verify", "--model", "ring.json", "--theorem", "thm2", "--t", "1e300"],
+    ["verify", "--model", "ring.json", "--theorem", "thm4", "--t", "1e10"],
+    ["verify", "--model", "ring.json", "--theorem", "thm4", "--t", "1e300"],
+    ["bridge", "--model", "ring.json", "--t", "1e10"],
 ])
 def test_oversized_flag_exits_four(model_dir, capsys, argv):
-    code = run_cli(*argv, "--model", model_dir / "pair.json")
+    # on pair.json unless the row names a model
+    argv = [str(model_dir / a) if a.endswith(".json") else a for a in argv]
+    if "--model" not in argv:
+        argv += ["--model", model_dir / "pair.json"]
+    code = run_cli(*argv)
     captured = capsys.readouterr()
     assert code == cli.EXIT_CAPACITY
     assert captured.err.startswith("error: ") and "budget" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "thm2", "--t", "2", "--x0", "1"],
+    ["run", "--mode", "meanfield", "--t", "2"],
+])
+@pytest.mark.parametrize("h", ["inf", "nan", "0", "-1e-3"])
+def test_ode_step_must_be_finite_and_positive(model_dir, capsys, argv, h):
+    # an infinite step takes no step at all and would leave the ODE at p0
+    code = run_cli(*argv, f"--h={h}", "--model", model_dir / "ring.json")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert "step size h must be finite and > 0" in captured.err
     assert captured.out == ""
 
 

@@ -13,9 +13,11 @@ from occupancy.exact import (MultiSitePattern, TimePattern,
                              spin_law, state_bits, transition_matrix,
                              validate_distribution)
 from occupancy.lattice import CapacityError, bits_to_word
+from occupancy.meanfield import OdeConfig
 from occupancy.model import transition_values
 
-from conftest import (enumerate_event_probability, naive_event_probability,
+from conftest import (dense_spin_generator, dense_spin_law,
+                      enumerate_event_probability, naive_event_probability,
                       naive_transition_probability, random_model,
                       random_spin_model, uniformised, where_transition_matrix)
 
@@ -251,13 +253,7 @@ def test_capacity_rule_cost_function():
 def test_capacity_rule_guards_dense_builders():
     n = max(n for n in range(40) if lattice.dense_bytes(n) <= lattice.DENSE_BYTES_BUDGET) + 1
     ring = zoo.contact_ring(n)
-    config = bridge.DiscretisationConfig(0.0625)
     for build in (lambda: transition_matrix(zoo.constant_pair(n=n)),
-                  lambda: spin_generator(ring),
-                  lambda: order.spin_marginal_bound(ring, 0, [1.0]),
-                  # rejected before the stand-in kernel and generator are read
-                  lambda: bridge.uniformized_rates(ring, config, np.ones((1, 1))),
-                  lambda: bridge.rate_defect(ring, config, np.ones((1, 1)), np.ones((1, 1))),
                   lambda: bridge.convergence_table(ring, 0, 1.0),
                   lambda: exact.marginal_trajectory(zoo.constant_pair(n=n), 0, 1),
                   lambda: exact.marginal_trajectory(zoo.constant_pair(n=n), 0, 0)):
@@ -265,27 +261,47 @@ def test_capacity_rule_guards_dense_builders():
             build()
 
 
+def test_capacity_rule_guards_the_spin_tables():
+    # the spin engine holds (2^n, n) tables, never a dense array: it stops
+    # where its own byte count does, far past the kernel's limit
+    assert exact.spin_bytes(3) == 8 * (5 * 3 + 8) * 8
+    budget = lattice.DENSE_BYTES_BUDGET
+    n = max(n for n in range(64) if exact.spin_bytes(n) <= budget) + 1
+    assert lattice.dense_bytes(n - 1) > budget
+    ring = zoo.contact_ring(n)
+    for build in (lambda: spin_generator(ring),
+                  lambda: order.spin_marginal_bound(ring, 0, [1.0])):
+        with pytest.raises(CapacityError, match=f"^n = {n}: the spin rate tables needs"):
+            build()
+
+
 def test_capacity_rule_counts_every_array_held(monkeypatch):
-    # budgets of one to three dense arrays at n = 2 against what each holder keeps
-    ring = zoo.contact_ring(2)
-    config = bridge.DiscretisationConfig(0.0625)
-    T = transition_matrix(bridge.discretise(ring, config))
-    G = spin_generator(ring)
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2, 1))
-    # one generator, made I + Q/rate in place, serves the whole grid
-    order.spin_marginal_bound(ring, 0, [0.5, 1.0])
-    transition_matrix(bridge.discretise(ring, config))
+    # a budget of exactly what each holder keeps passes, one byte less fails
+    ring = zoo.contact_ring(6)
+    for budget, what, run in (
+            # thm2 holds the spin tables and a short trajectory, no dense array
+            (exact.spin_bytes(6), "n = 6: the spin rate tables",
+             lambda: order.spin_marginal_bound(ring, 0, [0.5, 1.0], config=OdeConfig(h=0.1))),
+            # the bridge holds one kernel at a time, its rate defect no copy of it
+            (lattice.dense_bytes(6, 1), "n = 6: 1 dense",
+             lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625)))):
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget)
+        run()
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget - 1)
+        with pytest.raises(CapacityError, match=what):
+            run()
+
+
+def test_bridge_counts_one_dense_array(monkeypatch):
+    # so thm4 and the bridge reach n = 14 under the default budget
+    counted = []
+    monkeypatch.setattr(bridge, "check_dense",
+                        lambda n, arrays=1: counted.append((n, arrays)))
+    bridge.convergence_table(zoo.contact_ring(2), 0, 0.5, deltas=(0.125,))
+    assert counted == [(2, 1)]
+    lattice.check_dense(14, 1)
     with pytest.raises(CapacityError):
-        bridge.uniformized_rates(ring, config, T)
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2, 2))
-    bridge.uniformized_rates(ring, config, T)
-    with pytest.raises(CapacityError):
-        bridge.rate_defect(ring, config, T, G)
-    with pytest.raises(CapacityError):
-        bridge.convergence_table(ring, 0, 1.0)
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2, 3))
-    bridge.rate_defect(ring, config, T, G)
-    bridge.convergence_table(ring, 0, 1.0)
+        lattice.check_dense(14, 2)
 
 
 def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
@@ -313,12 +329,12 @@ def test_zero_step_runs_keep_the_kernel_limit(monkeypatch):
 
 
 def test_two_state_generator():
-    Q = spin_generator(zoo.two_state_spin(0.5, 1.0))
+    Q = dense_spin_generator(zoo.two_state_spin(0.5, 1.0))
     assert np.allclose(Q, [[-0.5, 0.5], [1.0, -1.0]], atol=1e-15)
 
 
 def test_generator_sparsity_matches_adjacency(ring3):
-    Q = spin_generator(ring3)
+    Q = dense_spin_generator(ring3)
     for x in range(8):
         for y in range(8):
             flips = bin(x ^ y).count("1")
@@ -329,61 +345,72 @@ def test_generator_sparsity_matches_adjacency(ring3):
 
 def test_spin_rates_values(ring3):
     # from state 0b001, site 1 sees one occupied neighbour
-    r = transition_values(ring3, lattice_bits(3))
+    r = spin_generator(ring3)
+    assert r.shape == (8, 3)
     assert r[0b001, 1] == pytest.approx(0.35, abs=1e-15)
     assert r[0b001, 0] == pytest.approx(1.0, abs=1e-15)  # death
     assert r[0b101, 1] == pytest.approx(0.7, abs=1e-15)
+    assert np.array_equal(r, transition_values(ring3, lattice_bits(3)))
 
 
 def test_two_state_law_closed_form():
     lam, mu = 0.5, 1.0
-    spec = zoo.two_state_spin(lam, mu)
-    P, rate = uniformised(spec)
+    rates = spin_generator(zoo.two_state_spin(lam, mu))
     for t in (0.0, 0.3, 1.0, 2.5):
-        law = spin_law(P, rate, 0, t)
+        law = spin_law(rates, 0, t)
         expected = lam / (lam + mu) * (1.0 - np.exp(-(lam + mu) * t))
         assert law[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_spin_law_matches_matrix_exponential(ring3):
-    Q = spin_generator(ring3)
-    P, rate = uniformised(ring3)
+    Q = dense_spin_generator(ring3)
+    rates = spin_generator(ring3)
     for t in (0.25, 1.0, 3.0):
         truth = np.zeros(8)
         truth[1] = 1.0
         truth = truth @ expm(Q * t)
-        law = spin_law(P, rate, 1, t)
+        law = spin_law(rates, 1, t)
         assert np.allclose(law, truth, atol=1e-9)
 
 
 def test_spin_semigroup_property(ring3):
-    P, rate = uniformised(ring3)
-    one = spin_law(P, rate, 1, 1.5)
-    two = exact.spin_law_from(P, rate, spin_law(P, rate, 1, 0.9), 0.6)
+    rates = spin_generator(ring3)
+    one = spin_law(rates, 1, 1.5)
+    two = exact.spin_law_from(rates, spin_law(rates, 1, 0.9), 0.6)
     assert np.allclose(one, two, atol=1e-11)
+    # the dense oracle obeys it too, and agrees with the matrix-free laws
+    P, rate = uniformised(ring3)
+    dense = exact.poisson_mixture(lambda v: v @ P, dense_spin_law(ring3, 1, 0.9), 0.6 * rate)
+    assert np.abs(as_distribution(dense) - two).sum() <= 1e-14
 
 
 def test_generator_from_finite_difference(ring3):
     h = 1e-6
     v0 = np.zeros(8)
     v0[1] = 1.0
-    approx = (spin_law(*uniformised(ring3), 1, h) - v0) / h
-    assert np.allclose(approx, v0 @ spin_generator(ring3), atol=1e-5)
+    approx = (spin_law(spin_generator(ring3), 1, h) - v0) / h
+    assert np.allclose(approx, v0 @ dense_spin_generator(ring3), atol=1e-5)
 
 
-def test_uniformise_in_place(ring3):
-    Q = spin_generator(ring3)
-    P = Q.copy()
-    rate = exact.uniformise(P)
-    assert rate == np.max(-np.diag(Q))
-    assert np.allclose(P, np.eye(8) + Q / rate, atol=1e-15)
+def test_uniformised_step_matches_dense(ring3, monkeypatch):
+    # each step of the Poisson mixture is v (I + Q/rate), Q the dense generator
+    P, rate = uniformised(ring3)
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12) and np.min(P) >= 0.0
+    rates = spin_generator(ring3)
+    laws = [spin_law(rates, x0, 0.7) for x0 in range(8)]
+    seen = []
+    monkeypatch.setattr(exact, "poisson_mixture",
+                        lambda step, v0, mean, tail_tol: seen.append((step, mean)) or v0)
+    spin_law(rates, 0, 1.0)
+    (step, mean), = seen
+    assert mean == pytest.approx(rate, rel=1e-15)
+    for law in laws:
+        assert np.abs(step(law) - law @ P).sum() <= 1e-15
 
 
 def test_poisson_mixture_recovers_identity():
-    P = np.eye(3)
     v0 = np.array([0.2, 0.3, 0.5])
-    out = poisson_mixture(P, v0, 7.3)
+    out = poisson_mixture(lambda v: v, v0, 7.3)
     assert np.allclose(out, v0, atol=1e-12)
 
 
@@ -396,12 +423,29 @@ def test_poisson_weights_match_scipy(mean):
     assert stats.poisson.sf(w.size - 1, mean) <= 1e-12 < stats.poisson.sf(w.size - 2, mean)
 
 
+@pytest.mark.parametrize("mean", [1e10, 1e300, np.inf])
+def test_poisson_weights_count_their_arrays(mean):
+    with pytest.raises(CapacityError, match="the Poisson weights needs"):
+        poisson_weights(mean)
+
+
 def test_zero_rate_spin_is_frozen():
     spec = zoo.contact_ring(2, beta=0.0, mu=0.0)
     P, rate = uniformised(spec)
     assert rate == 0.0 and not np.any(P)
-    law = spin_law(P, rate, 1, 5.0)
+    law = spin_law(spin_generator(spec), 1, 5.0)
     assert law[1] == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 5000),
+       t=st.floats(0.0, 3.0), ring=st.booleans())
+def test_spin_law_matches_dense_oracle(n, seed, t, ring):
+    spec = (zoo.contact_ring(n, beta=0.2 + seed % 5 * 0.1) if ring
+            else random_spin_model(n, seed))
+    x0 = seed % (1 << n)
+    law = spin_law(spin_generator(spec), x0, t)
+    assert np.abs(law - dense_spin_law(spec, x0, t)).sum() <= 1e-14
 
 
 @settings(max_examples=15, deadline=None)

@@ -16,7 +16,7 @@ from occupancy.order import (marginal_bound, path_orthant,
                              spin_marginal_bound, subset_products,
                              vacancy_transform)
 
-from conftest import per_pattern_scan, random_model, uniformised
+from conftest import per_pattern_scan, random_model
 
 
 def naive_vacancy_probabilities(dist, n):
@@ -267,7 +267,7 @@ def test_spin_bound_steps_each_law_from_the_previous(ring3, monkeypatch):
     # a stepped law is the law from the point mass, up to the Poisson tails
     report = spin_marginal_bound(ring3, 1, np.linspace(0.0, 2.0, 9))
     w = report.witness
-    law = exact.spin_law(*uniformised(ring3), 1, w["t"])
+    law = exact.spin_law(exact.spin_generator(ring3), 1, w["t"])
     assert w["exact"] == pytest.approx(exact.marginals(law)[w["site"]], abs=1e-12)
 
 

@@ -156,6 +156,17 @@ def test_event_probability_against_exact(interacting):
     assert est.mean == est8.mean and est.se == est8.se
 
 
+@pytest.mark.parametrize("site", [-1, 3])
+def test_event_probability_rejects_sites_off_the_model(site):
+    # as the exact engine does: site -1 is not read as the last site
+    spec = zoo.random_certified_model(3, 0)
+    pattern = MultiSitePattern(entries=((site, (1,)),))
+    with pytest.raises(ValueError, match=f"site {site} out of range"):
+        exact.multisite_probability(spec, 0, pattern, exact.transition_matrix(spec))
+    with pytest.raises(ValueError, match=f"site {site} out of range"):
+        simulate_event_probability(spec, 0, pattern, 100, seed=0)
+
+
 def test_monotone_check_clean_on_certified_models(certified_suite):
     for spec in certified_suite:
         assert monotone_path_check(spec, 0, 10, 10_000, seed=3) == 0
