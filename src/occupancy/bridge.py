@@ -32,7 +32,7 @@ import numpy as np
 
 from . import exact, indep, meanfield
 from .exact import MultiSitePattern
-from .lattice import check_dense
+from .lattice import BLOCK_ENTRIES, check_dense
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec
 from .order import OrderReport
@@ -87,8 +87,9 @@ def discretise(spec: SpinSpec, config: DiscretisationConfig) -> ModelSpec:
     return ModelSpec(n=spec.n, colonisation=colonisation, survival=survival)
 
 
-# kernel entries per row block of the multi-flip scan
-_BLOCK_ENTRIES = 1 << 16
+# kernel entries per row block of the multi-flip scan, as for every
+# lattice-sized table
+_BLOCK_ENTRIES = BLOCK_ENTRIES
 
 
 def rate_defect(spec: SpinSpec, config: DiscretisationConfig, kernel: np.ndarray,

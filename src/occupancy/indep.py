@@ -152,7 +152,8 @@ def spin_path_probability(spec: SpinSpec, x0: int, site: int, times,
         # y stacks the ODE point p with the site's (P(vacant), P(occupied));
         # the rates at p drive both the ODE and the site's chain
         p, vacant, occupied = y[:n], y[n], y[n + 1]
-        (lam,), (mu,) = site_values(spec, p[None])
+        lam, mu = site_values(spec, p[None])
+        lam, mu = lam[0], mu[0]
         flow = vacant * lam[site] - occupied * mu[site]
         return np.concatenate([(1.0 - p) * lam - p * mu, [-flow, flow]])
 

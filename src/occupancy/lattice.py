@@ -14,6 +14,10 @@ import numpy as np
 # 2^n x 2^n float64 array takes 8 * 4^n bytes, so one kernel fits up to n = 14
 DENSE_BYTES_BUDGET = 2 << 30
 
+# entries of one row block, for work on lattice-sized tables that would
+# otherwise make temporaries of 2^n rows times a further dimension
+BLOCK_ENTRIES = 1 << 16
+
 
 class CapacityError(RuntimeError):
     """Problem too large for dense enumeration."""

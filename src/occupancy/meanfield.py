@@ -76,8 +76,8 @@ class OdeConfig:
 def ode_rhs(spec: SpinSpec, p) -> np.ndarray:
     """Right-hand side of the spin occupancy ODE."""
     p = _check_point(spec, p)
-    (lam,), (mu,) = site_values(spec, p[None])
-    return (1.0 - p) * lam - p * mu
+    lam, mu = site_values(spec, p[None])
+    return (1.0 - p) * lam[0] - p * mu[0]
 
 
 def advance(rhs, y: np.ndarray, h: float, method: str) -> np.ndarray:

@@ -13,19 +13,23 @@ same parameter set serve as a rate and as its own time-discretised
 probability.  Coordinate pins substitute fixed values for chosen
 coordinates before evaluation (used to mask self-colonisation).
 
+Each spec compiles its families once into a `SiteBank`, which evaluates
+every site's functions on a batch at once; a family on its own is the
+bank's one-family case.
+
 Everything here is immutable after construction.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import check_bytes, lattice_bits
+from .lattice import BLOCK_ENTRIES, check_bytes, lattice_bits
 from .streams import assumption_uniforms
 
 VARIANTS = (
@@ -164,38 +168,13 @@ class FunctionFamily:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _raw(self, pts: np.ndarray) -> np.ndarray:
-        p = self.params
-        if self.variant == "constant":
-            return np.full(pts.shape[0], p["c"])
-        if self.variant == "affine-saturated":
-            return np.minimum(1.0, p["a"] + pts @ p["b"])
-        if self.variant == "product-form":
-            return 1.0 - np.prod(1.0 - pts * p["beta"], axis=1)
-        if self.variant == "hanski-incidence":
-            m2 = (pts @ p["b"]) ** 2
-            return m2 / (m2 + p["y"] ** 2)
-        # tabulated-multilinear: fold coordinates one at a time.  Index i is
-        # the least significant bit of the table index, so fold it first.
-        cur = np.broadcast_to(self.params["table"], (pts.shape[0], 1 << self.n))
-        for i in range(self.n):
-            w = pts[:, i][:, None]
-            cur = cur[:, ::2] * (1.0 - w) + cur[:, 1::2] * w
-        return cur[:, 0]
+    @cached_property
+    def _bank(self) -> "SiteBank":
+        return SiteBank((self,))
 
     def eval_batch(self, points) -> np.ndarray:
         """Evaluate at a (B, n) batch of cube points; returns shape (B,)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.n:
-            raise DimensionError(f"expected points of shape (B, {self.n}), got {pts.shape}")
-        if self.pins:
-            pts = pts.copy()
-            for site, value in self.pins:
-                pts[:, site] = value
-        out = self.offset + self.scale * self._raw(pts)
-        if self.role == "probability":
-            np.clip(out, 0.0, 1.0, out=out)
-        return out
+        return self._bank.values(points)[:, 0]
 
     def eval(self, point) -> float:
         """Evaluate at a single cube point."""
@@ -242,6 +221,153 @@ class FunctionFamily:
         return lo, hi
 
 
+# -- the site-function bank -------------------------------------------------
+
+
+def _columns(cols: list[int]):
+    """Bank columns as a slice when they are consecutive, else as indices."""
+    if cols[-1] - cols[0] == len(cols) - 1:
+        return slice(cols[0], cols[-1] + 1)
+    return np.asarray(cols)
+
+
+class _VariantGroup:
+    """A bank's families of one variant, with their parameters stacked.
+
+    Values are computed family-major, as (families, rows) blocks of the
+    batch read coordinate by coordinate, as its (n, B) transpose.
+    """
+
+    def __init__(self, variant: str, fams: Sequence[FunctionFamily], cols):
+        n = fams[0].n
+        self.variant = variant
+        self.n = n
+        self.cols = cols
+        self.offset = np.array([[f.offset] for f in fams])
+        self.scale = np.array([[f.scale] for f in fams])
+        prob = np.array([[f.role == "probability"] for f in fams])
+        # probability families are clamped to [0,1], rate families never
+        self.clamp = ((np.where(prob, 0.0, -np.inf), np.where(prob, 1.0, np.inf))
+                      if prob.any() else None)
+        if variant == "constant":
+            # the values do not depend on the point: finish them once
+            self.value = self._finish(np.array([[f.params["c"]] for f in fams]))[:, 0]
+            return
+        if variant == "tabulated-multilinear":
+            # each table is folded on its own, never copied into a stack
+            self.tables = [f.params["table"] for f in fams]
+            self.pins = [dict(f.pins) for f in fams]
+            self.width = 1 << n
+            return
+        key = "beta" if variant == "product-form" else "b"
+        # (n, families, 1): coordinate j's weight in every family
+        self.weights = np.stack([f.params[key] for f in fams], axis=1)[:, :, None]
+        pins = np.zeros(self.weights.shape)
+        pinned = np.zeros(self.weights.shape, dtype=bool)
+        for j, f in enumerate(fams):
+            for site, value in f.pins:
+                pins[site, j], pinned[site, j] = value, True
+        # a pinned coordinate's term is its pin times its weight
+        self.pinned = pinned[:, :, 0] if pinned.any() else None
+        self.pinned_terms = (pins * self.weights)[pinned][:, None]
+        self.width = self.weights.size
+        if variant == "affine-saturated":
+            self.a = np.array([[f.params["a"]] for f in fams])
+        elif variant == "hanski-incidence":
+            self.y2 = np.array([[f.params["y"] ** 2] for f in fams])
+
+    def _raw(self, xt: np.ndarray) -> np.ndarray:
+        """(families, rows) raw values in [0,1] at an (n, rows) block of points."""
+        k = self.offset.shape[0]
+        if self.variant == "tabulated-multilinear":
+            raw = np.empty((k, xt.shape[1]))
+            for j, (table, pins) in enumerate(zip(self.tables, self.pins)):
+                # fold coordinates one at a time; coordinate i is the least
+                # significant bit of the table index, so it is folded first
+                cur = np.broadcast_to(table, (xt.shape[1], table.size))
+                for i in range(self.n):
+                    w = pins[i] if i in pins else xt[i, :, None]
+                    folded = cur[:, ::2] * (1.0 - w)
+                    folded += cur[:, 1::2] * w
+                    cur = folded
+                raw[j] = cur[:, 0]
+            return raw
+        # (n, families, rows) terms, in C order; each family's sum or product
+        # runs over the coordinates in order, j = 0 first, whatever the
+        # block's shape
+        terms = np.multiply(self.weights, xt[:, None, :], order="C")
+        if self.pinned is not None:
+            terms[self.pinned] = self.pinned_terms
+        if self.variant == "product-form":
+            return 1.0 - np.multiply.reduce(1.0 - terms, axis=0)
+        if terms.size > self.n:
+            dot = np.add.reduce(terms, axis=0)
+        else:
+            # one family at one point: numpy would sum the lone run pairwise
+            dot = np.add.accumulate(terms, axis=0)[-1]
+        if self.variant == "affine-saturated":
+            dot += self.a
+            return np.minimum(dot, 1.0, out=dot)
+        m2 = dot ** 2
+        return m2 / (m2 + self.y2)
+
+    def _finish(self, raw: np.ndarray) -> np.ndarray:
+        """offset + scale * raw, clamped where the role asks; in place."""
+        raw *= self.scale
+        raw += self.offset
+        if self.clamp is not None:
+            np.clip(raw, *self.clamp, out=raw)
+        return raw
+
+    def fill(self, xt: np.ndarray, out: np.ndarray):
+        """Write the group's columns of the (B, families) `out` for an (n, B) batch."""
+        if self.variant == "constant":
+            out[:, self.cols] = self.value
+            return
+        # row blocks bound every temporary, whatever the batch
+        rows = max(1, BLOCK_ENTRIES // self.width)
+        if xt.shape[1] <= rows:
+            out[:, self.cols] = self._finish(self._raw(xt)).T
+            return
+        for start in range(0, xt.shape[1], rows):
+            block = xt[:, start:start + rows]
+            out[start:start + rows, self.cols] = self._finish(self._raw(block)).T
+
+
+class SiteBank:
+    """Families on one cube, compiled to evaluate all at once.
+
+    Families are grouped by variant, each group's parameters stacked, so a
+    (B, n) batch gives every family's value with a few array operations
+    per group.  A point's value does not depend on the batch it comes in,
+    nor on the bank: sums and products run over the coordinates in order.
+    Batches are taken in row blocks whose temporaries hold at most about
+    `lattice.BLOCK_ENTRIES` entries.
+    """
+
+    def __init__(self, families: Sequence[FunctionFamily]):
+        fams = tuple(families)
+        self.n = fams[0].n
+        self.size = len(fams)
+        self.groups = []
+        for variant in VARIANTS:
+            cols = [j for j, f in enumerate(fams) if f.variant == variant]
+            if cols:
+                self.groups.append(
+                    _VariantGroup(variant, [fams[j] for j in cols], _columns(cols)))
+
+    def values(self, points) -> np.ndarray:
+        """(B, families) values at a (B, n) batch of cube points."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.n:
+            raise DimensionError(f"expected points of shape (B, {self.n}), got {pts.shape}")
+        xt = pts.T
+        out = np.empty((pts.shape[0], self.size))
+        for group in self.groups:
+            group.fill(xt, out)
+        return out
+
+
 def _check_site_functions(n: int, fams: Sequence[FunctionFamily], label: str,
                           role: str) -> tuple[FunctionFamily, ...]:
     fams = tuple(fams)
@@ -262,6 +388,8 @@ class ModelSpec:
     n: int
     colonisation: tuple[FunctionFamily, ...]
     survival: tuple[FunctionFamily, ...]
+    # colonisation then survival, compiled once
+    bank: SiteBank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -272,6 +400,7 @@ class ModelSpec:
         object.__setattr__(self, "survival",
                            _check_site_functions(self.n, self.survival,
                                                  "survival", "probability"))
+        object.__setattr__(self, "bank", SiteBank(self.colonisation + self.survival))
 
 
 @dataclass(frozen=True)
@@ -281,6 +410,8 @@ class SpinSpec:
     n: int
     birth: tuple[FunctionFamily, ...]
     death: tuple[FunctionFamily, ...]
+    # birth then death, compiled once
+    bank: SiteBank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -289,6 +420,7 @@ class SpinSpec:
                            _check_site_functions(self.n, self.birth, "birth", "rate"))
         object.__setattr__(self, "death",
                            _check_site_functions(self.n, self.death, "death", "rate"))
+        object.__setattr__(self, "bank", SiteBank(self.birth + self.death))
 
 
 # -- the per-site functions, all sites at once ------------------------------
@@ -298,17 +430,12 @@ def site_values(spec, points) -> tuple[np.ndarray, np.ndarray]:
     """(up, down) at a (B, n) batch of points, each of shape (B, n).
 
     Column i holds site i's colonisation and survival probabilities for a
-    ModelSpec, its birth and death rates for a SpinSpec.  Every per-site
-    evaluation outside the hypothesis scans goes through here.
+    ModelSpec, its birth and death rates for a SpinSpec, read off the
+    spec's bank.  Every per-site evaluation outside the hypothesis scans
+    goes through here.
     """
-    roles = ((spec.colonisation, spec.survival) if isinstance(spec, ModelSpec)
-             else (spec.birth, spec.death))
-    pts = np.asarray(points, dtype=float)
-    out = np.empty((2, pts.shape[0], spec.n))
-    for k, fams in enumerate(roles):
-        for i, fam in enumerate(fams):
-            out[k, :, i] = fam.eval_batch(pts)
-    return out[0], out[1]
+    out = spec.bank.values(points)
+    return out[:, :spec.n], out[:, spec.n:]
 
 
 def transition_values(spec, points) -> np.ndarray:
@@ -570,21 +697,25 @@ def _targets(spec) -> dict[str, Callable[[int, np.ndarray], np.ndarray]]:
 
 @lru_cache(maxsize=32)
 def _comparable_lattice_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All lattice pairs x <= y, x != y, via submask enumeration."""
-    lo, hi = [], []
-    for word in range(1 << n):
-        sub = (word - 1) & word
-        while True:
-            lo.append(sub)
-            hi.append(word)
-            if sub == 0:
-                break
-            sub = (sub - 1) & word
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
-    keep = lo != hi
+    """All lattice pairs x <= y, x != y: each word, after its proper submasks.
+
+    Words come in increasing order and each word's submasks in decreasing
+    order, as submask enumeration visits them.  The k-th largest proper
+    submask of a word with c bits set deposits the bits of 2^c - 1 - k into
+    the word's set bits.
+    """
     bits = lattice_bits(n)
-    return bits[lo[keep]], bits[hi[keep]]
+    words = np.arange(1 << n)
+    count = (1 << bits.sum(axis=1).astype(np.int64)) - 1
+    hi = np.repeat(words, count)
+    # runs from 2^c - 2 down to 0 within each word
+    rank = np.repeat(np.cumsum(count), count) - 1 - np.arange(hi.size)
+    lo = np.zeros_like(hi)
+    for i in range(n):
+        on = (hi >> i) & 1
+        lo |= (rank & on) << i
+        rank >>= on
+    return np.take(bits, lo, axis=0), np.take(bits, hi, axis=0)
 
 
 @lru_cache(maxsize=16)
@@ -674,11 +805,11 @@ def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
             u = assumption_uniforms(seed, lane, 2 * samples * n).reshape(2, samples, n)
             x, y = u[0], u[1]
             best = 0.0
-            for i in range(n):
-                gaps = np.abs(f(i, y) - f(i, x))
-                dist = np.abs(y - x).sum(axis=1)
-                ok = dist > 1e-12
-                if np.any(ok):
+            dist = np.abs(y - x).sum(axis=1)
+            ok = dist > 1e-12
+            if np.any(ok):
+                for i in range(n):
+                    gaps = np.abs(f(i, y) - f(i, x))
                     best = max(best, float(np.max(gaps[ok] / dist[ok])))
             findings.append(HypothesisFinding(name, "pass", np.inf, None, estimate=best))
             continue

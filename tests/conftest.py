@@ -194,6 +194,57 @@ def family_site_values(spec, points):
             np.column_stack([fam.eval_batch(points) for fam in down]))
 
 
+def family_formula(fam, points):
+    """One family at a (B, n) batch, by its variant's closed form.
+
+    The per-family evaluation the site-function bank replaced, kept as its
+    oracle.  Dot products go through `@`, whose summation order may differ
+    from the bank's by round-off.
+    """
+    pts = np.array(points, dtype=float)
+    for site, value in fam.pins:
+        pts[:, site] = value
+    p = fam.params
+    if fam.variant == "constant":
+        raw = np.full(pts.shape[0], p["c"])
+    elif fam.variant == "affine-saturated":
+        raw = np.minimum(1.0, p["a"] + pts @ p["b"])
+    elif fam.variant == "product-form":
+        raw = 1.0 - np.prod(1.0 - pts * p["beta"], axis=1)
+    elif fam.variant == "hanski-incidence":
+        m2 = (pts @ p["b"]) ** 2
+        raw = m2 / (m2 + p["y"] ** 2)
+    else:
+        # fold coordinates one at a time, the least significant bit first
+        cur = np.broadcast_to(p["table"], (pts.shape[0], 1 << fam.n))
+        for i in range(fam.n):
+            w = pts[:, i][:, None]
+            cur = cur[:, ::2] * (1.0 - w) + cur[:, 1::2] * w
+        raw = cur[:, 0]
+    out = fam.offset + fam.scale * raw
+    if fam.role == "probability":
+        np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def submask_lattice_pairs(n):
+    """model._comparable_lattice_pairs by submask enumeration, word by word."""
+    lo, hi = [], []
+    for word in range(1 << n):
+        sub = (word - 1) & word
+        while True:
+            lo.append(sub)
+            hi.append(word)
+            if sub == 0:
+                break
+            sub = (sub - 1) & word
+    lo = np.asarray(lo)
+    hi = np.asarray(hi)
+    keep = lo != hi
+    bits = exact.lattice_bits(n)
+    return bits[lo[keep]], bits[hi[keep]]
+
+
 def where_transition_matrix(spec):
     """The kernel as a product of n full-size per-site factors.
 
@@ -229,13 +280,13 @@ def hamming_rate_defect(spec, config):
     return single, multi
 
 
-def random_family(n, rng, role="probability"):
-    """A random family of any variant, with random offset, scale and pins.
+def random_family(n, rng, role="probability", variants=VARIANTS):
+    """A random family of one of `variants`, with random offset, scale and pins.
 
     Probability-role families may take a negative scale or an offset that
     the clamp cuts; rate-role families keep both nonnegative.
     """
-    variant = VARIANTS[int(rng.integers(len(VARIANTS)))]
+    variant = variants[int(rng.integers(len(variants)))]
     params = {
         "constant": lambda: {"c": float(rng.random())},
         "affine-saturated": lambda: {"a": float(rng.random()),
@@ -255,12 +306,14 @@ def random_family(n, rng, role="probability"):
                           offset=offset, scale=scale, pins=pins)
 
 
-def random_model(n, seed):
-    """Random occupancy model over all five variants, with pins and clamps."""
+def random_model(n, seed, variants=VARIANTS):
+    """Random occupancy model over `variants` (all five by default), with pins and clamps."""
     rng = np.random.default_rng(seed)
     return ModelSpec(n=n,
-                     colonisation=tuple(random_family(n, rng) for _ in range(n)),
-                     survival=tuple(random_family(n, rng) for _ in range(n)))
+                     colonisation=tuple(random_family(n, rng, variants=variants)
+                                        for _ in range(n)),
+                     survival=tuple(random_family(n, rng, variants=variants)
+                                    for _ in range(n)))
 
 
 def random_spin_model(n, seed):

@@ -1,18 +1,21 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occupancy import zoo
+from occupancy import indep, model, zoo
+from occupancy.lattice import lattice_bits
 from occupancy.model import (BOUND_HYPOTHESES, DimensionError, FunctionFamily,
                              ModelError, ModelSpec, ORDERING_HYPOTHESES,
                              SpinSpec, check_assumptions, hypothesis_margin,
                              load_model, model_from_dict, model_to_dict,
                              save_model, site_values, transition_values)
 
-from conftest import random_model, random_spin_model
+from conftest import (family_formula, random_model, random_spin_model,
+                      submask_lattice_pairs)
 
 
 def aff(n, a, b, **kw):
@@ -23,25 +26,101 @@ def aff(n, a, b, **kw):
 # -- family evaluation -------------------------------------------------------
 
 
+# the two variants with dot products sum in the bank's order, not in `@`'s
+DOT_VARIANTS = ("affine-saturated", "hanski-incidence")
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_site_values_are_the_family_columns(n):
-    # the per-family path is the oracle: column i is site i's family
-    # evaluated on the same batch, bit for bit, whatever the batch size
+    # column i is site i's family: equal to its closed form (to round-off
+    # where a dot product is summed), and bit for bit to the family's own
+    # evaluation, whatever the batch size
     rng = np.random.default_rng(n)
     for seed in range(3):
         occupancy, spin = random_model(n, seed), random_spin_model(n, seed)
-        for rows in (1, 2, 57):
-            pts = rng.random((rows, n))
+        for pts in (rng.random((1, n)), rng.random((2, n)), rng.random((57, n)),
+                    lattice_bits(n)):
             for spec, up_fams, down_fams in (
                     (occupancy, occupancy.colonisation, occupancy.survival),
                     (spin, spin.birth, spin.death)):
                 up, down = site_values(spec, pts)
-                assert up.shape == down.shape == (rows, n)
-                for i in range(n):
-                    assert np.array_equal(up[:, i], up_fams[i].eval_batch(pts))
-                    assert np.array_equal(down[:, i], down_fams[i].eval_batch(pts))
+                assert up.shape == down.shape == (pts.shape[0], n)
+                for values, fams in ((up, up_fams), (down, down_fams)):
+                    for i, fam in enumerate(fams):
+                        oracle = family_formula(fam, pts)
+                        if fam.variant in DOT_VARIANTS:
+                            assert np.max(np.abs(values[:, i] - oracle)) <= 1e-15
+                        else:
+                            assert np.array_equal(values[:, i], oracle)
+                        assert np.array_equal(values[:, i], fam.eval_batch(pts))
                 assert np.array_equal(transition_values(spec, pts),
                                       up * (1.0 - pts) + down * pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 10_000), rows=st.integers(2, 40),
+       spin=st.booleans())
+def test_a_point_evaluates_alike_in_any_batch(n, seed, rows, spin):
+    # one summation order: a row evaluated alone equals the same row in a
+    # batch, in the spec's bank and in each family's own, and a schedule's
+    # first m steps do not depend on its horizon
+    spec = random_spin_model(n, seed) if spin else random_model(n, seed)
+    pts = np.random.default_rng(seed).random((rows, n))
+    pts[rows // 2:] = lattice_bits(n)[np.arange(rows - rows // 2) % (1 << n)]
+    up, down = site_values(spec, pts)
+    fams = (spec.birth + spec.death) if spin else (spec.colonisation + spec.survival)
+    batch = [fam.eval_batch(pts) for fam in fams]
+    for i in range(rows):
+        one_up, one_down = site_values(spec, pts[i:i + 1])
+        assert np.array_equal(one_up[0], up[i]) and np.array_equal(one_down[0], down[i])
+        for fam, values in zip(fams, batch):
+            assert fam.eval_batch(pts[i:i + 1])[0] == values[i]
+    if not spin:
+        x0 = seed % (1 << n)
+        longest = indep.site_schedules(spec, x0, 9)
+        for m in range(1, 9):
+            for short, long in zip(indep.site_schedules(spec, x0, m), longest):
+                assert np.array_equal(short.colonise, long.colonise[:m])
+                assert np.array_equal(short.survive, long.survive[:m])
+
+
+@pytest.mark.parametrize("entries", [1, 7, 100])
+def test_row_blocks_give_the_whole_batch(monkeypatch, entries):
+    pts = np.random.default_rng(entries).random((300, 5))
+    specs = [random_model(5, seed) for seed in range(4)]
+    specs += [random_spin_model(5, seed) for seed in range(4)]
+    whole = [site_values(spec, pts) for spec in specs]
+    monkeypatch.setattr(model, "BLOCK_ENTRIES", entries)
+    for spec, (up, down) in zip(specs, whole):
+        blocked = site_values(spec, pts)
+        assert np.array_equal(blocked[0], up) and np.array_equal(blocked[1], down)
+
+
+@pytest.mark.parametrize("spec", [
+    zoo.random_certified_model(12, 0),
+    random_model(10, 0, variants=("tabulated-multilinear",)),
+], ids=["certified-n12", "tabulated-n10"])
+def test_lattice_evaluation_memory(spec):
+    # lattice-sized batches are evaluated in row blocks: no temporary holds
+    # (2^n, families, n) terms or (2^n, 2^n) folds, so the peak stays within
+    # a few copies of the (2^n, n) output
+    bits = lattice_bits(spec.n)
+    transition_values(spec, bits[:1])
+    tracemalloc.start()
+    try:
+        out = transition_values(spec, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1 << spec.n, spec.n)
+    assert peak <= 12 * out.nbytes
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_comparable_pairs_follow_submask_order(n):
+    lo, hi = model._comparable_lattice_pairs(n)
+    want_lo, want_hi = submask_lattice_pairs(n)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
 def test_affine_example():
