@@ -27,6 +27,7 @@ from .meanfield import OdeConfig
 from .model import (BOUND_HYPOTHESES, ModelError, ModelSpec, SpinSpec,
                     SPIN_BOUND_HYPOTHESES, SPIN_ORDERING_HYPOTHESES,
                     check_assumptions, load_model)
+from .streams import check_seed
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -82,6 +83,13 @@ def _parse_tol(tol: float) -> float:
     return tol
 
 
+def _parse_seed(seed: int) -> int:
+    try:
+        return check_seed(seed)
+    except ValueError:
+        raise _CliError(f"--seed must be in [0, 2^64), got {seed}", EXIT_USAGE)
+
+
 def _write_out(path, text: str):
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -110,7 +118,8 @@ def _report_exit(verdicts) -> int:
 def _cmd_check(args) -> int:
     spec = _load(args.model)
     tol = _parse_tol(args.tol)
-    report = check_assumptions(spec, samples=args.samples, tol=tol, seed=args.seed)
+    seed = _parse_seed(args.seed)
+    report = check_assumptions(spec, samples=args.samples, tol=tol, seed=seed)
     for f in report.findings:
         margin = "n/a" if not np.isfinite(f.worst_margin) else f"{f.worst_margin:+.3e}"
         extra = "" if f.estimate is None else f"  estimate={f.estimate:.6g}"
@@ -132,6 +141,7 @@ def _trajectory_csv(times, rows) -> str:
 def _cmd_run(args) -> int:
     if args.workers < 1:
         raise _CliError(f"--workers must be >= 1, got {args.workers}", EXIT_USAGE)
+    seed = _parse_seed(args.seed)
     spec = _load(args.model)
     t = _parse_t(spec, args.t)
     if isinstance(spec, SpinSpec):
@@ -152,7 +162,7 @@ def _cmd_run(args) -> int:
         rows = meanfield.iterate(spec, exact.state_bits(x0, spec.n), t)
         _write_out(args.out, _trajectory_csv(range(t + 1), rows))
     else:
-        est = simulate.simulate_marginals(spec, x0, t, args.reps, args.seed,
+        est = simulate.simulate_marginals(spec, x0, t, args.reps, seed,
                                           workers=args.workers)
         header = ["step", "site", "mean", "se"]
         rows = [[k, i, repr(float(est.means[k, i])), repr(float(est.ses[k, i]))]
@@ -169,7 +179,8 @@ def _cmd_verify(args) -> int:
     spec = _load(args.model)
     t = _parse_t(spec, args.t)
     tol = _parse_tol(args.tol if args.tol is not None else _default_tol(args.theorem))
-    hypo = check_assumptions(spec, samples=args.samples, tol=1e-9, seed=args.seed)
+    seed = _parse_seed(args.seed)
+    hypo = check_assumptions(spec, samples=args.samples, tol=1e-9, seed=seed)
     reports = []
     extra_files = []
     if args.theorem in ("thm1", "thm3"):

@@ -18,6 +18,13 @@ import numpy as np
 from .lattice import check_bytes
 from .model import ModelSpec, SpinSpec, site_values, transition_values
 
+# the ufunc behind np.clip; calling it directly skips np.clip's Python
+# wrappers, which cost more than the clamp itself on an n-vector
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 
 def _check_point(spec, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
@@ -80,17 +87,22 @@ def ode_rhs(spec: SpinSpec, p) -> np.ndarray:
     return (1.0 - p) * lam[0] - p * mu[0]
 
 
+def _clamp01(y: np.ndarray) -> np.ndarray:
+    """np.clip(y, 0.0, 1.0), bit for bit: -0.0 and NaN pass through."""
+    return _clip(y, 0.0, 1.0)
+
+
 def advance(rhs, y: np.ndarray, h: float, method: str) -> np.ndarray:
     """One Euler or RK4 step of y' = rhs(y); stages and result are clamped to [0,1]."""
     if method == "euler":
         y = y + h * rhs(y)
     else:
         k1 = rhs(y)
-        k2 = rhs(np.clip(y + 0.5 * h * k1, 0.0, 1.0))
-        k3 = rhs(np.clip(y + 0.5 * h * k2, 0.0, 1.0))
-        k4 = rhs(np.clip(y + h * k3, 0.0, 1.0))
+        k2 = rhs(_clamp01(y + 0.5 * h * k1))
+        k3 = rhs(_clamp01(y + 0.5 * h * k2))
+        k4 = rhs(_clamp01(y + h * k3))
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.clip(y, 0.0, 1.0)
+    return _clamp01(y)
 
 
 def step_count(t_end: float, h: float) -> tuple[int, float]:
@@ -112,7 +124,7 @@ def integrate_ode(spec: SpinSpec, p0, t_end: float,
     h equal to a discretisation step, the returned rows reproduce the
     discrete recursion of the matching probability model up to round-off.
     """
-    p = np.clip(_check_point(spec, p0), 0.0, 1.0)
+    p = _clamp01(_check_point(spec, p0))
     rhs = partial(ode_rhs, spec)
     # the times and states, counted before step_count's int() can overflow
     check_bytes(8 * (spec.n + 1) * (t_end / config.h + 2.0),

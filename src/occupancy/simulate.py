@@ -26,6 +26,8 @@ from .streams import REPLICATE_CHUNK, UniformArray
 
 # the per-word threshold table is precomputed up to this dimension
 _TABLE_CAP = 12
+# bit weights of the state word; a float64 gemv with them is exact to 2^53
+_WORD_WEIGHTS = 2.0 ** np.arange(_TABLE_CAP)
 
 
 def _threshold_table(spec: ModelSpec):
@@ -38,7 +40,8 @@ def _threshold_table(spec: ModelSpec):
 def _thresholds(spec: ModelSpec, states: np.ndarray, table) -> np.ndarray:
     if table is None:
         return transition_values(spec, states)
-    return table[states @ (1 << np.arange(spec.n))]
+    words = (states @ _WORD_WEIGHTS[:spec.n]).astype(np.int64)
+    return table.take(words, axis=0)
 
 
 def step_occupancy(spec: ModelSpec, states: np.ndarray, uniforms: np.ndarray,
@@ -46,12 +49,21 @@ def step_occupancy(spec: ModelSpec, states: np.ndarray, uniforms: np.ndarray,
     """Advance a (B, n) batch of 0/1 states one step with given uniforms.
 
     `table` is `_threshold_table(spec)`; None, as past the cap, evaluates
-    the thresholds at the states.
+    the thresholds at the states.  The next states keep the dtype of
+    `states`; the engines carry float64 states, so that state words and
+    site counts are BLAS products.
     """
     states = np.asarray(states)
     if states.shape != uniforms.shape or states.shape[-1] != spec.n:
         raise ValueError("states and uniforms must both have shape (B, n)")
-    return (uniforms < _thresholds(spec, states, table)).astype(np.int8)
+    thr = _thresholds(spec, states, table)
+    # a fresh array either way, so the 0/1 outcomes overwrite it
+    return np.less(uniforms, thr, out=thr).astype(states.dtype, copy=False)
+
+
+def _initial_states(x0: int, n: int, rows: int) -> np.ndarray:
+    """(rows, n) float64 copies of the bits of x0, the engines' state batch."""
+    return np.tile(state_bits(x0, n).astype(float), (rows, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,17 +134,18 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
                 f"{steps} steps, {reps} replicates: {chunks + 3} ({steps + 1}, {spec.n}) "
                 f"count tables")
     ua = UniformArray(seed=seed, n_sites=spec.n)
-    x0_bits = state_bits(x0, spec.n).astype(np.int8)
     table = _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
-        states = np.tile(x0_bits, (rows, 1))
+        states = _initial_states(x0, spec.n, rows)
+        # per-site counts as a gemv; exact, as they are integers up to rows
+        ones = np.ones(rows)
         counts = np.zeros((steps + 1, spec.n), dtype=np.int64)
-        counts[0] = states.sum(axis=0)
+        counts[0] = ones @ states
         for t in range(1, steps + 1):
             u = ua.chunk_values(t, chunk, rows)
             states = step_occupancy(spec, states, u, table)
-            counts[t] = states.sum(axis=0)
+            counts[t] = ones @ states
         return counts
 
     counts = sum(_run_chunks(_chunk_plan(reps), run, workers))
@@ -149,11 +162,10 @@ def simulate_event_probability(spec: ModelSpec, x0: int, pattern: MultiSitePatte
     for site, t in pattern.constraints():
         by_time.setdefault(t, []).append(site)
     ua = UniformArray(seed=seed, n_sites=spec.n)
-    x0_bits = state_bits(x0, spec.n).astype(np.int8)
     table = _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
-        states = np.tile(x0_bits, (rows, 1))
+        states = _initial_states(x0, spec.n, rows)
         alive = np.ones(rows, dtype=bool)
         for t in range(1, horizon + 1):
             u = ua.chunk_values(t, chunk, rows)
@@ -179,11 +191,10 @@ def monotone_path_check(spec: ModelSpec, x0: int, steps: int, reps: int, seed: i
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     ua = UniformArray(seed=seed, n_sites=spec.n)
-    x0_bits = state_bits(x0, spec.n).astype(np.int8)
     table = _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
-        lo = np.tile(x0_bits, (rows, 1))
+        lo = _initial_states(x0, spec.n, rows)
         hi = lo.copy()
         bad = 0
         for t in range(1, steps + 1):

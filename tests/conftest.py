@@ -280,6 +280,49 @@ def hamming_rate_defect(spec, config):
     return single, multi
 
 
+def generator_stream(seed, domain, lane, block, count):
+    """streams.uniform_stream as it was drawn before the raw-word route.
+
+    numpy's Generator over the addressed Philox, with the key built from a
+    list of Python ints as it used to be: the salt does not fit an int64, so
+    numpy makes the key a float64 array and stores the salt's rounding.
+    Only seeds below 2^53 pass through that rounding unchanged.
+    """
+    bitgen = np.random.Philox(key=[seed, 0x9E3779B97F4A7C15],
+                              counter=[0, block, lane, domain])
+    return np.random.Generator(bitgen).random(count)
+
+
+def philox_uniforms(seed, domain, lane, block, count):
+    """The README's uniforms, from Philox4x64-10 written out in Python.
+
+    Block j of a stream is the Philox4x64-10 bijection of the counter
+    [j + 1, block, lane, domain] (a 256-bit integer, word 0 lowest) under
+    the key [seed, 0x9E3779B97F4A8000]; each 64-bit word w gives the
+    uniform (w >> 11) * 2^-53.
+    """
+    mask = (1 << 64) - 1
+    words = []
+    ctr = [0, block, lane, domain]
+    while len(words) < count:
+        for i in range(4):
+            ctr[i] = (ctr[i] + 1) & mask
+            if ctr[i]:
+                break
+        x0, x1, x2, x3 = ctr
+        k0, k1 = seed, 0x9E3779B97F4A8000
+        for r in range(10):
+            if r:
+                k0 = (k0 + 0x9E3779B97F4A7C15) & mask
+                k1 = (k1 + 0xBB67AE8584CAA73B) & mask
+            p0 = 0xD2E7470EE14C6C93 * x0
+            p1 = 0xCA5A826395121157 * x2
+            x0, x1, x2, x3 = ((p1 >> 64) ^ x1 ^ k0, p1 & mask,
+                              (p0 >> 64) ^ x3 ^ k1, p0 & mask)
+        words += [x0, x1, x2, x3]
+    return np.array([(w >> 11) * 2.0 ** -53 for w in words[:count]])
+
+
 def random_family(n, rng, role="probability", variants=VARIANTS):
     """A random family of one of `variants`, with random offset, scale and pins.
 

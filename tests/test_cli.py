@@ -172,6 +172,29 @@ def test_malformed_flag_is_usage_error(model_dir, capsys, model, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["run", "--mode", "mc", "--t", "2"],
+    ["run", "--mode", "exact", "--t", "2"],
+    ["verify", "--theorem", "thm1", "--t", "2"],
+])
+def test_seed_out_of_range_is_usage_error(model_dir, capsys, argv, seed):
+    # seeds are 64-bit words; one outside them is refused, never wrapped
+    code = run_cli(*argv, "--model", model_dir / "pair.json", "--seed", seed)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.err == f"error: --seed must be in [0, 2^64), got {seed}\n"
+    assert captured.out == ""
+
+
+def test_largest_seed_is_accepted(model_dir, capsys):
+    code = run_cli("run", "--model", model_dir / "pair.json", "--mode", "mc",
+                   "--t", "2", "--reps", "10", "--seed", 2 ** 64 - 1)
+    assert code == cli.EXIT_PASS
+    assert capsys.readouterr().out.startswith("step,site,mean,se\n")
+
+
 def test_unparseable_flag_is_usage_error(model_dir, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--model", model_dir / "single.json", "--t", "2",

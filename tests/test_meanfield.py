@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occupancy import exact, lattice, zoo
+from occupancy import exact, lattice, meanfield, zoo
 from occupancy.lattice import CapacityError
 from occupancy.meanfield import (OdeConfig, integrate_ode, iterate,
                                  mask_self_colonisation, ode_rhs,
@@ -49,6 +49,13 @@ def test_monotone_comparison_in_initial_state(seed):
     ta = iterate(spec, lo, 10)
     tb = iterate(spec, hi, 10)
     assert np.all(ta <= tb + 1e-12)
+
+
+def test_clamp_is_np_clip_bit_for_bit():
+    y = np.array([-0.0, -1e-300, 0.5, 1.0, 1 + 1e-16, 0.0, -2.0, 3.0, np.nan])
+    got = meanfield._clamp01(y)
+    assert got.tobytes() == np.clip(y, 0.0, 1.0).tobytes()
+    assert np.signbit(got[0]) and not np.signbit(got[1])
 
 
 def test_mask_leaves_lattice_kernel_unchanged(interacting):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occupancy import exact, simulate, zoo
 from occupancy.exact import MultiSitePattern
@@ -92,6 +94,22 @@ def test_estimates_match_exact_within_sampling_error(interacting):
     truth = exact.marginal_trajectory(interacting, 0, 10)
     z = np.abs(est.means - truth) / np.where(est.ses > 0, est.ses, np.inf)
     assert z.max() < 4.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), model_seed=st.integers(0, 10_000),
+       x0_seed=st.integers(0, 63), seed=st.integers(0, 2 ** 32 - 1))
+def test_marginals_within_five_se_of_exact(n, model_seed, x0_seed, seed):
+    # random models of every variant, with pins, clamps and negative scales
+    spec = random_model(n, model_seed)
+    x0 = x0_seed % (1 << n)
+    reps, steps = 3000, 6
+    est = simulate_marginals(spec, x0, steps, reps, seed=seed)
+    truth = exact.marginal_trajectory(spec, x0, steps)
+    # the larger of the sample's se and the exact law's: a rare site whose
+    # replicates all agree has a sample se of 0 but is still sampled
+    se = np.maximum(est.ses, np.sqrt(np.maximum(truth * (1.0 - truth), 0.0) / reps))
+    assert np.all(np.abs(est.means - truth) <= 5.0 * se + 1e-12)
 
 
 def test_one_step_law_chi_square(interacting):
