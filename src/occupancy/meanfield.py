@@ -22,8 +22,11 @@ from .model import ModelSpec, SpinSpec, site_values, transition_values
 # wrappers, which cost more than the clamp itself on an n-vector
 try:
     from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
+except ImportError:
+    try:  # numpy < 2
+        from numpy.core.umath import clip as _clip
+    except ImportError:  # a later layout: the same clamp, at np.clip's speed
+        _clip = np.clip
 
 
 def _check_point(spec, p) -> np.ndarray:

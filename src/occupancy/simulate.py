@@ -143,8 +143,9 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
         counts = np.zeros((steps + 1, spec.n), dtype=np.int64)
         counts[0] = ones @ states
         for t in range(1, steps + 1):
-            u = ua.chunk_values(t, chunk, rows)
-            states = step_occupancy(spec, states, u, table)
+            # the uniforms are bound to no name, so the last step's are freed
+            # before the next draw: two chunk arrays live while drawing, not three
+            states = step_occupancy(spec, states, ua.chunk_values(t, chunk, rows), table)
             counts[t] = ones @ states
         return counts
 
@@ -168,8 +169,7 @@ def simulate_event_probability(spec: ModelSpec, x0: int, pattern: MultiSitePatte
         states = _initial_states(x0, spec.n, rows)
         alive = np.ones(rows, dtype=bool)
         for t in range(1, horizon + 1):
-            u = ua.chunk_values(t, chunk, rows)
-            states = step_occupancy(spec, states, u, table)
+            states = step_occupancy(spec, states, ua.chunk_values(t, chunk, rows), table)
             for site in by_time.get(t, ()):
                 alive &= states[:, site] == 0
         return np.asarray(alive.sum(), dtype=np.int64)

@@ -33,12 +33,6 @@ _KEY_SALT = 0x9E3779B97F4A8000
 DOMAIN_SIMULATION = 0
 DOMAIN_ASSUMPTIONS = 1
 
-# raw words a long draw converts at a time, 128 KB of scratch; one MC chunk
-# at the table cap (REPLICATE_CHUNK x 12 words) fits in one block.  Peak RSS
-# measured lowest this way: converting long hypothesis draws in place, or
-# every MC chunk through a second array, each cost 0.1-0.8 MB
-_RAW_BLOCK = 1 << 14
-
 # replicates per stream block in UniformArray; an engine constant, not a
 # tuning knob: changing it changes which uniform any replicate sees
 REPLICATE_CHUNK = 1024
@@ -59,23 +53,17 @@ def _stream_key(seed: int) -> np.ndarray:
 def _draw(key: np.ndarray, domain: int, lane: int, block: int, count: int) -> np.ndarray:
     """First `count` uniforms of the stream at (domain, lane, block) under `key`.
 
-    A fresh Philox per call, so threads drawing at once share no state.  A
-    draw of at most _RAW_BLOCK words, as every MC chunk is, is converted in
-    place and holds one array; a longer one is converted a block at a time
-    into its result.  Either way a draw holds one array of `count` doubles
-    and bounded scratch, as Generator.random does.
+    A fresh Philox per call, so threads drawing at once share no state.  The
+    words become doubles in their own buffer, so a draw holds one array of
+    `count` words, as Generator.random does: assigning a 1-d array onto a
+    same-strided view of itself casts element by element, where a ufunc with
+    `out=` that view would first copy its whole input.
     """
     counter = np.array([0, block, lane, domain], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key, counter=counter)
-    if count <= _RAW_BLOCK:
-        raw = bitgen.random_raw(count)
-        raw >>= 11
-        return np.multiply(raw, 2.0 ** -53, out=raw.view(np.float64))
-    out = np.empty(count)
-    for start in range(0, count, _RAW_BLOCK):
-        raw = bitgen.random_raw(min(_RAW_BLOCK, count - start))
-        raw >>= 11
-        out[start:start + raw.size] = raw
+    raw = np.random.Philox(key=key, counter=counter).random_raw(count)
+    raw >>= 11
+    out = raw.view(np.float64)
+    out[...] = raw
     out *= 2.0 ** -53
     return out
 

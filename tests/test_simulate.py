@@ -96,7 +96,7 @@ def test_estimates_match_exact_within_sampling_error(interacting):
     assert z.max() < 4.0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), model_seed=st.integers(0, 10_000),
        x0_seed=st.integers(0, 63), seed=st.integers(0, 2 ** 32 - 1))
 def test_marginals_within_five_se_of_exact(n, model_seed, x0_seed, seed):

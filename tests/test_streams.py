@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,10 +90,23 @@ def test_seeds_above_float_precision_give_distinct_streams():
 
 
 def test_seed_77_reproduces_the_generator_values():
-    # both conversion routes: one block in place, longer draws block by block
+    # counts short and long, multiples of four words and not
     for count in (0, 1, 3, 5, 64, 1023, 2 ** 14, 2 ** 14 + 1, 2 ** 15 + 3):
         assert np.array_equal(uniform_stream(77, DOMAIN_SIMULATION, 2, 3, count),
                               generator_stream(77, DOMAIN_SIMULATION, 2, 3, count))
+
+
+def test_draw_holds_no_second_array_of_its_size():
+    # the words are cast to doubles in their own buffer; a ufunc writing into
+    # a view of its input would first copy it, 8 more bytes per word
+    count = 1 << 17
+    tracemalloc.start()
+    try:
+        uniform_stream(77, DOMAIN_ASSUMPTIONS, 0, 0, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * count + (64 << 10)
 
 
 @pytest.mark.parametrize("seed", [0, 77, 2 ** 53 + 1, 2 ** 64 - 1])
