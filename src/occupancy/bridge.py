@@ -87,11 +87,6 @@ def discretise(spec: SpinSpec, config: DiscretisationConfig) -> ModelSpec:
     return ModelSpec(n=spec.n, colonisation=colonisation, survival=survival)
 
 
-# kernel entries per row block of the multi-flip scan, as for every
-# lattice-sized table
-_BLOCK_ENTRIES = BLOCK_ENTRIES
-
-
 def rate_defect(spec: SpinSpec, config: DiscretisationConfig, kernel: np.ndarray,
                 rates: np.ndarray) -> tuple[float, float]:
     """(worst single-flip rate error, worst multi-flip rate) of the chain.
@@ -107,7 +102,7 @@ def rate_defect(spec: SpinSpec, config: DiscretisationConfig, kernel: np.ndarray
     for i in range(spec.n):
         flips = kernel[words, words ^ (1 << i)] / delta
         single = max(single, float(np.max(np.abs(flips - rates[:, i]))))
-    rows = max(1, _BLOCK_ENTRIES // words.size)
+    rows = max(1, BLOCK_ENTRIES // words.size)
     multi = 0.0
     for start in range(0, words.size, rows):
         hops = words[start:start + rows, None] ^ words

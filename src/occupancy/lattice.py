@@ -56,8 +56,3 @@ def state_bits(word: int, n: int) -> np.ndarray:
     if not 0 <= word < (1 << n):
         raise ValueError(f"state word {word} out of range for n={n}")
     return ((word >> np.arange(n)) & 1).astype(float)
-
-
-def bits_to_word(bits) -> int:
-    arr = np.asarray(bits)
-    return int(np.sum((arr != 0) * (1 << np.arange(len(arr)))))

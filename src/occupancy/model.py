@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -644,12 +644,6 @@ class AssumptionReport:
         return "pass"
 
     @property
-    def bound_certified(self) -> bool:
-        names = {f.hypothesis for f in self.findings}
-        wanted = BOUND_HYPOTHESES if "colonisation-increasing" in names else SPIN_BOUND_HYPOTHESES
-        return self.passed(wanted)
-
-    @property
     def ordering_certified(self) -> bool:
         names = {f.hypothesis for f in self.findings}
         wanted = (ORDERING_HYPOTHESES if "colonisation-increasing" in names
@@ -695,7 +689,6 @@ def _targets(spec) -> dict[str, Callable[[int, np.ndarray], np.ndarray]]:
     }
 
 
-@lru_cache(maxsize=32)
 def _comparable_lattice_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All lattice pairs x <= y, x != y: each word, after its proper submasks.
 
@@ -718,7 +711,6 @@ def _comparable_lattice_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take(bits, lo, axis=0), np.take(bits, hi, axis=0)
 
 
-@lru_cache(maxsize=16)
 def _lattice_pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All unordered lattice pairs, for midpoint scans on small cubes."""
     size = 1 << n
@@ -759,25 +751,6 @@ def pair_margin(kind: str, values_x: np.ndarray, values_y, values_mid) -> np.nda
     if kind == "convex":
         return 0.5 * (values_x + values_y) - values_mid
     raise ValueError(f"unknown hypothesis kind {kind!r}")
-
-
-def hypothesis_margin(spec, hypothesis: str, site: int, x, y=None) -> float:
-    """Re-evaluate the margin of a single witness; used to audit reports."""
-    table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
-    for name, target, kind in table:
-        if name == hypothesis:
-            break
-    else:
-        raise KeyError(hypothesis)
-    f = _targets(spec)[target]
-    xs = np.asarray(x, float)[None, :]
-    vx = f(site, xs)
-    if kind == "nonnegative":
-        return float(vx[0])
-    ys = np.asarray(y, float)[None, :]
-    vy = f(site, ys)
-    vm = f(site, 0.5 * (xs + ys)) if kind in ("concave", "convex") else None
-    return float(pair_margin(kind, vx, vy, vm)[0])
 
 
 def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,

@@ -28,11 +28,6 @@ DEFAULT_TOL = 1e-10
 # hundred rows already run a matrix product at full speed, and a block stays
 # small beside the kernel (8 MB at n = 12, against 128 MB)
 BLOCK_LAWS = 256
-# the smallest n whose kernel (2 MB) the scan pushes by matrix products; a
-# smaller one stays in cache, where one matrix-vector product per law is as
-# fast and leaves the BLAS's matrix-product buffers untouched (0.3 to 0.8 MB
-# of peak RSS at n = 4)
-STACK_FROM_N = 9
 
 
 @dataclass(frozen=True)
@@ -262,18 +257,14 @@ def _prefix_levels(n: int, m: int, budget: int):
     site): its law is its parent's pushed law with the sites of `mask`
     vacated, `code` packs D_s into bits n(s-1)..ns-1, and `site` is -1
     for the empty prefix, the one site demanded, or None for several.
-    Each depth is yielded as an iterable of its nodes, to be used up
-    before the next; the deepest, the largest, is never held whole.
+    Each depth is yielded as a list of its nodes.
     """
     order = _masks_by_weight(n)[0].tolist()
     level = [(0, 0, 0, 0, -1)]
     for t in range(1, m + 1):
         yield level
-        if t == m:
-            return
-        level = _children(level, n, budget, order, n * (t - 1))
-        if t + 1 < m:
-            level = list(level)
+        if t < m:
+            level = list(_children(level, n, budget, order, n * (t - 1)))
 
 
 def _children(level, n: int, budget: int, order: list[int], shift: int):
@@ -334,22 +325,13 @@ def _check_scan(n: int, m: int, budget: int):
     check_bytes(tables + 8 * stored + (8 << n) * (laws + 3 * block), what)
 
 
-def _push(laws: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The stack of laws one step on: laws @ kernel."""
-    if kernel.shape[0] >= 1 << STACK_FROM_N:
-        return laws @ kernel
-    pushed = np.empty_like(laws)
-    for law, out in zip(laws, pushed):
-        np.matmul(law, kernel, out=out)
-    return pushed
-
-
 def _exact_scan(kernel: np.ndarray, x0: int, m: int, budget: int):
     """Exact probabilities of every scanned pattern, one push per tree node.
 
     Each depth's nodes are masked and pushed through the kernel in row
-    blocks of at most BLOCK_LAWS laws; one vacancy transform of a pushed law
-    reads off every pattern whose last demand falls at that depth.
+    blocks of at most BLOCK_LAWS laws, one matrix product per block; one
+    vacancy transform of a pushed law reads off every pattern whose last
+    demand falls at that depth.
     Returns the lookup from a pattern's raw entries ((site, times), ...),
     with at least one time, to its probability.
     """
@@ -366,13 +348,12 @@ def _exact_scan(kernel: np.ndarray, x0: int, m: int, budget: int):
     for t, level in enumerate(_prefix_levels(n, m, budget), start=1):
         pushed = np.empty((sizes[t - 1], size)) if t < m else None
         at = {}
-        nodes = iter(level)
-        start = 0
-        while block := list(itertools.islice(nodes, rows)):
+        for start in range(0, len(level), rows):
+            block = level[start:start + rows]
             masks = np.array([node[1] for node in block], dtype=words.dtype)
             laws = parents[[node[0] for node in block]]
             laws *= (words & masks[:, None]) == 0
-            laws = _push(laws, kernel)
+            laws = laws @ kernel
             if pushed is not None:
                 pushed[start:start + len(block)] = laws
             for vac, (_, _, code, demands, _) in zip(vacancy_transform(laws), block):
@@ -380,7 +361,6 @@ def _exact_scan(kernel: np.ndarray, x0: int, m: int, budget: int):
                 at[code] = stored
                 values[stored:stored + count] = vac[order[:count]]
                 stored += count
-            start += len(block)
         offsets.append(at)
         parents = pushed
 

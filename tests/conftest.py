@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from occupancy import bridge, exact, indep, order, zoo
+from occupancy import bridge, exact, indep, model, order, zoo
 from occupancy.exact import MultiSitePattern, TimePattern
 from occupancy.model import VARIANTS, FunctionFamily, ModelSpec, SpinSpec
 
@@ -225,6 +225,21 @@ def family_formula(fam, points):
     if fam.role == "probability":
         np.clip(out, 0.0, 1.0, out=out)
     return out
+
+
+def hypothesis_margin(spec, hypothesis: str, site: int, x, y=None) -> float:
+    """One witness's margin, re-evaluated on its own to audit a report."""
+    table = model._OCC_HYPOTHESES if isinstance(spec, ModelSpec) else model._SPIN_HYPOTHESES
+    target, kind = next((t, k) for name, t, k in table if name == hypothesis)
+    f = model._targets(spec)[target]
+    xs = np.asarray(x, float)[None, :]
+    vx = f(site, xs)
+    if kind == "nonnegative":
+        return float(vx[0])
+    ys = np.asarray(y, float)[None, :]
+    vy = f(site, ys)
+    vm = f(site, 0.5 * (xs + ys)) if kind in ("concave", "convex") else None
+    return float(model.pair_margin(kind, vx, vy, vm)[0])
 
 
 def submask_lattice_pairs(n):

@@ -114,7 +114,7 @@ def test_rate_defect_reads_row_blocks(monkeypatch, n):
     kernel, rates = chain_kernel(spec, config), exact.spin_generator(spec)
     whole = rate_defect(spec, config, kernel, rates)
     for entries in (1, 3 << n):
-        monkeypatch.setattr(bridge, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(bridge, "BLOCK_ENTRIES", entries)
         assert rate_defect(spec, config, kernel, rates) == whole
     assert whole == hamming_rate_defect(spec, config)
 

@@ -469,3 +469,16 @@ def test_bad_delta_grid(model_dir, capsys):
                    "--delta-grid", "0.1,-0.2")
     capsys.readouterr()
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "thm4", "--delta-grid", "2.0"],
+    ["bridge", "--delta-grid", "2.0,1.5"],
+])
+def test_inadmissible_delta_is_usage_error(tmp_path, capsys, argv):
+    save_model(zoo.contact_ring(10), tmp_path / "ring10.json")
+    code = run_cli(*argv, "--model", tmp_path / "ring10.json")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE == 1
+    assert captured.out == ""
+    assert captured.err == "error: delta=2.0 exceeds the admissibility bound 1.0\n"

@@ -12,7 +12,7 @@ from occupancy.exact import (MultiSitePattern, TimePattern,
                              poisson_mixture, poisson_weights, spin_generator,
                              spin_law, state_bits, transition_matrix,
                              validate_distribution)
-from occupancy.lattice import CapacityError, bits_to_word
+from occupancy.lattice import CapacityError
 from occupancy.meanfield import OdeConfig
 from occupancy.model import transition_values
 
@@ -23,7 +23,6 @@ from conftest import (dense_spin_generator, dense_spin_law,
 
 
 def test_bit_conventions():
-    assert bits_to_word([1, 0, 1]) == 5
     assert np.array_equal(state_bits(5, 3), [1.0, 0.0, 1.0])
     assert np.array_equal(lattice_bits(2),
                           [[0, 0], [1, 0], [0, 1], [1, 1]])
