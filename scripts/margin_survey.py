@@ -24,7 +24,7 @@ def survey_row(n: int, seed: int, steps: int, m: int):
     x0 = seed % (1 << n)
     # one propagation and one kernel serve every check of the model
     rows, law = exact.law_trajectory(spec, x0, steps)
-    kernel = exact.transition_matrix(spec)
+    kernel = exact.kernel(spec)
     marginal = order.marginal_bound(spec, x0, rows, certified=certified)
     joint = order.single_time_orthant(spec, x0, steps, kernel, certified=certified)
     paths = order.path_orthant(spec, x0, m, kernel, certified=certified)

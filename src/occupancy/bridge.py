@@ -16,10 +16,12 @@ All three converge at first order in delta, and path-level vacancy
 orderings established for the chain survive the limit.
 
 Each metric function takes the objects it shares as arguments (the
-chain's kernel, the one dense array; the spin generator as its rate table
+chain's `exact.Kernel`; the spin generator as its rate table
 `exact.spin_generator`; the spin law; the reference ODE endpoint), so
-`convergence_table` builds each once: a kernel per delta, dropped before
-the next, the rest once per table.
+`convergence_table` builds each once: a kernel per delta, the rest once
+per table.  The rate defect reads the dense matrix, expanded from the
+kernel and dropped before the subordinated law's Poisson mixture, which
+pushes through the kernel's two factor tables.
 """
 
 from __future__ import annotations
@@ -87,46 +89,48 @@ def discretise(spec: SpinSpec, config: DiscretisationConfig) -> ModelSpec:
     return ModelSpec(n=spec.n, colonisation=colonisation, survival=survival)
 
 
-def rate_defect(spec: SpinSpec, config: DiscretisationConfig, kernel: np.ndarray,
+def rate_defect(spec: SpinSpec, config: DiscretisationConfig, kernel: exact.Kernel,
                 rates: np.ndarray) -> tuple[float, float]:
     """(worst single-flip rate error, worst multi-flip rate) of the chain.
 
-    Single-flip rates kernel[w, w ^ 2^i] / delta converge to rates[w, i] at
-    first order in delta; transitions flipping two or more bits have
-    probability O(delta^2), hence rate O(delta).  `kernel` (the chain's)
-    and `rates` (the spin system's table) are left as they are.
+    Single-flip rates T[w, w ^ 2^i] / delta, T the chain's dense kernel,
+    converge to rates[w, i] at first order in delta; transitions flipping
+    two or more bits have probability O(delta^2), hence rate O(delta).
+    `kernel` (the chain's) and `rates` (the spin system's table) are left
+    as they are; T is expanded here and dropped on return.
     """
     delta = config.delta
-    words = np.arange(kernel.shape[0])
+    T = kernel.dense()
+    words = np.arange(T.shape[0])
     single = 0.0
     for i in range(spec.n):
-        flips = kernel[words, words ^ (1 << i)] / delta
+        flips = T[words, words ^ (1 << i)] / delta
         single = max(single, float(np.max(np.abs(flips - rates[:, i]))))
     rows = max(1, BLOCK_ENTRIES // words.size)
     multi = 0.0
     for start in range(0, words.size, rows):
         hops = words[start:start + rows, None] ^ words
         # a hop with two or more bits set flips two or more sites
-        multi = max(multi, float(np.max(kernel[start:start + rows],
+        multi = max(multi, float(np.max(T[start:start + rows],
                                         where=(hops & (hops - 1)) != 0, initial=0.0)))
     return single, multi / delta
 
 
 def subordinated_law(spec: SpinSpec, config: DiscretisationConfig, x0: int,
-                     t: float, kernel: np.ndarray, tail_tol: float = 1e-12) -> np.ndarray:
+                     t: float, kernel: exact.Kernel, tail_tol: float = 1e-12) -> np.ndarray:
     """Law of the chain run for a Poisson(t/delta) number of steps.
 
-    `kernel` is the chain's transition matrix.
+    Each step is `kernel.push`, through the chain's two factor tables.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     v0 = exact.point_mass(spec.n, x0)
     return exact.as_distribution(
-        exact.poisson_mixture(lambda v: v @ kernel, v0, t / config.delta, tail_tol))
+        exact.poisson_mixture(kernel.push, v0, t / config.delta, tail_tol))
 
 
 def law_distance(spec: SpinSpec, config: DiscretisationConfig, x0: int, t: float,
-                 kernel: np.ndarray, truth: np.ndarray, tail_tol: float = 1e-12) -> float:
+                 kernel: exact.Kernel, truth: np.ndarray, tail_tol: float = 1e-12) -> float:
     """Total variation between the subordinated chain and the spin law `truth` at t."""
     approx = subordinated_law(spec, config, x0, t, kernel, tail_tol)
     return 0.5 * float(np.abs(approx - truth).sum())
@@ -169,7 +173,7 @@ def ordering_margins(spec: SpinSpec, x0: int, demands,
             entries.append((site, tuple(steps)))
         chain = discretise(spec, DiscretisationConfig(delta))
         discrete = MultiSitePattern(entries=tuple(entries))
-        kernel = exact.transition_matrix(chain)
+        kernel = exact.kernel(chain)
         schedules = indep.site_schedules(chain, x0, max(1, discrete.horizon))
         p_chain = exact.multisite_probability(chain, x0, discrete, kernel)
         p_indep = indep.multisite_probability(chain, x0, discrete, schedules)
@@ -200,9 +204,10 @@ def convergence_table(spec: SpinSpec, x0: int, t: float, deltas=DEFAULT_DELTAS,
     """Rate, law, and Euler diagnostics for each step size on the grid.
 
     The rate table, the spin law at t and the reference ODE endpoint are
-    computed once; each delta's chain kernel is built once, shared by its
-    rate defect and its subordinated law, and dropped before the next is
-    built, so one dense array is held at a time.
+    computed once; each delta's chain kernel is built once and shared by
+    its rate defect and its subordinated law.  Only the rate defect
+    expands the dense matrix, and drops it on return, so one dense array
+    is held at a time.
     """
     check_dense(spec.n)
     configs = [DiscretisationConfig(delta) for delta in deltas]
@@ -214,13 +219,12 @@ def convergence_table(spec: SpinSpec, x0: int, t: float, deltas=DEFAULT_DELTAS,
     rows = []
     for config, chain in zip(configs, chains):
         delta = config.delta
-        kernel = exact.transition_matrix(chain)
+        kernel = exact.kernel(chain)
         single, multi = rate_defect(spec, config, kernel, rates)
         rows.append((delta, "single-flip-rate-error", single))
         rows.append((delta, "multi-flip-rate", multi))
         rows.append((delta, "law-distance",
                      law_distance(spec, config, x0, t, kernel, truth, tail_tol)))
-        del kernel
         rows.append((delta, "euler-gap", euler_gap(spec, p0, t, config, reference_end)))
     return ConvergenceTable(rows=tuple(rows))
 

@@ -199,7 +199,7 @@ def _cmd_verify(args) -> int:
                                                        certified=certified))
         else:
             certified = hypo.ordering_certified
-            kernel = exact.transition_matrix(spec)
+            kernel = exact.kernel(spec)
             reports.append(order.path_orthant(spec, x0, args.m, kernel, tol=tol,
                                               certified=certified))
             reports.append(order.single_time_orthant(spec, x0, t, kernel, tol=tol,

@@ -5,12 +5,17 @@ enumerates the 2^n states explicitly and is the ground truth that the
 approximate modules are checked against; every dense array is checked
 against the byte budget of `occupancy.lattice` before it is allocated.
 
-The one dense builder is `transition_matrix`, for the kernel; a run builds
-it once and passes it to every function that needs it.  A single law is
-pushed forward by the one loop in `propagate`; the path scan of
-`occupancy.order` pushes stacks of laws, one matrix product per block.  A
-spin generator is its (2^n, n) rate table, `spin_generator`: spin laws
-take matrix-free uniformised steps, in O(n 2^n), and no spin array is dense.
+The chain's kernel is one `Kernel`, built once per run by `kernel`.  Bits
+update conditionally independently given the state, so row w of the
+kernel is a product over sites, and the kernel splits exactly into two
+half-site factor tables, `T[w, y] = low[w, y_low] * high[w, y_high]`.  A
+single law is pushed forward by the one loop in `propagate`, through
+those two tables (2 * 4^n flops, reading 2 * 2^n * 2^(n/2) entries).  Only
+the path scan of `occupancy.order`, which pushes stacks of laws one matrix
+product per block, and the rate defect of `occupancy.bridge` expand the
+dense 2^n x 2^n matrix, `Kernel.dense`.  A spin generator is its (2^n, n)
+rate table, `spin_generator`: spin laws take matrix-free uniformised
+steps, in O(n 2^n), and no spin array is dense.
 """
 
 from __future__ import annotations
@@ -45,25 +50,71 @@ def as_distribution(values: np.ndarray) -> np.ndarray:
     return v / total
 
 
-def transition_matrix(spec: ModelSpec) -> np.ndarray:
-    """Dense one-step kernel; bits update conditionally independently.
+def _expand(table: np.ndarray, q: np.ndarray, width: int) -> np.ndarray:
+    """Expand `table`'s first `width` columns over the sites of `q`'s columns, in place.
 
-    Built in place one site factor at a time: once sites below i are
-    expanded, column y < 2^i holds the product of their factors for the
-    bits of y, and site i splits it into column y (times 1 - q_i) and
-    column y + 2^i (times q_i).  No full-size temporary is made.
+    Once the sites before column i of `q` are expanded, column y < width
+    holds the product of their factors for the bits of y; site i splits it
+    into column y (times 1 - q_i) and column y + width (times q_i), and the
+    width doubles.  No full-size temporary is made.
+    """
+    for i in range(q.shape[1]):
+        qi = q[:, i:i + 1]
+        np.multiply(table[:, :width], qi, out=table[:, width:2 * width])
+        table[:, :width] *= 1.0 - qi
+        width *= 2
+    return table
+
+
+def _factor_table(q: np.ndarray) -> np.ndarray:
+    """(2^n, 2^k) products of the k sites' factors in `q`'s columns: row w, column y."""
+    table = np.empty((q.shape[0], 1 << q.shape[1]))
+    table[:, 0] = 1.0
+    return _expand(table, q, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """The chain's one-step kernel as two half-site factor tables.
+
+    `low[w, y_low]` is the product of the factors of sites 0..h-1 and
+    `high[w, y_high]` that of sites h..n-1, h = n // 2, so the kernel is
+    `T[w, y] = low[w, y & (2^h - 1)] * high[w, y >> h]`.  `q_high` keeps the
+    high sites' probabilities, which `dense` expands over.
+    """
+
+    low: np.ndarray
+    high: np.ndarray
+    q_high: np.ndarray
+
+    def push(self, v: np.ndarray) -> np.ndarray:
+        """The law v T: one product of the two tables, never the dense matrix."""
+        return (self.high.T @ (v[:, None] * self.low)).ravel()
+
+    def dense(self) -> np.ndarray:
+        """The dense 2^n x 2^n kernel, by the factor expansion continued from `low`."""
+        size, width = self.low.shape
+        T = np.empty((size, size))
+        T[:, :width] = self.low
+        return _expand(T, self.q_high, width)
+
+
+def kernel(spec: ModelSpec) -> Kernel:
+    """The chain's kernel; bits update conditionally independently.
+
+    Both tables come from one evaluation of the per-site probabilities.
+    The dense rule stays the gate, so every exact route stops at the n
+    where the dense matrix would.
     """
     check_dense(spec.n)
     q = transition_values(spec, lattice_bits(spec.n))
-    size = 1 << spec.n
-    T = np.empty((size, size))
-    T[:, 0] = 1.0
-    for i in range(spec.n):
-        w = 1 << i
-        qi = q[:, i:i + 1]
-        np.multiply(T[:, :w], qi, out=T[:, w:2 * w])
-        T[:, :w] *= 1.0 - qi
-    return T
+    half = spec.n // 2
+    return Kernel(_factor_table(q[:, :half]), _factor_table(q[:, half:]), q[:, half:])
+
+
+def transition_matrix(spec: ModelSpec) -> np.ndarray:
+    """Dense one-step kernel, `kernel(spec).dense()`."""
+    return kernel(spec).dense()
 
 
 def _check_word(n: int, x0: int):
@@ -80,8 +131,10 @@ def point_mass(n: int, x0: int) -> np.ndarray:
     return v
 
 
-def propagate(T: np.ndarray, v: np.ndarray, steps: int, vacate=None):
+def propagate(kernel: Kernel, v: np.ndarray, steps: int, vacate=None):
     """Yield the laws v T^t for t = 1..steps; every single exact law runs through here.
+
+    Each step is `kernel.push`, through the two factor tables.
 
     `vacate` maps a step to the sites demanded vacant there: right after
     that step their occupied states are zeroed, so the yielded vectors
@@ -89,14 +142,14 @@ def propagate(T: np.ndarray, v: np.ndarray, steps: int, vacate=None):
     """
     words = np.arange(v.size) if vacate else None
     for t in range(1, steps + 1):
-        v = v @ T
+        v = kernel.push(v)
         for site in vacate.get(t, ()) if vacate else ():
             v = v * (1 - ((words >> site) & 1))
         yield v
 
 
-def distribution(spec: ModelSpec, x0: int, steps: int, kernel: np.ndarray) -> np.ndarray:
-    """Law after `steps` steps from x0 under the chain's transition matrix `kernel`."""
+def distribution(spec: ModelSpec, x0: int, steps: int, kernel: Kernel) -> np.ndarray:
+    """Law after `steps` steps from x0 under the chain's kernel."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     v = point_mass(spec.n, x0)
@@ -124,11 +177,11 @@ def law_trajectory(spec: ModelSpec, x0: int, steps: int) -> tuple[np.ndarray, np
     _check_word(spec.n, x0)
     check_bytes(8 * (steps + 1) * spec.n,
                 f"{steps} steps: a ({steps + 1}, {spec.n}) table of marginals")
-    kernel = transition_matrix(spec)
+    K = kernel(spec)
     v = point_mass(spec.n, x0)
     out = np.empty((steps + 1, spec.n))
     out[0] = marginals(v)
-    for t, v in enumerate(propagate(kernel, v, steps), start=1):
+    for t, v in enumerate(propagate(K, v, steps), start=1):
         out[t] = marginals(v)
     return out, v
 
@@ -207,7 +260,7 @@ def check_constraints(n: int, constraints):
             raise ValueError("constrained steps must be >= 1")
 
 
-def _event_probability(spec, x0: int, constraints, kernel) -> float:
+def _event_probability(spec, x0: int, constraints, kernel: Kernel) -> float:
     """Push the distribution forward, zeroing constrained states as reached."""
     check_constraints(spec.n, constraints)
     horizon = max((t for _, t in constraints), default=0)
@@ -221,7 +274,7 @@ def _event_probability(spec, x0: int, constraints, kernel) -> float:
 
 
 def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
-                     kernel: np.ndarray) -> float:
+                     kernel: Kernel) -> float:
     """Probability one site's path matches the pattern's vacancy demands.
 
     Trailing unconstrained steps are trimmed, so the distribution is only
@@ -231,7 +284,7 @@ def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
 
 
 def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
-                          kernel: np.ndarray) -> float:
+                          kernel: Kernel) -> float:
     """Probability of joint vacancies across sites and steps."""
     return _event_probability(spec, x0, pattern.constraints(), kernel)
 

@@ -65,6 +65,19 @@ def _as_prob_vector(values, length: int, label: str) -> np.ndarray:
     return arr
 
 
+def _finite(value, label: str) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ModelError(f"{label} must be finite, got {value}")
+    return value
+
+
+def _check_top(top, label: str):
+    """Reject parameters whose largest intermediate value on the cube, `top`, overflowed."""
+    if not np.isfinite(top):
+        raise ModelError(f"{label} must be finite: the family would overflow")
+
+
 @dataclass(frozen=True)
 class FunctionFamily:
     """One evaluable function on [0,1]^n.
@@ -133,15 +146,18 @@ class FunctionFamily:
                 f"{self.variant} expects params {sorted(expected)}, got {sorted(params)}")
 
         if self.variant == "constant":
-            c = float(params["c"])
+            c = _finite(params["c"], "constant level c")
             if not 0.0 <= c <= 1.0:
                 raise ModelError("constant level c must lie in [0,1]")
             norm["c"] = c
         elif self.variant == "affine-saturated":
-            a = float(params["a"])
+            a = _finite(params["a"], "intercept a")
             b = _as_prob_vector(params["b"], self.n, "weight vector b")
             if a < 0 or np.any(b < 0):
                 raise ModelError("affine-saturated needs a >= 0 and b >= 0")
+            # the bank's largest sum, at the all-ones point, in its coordinate order
+            with np.errstate(over="ignore"):
+                _check_top(np.add.accumulate(b)[-1] + a, "a + sum(b)")
             norm["a"] = a
             norm["b"] = b
         elif self.variant == "product-form":
@@ -151,9 +167,13 @@ class FunctionFamily:
             norm["beta"] = beta
         elif self.variant == "hanski-incidence":
             b = _as_prob_vector(params["b"], self.n, "weight vector b")
-            y = float(params["y"])
+            y = _finite(params["y"], "half-saturation y")
             if np.any(b < 0) or not y > 0:
                 raise ModelError("hanski-incidence needs b >= 0 and y > 0")
+            # the bank's largest value, at the all-ones point, in its coordinate order
+            with np.errstate(over="ignore"):
+                _check_top(np.add.accumulate(b)[-1] ** 2 + np.float64(y) ** 2,
+                           "sum(b)^2 + y^2")
             norm["b"] = b
             norm["y"] = y
         else:
@@ -540,10 +560,32 @@ def model_from_dict(doc) -> "ModelSpec | SpinSpec":
     return kind(n=n, **fams)
 
 
+class _NonFinite:
+    """A NaN, Infinity or -Infinity token, held until its field is known."""
+
+    def __init__(self, token: str):
+        self.token = token
+
+
+def _reject_non_finite(pairs) -> dict:
+    """JSON object hook: refuse a field holding a non-finite token, alone or in a list."""
+    for key, value in pairs:
+        for item in value if isinstance(value, list) else (value,):
+            if isinstance(item, _NonFinite):
+                raise ModelError(f"field {key!r} holds {item.token}; "
+                                 "model files take finite numbers only")
+    return dict(pairs)
+
+
 def load_model(path) -> "ModelSpec | SpinSpec":
-    """Parse a model file.  json.JSONDecodeError carries line/column info."""
+    """Parse a model file.  json.JSONDecodeError carries line/column info.
+
+    The NaN and Infinity tokens, which Python's json reads by default, are
+    rejected with the field that holds them.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        doc = json.load(handle, parse_constant=_NonFinite,
+                        object_pairs_hook=_reject_non_finite)
     return model_from_dict(doc)
 
 

@@ -24,9 +24,10 @@ from .model import ModelSpec, SpinSpec
 
 SUBSET_CAP = 12
 DEFAULT_TOL = 1e-10
-# laws the path scan pushes through the kernel per block, at most 2^n: a few
-# hundred rows already run a matrix product at full speed, and a block stays
-# small beside the kernel (8 MB at n = 12, against 128 MB)
+# laws the path scan pushes through the dense kernel per block, at most 2^n:
+# a few hundred rows already run a matrix product at full speed, and a block
+# stays small beside the dense matrix the scan expands (8 MB at n = 12,
+# against 128 MB)
 BLOCK_LAWS = 256
 
 
@@ -143,7 +144,7 @@ def marginal_bound(spec: ModelSpec, x0: int, exact_rows: np.ndarray,
     )
 
 
-def single_time_orthant(spec: ModelSpec, x0: int, t: int, kernel: np.ndarray,
+def single_time_orthant(spec: ModelSpec, x0: int, t: int, kernel: exact.Kernel,
                         tol: float = DEFAULT_TOL,
                         certified: bool | None = None) -> OrderReport:
     """Joint vacancy comparison at one time over every nonempty site set.
@@ -152,7 +153,7 @@ def single_time_orthant(spec: ModelSpec, x0: int, t: int, kernel: np.ndarray,
     step is an association inequality for the exact law, the second the
     marginal bound.  Margins of both steps are reported; the check's own
     margin is the end-to-end one against the deterministic product.
-    `kernel` is the chain's transition matrix.
+    `kernel` is the chain's `exact.Kernel`.
     """
     check_subset_cap(spec.n)
     dist = exact.distribution(spec, x0, t, kernel)
@@ -325,17 +326,20 @@ def _check_scan(n: int, m: int, budget: int):
     check_bytes(tables + 8 * stored + (8 << n) * (laws + 3 * block), what)
 
 
-def _exact_scan(kernel: np.ndarray, x0: int, m: int, budget: int):
+def _exact_scan(kernel: exact.Kernel, x0: int, m: int, budget: int):
     """Exact probabilities of every scanned pattern, one push per tree node.
 
-    Each depth's nodes are masked and pushed through the kernel in row
-    blocks of at most BLOCK_LAWS laws, one matrix product per block; one
-    vacancy transform of a pushed law reads off every pattern whose last
-    demand falls at that depth.
+    The scan expands the dense kernel, since a block of laws runs faster
+    through one matrix product than through the two factor tables.  Each
+    depth's nodes are masked and pushed in row blocks of at most
+    BLOCK_LAWS laws, one product per block; one vacancy transform of a
+    pushed law reads off every pattern whose last demand falls at that
+    depth.
     Returns the lookup from a pattern's raw entries ((site, times), ...),
     with at least one time, to its probability.
     """
-    size = kernel.shape[0]
+    dense = kernel.dense()
+    size = dense.shape[0]
     n = size.bit_length() - 1
     rows = min(size, BLOCK_LAWS)
     order, rank = _masks_by_weight(n)
@@ -353,7 +357,7 @@ def _exact_scan(kernel: np.ndarray, x0: int, m: int, budget: int):
             masks = np.array([node[1] for node in block], dtype=words.dtype)
             laws = parents[[node[0] for node in block]]
             laws *= (words & masks[:, None]) == 0
-            laws = laws @ kernel
+            laws = laws @ dense
             if pushed is not None:
                 pushed[start:start + len(block)] = laws
             for vac, (_, _, code, demands, _) in zip(vacancy_transform(laws), block):
@@ -380,7 +384,7 @@ def _exact_scan(kernel: np.ndarray, x0: int, m: int, budget: int):
     return probability
 
 
-def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: np.ndarray,
+def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
                  tol: float = DEFAULT_TOL, certified: bool | None = None,
                  budget: int = 4) -> OrderReport:
     """Exact vacancy-pattern probabilities against the independent surrogate.
@@ -389,7 +393,7 @@ def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: np.ndarray,
     pattern demanding at most `budget` vacancies in steps 1..m.  Margins
     are exact minus surrogate; the surrogate should never exceed.  The
     exact side is one scan over the tree of demand prefixes with the
-    chain's transition matrix `kernel`; the surrogate side is one table
+    chain's kernel `kernel`, expanded dense; the surrogate side is one table
     per site over every set of vacancy times.  The witness is the first
     pattern, in scan order, with the worst margin.
     """

@@ -90,7 +90,7 @@ def test_criterion_3_path_ordering_suite():
                             split = decomposed_path_probability(spec, x0, pat)
                             assert abs(split - pw) <= 1e-14, (x0, site, omega)
                 # multisite patterns with at most four demanded vacancies
-                report = order.path_orthant(spec, x0, 4, exact.transition_matrix(spec),
+                report = order.path_orthant(spec, x0, 4, exact.kernel(spec),
                                             budget=4, certified=True)
                 assert report.worst_margin >= -1e-10, (x0, report.witness)
 
@@ -124,7 +124,7 @@ def test_criterion_5_discretisation_bridge():
         reference_end = meanfield.integrate_ode(ring, p0, 1.0, bridge.REFERENCE_ODE)[1][-1]
         for d in deltas:
             config = DiscretisationConfig(d)
-            kernel = exact.transition_matrix(bridge.discretise(ring, config))
+            kernel = exact.kernel(bridge.discretise(ring, config))
             single, _ = bridge.rate_defect(ring, config, kernel, rates)
             singles.append(single)
             tvs.append(bridge.law_distance(ring, config, 1, 1.0, kernel, truth))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from occupancy import cli, exact, indep, lattice, zoo
-from occupancy.model import load_model, save_model
+from occupancy.model import load_model, model_to_dict, save_model
 
 from conftest import random_model
 
@@ -59,6 +59,52 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert "line 2" in err
+
+
+def _pair_with_intercept(path, token: str):
+    """interacting_pair's file with colonisation[0]'s `a` written as `token`."""
+    doc = model_to_dict(zoo.interacting_pair())
+    doc["colonisation"][0]["params"]["a"] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["check"], ["run", "--mode", "exact", "--t", "2"],
+                                  ["verify", "--theorem", "thm1", "--t", "2"]])
+@pytest.mark.parametrize("token, named", [
+    ("NaN", "field 'a' holds NaN"),
+    ("Infinity", "field 'a' holds Infinity"),
+    ("-Infinity", "field 'a' holds -Infinity"),
+    # a literal past the float range reads as inf, and the family refuses it
+    ("1e999", "colonisation[0]: intercept a must be finite"),
+])
+def test_non_finite_model_number_is_usage_error(tmp_path, capsys, argv, token, named):
+    code = run_cli(*argv, "--model", _pair_with_intercept(tmp_path / "m.json", token))
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_overflowing_weight_sum_exits_one_without_warnings(tmp_path):
+    # every weight finite, their sum not: refused at load, in a fresh
+    # interpreter so that no warning filter of the test run hides stderr
+    doc = model_to_dict(zoo.interacting_pair())
+    doc["colonisation"][0]["params"]["b"] = [1e308, 1e308]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["check"], ["run", "--mode", "exact", "--t", "2"],
+                 ["verify", "--theorem", "thm1", "--t", "2"]):
+        done = subprocess.run([sys.executable, "-m", "occupancy.cli", *argv,
+                               "--model", str(path)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == cli.EXIT_USAGE
+        assert done.stdout == ""
+        assert done.stderr == (f"error: {path}: colonisation[0]: a + sum(b) must be "
+                               "finite: the family would overflow\n")
 
 
 def test_unknown_field_is_usage_error(tmp_path, capsys):
@@ -321,10 +367,10 @@ def test_capacity_exit_code(model_dir, capsys):
 def test_each_kernel_is_built_once(model_dir, capsys, monkeypatch, argv, builds):
     # `builds` kernels (one per delta on the spin routes); every spin route
     # builds one rate table, and thm3 one set of surrogate schedules
-    expected = {"transition_matrix": builds, "spin_generator": int("ring.json" in argv),
+    expected = {"kernel": builds, "spin_generator": int("ring.json" in argv),
                 "site_schedules": int("thm3" in argv)}
     calls = dict.fromkeys(expected, 0)
-    for module, name in ((exact, "transition_matrix"), (exact, "spin_generator"),
+    for module, name in ((exact, "kernel"), (exact, "spin_generator"),
                          (indep, "site_schedules")):
         def counted(*args, build=getattr(module, name), name=name):
             calls[name] += 1
@@ -335,6 +381,31 @@ def test_each_kernel_is_built_once(model_dir, capsys, monkeypatch, argv, builds)
     assert cli.main(argv) == cli.EXIT_PASS
     capsys.readouterr()
     assert calls == expected
+
+
+@pytest.mark.parametrize("argv, expansions", [
+    (["verify", "--model", "pair.json", "--theorem", "thm1", "--t", "6"], 0),
+    (["run", "--model", "pair.json", "--mode", "exact", "--t", "6"], 0),
+    (["verify", "--model", "pair.json", "--theorem", "thm3", "--t", "4", "--m", "3"], 1),
+    (["verify", "--model", "ring.json", "--theorem", "thm4", "--t", "0.5",
+      "--delta-grid", "0.125,0.0625,0.03125"], 3),
+    (["bridge", "--model", "ring.json", "--t", "0.5", "--delta-grid", "0.125,0.0625"], 2),
+])
+def test_dense_kernel_is_expanded_only_where_read(model_dir, capsys, monkeypatch, argv,
+                                                  expansions):
+    # single laws step through the two factor tables; only the thm3 scan
+    # and each delta's rate defect expand the dense matrix
+    calls = []
+
+    def counted(self, dense=exact.Kernel.dense):
+        calls.append(self)
+        return dense(self)
+
+    monkeypatch.setattr(exact.Kernel, "dense", counted)
+    argv = [str(model_dir / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == cli.EXIT_PASS
+    capsys.readouterr()
+    assert len(calls) == expansions
 
 
 @pytest.mark.parametrize("model, argv", [
@@ -431,6 +502,7 @@ def test_runaway_flag_exits_four(model_dir, capsys, argv, what):
 def test_site_set_cap_rejects_before_exact_work(tmp_path, capsys, monkeypatch, theorem):
     save_model(zoo.random_certified_model(13, seed=0), tmp_path / "m13.json")
     calls = []
+    monkeypatch.setattr(exact, "kernel", calls.append)
     monkeypatch.setattr(exact, "transition_matrix", calls.append)
     code = run_cli("verify", "--model", tmp_path / "m13.json", "--theorem", theorem,
                    "--t", "2", "--m", "2", "--samples", "64")

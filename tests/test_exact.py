@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,37 @@ def test_kernel_build_matches_per_site_factors(n):
         assert np.array_equal(transition_matrix(chain), where_transition_matrix(chain))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_push_matches_the_dense_kernel(n):
+    # the same model classes: one product of the two factor tables is the
+    # law's step through the dense matrix, up to round-off
+    rng = np.random.default_rng(n)
+    for seed in range(3):
+        chain = bridge.discretise(random_spin_model(n, seed=4000 * n + seed),
+                                  bridge.DiscretisationConfig(0.25 / n))
+        for spec in (random_model(n, seed=3000 * n + seed), chain):
+            K = exact.kernel(spec)
+            T = K.dense()
+            assert np.array_equal(T, where_transition_matrix(spec))
+            point = np.zeros(1 << n)
+            point[rng.integers(1 << n)] = 1.0
+            for law in (rng.dirichlet(np.ones(1 << n)), point):
+                assert np.max(np.abs(K.push(law) - law @ T)) <= 1e-15
+
+
+def test_single_laws_never_hold_the_dense_kernel():
+    # law_trajectory steps through the two factor tables, so at n = 10 its
+    # peak stays below one dense 2^10 x 2^10 array
+    spec = zoo.random_certified_model(10, 0)
+    tracemalloc.start()
+    try:
+        exact.law_trajectory(spec, 0, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lattice.dense_bytes(10)
+
+
 def test_empty_state_absorbing_without_colonisation():
     spec = zoo.constant_pair(n=2, c=0.0, s=0.8)
     T = transition_matrix(spec)
@@ -67,7 +100,7 @@ def test_empty_state_absorbing_without_colonisation():
 
 
 def test_distribution_basics(interacting):
-    T = transition_matrix(interacting)
+    T = exact.kernel(interacting)
     d0 = exact.distribution(interacting, 2, 0, T)
     assert d0[2] == 1.0 and d0.sum() == 1.0
     d3 = exact.distribution(interacting, 0, 3, T)
@@ -78,7 +111,7 @@ def test_distribution_basics(interacting):
 
 
 def test_start_state_is_checked(interacting):
-    T = transition_matrix(interacting)
+    T = exact.kernel(interacting)
     for x0 in (-1, 1 << interacting.n):
         with pytest.raises(ValueError, match="out of range"):
             marginal_trajectory(interacting, x0, 1)
@@ -94,25 +127,29 @@ def test_law_trajectory_is_one_propagation(interacting):
     rows, law = exact.law_trajectory(interacting, 1, 6)
     assert np.array_equal(rows, marginal_trajectory(interacting, 1, 6))
     assert np.array_equal(law, exact.distribution(interacting, 1, 6,
-                                                  transition_matrix(interacting)))
+                                                  exact.kernel(interacting)))
 
 
 def test_given_kernel_is_used_and_kept(interacting):
     spec = random_model(3, seed=7)
-    T = transition_matrix(spec)
-    before = T.copy()
+    K = exact.kernel(spec)
+    before = K.low.copy(), K.high.copy(), K.q_high.copy()
     # the kernel one run shares gives what a fresh kernel gives, and is kept
-    assert np.array_equal(exact.distribution(spec, 5, 4, T),
+    assert np.array_equal(exact.distribution(spec, 5, 4, K),
                           exact.law_trajectory(spec, 5, 4)[1])
     pattern = MultiSitePattern(entries=((0, (1, 3)), (2, (2,))))
-    assert (exact.multisite_probability(spec, 2, pattern, T)
-            == exact.multisite_probability(spec, 2, pattern, transition_matrix(spec)))
+    assert (exact.multisite_probability(spec, 2, pattern, K)
+            == exact.multisite_probability(spec, 2, pattern, exact.kernel(spec)))
     single = TimePattern(site=1, omega=(1, 0, 0))
-    assert (path_probability(spec, 2, single, T)
-            == path_probability(spec, 2, single, transition_matrix(spec)))
-    assert np.array_equal(T, before)
-    # a kernel handed in is used as it is, never rebuilt from the spec
-    assert exact.distribution(spec, 0, 1, np.eye(8))[0] == 1.0
+    assert (path_probability(spec, 2, single, K)
+            == path_probability(spec, 2, single, exact.kernel(spec)))
+    assert np.array_equal(K.dense(), transition_matrix(spec))
+    assert all(np.array_equal(a, b) for a, b in zip((K.low, K.high, K.q_high), before))
+    # a kernel handed in is used as it is, never rebuilt from the spec: the
+    # chain that keeps every bit has the identity kernel
+    identity = exact.kernel(zoo.constant_pair(n=3, c=0.0, s=1.0))
+    assert np.array_equal(identity.dense(), np.eye(8))
+    assert exact.distribution(spec, 0, 1, identity)[0] == 1.0
 
 
 def test_interacting_marginals_frozen_values(interacting):
@@ -159,11 +196,11 @@ def test_pattern_validation():
 
 def test_all_ones_pattern_is_certain(interacting):
     pattern = TimePattern(site=0, omega=(1, 1, 1))
-    assert path_probability(interacting, 0, pattern, transition_matrix(interacting)) == 1.0
+    assert path_probability(interacting, 0, pattern, exact.kernel(interacting)) == 1.0
 
 
 def test_single_step_pattern_matches_marginal(interacting):
-    T = transition_matrix(interacting)
+    T = exact.kernel(interacting)
     for site in range(2):
         for x0 in range(4):
             p1 = marginal_trajectory(interacting, x0, 1)[1, site]
@@ -173,7 +210,7 @@ def test_single_step_pattern_matches_marginal(interacting):
 
 def test_path_probability_against_naive_enumeration(interacting, broken):
     for spec in (interacting, broken):
-        T = transition_matrix(spec)
+        T = exact.kernel(spec)
         for site in range(spec.n):
             for omega in [(0,), (0, 0), (1, 0), (0, 1, 0), (1, 1, 0)]:
                 pattern = TimePattern(site=site, omega=omega)
@@ -187,7 +224,7 @@ def test_path_probability_against_naive_enumeration(interacting, broken):
 def test_enumerate_and_propagate_agree(interacting):
     rng = np.random.default_rng(0)
     spec = zoo.random_certified_model(3, 23)
-    T = transition_matrix(spec)
+    T = exact.kernel(spec)
     for _ in range(10):
         site = int(rng.integers(spec.n))
         omega = tuple(int(b) for b in rng.integers(0, 2, size=4))
@@ -202,7 +239,7 @@ def test_enumerate_and_propagate_agree(interacting):
 def test_trailing_ones_do_not_change_value(interacting):
     short = TimePattern(site=1, omega=(0, 1, 0))
     long = TimePattern(site=1, omega=(0, 1, 0, 1, 1, 1, 1, 1, 1, 1))
-    T = transition_matrix(interacting)
+    T = exact.kernel(interacting)
     assert path_probability(interacting, 0, long, T) == pytest.approx(
         path_probability(interacting, 0, short, T), abs=1e-15)
 
@@ -210,7 +247,7 @@ def test_trailing_ones_do_not_change_value(interacting):
 def test_multisite_against_naive(interacting):
     pattern = MultiSitePattern(entries=((0, (1, 3)), (1, (2,))))
     expected = naive_event_probability(interacting, 0, pattern.constraints(), 3)
-    got = exact.multisite_probability(interacting, 0, pattern, transition_matrix(interacting))
+    got = exact.multisite_probability(interacting, 0, pattern, exact.kernel(interacting))
     assert got == pytest.approx(expected, abs=1e-12)
     oracle = enumerate_event_probability(interacting, 0, pattern.constraints(), 3)
     assert oracle == pytest.approx(expected, abs=1e-12)
@@ -218,14 +255,14 @@ def test_multisite_against_naive(interacting):
 
 def test_empty_multisite_is_certain(interacting):
     assert exact.multisite_probability(
-        interacting, 0, MultiSitePattern(entries=()), transition_matrix(interacting)) == 1.0
+        interacting, 0, MultiSitePattern(entries=()), exact.kernel(interacting)) == 1.0
 
 
 def test_enumeration_guard():
     # 2^(5*6) literal trajectories; propagation has no horizon guard
     spec = zoo.random_certified_model(5, 3)
     pattern = TimePattern(site=0, omega=(1,) * 5 + (0,))
-    value = path_probability(spec, 0, pattern, transition_matrix(spec))
+    value = path_probability(spec, 0, pattern, exact.kernel(spec))
     assert 0.0 < value < 1.0
 
 
@@ -451,7 +488,7 @@ def test_spin_law_matches_dense_oracle(n, seed, t, ring):
 @given(seed=st.integers(0, 5000), steps=st.integers(0, 6))
 def test_distributions_stay_normalised(seed, steps):
     spec = zoo.random_certified_model(3, seed)
-    dist = exact.distribution(spec, seed % 8, steps, transition_matrix(spec))
+    dist = exact.distribution(spec, seed % 8, steps, exact.kernel(spec))
     validate_distribution(dist)
 
 
@@ -459,7 +496,7 @@ def test_distributions_stay_normalised(seed, steps):
 @given(seed=st.integers(0, 5000))
 def test_chapman_kolmogorov(seed):
     spec = zoo.random_certified_model(2, seed)
-    T = transition_matrix(spec)
+    T = exact.kernel(spec)
     d_direct = exact.distribution(spec, 0, 5, T)
     *_, d_chained = exact.propagate(T, exact.distribution(spec, 0, 2, T), 3)
     assert np.allclose(d_direct, d_chained, atol=1e-12)

@@ -85,7 +85,7 @@ def test_constant_model_frozen_value(single_site):
 def test_constant_model_surrogate_equals_chain(single_site):
     # one independent site: the surrogate IS the chain
     schedule = indep.site_schedules(single_site, 0, 4)[0]
-    kernel = exact.transition_matrix(single_site)
+    kernel = exact.kernel(single_site)
     for omega in itertools.product((0, 1), repeat=4):
         if all(omega):
             continue
@@ -127,7 +127,7 @@ def test_multisite_equals_exact_for_constant_models():
     pattern = MultiSitePattern(entries=((0, (1, 2)), (2, (2, 4))))
     assert indep.multisite_probability(
         spec, 0, pattern, indep.site_schedules(spec, 0, 4)) == pytest.approx(
-        exact.multisite_probability(spec, 0, pattern, exact.transition_matrix(spec)),
+        exact.multisite_probability(spec, 0, pattern, exact.kernel(spec)),
         abs=1e-13)
 
 

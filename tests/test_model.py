@@ -270,6 +270,30 @@ def test_dimension_and_parameter_errors():
         aff(2, 0.1, [0.1, 0.1], pins=((5, 0.0),))
 
 
+@pytest.mark.parametrize("variant, params, named", [
+    ("constant", {"c": np.nan}, "constant level c must be finite"),
+    ("affine-saturated", {"a": np.nan, "b": [0.1, 0.1]}, "intercept a must be finite"),
+    ("affine-saturated", {"a": np.inf, "b": [0.1, 0.1]}, "intercept a must be finite"),
+    ("hanski-incidence", {"b": [0.1, 0.1], "y": np.nan}, "half-saturation y must be finite"),
+    ("hanski-incidence", {"b": [0.1, 0.1], "y": np.inf}, "half-saturation y must be finite"),
+    # finite parameters whose evaluation would overflow on the cube
+    ("affine-saturated", {"a": 0.1, "b": [1e308, 1e308]}, r"a \+ sum\(b\) must be finite"),
+    ("affine-saturated", {"a": 1e308, "b": [1e308, 0.0]}, r"a \+ sum\(b\) must be finite"),
+    ("hanski-incidence", {"b": [1e200, 0.1], "y": 0.5}, r"sum\(b\)\^2 \+ y\^2 must be finite"),
+    ("hanski-incidence", {"b": [0.1, 0.1], "y": 1e200}, r"sum\(b\)\^2 \+ y\^2 must be finite"),
+])
+def test_non_finite_parameters_are_rejected(variant, params, named):
+    with pytest.raises(ModelError, match=named):
+        FunctionFamily(variant=variant, n=2, params=params)
+
+
+def test_largest_finite_weights_still_evaluate():
+    # just inside the overflow rule: accepted, and saturated without a warning
+    fam = FunctionFamily(variant="affine-saturated", n=2,
+                         params={"a": 0.0, "b": [8e307, 8e307]})
+    assert np.array_equal(fam.eval_batch(np.array([[1.0, 1.0], [0.0, 0.0]])), [1.0, 0.0])
+
+
 def test_spec_shape_validation():
     c = aff(2, 0.1, [0.1, 0.1])
     s = FunctionFamily(variant="constant", n=2, params={"c": 0.9})
@@ -317,6 +341,20 @@ def test_document_strictness():
     doc["colonisation"][1]["params"] = {"a": 0.1}
     with pytest.raises(ModelError, match=r"colonisation\[1\]"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field, text", [
+    ("a", '{"a": @, "b": [0.1, 0.1]}'),
+    ("b", '{"a": 0.1, "b": [0.1, @]}'),
+])
+def test_non_finite_tokens_are_rejected_by_field(tmp_path, token, field, text):
+    doc = json.dumps(model_to_dict(zoo.interacting_pair()))
+    first = json.dumps(model_to_dict(zoo.interacting_pair())["colonisation"][0]["params"])
+    path = tmp_path / "m.json"
+    path.write_text(doc.replace(first, text.replace("@", token), 1))
+    with pytest.raises(ModelError, match=f"^field '{field}' holds {token};"):
+        load_model(path)
 
 
 def test_parse_error_carries_position(tmp_path):

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occupancy import exact, indep, meanfield, order, zoo
-from occupancy.exact import (MultiSitePattern, TimePattern, marginal_trajectory,
-                             transition_matrix)
+from occupancy.exact import MultiSitePattern, TimePattern, marginal_trajectory
 from occupancy.lattice import CapacityError
 from occupancy.meanfield import OdeConfig
 from occupancy.order import (marginal_bound, path_orthant,
@@ -94,7 +93,7 @@ def test_marginal_bound_becomes_strict(interacting):
 
 
 def test_single_time_orthant_matches_direct_recomputation(interacting):
-    kernel = transition_matrix(interacting)
+    kernel = exact.kernel(interacting)
     report = single_time_orthant(interacting, 0, 4, kernel)
     dist = exact.distribution(interacting, 0, 4, kernel)
     vac = vacancy_transform(dist)
@@ -113,12 +112,12 @@ def test_single_time_orthant_matches_direct_recomputation(interacting):
 
 
 def test_single_time_orthant_trivial_at_start(interacting):
-    report = single_time_orthant(interacting, 0, 0, transition_matrix(interacting))
+    report = single_time_orthant(interacting, 0, 0, exact.kernel(interacting))
     assert abs(report.worst_margin) < 1e-15
 
 
 def test_path_orthant_single_step_matches_marginal(interacting):
-    report = path_orthant(interacting, 0, 1, transition_matrix(interacting))
+    report = path_orthant(interacting, 0, 1, exact.kernel(interacting))
     traj = exact.marginal_trajectory(interacting, 0, 1)
     field = meanfield.iterate(interacting, exact.state_bits(0, 2), 1)
     margins = [traj[1, i] - field[1, i] for i in range(2)]
@@ -127,7 +126,7 @@ def test_path_orthant_single_step_matches_marginal(interacting):
 
 
 def test_path_orthant_interacting(interacting):
-    kernel = transition_matrix(interacting)
+    kernel = exact.kernel(interacting)
     report = path_orthant(interacting, 0, 4, kernel)
     assert report.verdict == "pass"
     assert report.worst_margin >= -1e-10
@@ -166,7 +165,7 @@ def test_positive_correlations_point_mass():
 
 
 def test_positive_correlations_occupancy_law(interacting):
-    kernel = transition_matrix(interacting)
+    kernel = exact.kernel(interacting)
     for t in range(6):
         dist = exact.distribution(interacting, 0, t, kernel)
         assert positive_correlations(dist).worst_margin >= -1e-10
@@ -201,7 +200,7 @@ def test_spin_marginal_bound_ring(ring3):
 
 
 def test_report_serializes(interacting):
-    report = single_time_orthant(interacting, 0, 3, transition_matrix(interacting))
+    report = single_time_orthant(interacting, 0, 3, exact.kernel(interacting))
     doc = report.to_dict()
     text = json.dumps(doc)
     back = json.loads(text)
@@ -224,15 +223,16 @@ def test_shared_exact_objects_give_the_same_reports():
             == marginal_bound(spec, 2, marginal_trajectory(spec, 2, 5)).to_dict())
     assert (positive_correlations(law).to_dict()
             == positive_correlations(exact.distribution(spec, 2, 5,
-                                                        transition_matrix(spec))).to_dict())
+                                                        exact.kernel(spec))).to_dict())
     # one kernel serves both scans and is left as it was
-    kernel = transition_matrix(spec)
+    kernel = exact.kernel(spec)
+    kept = kernel.low.copy(), kernel.high.copy()
     scan = path_orthant(spec, 2, 3, kernel)
     orthant = single_time_orthant(spec, 2, 4, kernel)
-    assert np.array_equal(kernel, transition_matrix(spec))
-    assert scan.to_dict() == path_orthant(spec, 2, 3, transition_matrix(spec)).to_dict()
+    assert np.array_equal(kernel.low, kept[0]) and np.array_equal(kernel.high, kept[1])
+    assert scan.to_dict() == path_orthant(spec, 2, 3, exact.kernel(spec)).to_dict()
     assert (orthant.to_dict()
-            == single_time_orthant(spec, 2, 4, transition_matrix(spec)).to_dict())
+            == single_time_orthant(spec, 2, 4, exact.kernel(spec)).to_dict())
     w = scan.witness
     pattern = TimePattern(site=w["site"], omega=tuple(w["omega"]))
     schedule = indep.site_schedules(spec, 2, 3)[w["site"]]
@@ -295,7 +295,7 @@ def test_prefix_tree_matches_its_size_formula():
 def test_scan_matches_the_per_pattern_oracle(n, m, budget, seed, data):
     x0 = data.draw(st.integers(0, (1 << n) - 1), label="x0")
     spec = random_model(n, seed)
-    kernel = transition_matrix(spec)
+    kernel = exact.kernel(spec)
     scan = order._exact_scan(kernel, x0, m, budget)
     at_last, at_end = indep.vacancy_tables(spec, x0, indep.site_schedules(spec, x0, m), m)
     single = multi = np.inf
@@ -334,4 +334,4 @@ def test_scan_matches_the_per_pattern_oracle(n, m, budget, seed, data):
 
 def test_scan_budget_must_be_positive(interacting):
     with pytest.raises(ValueError, match="budget"):
-        path_orthant(interacting, 0, 2, transition_matrix(interacting), budget=0)
+        path_orthant(interacting, 0, 2, exact.kernel(interacting), budget=0)

@@ -166,7 +166,7 @@ def test_zero_step_estimates_are_exact(interacting):
 def test_event_probability_against_exact(interacting):
     pattern = MultiSitePattern(entries=((0, (1, 3)), (1, (2,))))
     truth = exact.multisite_probability(interacting, 0, pattern,
-                                        exact.transition_matrix(interacting))
+                                        exact.kernel(interacting))
     est = simulate_event_probability(interacting, 0, pattern, 100_000, seed=19)
     assert abs(est.mean - truth) < 4.0 * est.se
     est8 = simulate_event_probability(interacting, 0, pattern, 100_000, seed=19,
@@ -180,7 +180,7 @@ def test_event_probability_rejects_sites_off_the_model(site):
     spec = zoo.random_certified_model(3, 0)
     pattern = MultiSitePattern(entries=((site, (1,)),))
     with pytest.raises(ValueError, match=f"site {site} out of range"):
-        exact.multisite_probability(spec, 0, pattern, exact.transition_matrix(spec))
+        exact.multisite_probability(spec, 0, pattern, exact.kernel(spec))
     with pytest.raises(ValueError, match=f"site {site} out of range"):
         simulate_event_probability(spec, 0, pattern, 100, seed=0)
 
