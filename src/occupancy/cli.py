@@ -278,6 +278,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="occupancy", description=__doc__.splitlines()[0])
+    delta_grid = ",".join(map(repr, bridge.DEFAULT_DELTAS))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="hypothesis margins for a model file")
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--grid-points", type=int, default=11)
-    p.add_argument("--delta-grid", default="0.0625,0.03125,0.015625,0.0078125,0.00390625")
+    p.add_argument("--delta-grid", default=delta_grid)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--x0", default="0")
-    p.add_argument("--delta-grid", default="0.0625,0.03125,0.015625,0.0078125,0.00390625")
+    p.add_argument("--delta-grid", default=delta_grid)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bridge)
     return parser

@@ -10,12 +10,13 @@ update conditionally independently given the state, so row w of the
 kernel is a product over sites, and the kernel splits exactly into two
 half-site factor tables, `T[w, y] = low[w, y_low] * high[w, y_high]`.  A
 single law is pushed forward by the one loop in `propagate`, through
-those two tables (2 * 4^n flops, reading 2 * 2^n * 2^(n/2) entries).  Only
+those two tables (2 * 4^n flops, reading 2 * 2^n * 2^(n/2) entries).  The
+kernel also keeps the (2^n, n) table of per-site probabilities both tables
+come from, which is all the rate defect of `occupancy.bridge` reads.  Only
 the path scan of `occupancy.order`, which pushes stacks of laws one matrix
-product per block, and the rate defect of `occupancy.bridge` expand the
-dense 2^n x 2^n matrix, `Kernel.dense`.  A spin generator is its (2^n, n)
-rate table, `spin_generator`: spin laws take matrix-free uniformised
-steps, in O(n 2^n), and no spin array is dense.
+product per block, expands the dense 2^n x 2^n matrix, `Kernel.dense`.  A
+spin generator is its (2^n, n) rate table, `spin_generator`: spin laws take
+matrix-free uniformised steps, in O(n 2^n), and no spin array is dense.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .lattice import check_bytes, check_dense, lattice_bits, state_bits
 from .model import ModelSpec, SpinSpec, transition_values
 
 DIST_ATOL = 1e-12
+# Poisson mass left out of every uniformised mixture
+POISSON_TAIL = 1e-12
 
 
 def validate_distribution(dist: np.ndarray, atol: float = DIST_ATOL):
@@ -79,13 +82,15 @@ class Kernel:
 
     `low[w, y_low]` is the product of the factors of sites 0..h-1 and
     `high[w, y_high]` that of sites h..n-1, h = n // 2, so the kernel is
-    `T[w, y] = low[w, y & (2^h - 1)] * high[w, y >> h]`.  `q_high` keeps the
-    high sites' probabilities, which `dense` expands over.
+    `T[w, y] = low[w, y & (2^h - 1)] * high[w, y >> h]`.  `q[w, i]` is the
+    chance that bit i is on after one step from w, the factor both tables
+    are expanded from: entry T[w, y] is the product, in site order, of
+    q[w, i] where bit i of y is set and 1 - q[w, i] where it is not.
     """
 
     low: np.ndarray
     high: np.ndarray
-    q_high: np.ndarray
+    q: np.ndarray
 
     def push(self, v: np.ndarray) -> np.ndarray:
         """The law v T: one product of the two tables, never the dense matrix."""
@@ -96,7 +101,7 @@ class Kernel:
         size, width = self.low.shape
         T = np.empty((size, size))
         T[:, :width] = self.low
-        return _expand(T, self.q_high, width)
+        return _expand(T, self.q[:, self.q.shape[1] // 2:], width)
 
 
 def kernel(spec: ModelSpec) -> Kernel:
@@ -109,7 +114,7 @@ def kernel(spec: ModelSpec) -> Kernel:
     check_dense(spec.n)
     q = transition_values(spec, lattice_bits(spec.n))
     half = spec.n // 2
-    return Kernel(_factor_table(q[:, :half]), _factor_table(q[:, half:]), q[:, half:])
+    return Kernel(_factor_table(q[:, :half]), _factor_table(q[:, half:]), q)
 
 
 def transition_matrix(spec: ModelSpec) -> np.ndarray:
@@ -311,8 +316,8 @@ def spin_generator(spec: SpinSpec) -> np.ndarray:
     return transition_values(spec, lattice_bits(spec.n))
 
 
-def poisson_weights(mean: float, tail_tol: float = 1e-12) -> np.ndarray:
-    """Poisson(mean) pmf at k = 0..K, K the first k whose mass reaches 1 - tail_tol.
+def poisson_weights(mean: float) -> np.ndarray:
+    """Poisson(mean) pmf at k = 0..K, K the first k whose mass reaches 1 - POISSON_TAIL.
 
     Built from the ratios pmf(k) / pmf(k-1) = mean / k taken outward from
     the mode, then normalised; unlike a log-factorial sum this does not
@@ -329,17 +334,16 @@ def poisson_weights(mean: float, tail_tol: float = 1e-12) -> np.ndarray:
     above = np.cumprod(mean / np.arange(mode + 1, mode + span + 1))
     w = np.concatenate([below, [1.0], above])
     w /= w.sum()
-    last = min(int(np.searchsorted(np.cumsum(w), 1.0 - tail_tol)), w.size - 1)
+    last = min(int(np.searchsorted(np.cumsum(w), 1.0 - POISSON_TAIL)), w.size - 1)
     return w[:last + 1]
 
 
-def poisson_mixture(step, v0: np.ndarray, mean: float,
-                    tail_tol: float = 1e-12) -> np.ndarray:
-    """Sum of pmf(k; mean) * step^k(v0), truncated once the pmf mass reaches 1 - tail_tol."""
+def poisson_mixture(step, v0: np.ndarray, mean: float) -> np.ndarray:
+    """Sum of pmf(k; mean) * step^k(v0), truncated where `poisson_weights` cuts the pmf."""
     if mean < 0:
         raise ValueError("mean must be >= 0")
     v = np.asarray(v0, float)
-    pmf = poisson_weights(mean, tail_tol)
+    pmf = poisson_weights(mean)
     acc = pmf[0] * v
     for k in range(1, pmf.size):
         v = step(v)
@@ -347,8 +351,7 @@ def poisson_mixture(step, v0: np.ndarray, mean: float,
     return acc
 
 
-def spin_law_from(rates: np.ndarray, dist: np.ndarray, t: float,
-                  tail_tol: float = 1e-12) -> np.ndarray:
+def spin_law_from(rates: np.ndarray, dist: np.ndarray, t: float) -> np.ndarray:
     """Law at time t from `dist` under the rate table `rates` (see `spin_generator`).
 
     A Poisson(rate t) mixture of uniformised steps v -> v (I + Q/rate), rate
@@ -372,10 +375,9 @@ def spin_law_from(rates: np.ndarray, dist: np.ndarray, t: float,
             out.reshape(-1, 2, 1 << i)[...] += (v * share).reshape(-1, 2, 1 << i)[:, ::-1]
         return out
 
-    return as_distribution(poisson_mixture(step, v0, rate * t, tail_tol))
+    return as_distribution(poisson_mixture(step, v0, rate * t))
 
 
-def spin_law(rates: np.ndarray, x0: int, t: float,
-             tail_tol: float = 1e-12) -> np.ndarray:
+def spin_law(rates: np.ndarray, x0: int, t: float) -> np.ndarray:
     """Law at time t from the state word x0 under the rate table `rates`."""
-    return spin_law_from(rates, point_mass(rates.shape[1], x0), t, tail_tol)
+    return spin_law_from(rates, point_mass(rates.shape[1], x0), t)

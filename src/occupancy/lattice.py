@@ -30,15 +30,14 @@ def check_bytes(nbytes: int | float, what: str):
                             f"of {DENSE_BYTES_BUDGET} bytes")
 
 
-def dense_bytes(n: int, arrays: int = 1) -> int:
-    """Bytes held by `arrays` float64 arrays of shape (2^n, 2^n)."""
-    return arrays * (8 << (2 * n))
+def dense_bytes(n: int) -> int:
+    """Bytes held by one float64 array of shape (2^n, 2^n)."""
+    return 8 << (2 * n)
 
 
-def check_dense(n: int, arrays: int = 1):
-    """The capacity rule for functions holding `arrays` state-by-state arrays at once."""
-    check_bytes(dense_bytes(n, arrays),
-                f"n = {n}: {arrays} dense 2^{n} x 2^{n} array{'s' * (arrays > 1)}")
+def check_dense(n: int):
+    """The capacity rule for functions holding one state-by-state array."""
+    check_bytes(dense_bytes(n), f"n = {n}: 1 dense 2^{n} x 2^{n} array")
 
 
 @lru_cache(maxsize=32)

@@ -8,10 +8,11 @@ to the lattice {0,1}^n, and exact range bounds are all available.
 
 A family value is ``offset + scale * raw(p)`` with raw(p) in [0,1];
 probability-role families clamp the result to [0,1], rate-role families
-require offset, scale >= 0.  The affine post-transform is what lets the
-same parameter set serve as a rate and as its own time-discretised
-probability.  Coordinate pins substitute fixed values for chosen
-coordinates before evaluation (used to mask self-colonisation).
+require offset, scale >= 0 and offset + scale <= RATE_BOUND.  The affine
+post-transform is what lets the same parameter set serve as a rate and as
+its own time-discretised probability.  Coordinate pins substitute fixed
+values for chosen coordinates before evaluation (used to mask
+self-colonisation).
 
 Each spec compiles its families once into a `SiteBank`, which evaluates
 every site's functions on a batch at once; a family on its own is the
@@ -46,6 +47,12 @@ ROLES = ("probability", "rate")
 LATTICE_SCAN_CAP = 10
 # all-pairs lattice midpoint scans grow as 4^n; keep them small
 LATTICE_PAIR_CAP = 6
+
+# largest rate a family may take (its offset + scale): far below the float
+# range, so the sums and quotients the spin routes form from rates (n rates
+# a state, six RK4 stages, Lipschitz gaps over distances down to 1e-12)
+# stay finite
+RATE_BOUND = 1e200
 
 
 class ModelError(ValueError):
@@ -118,8 +125,14 @@ class FunctionFamily:
             raise ModelError("family dimension must be >= 1")
         if not (np.isfinite(self.offset) and np.isfinite(self.scale)):
             raise ModelError("offset and scale must be finite")
+        # the value at raw 1: with the offset, it bounds the family's magnitude
+        top = float(self.offset) + float(self.scale)
+        _check_top(top, "offset + scale")
         if self.role == "rate" and (self.offset < 0 or self.scale < 0):
             raise ModelError("rate families need offset >= 0 and scale >= 0")
+        if self.role == "rate" and top > RATE_BOUND:
+            raise ModelError(f"rate families need offset + scale <= {RATE_BOUND:g}, "
+                             f"got {top!r}")
 
         pins = {}
         for site, value in self.pins:
@@ -174,6 +187,9 @@ class FunctionFamily:
             with np.errstate(over="ignore"):
                 _check_top(np.add.accumulate(b)[-1] ** 2 + np.float64(y) ** 2,
                            "sum(b)^2 + y^2")
+            # the bank divides by w^2 + y^2, which is 0 at w = 0 if y^2 underflows
+            if not y ** 2 > 0:
+                raise ModelError(f"half-saturation y must have y^2 > 0, got y = {y!r}")
             norm["b"] = b
             norm["y"] = y
         else:
@@ -693,6 +709,7 @@ class AssumptionReport:
         return self.passed(wanted)
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready data; a margin with no finite value (Lipschitz) is None."""
         return {
             "samples": self.samples,
             "tol": self.tol,
@@ -702,7 +719,8 @@ class AssumptionReport:
                 {
                     "hypothesis": f.hypothesis,
                     "verdict": f.verdict,
-                    "worst_margin": f.worst_margin,
+                    "worst_margin": (f.worst_margin if np.isfinite(f.worst_margin)
+                                     else None),
                     "estimate": f.estimate,
                     "witness": None if f.witness is None else {
                         "site": f.witness.site,

@@ -448,8 +448,7 @@ def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
 
 def spin_marginal_bound(spec: SpinSpec, x0: int, t_grid, tol: float = 1e-6,
                         certified: bool | None = None,
-                        config: OdeConfig = OdeConfig(h=1e-3, method="rk4"),
-                        tail_tol: float = 1e-12) -> OrderReport:
+                        config: OdeConfig = OdeConfig(h=1e-3, method="rk4")) -> OrderReport:
     """ODE trajectory minus exact spin occupation probabilities on a time grid.
 
     One rate table serves every law on the grid; each law is stepped from
@@ -469,7 +468,7 @@ def spin_marginal_bound(spec: SpinSpec, x0: int, t_grid, tol: float = 1e-6,
         if t > t_cur:
             _, states = meanfield.integrate_ode(spec, p, t - t_cur, config)
             p = states[-1]
-            law = exact.spin_law_from(rates, law, t - t_cur, tail_tol)
+            law = exact.spin_law_from(rates, law, t - t_cur)
             t_cur = t
         pi = exact.marginals(law)
         margins = p - pi

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,14 +85,40 @@ def test_rate_defect_first_order(ring3):
         assert 1.5 < a / b < 2.5
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_rate_defect_matches_hamming_masks(n):
+    # at the admissibility bound some stay or flip factors are exactly 0
     for seed in range(3):
         spec = random_spin_model(n, seed=300 * n + seed)
-        config = DiscretisationConfig(0.5 * admissibility_bound(spec))
-        got = rate_defect(spec, config, chain_kernel(spec, config),
-                          exact.spin_generator(spec))
-        assert got == hamming_rate_defect(spec, config)
+        for share in (0.5, 1.0):
+            config = DiscretisationConfig(share * admissibility_bound(spec))
+            got = rate_defect(spec, config, chain_kernel(spec, config),
+                              exact.spin_generator(spec))
+            assert got == hamming_rate_defect(spec, config)
+
+
+def test_rate_defect_matches_hamming_masks_on_the_ring():
+    ring = zoo.contact_ring(8)
+    rates = exact.spin_generator(ring)
+    for delta in DELTAS:
+        config = DiscretisationConfig(delta)
+        got = rate_defect(ring, config, chain_kernel(ring, config), rates)
+        assert got == hamming_rate_defect(ring, config)
+
+
+def test_rate_defect_never_holds_the_dense_kernel():
+    # it reads the kernel's (2^n, n) site probabilities: at n = 10 its peak
+    # is a few such tables, far below one dense 2^10 x 2^10 array (8 MB)
+    ring = zoo.contact_ring(10)
+    config = DiscretisationConfig(DELTAS[0])
+    kernel, rates = chain_kernel(ring, config), exact.spin_generator(ring)
+    tracemalloc.start()
+    try:
+        rate_defect(ring, config, kernel, rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_shared_kernel_and_generator_are_left_unchanged(ring3):
@@ -105,19 +133,6 @@ def test_shared_kernel_and_generator_are_left_unchanged(ring3):
     assert np.array_equal(subordinated_law(ring3, config, 1, 0.5, kernel), law)
     assert all(np.array_equal(a, b)
                for a, b in zip((kernel.low, kernel.high, rates), kept))
-
-
-@pytest.mark.parametrize("n", [3, 7])
-def test_rate_defect_reads_row_blocks(monkeypatch, n):
-    # blocks of one row, or of a few, give the whole-kernel answer
-    spec = random_spin_model(n, seed=40 + n)
-    config = DiscretisationConfig(0.5 * admissibility_bound(spec))
-    kernel, rates = chain_kernel(spec, config), exact.spin_generator(spec)
-    whole = rate_defect(spec, config, kernel, rates)
-    for entries in (1, 3 << n):
-        monkeypatch.setattr(bridge, "BLOCK_ENTRIES", entries)
-        assert rate_defect(spec, config, kernel, rates) == whole
-    assert whole == hamming_rate_defect(spec, config)
 
 
 def test_subordinated_law_at_zero_time(ring3):

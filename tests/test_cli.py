@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -105,6 +106,51 @@ def test_overflowing_weight_sum_exits_one_without_warnings(tmp_path):
         assert done.stdout == ""
         assert done.stderr == (f"error: {path}: colonisation[0]: a + sum(b) must be "
                                "finite: the family would overflow\n")
+
+
+def _colonising_pair(family):
+    doc = model_to_dict(zoo.interacting_pair())
+    doc["colonisation"][0] = family
+    return doc
+
+
+def _fast_birth_ring(scale):
+    doc = model_to_dict(zoo.contact_ring(2))
+    doc["birth"][0]["scale"] = scale
+    return doc
+
+
+_OCC_ROUTES = (["check"], ["run", "--mode", "exact", "--t", "2"],
+               ["verify", "--theorem", "thm1", "--t", "2"])
+_SPIN_ROUTES = (["check"], ["run", "--mode", "meanfield", "--t", "0.5"],
+                ["verify", "--theorem", "thm2", "--t", "0.5", "--grid-points", "3"])
+
+
+@pytest.mark.parametrize("doc, routes, named", [
+    # the value at raw 1 overflowed in the bank on every route
+    (_colonising_pair({"family": "constant", "params": {"c": 0.5},
+                       "offset": 1e308, "scale": 1e308}), _OCC_ROUTES,
+     "colonisation[0]: offset + scale must be finite: the family would overflow"),
+    # a finite rate whose sums overflowed in the hypothesis scan and RK4
+    (_fast_birth_ring(1e308), _SPIN_ROUTES,
+     "birth[0]: rate families need offset + scale <= 1e+200, got 1e+308"),
+    # y^2 underflowed to 0, and w^2 / (w^2 + y^2) gave NaN at w = 0
+    (_colonising_pair({"family": "hanski-incidence",
+                       "params": {"b": [0.1, 0.2], "y": 1e-170}}), _OCC_ROUTES,
+     "colonisation[0]: half-saturation y must have y^2 > 0, got y = 1e-170"),
+])
+def test_unsafe_finite_documents_exit_one_without_warnings(tmp_path, capsys, doc, routes,
+                                                          named):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    for argv in routes:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*argv, "--model", path)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and caught == []
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {named}\n"
 
 
 def test_unknown_field_is_usage_error(tmp_path, capsys):
@@ -388,13 +434,14 @@ def test_each_kernel_is_built_once(model_dir, capsys, monkeypatch, argv, builds)
     (["run", "--model", "pair.json", "--mode", "exact", "--t", "6"], 0),
     (["verify", "--model", "pair.json", "--theorem", "thm3", "--t", "4", "--m", "3"], 1),
     (["verify", "--model", "ring.json", "--theorem", "thm4", "--t", "0.5",
-      "--delta-grid", "0.125,0.0625,0.03125"], 3),
-    (["bridge", "--model", "ring.json", "--t", "0.5", "--delta-grid", "0.125,0.0625"], 2),
+      "--delta-grid", "0.125,0.0625,0.03125"], 0),
+    (["bridge", "--model", "ring.json", "--t", "0.5", "--delta-grid", "0.125,0.0625"], 0),
 ])
 def test_dense_kernel_is_expanded_only_where_read(model_dir, capsys, monkeypatch, argv,
                                                   expansions):
-    # single laws step through the two factor tables; only the thm3 scan
-    # and each delta's rate defect expand the dense matrix
+    # single laws step through the two factor tables and the rate defect
+    # reads the kernel's site probabilities; only the thm3 scan expands
+    # the dense matrix
     calls = []
 
     def counted(self, dense=exact.Kernel.dense):

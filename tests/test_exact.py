@@ -133,7 +133,7 @@ def test_law_trajectory_is_one_propagation(interacting):
 def test_given_kernel_is_used_and_kept(interacting):
     spec = random_model(3, seed=7)
     K = exact.kernel(spec)
-    before = K.low.copy(), K.high.copy(), K.q_high.copy()
+    before = K.low.copy(), K.high.copy(), K.q.copy()
     # the kernel one run shares gives what a fresh kernel gives, and is kept
     assert np.array_equal(exact.distribution(spec, 5, 4, K),
                           exact.law_trajectory(spec, 5, 4)[1])
@@ -144,7 +144,7 @@ def test_given_kernel_is_used_and_kept(interacting):
     assert (path_probability(spec, 2, single, K)
             == path_probability(spec, 2, single, exact.kernel(spec)))
     assert np.array_equal(K.dense(), transition_matrix(spec))
-    assert all(np.array_equal(a, b) for a, b in zip((K.low, K.high, K.q_high), before))
+    assert all(np.array_equal(a, b) for a, b in zip((K.low, K.high, K.q), before))
     # a kernel handed in is used as it is, never rebuilt from the spec: the
     # chain that keeps every bit has the identity kernel
     identity = exact.kernel(zoo.constant_pair(n=3, c=0.0, s=1.0))
@@ -275,13 +275,12 @@ def test_state_cap():
 def test_capacity_rule_cost_function():
     # the rule is checked through its cost function; nothing large is allocated
     assert lattice.dense_bytes(12) == 8 * 4 ** 12
-    assert lattice.dense_bytes(10, 3) == 3 * 8 * 4 ** 10
     budget = lattice.DENSE_BYTES_BUDGET
     biggest = max(n for n in range(40) if lattice.dense_bytes(n) <= budget)
     lattice.check_dense(biggest)
-    for n, arrays in ((biggest + 1, 1), (30, 1), (64, 1), (biggest, 2)):
-        with pytest.raises(CapacityError, match=f"^n = {n}: {arrays} dense .* budget"):
-            lattice.check_dense(n, arrays)
+    for n in (biggest + 1, 30, 64):
+        with pytest.raises(CapacityError, match=f"^n = {n}: 1 dense .* budget"):
+            lattice.check_dense(n)
     with pytest.raises(CapacityError):
         lattice.lattice_bits(60)
 
@@ -319,7 +318,7 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
             (exact.spin_bytes(6), "n = 6: the spin rate tables",
              lambda: order.spin_marginal_bound(ring, 0, [0.5, 1.0], config=OdeConfig(h=0.1))),
             # the bridge holds one kernel at a time, its rate defect no copy of it
-            (lattice.dense_bytes(6, 1), "n = 6: 1 dense",
+            (lattice.dense_bytes(6), "n = 6: 1 dense",
              lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625)))):
         monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget)
         run()
@@ -331,13 +330,12 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
 def test_bridge_counts_one_dense_array(monkeypatch):
     # so thm4 and the bridge reach n = 14 under the default budget
     counted = []
-    monkeypatch.setattr(bridge, "check_dense",
-                        lambda n, arrays=1: counted.append((n, arrays)))
+    monkeypatch.setattr(bridge, "check_dense", counted.append)
     bridge.convergence_table(zoo.contact_ring(2), 0, 0.5, deltas=(0.125,))
-    assert counted == [(2, 1)]
-    lattice.check_dense(14, 1)
+    assert counted == [2]
+    lattice.check_dense(14)
     with pytest.raises(CapacityError):
-        lattice.check_dense(14, 2)
+        lattice.check_dense(15)
 
 
 def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
@@ -436,7 +434,7 @@ def test_uniformised_step_matches_dense(ring3, monkeypatch):
     laws = [spin_law(rates, x0, 0.7) for x0 in range(8)]
     seen = []
     monkeypatch.setattr(exact, "poisson_mixture",
-                        lambda step, v0, mean, tail_tol: seen.append((step, mean)) or v0)
+                        lambda step, v0, mean: seen.append((step, mean)) or v0)
     spin_law(rates, 0, 1.0)
     (step, mean), = seen
     assert mean == pytest.approx(rate, rel=1e-15)
@@ -452,10 +450,10 @@ def test_poisson_mixture_recovers_identity():
 
 @pytest.mark.parametrize("mean", [0.3, 1.0, 10.0, 64.0, 256.0, 1000.0])
 def test_poisson_weights_match_scipy(mean):
-    w = poisson_weights(mean, 1e-12)
+    w = poisson_weights(mean)
     expected = stats.poisson.pmf(np.arange(w.size), mean)
     assert np.max(np.abs(w - expected)) <= 1e-13
-    # the cut is the first index whose cumulative mass reaches 1 - tail_tol
+    # the cut is the first index whose cumulative mass reaches 1 - POISSON_TAIL
     assert stats.poisson.sf(w.size - 1, mean) <= 1e-12 < stats.poisson.sf(w.size - 2, mean)
 
 

@@ -281,10 +281,26 @@ def test_dimension_and_parameter_errors():
     ("affine-saturated", {"a": 1e308, "b": [1e308, 0.0]}, r"a \+ sum\(b\) must be finite"),
     ("hanski-incidence", {"b": [1e200, 0.1], "y": 0.5}, r"sum\(b\)\^2 \+ y\^2 must be finite"),
     ("hanski-incidence", {"b": [0.1, 0.1], "y": 1e200}, r"sum\(b\)\^2 \+ y\^2 must be finite"),
+    # in any role, the value at raw 1 overflows
+    ("constant", {"c": 0.5, "offset": 1e308, "scale": 1e308},
+     r"offset \+ scale must be finite"),
+    ("constant", {"c": 0.5, "offset": 1e308, "scale": 1e308, "role": "rate"},
+     r"offset \+ scale must be finite"),
+    # a finite rate too large for the sums the spin routes form
+    ("affine-saturated", {"a": 0.0, "b": [0.5, 0.5], "scale": 1e308, "role": "rate"},
+     r"offset \+ scale <= 1e\+200"),
+    ("constant", {"c": 1.0, "offset": 1e200, "scale": 1e200, "role": "rate"},
+     r"offset \+ scale <= 1e\+200"),
+    # y^2 underflows to 0, so w^2 / (w^2 + y^2) is 0/0 at w = 0
+    ("hanski-incidence", {"b": [0.1, 0.1], "y": 1e-170}, r"y must have y\^2 > 0"),
+    ("hanski-incidence", {"b": [0.0, 0.0], "y": 1e-170}, r"y must have y\^2 > 0"),
 ])
 def test_non_finite_parameters_are_rejected(variant, params, named):
+    # a row may also give the family's offset, scale and role
+    params = dict(params)
+    fields = {key: params.pop(key) for key in ("offset", "scale", "role") if key in params}
     with pytest.raises(ModelError, match=named):
-        FunctionFamily(variant=variant, n=2, params=params)
+        FunctionFamily(variant=variant, n=2, params=params, **fields)
 
 
 def test_largest_finite_weights_still_evaluate():
@@ -292,6 +308,13 @@ def test_largest_finite_weights_still_evaluate():
     fam = FunctionFamily(variant="affine-saturated", n=2,
                          params={"a": 0.0, "b": [8e307, 8e307]})
     assert np.array_equal(fam.eval_batch(np.array([[1.0, 1.0], [0.0, 0.0]])), [1.0, 0.0])
+    # just inside the rate bound and the y rule: accepted, and finite
+    rate = FunctionFamily(variant="constant", n=2, params={"c": 1.0}, role="rate",
+                          scale=model.RATE_BOUND)
+    assert rate.eval([0.5, 0.5]) == model.RATE_BOUND
+    hanski = FunctionFamily(variant="hanski-incidence", n=2,
+                            params={"b": [0.0, 0.0], "y": 1e-160})
+    assert hanski.eval([1.0, 1.0]) == 0.0 and hanski.range_bounds() == (0.0, 0.0)
 
 
 def test_spec_shape_validation():
