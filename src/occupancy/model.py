@@ -63,8 +63,23 @@ class DimensionError(ModelError):
     """Input dimension does not match the family dimension."""
 
 
+def _number(value, label: str) -> float:
+    """`value` as a float if it is a number; float() would also read a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ModelError(f"{label} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, label: str) -> np.ndarray:
+    """A list or an array of numbers only, as a float array."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for item in values if isinstance(values, (list, tuple)) else (values,):
+            _number(item, f"{label} entry")
+    return np.asarray(values, dtype=float)
+
+
 def _as_prob_vector(values, length: int, label: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _numbers(values, label)
     if arr.shape != (length,):
         raise ModelError(f"{label} must have length {length}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -73,7 +88,7 @@ def _as_prob_vector(values, length: int, label: str) -> np.ndarray:
 
 
 def _finite(value, label: str) -> float:
-    value = float(value)
+    value = _number(value, label)
     if not np.isfinite(value):
         raise ModelError(f"{label} must be finite, got {value}")
     return value
@@ -123,10 +138,13 @@ class FunctionFamily:
             raise ModelError(f"unknown role {self.role!r}")
         if self.n < 1:
             raise ModelError("family dimension must be >= 1")
-        if not (np.isfinite(self.offset) and np.isfinite(self.scale)):
+        offset, scale = _number(self.offset, "offset"), _number(self.scale, "scale")
+        if not (np.isfinite(offset) and np.isfinite(scale)):
             raise ModelError("offset and scale must be finite")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "scale", scale)
         # the value at raw 1: with the offset, it bounds the family's magnitude
-        top = float(self.offset) + float(self.scale)
+        top = offset + scale
         _check_top(top, "offset + scale")
         if self.role == "rate" and (self.offset < 0 or self.scale < 0):
             raise ModelError("rate families need offset >= 0 and scale >= 0")
@@ -137,7 +155,7 @@ class FunctionFamily:
         pins = {}
         for site, value in self.pins:
             site = int(site)
-            value = float(value)
+            value = _number(value, f"pinned value at site {site}")
             if not 0 <= site < self.n:
                 raise ModelError(f"pinned site {site} out of range")
             if not 0.0 <= value <= 1.0:
@@ -193,7 +211,7 @@ class FunctionFamily:
             norm["b"] = b
             norm["y"] = y
         else:
-            table = np.asarray(params["table"], dtype=float)
+            table = _numbers(params["table"], "table")
             if table.shape != (1 << self.n,):
                 raise ModelError(f"table must have length {1 << self.n}")
             if np.any(table < 0) or np.any(table > 1) or not np.all(np.isfinite(table)):
@@ -519,14 +537,14 @@ def _family_from_obj(obj, n: int, role: str, where: str) -> FunctionFamily:
     if not isinstance(pins_obj, dict):
         raise ModelError(f"{where}: 'pins' must be an object mapping site to value")
     try:
-        pins = tuple((int(site), float(value)) for site, value in pins_obj.items())
+        pins = tuple((int(site), value) for site, value in pins_obj.items())
         return FunctionFamily(
             variant=obj["family"],
             n=n,
             params=obj["params"],
             role=role,
-            offset=float(obj.get("offset", 0.0)),
-            scale=float(obj.get("scale", 1.0)),
+            offset=obj.get("offset", 0.0),
+            scale=obj.get("scale", 1.0),
             pins=pins,
         )
     except ModelError as exc:

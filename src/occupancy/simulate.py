@@ -10,6 +10,10 @@ or survival (if occupied) probability of the current state.  For models
 whose survival dominates colonisation this threshold rule is monotone:
 raising any uniform can only turn bits off, which is what the paired-path
 check below exercises.
+
+The engines compare integers: a uniform u = k * 2^-53 of 53-bit word k is
+below p in [0, 1] exactly when k < ceil(p * 2^53), as scaling by 2^53 is
+exact.
 """
 
 from __future__ import annotations
@@ -22,24 +26,35 @@ import numpy as np
 from .exact import MultiSitePattern, check_constraints
 from .lattice import check_bytes, lattice_bits, state_bits
 from .model import ModelSpec, transition_values
-from .streams import REPLICATE_CHUNK, UniformArray
+from .streams import REPLICATE_CHUNK, UniformArray, new_bit_generator
 
 # the per-word threshold table is precomputed up to this dimension
 _TABLE_CAP = 12
 # bit weights of the state word; a float64 gemv with them is exact to 2^53
 _WORD_WEIGHTS = 2.0 ** np.arange(_TABLE_CAP)
+_WORD_SCALE = 2.0 ** 53
+
+
+def _threshold_words(p: np.ndarray) -> np.ndarray:
+    """ceil(p * 2^53) as uint64, cast in p's buffer as streams casts its words."""
+    p *= _WORD_SCALE
+    np.ceil(p, out=p)
+    flat = p.reshape(-1)
+    words = flat.view(np.uint64)
+    words[...] = flat
+    return words.reshape(p.shape)
 
 
 def _threshold_table(spec: ModelSpec):
-    """(2^n, n) table of each bit's chance to be on next, by state word; None past the cap."""
+    """(2^n, n) word thresholds of each bit, by state word; None past the cap."""
     if spec.n > _TABLE_CAP:
         return None
-    return transition_values(spec, lattice_bits(spec.n))
+    return _threshold_words(transition_values(spec, lattice_bits(spec.n)))
 
 
 def _thresholds(spec: ModelSpec, states: np.ndarray, table) -> np.ndarray:
     if table is None:
-        return transition_values(spec, states)
+        return _threshold_words(transition_values(spec, states))
     words = (states @ _WORD_WEIGHTS[:spec.n]).astype(np.int64)
     return table.take(words, axis=0)
 
@@ -48,17 +63,26 @@ def step_occupancy(spec: ModelSpec, states: np.ndarray, uniforms: np.ndarray,
                    table) -> np.ndarray:
     """Advance a (B, n) batch of 0/1 states one step with given uniforms.
 
-    `table` is `_threshold_table(spec)`; None, as past the cap, evaluates
-    the thresholds at the states.  The next states keep the dtype of
-    `states`; the engines carry float64 states, so that state words and
-    site counts are BLAS products.
+    `uniforms` are 53-bit words, or floats u read as floor(u * 2^53), exact
+    for the streams' k * 2^-53.  `table` is `_threshold_table(spec)`; None,
+    as past the cap, evaluates the thresholds at the states.  The next
+    states keep the dtype of `states`; the engines carry float64 states, so
+    that state words and site counts are BLAS products.
     """
     states = np.asarray(states)
+    uniforms = np.asarray(uniforms)
     if states.shape != uniforms.shape or states.shape[-1] != spec.n:
         raise ValueError("states and uniforms must both have shape (B, n)")
-    thr = _thresholds(spec, states, table)
-    # a fresh array either way, so the 0/1 outcomes overwrite it
-    return np.less(uniforms, thr, out=thr).astype(states.dtype, copy=False)
+    if uniforms.dtype != np.uint64:
+        uniforms = (uniforms * _WORD_SCALE).astype(np.uint64)
+    if not 5e-324 > 0.0:
+        raise ArithmeticError("subnormal doubles flush to zero, so words cannot be compared")
+    thr = _thresholds(spec, states, table).view(np.float64)
+    # words below 2^63 read as doubles are finite, nonnegative and in the
+    # same order, so the float64 compare is the integer one: it is faster,
+    # and numpy's integer compare would page in 128 KB more of its code.
+    # The thresholds are a fresh array, which the 0/1 outcomes overwrite
+    return np.less(uniforms.view(np.float64), thr, out=thr).astype(states.dtype, copy=False)
 
 
 def _initial_states(x0: int, n: int, rows: int) -> np.ndarray:
@@ -137,15 +161,17 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
     table = _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
+        bitgen = new_bit_generator()
         states = _initial_states(x0, spec.n, rows)
         # per-site counts as a gemv; exact, as they are integers up to rows
         ones = np.ones(rows)
         counts = np.zeros((steps + 1, spec.n), dtype=np.int64)
         counts[0] = ones @ states
         for t in range(1, steps + 1):
-            # the uniforms are bound to no name, so the last step's are freed
+            # the words are bound to no name, so the last step's are freed
             # before the next draw: two chunk arrays live while drawing, not three
-            states = step_occupancy(spec, states, ua.chunk_values(t, chunk, rows), table)
+            states = step_occupancy(
+                spec, states, ua.chunk_values(t, chunk, rows, words=True, bitgen=bitgen), table)
             counts[t] = ones @ states
         return counts
 
@@ -166,10 +192,12 @@ def simulate_event_probability(spec: ModelSpec, x0: int, pattern: MultiSitePatte
     table = _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
+        bitgen = new_bit_generator()
         states = _initial_states(x0, spec.n, rows)
         alive = np.ones(rows, dtype=bool)
         for t in range(1, horizon + 1):
-            states = step_occupancy(spec, states, ua.chunk_values(t, chunk, rows), table)
+            states = step_occupancy(
+                spec, states, ua.chunk_values(t, chunk, rows, words=True, bitgen=bitgen), table)
             for site in by_time.get(t, ()):
                 alive &= states[:, site] == 0
         return np.asarray(alive.sum(), dtype=np.int64)
@@ -194,11 +222,12 @@ def monotone_path_check(spec: ModelSpec, x0: int, steps: int, reps: int, seed: i
     table = _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
+        bitgen = new_bit_generator()
         lo = _initial_states(x0, spec.n, rows)
         hi = lo.copy()
         bad = 0
         for t in range(1, steps + 1):
-            u = ua.chunk_values(t, chunk, rows)
+            u = ua.chunk_values(t, chunk, rows, bitgen=bitgen)
             hi = step_occupancy(spec, hi, u, table)
             lo = step_occupancy(spec, lo, u ** gamma, table)
             bad += int(np.sum(lo > hi))

@@ -11,10 +11,10 @@ with word 0 left free-running for draws within a stream, and the key is
 independent streams for the same seed, and re-drawing any prefix of a
 stream is reproducible regardless of what else has been generated.
 
-The k-th uniform of a stream is ``(raw_k >> 11) * 2**-53``, raw_k being the
-k-th 64-bit output word of the addressed Philox, which increments the counter
-before each block of four words; this is the double numpy's
-``Generator.random`` makes from the same words, bit for bit.
+The k-th word of a stream is ``raw_k >> 11``, raw_k being the k-th 64-bit
+output word of the addressed Philox, which increments the counter before
+each block of four words; its uniform is ``word * 2**-53``, the double
+numpy's ``Generator.random`` makes from raw_k, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,33 +46,55 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+# a Philox's buffer of unread words, empty at each address
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
+
 def _stream_key(seed: int) -> np.ndarray:
     return np.array([check_seed(seed), _KEY_SALT], dtype=np.uint64)
 
 
-def _draw(key: np.ndarray, domain: int, lane: int, block: int, count: int) -> np.ndarray:
-    """First `count` uniforms of the stream at (domain, lane, block) under `key`.
+def _words(bitgen: np.random.Philox, key: np.ndarray, domain: int, lane: int,
+           block: int, count: int) -> np.ndarray:
+    """First `count` words of the stream at (domain, lane, block), from `bitgen`.
 
-    A fresh Philox per call, so threads drawing at once share no state.  The
-    words become doubles in their own buffer, so a draw holds one array of
-    `count` words, as Generator.random does: assigning a 1-d array onto a
-    same-strided view of itself casts element by element, where a ufunc with
-    `out=` that view would first copy its whole input.
+    Setting a Philox's state costs a third of building one.  Each thread
+    draws with its own `bitgen`.
     """
-    counter = np.array([0, block, lane, domain], dtype=np.uint64)
-    raw = np.random.Philox(key=key, counter=counter).random_raw(count)
-    raw >>= 11
-    out = raw.view(np.float64)
-    out[...] = raw
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": np.array([0, block, lane, domain], dtype=np.uint64),
+                              "key": key},
+                    "buffer": _EMPTY_BUFFER, "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
+    words = bitgen.random_raw(count)
+    words >>= 11
+    return words
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms `words * 2**-53` of 1-d words, cast in their own buffer.
+
+    A draw so holds one array of its size, as Generator.random does:
+    assigning a 1-d array onto a same-strided view of itself casts element
+    by element, where a ufunc with `out=` that view, or a 2-d array, would
+    be copied first.
+    """
+    out = words.view(np.float64)
+    out[...] = words
     out *= 2.0 ** -53
     return out
+
+
+def new_bit_generator() -> np.random.Philox:
+    """A Philox to draw with; each draw sets its key and counter."""
+    return np.random.Philox(0)
 
 
 def uniform_stream(seed: int, domain: int, lane: int, block: int, count: int) -> np.ndarray:
     """First `count` doubles of the stream addressed by (seed, domain, lane, block)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return _draw(_stream_key(seed), domain, lane, block, count)
+    return _uniforms(_words(new_bit_generator(), _stream_key(seed), domain, lane, block, count))
 
 
 def assumption_uniforms(seed: int, lane: int, count: int) -> np.ndarray:
@@ -97,11 +119,20 @@ class UniformArray:
     def __post_init__(self):
         object.__setattr__(self, "_key", _stream_key(self.seed))
 
-    def chunk_values(self, step: int, chunk_index: int, rows: int = REPLICATE_CHUNK) -> np.ndarray:
-        """Uniforms for the first `rows` replicates of one chunk at one step."""
+    def chunk_values(self, step: int, chunk_index: int, rows: int = REPLICATE_CHUNK, *,
+                     words: bool = False, bitgen: np.random.Philox | None = None) -> np.ndarray:
+        """Uniforms (or their words) for the first `rows` replicates of one chunk at one step.
+
+        A chunk job passes one `bitgen` from `new_bit_generator()` at every step.
+        """
         if not 1 <= rows <= REPLICATE_CHUNK:
             raise ValueError("rows must be in 1..REPLICATE_CHUNK")
-        values = _draw(self._key, DOMAIN_SIMULATION, step, chunk_index, rows * self.n_sites)
+        if bitgen is None:
+            bitgen = new_bit_generator()
+        values = _words(bitgen, self._key, DOMAIN_SIMULATION, step, chunk_index,
+                        rows * self.n_sites)
+        if not words:
+            values = _uniforms(values)
         return values.reshape(rows, self.n_sites)
 
     def replicate_values(self, replicate: int, step: int) -> np.ndarray:

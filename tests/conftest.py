@@ -7,6 +7,7 @@ import pytest
 from occupancy import bridge, exact, indep, model, order, zoo
 from occupancy.exact import MultiSitePattern, TimePattern
 from occupancy.model import VARIANTS, FunctionFamily, ModelSpec, SpinSpec
+from occupancy.streams import DOMAIN_SIMULATION, REPLICATE_CHUNK, uniform_stream
 
 
 @pytest.fixture
@@ -336,6 +337,28 @@ def philox_uniforms(seed, domain, lane, block, count):
                               (p0 >> 64) ^ x3 ^ k1, p0 & mask)
         words += [x0, x1, x2, x3]
     return np.array([(w >> 11) * 2.0 ** -53 for w in words[:count]])
+
+
+def float_route_paths(spec, x0: int, steps: int, reps: int, seed: int) -> np.ndarray:
+    """(steps+1, reps, n) 0/1 states of every replicate under the float rule.
+
+    The Monte Carlo engines' rule as it reads in the paper: the double
+    uniforms of streams.uniform_stream at the engines' addresses (lane =
+    step, block = chunk), the float thresholds of model.transition_values
+    at the current states, and a bit on next when u < p.  The engines
+    compare integer words instead; their counts must equal these.
+    """
+    paths = np.empty((steps + 1, reps, spec.n), dtype=np.int8)
+    paths[0] = exact.state_bits(x0, spec.n)
+    for start in range(0, reps, REPLICATE_CHUNK):
+        rows = slice(start, min(reps, start + REPLICATE_CHUNK))
+        states = paths[0, rows].astype(float)
+        for t in range(1, steps + 1):
+            u = uniform_stream(seed, DOMAIN_SIMULATION, t, start // REPLICATE_CHUNK,
+                               states.size).reshape(states.shape)
+            states = (u < model.transition_values(spec, states)).astype(float)
+            paths[t, rows] = states
+    return paths
 
 
 def random_family(n, rng, role="probability", variants=VARIANTS):

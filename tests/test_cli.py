@@ -153,6 +153,39 @@ def test_unsafe_finite_documents_exit_one_without_warnings(tmp_path, capsys, doc
         assert captured.err == f"error: {path}: {named}\n"
 
 
+def _family_with(family, params, **fields):
+    return {"family": family, "params": params, **fields}
+
+
+@pytest.mark.parametrize("family, named", [
+    (_family_with("affine-saturated", {"a": "0.2", "b": [0.0, 0.3]}),
+     "intercept a must be a number, got '0.2'"),
+    (_family_with("affine-saturated", {"a": 0.2, "b": [0.1, True]}),
+     "weight vector b entry must be a number, got True"),
+    (_family_with("constant", {"c": True}), "constant level c must be a number, got True"),
+    (_family_with("hanski-incidence", {"b": [0.1, 0.2], "y": "0.5"}),
+     "half-saturation y must be a number, got '0.5'"),
+    (_family_with("product-form", {"beta": [0.5, "0.5"]}),
+     "beta entry must be a number, got '0.5'"),
+    (_family_with("tabulated-multilinear", {"table": [0.0, 0.5, 0.5, False]}),
+     "table entry must be a number, got False"),
+    (_family_with("constant", {"c": 0.2}, offset=True), "offset must be a number, got True"),
+    (_family_with("constant", {"c": 0.2}, scale="1"), "scale must be a number, got '1'"),
+    (_family_with("constant", {"c": 0.2}, pins={"1": "1"}),
+     "pinned value at site 1 must be a number, got '1'"),
+])
+def test_non_numbers_in_number_fields_are_usage_errors(tmp_path, capsys, family, named):
+    # float() would read each of these as a number; the loader refuses them
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_colonising_pair(family)))
+    for argv in _OCC_ROUTES:
+        code = run_cli(*argv, "--model", path)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: colonisation[0]: {named}\n"
+
+
 def test_unknown_field_is_usage_error(tmp_path, capsys):
     doc = {"n": 1, "colonisation": [{"family": "constant", "params": {"c": 0.3}}],
            "survival": [{"family": "constant", "params": {"c": 0.8}}],

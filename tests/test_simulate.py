@@ -1,3 +1,6 @@
+from fractions import Fraction
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,10 @@ from occupancy import exact, simulate, zoo
 from occupancy.exact import MultiSitePattern
 from occupancy.simulate import (monotone_path_check, simulate_event_probability,
                                 simulate_marginals, step_occupancy)
+from occupancy.model import FunctionFamily, ModelSpec
 from occupancy.streams import REPLICATE_CHUNK, UniformArray
 
-from conftest import family_site_values, random_model
+from conftest import family_site_values, float_route_paths, random_model
 
 # random models of every variant, with pins, clamps and negative scales
 RANDOM_MODELS = [(n, seed) for seed, n in enumerate((1, 2, 3, 4, 5, 6, 3, 4))]
@@ -40,15 +44,27 @@ def test_step_extremes(interacting):
     assert np.all(step_occupancy(interacting, states, zeros, table) == 1)
 
 
+def test_step_compares_words_with_their_thresholds(interacting):
+    # a word equal to its threshold ceil(p * 2^53) stays off, one below turns on
+    table = simulate._threshold_table(interacting)
+    states = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
+    thr = simulate._thresholds(interacting, states, table)
+    for below, on in [(0, 0.0), (1, 1.0)]:
+        words = thr - np.uint64(below)
+        assert np.all(step_occupancy(interacting, states, words, table) == on)
+        assert np.all(step_occupancy(interacting, states, words * 2.0 ** -53, table) == on)
+
+
 def test_table_and_direct_threshold_routes_agree():
     # above the table cap thresholds are evaluated directly; both routes
     # must equal the per-family choice of survival (occupied) or
-    # colonisation (vacant), bit for bit
+    # colonisation (vacant), bit for bit, as the word thresholds
+    # ceil(p * 2^53) the engines compare their uniforms' words with
     rng = np.random.default_rng(1)
     for spec in [zoo.random_certified_model(3, 77)] + [random_model(*m) for m in RANDOM_MODELS]:
         states = rng.integers(0, 2, size=(200, spec.n)).astype(np.int8)
         c, s = family_site_values(spec, states.astype(float))
-        oracle = np.where(states > 0, s, c)
+        oracle = np.ceil(np.where(states > 0, s, c) * 2.0 ** 53).astype(np.uint64)
         tabled = simulate._thresholds(spec, states, simulate._threshold_table(spec))
         direct = simulate._thresholds(spec, states, None)
         assert np.array_equal(tabled, oracle)
@@ -215,3 +231,60 @@ def test_input_validation(interacting):
     with pytest.raises(ValueError):
         step_occupancy(interacting, np.zeros((4, 2), dtype=np.int8),
                        np.zeros((4, 3)), None)
+
+
+def _saturating_model():
+    """Three sites whose thresholds take exactly 0 and exactly 1, by level and by clamp."""
+    def const(c):
+        return FunctionFamily(variant="constant", n=3, params={"c": c})
+    clamped = FunctionFamily(variant="affine-saturated", n=3,
+                             params={"a": 0.0, "b": [0.7, 0.0, 0.7]})
+    return ModelSpec(n=3, colonisation=(const(0.0), clamped, const(1.0)),
+                     survival=(const(1.0), const(0.0), clamped))
+
+
+# random models of every variant, the 0/1 thresholds, and one past the table cap
+_BYTE_IDENTITY_MODELS = ([(random_model, m) for m in RANDOM_MODELS]
+                         + [(lambda n, seed: _saturating_model(), (3, 0)),
+                            (random_model, (simulate._TABLE_CAP + 1, 5))])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("build, args", _BYTE_IDENTITY_MODELS)
+def test_engines_count_as_the_float_rule(build, args, workers):
+    spec = build(*args)
+    n, steps, x0 = spec.n, 4, (1 << spec.n) - 2
+    # three chunks, the last one partial, for three workers to share
+    reps, seed = 2 * REPLICATE_CHUNK + 37, 2 ** 53 + args[1]
+    paths = float_route_paths(spec, x0, steps, reps, seed)
+    est = simulate_marginals(spec, x0, steps, reps, seed, workers=workers)
+    counts = paths.sum(axis=1, dtype=np.int64)
+    assert est.means.tobytes() == (counts / reps).tobytes()
+    entries = ((0, (1, steps)),) + (((n - 1, (2,)),) if n > 1 else ())
+    event = simulate_event_probability(spec, x0, MultiSitePattern(entries=entries),
+                                       reps, seed, workers=workers)
+    vacant = [paths[t, :, site] == 0 for site, times in entries for t in times]
+    assert event.mean == int(np.logical_and.reduce(vacant).sum()) / reps
+
+
+def test_saturating_model_thresholds_are_zero_and_one():
+    table = simulate._threshold_table(_saturating_model())
+    assert table.min() == 0 and table.max() == 1 << 53
+
+
+# thresholds at the edges of [0, 1] and of the 2^-53 grid
+_EDGE_THRESHOLDS = (0.0, 1.0, 5e-324, 2.0 ** -1022, 2.0 ** -53, np.nextafter(2.0 ** -53, 0.0),
+                    np.nextafter(2.0 ** -53, 1.0), 0.5, np.nextafter(0.5, 1.0),
+                    np.nextafter(1.0, 0.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(p=st.one_of(st.sampled_from(_EDGE_THRESHOLDS), st.floats(0.0, 1.0)),
+       k=st.integers(0, 2 ** 53 - 1), near=st.sampled_from((None, -1, 0, 1)))
+def test_word_rule_is_the_float_rule(p, k, near):
+    # u = k * 2^-53 < p exactly when k < ceil(p * 2^53)
+    c = int(simulate._threshold_words(np.array([p]))[0])
+    assert c == math.ceil(Fraction(p) * 2 ** 53)
+    if near is not None:
+        k = min(max(c + near, 0), 2 ** 53 - 1)
+    assert (k * 2.0 ** -53 < p) == (k < c)

@@ -7,7 +7,8 @@ from occupancy import zoo
 from occupancy.simulate import simulate_marginals
 from occupancy.streams import (DOMAIN_ASSUMPTIONS, DOMAIN_SIMULATION,
                                REPLICATE_CHUNK, UniformArray,
-                               assumption_uniforms, uniform_stream)
+                               assumption_uniforms, new_bit_generator,
+                               uniform_stream)
 
 from conftest import generator_stream, philox_uniforms
 
@@ -142,6 +143,22 @@ def test_assumption_uniforms_match_the_generator_oracle(seed):
     for lane, count in [(0, 1), (3, 17), (12, 4096 * 5)]:
         assert np.array_equal(assumption_uniforms(seed, lane, count),
                               generator_stream(seed, DOMAIN_ASSUMPTIONS, lane, 0, count))
+
+
+def test_a_reused_bit_generator_draws_as_a_fresh_one():
+    # every draw sets the whole Philox state, the unread words of the last
+    # draw included: 5 and 17 words leave some in its buffer
+    ua = UniformArray(seed=2 ** 53 + 1, n_sites=5)
+    bitgen = new_bit_generator()
+    for step, chunk, rows in [(1, 0, 1), (3, 2, 17), (1, 0, 1), (20, 390, REPLICATE_CHUNK)]:
+        for words in (False, True):
+            reused = ua.chunk_values(step, chunk, rows, words=words, bitgen=bitgen)
+            assert np.array_equal(reused, ua.chunk_values(step, chunk, rows, words=words))
+    oracle = generator_stream(2 ** 52, DOMAIN_SIMULATION, 3, 2, 5 * 17)
+    words = UniformArray(seed=2 ** 52, n_sites=5).chunk_values(3, 2, 17, words=True,
+                                                               bitgen=bitgen)
+    assert words.dtype == np.uint64 and words.max() < 2 ** 53
+    assert np.array_equal(words * 2.0 ** -53, oracle.reshape(17, 5))
 
 
 def test_simulation_is_thread_safe():
