@@ -536,6 +536,11 @@ def _family_from_obj(obj, n: int, role: str, where: str) -> FunctionFamily:
     pins_obj = obj.get("pins", {})
     if not isinstance(pins_obj, dict):
         raise ModelError(f"{where}: 'pins' must be an object mapping site to value")
+    for site in pins_obj:
+        # int() would also read " 1", "+1", "01" and "1_0"
+        if not (isinstance(site, str) and site.isdecimal() and str(int(site)) == site):
+            raise ModelError(f"{where}: 'pins' key must be a site number in plain decimal, "
+                             f"got {site!r}")
     try:
         pins = tuple((int(site), value) for site, value in pins_obj.items())
         return FunctionFamily(

@@ -7,13 +7,17 @@ uncertified models no claim is made and the verdict is "informative".
 
 Vacancy-pattern comparisons on the hypercube run over every nonempty
 subset of sites, so they are capped at moderate dimensions.
+
+The path check enumerates its patterns once, as a tree of demand prefixes
+held in arrays; each node's vacancy transform gives every pattern whose
+last demand falls at its depth.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,38 +213,28 @@ def positive_correlations(dist: np.ndarray, tol: float = DEFAULT_TOL,
     )
 
 
-def _patterns_for_budget(n: int, m: int, budget: int):
-    """Multisite patterns with total demanded vacancies <= budget, one at a time.
+def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
+    """Number of set bits among the low `bits` bits of each entry of `x`."""
+    count = np.zeros_like(x)
+    for i in range(bits):
+        count += (x >> i) & 1
+    return count
 
-    Each is yielded as its raw entries ((site, times), ...), times ascending.
-    """
-    times = range(1, m + 1)
-    # choose a nonempty set of sites, then for each a nonempty time set,
-    # keeping the total count within budget
-    for sites_count in range(1, min(n, budget) + 1):
-        per_site_max = budget - (sites_count - 1)
-        opts = []
-        for k in range(1, min(per_site_max, m) + 1):
-            opts.extend(itertools.combinations(times, k))
-        for sites in itertools.combinations(range(n), sites_count):
-            for combo in itertools.product(opts, repeat=sites_count):
-                if sum(len(ts) for ts in combo) <= budget:
-                    yield tuple(zip(sites, combo))
+
+def _reverse(x: np.ndarray, bits: int) -> np.ndarray:
+    """Each entry of `x` with its low `bits` bits in reverse order."""
+    out = np.zeros_like(x)
+    for i in range(bits):
+        out |= ((x >> i) & 1) << (bits - 1 - i)
+    return out
 
 
 def _masks_by_weight(n: int):
-    """Nonempty site masks by popcount then value, and each mask's position there.
-
-    The masks of popcount at most r are the first `_weight_count(n, r)`.
-    """
-    masks = np.arange(1, 1 << n)
-    weight = np.zeros_like(masks)
-    for i in range(n):
-        weight += (masks >> i) & 1
-    order = masks[np.argsort(weight, kind="stable")]
-    rank = np.zeros(1 << n, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    return order, rank.tolist()
+    """Every site mask by popcount then value, the empty one first, and its popcount."""
+    masks = np.arange(1 << n)
+    weight = _popcount(masks, n)
+    order = np.argsort(weight, kind="stable")
+    return order, weight[order]
 
 
 def _weight_count(n: int, r: int) -> int:
@@ -248,140 +242,143 @@ def _weight_count(n: int, r: int) -> int:
     return sum(math.comb(n, j) for j in range(1, min(r, n) + 1))
 
 
-def _prefix_levels(n: int, m: int, budget: int):
-    """The tree of demand prefixes, one depth t = 1..m at a time.
+def _add_step(steps: np.ndarray, masks: np.ndarray, t: int) -> np.ndarray:
+    """Add step t, in place, to rows of step masks at the sites of each mask."""
+    bits = masks[:, None] >> np.arange(steps.shape[1])
+    bits &= 1
+    bits <<= t - 1
+    steps |= bits
+    return steps
 
-    A node at depth t is a prefix (D_1..D_{t-1}) of per-step vacancy masks
-    that some scanned pattern extends: a multisite pattern if the prefix
-    demands at most budget - 1 vacancies, a single-site one if all its
-    demands fall on one site.  A node is (parent, mask, code, demands,
-    site): its law is its parent's pushed law with the sites of `mask`
-    vacated, `code` packs D_s into bits n(s-1)..ns-1, and `site` is -1
-    for the empty prefix, the one site demanded, or None for several.
-    Each depth is yielded as a list of its nodes.
+
+class _Nodes(NamedTuple):
+    """Prefixes (D_1..D_{t-1}) of per-step vacancy masks at depth t, a row each.
+
+    A node's law is its parent's pushed law with `mask` = D_{t-1} vacated;
+    `sites` masks the sites it demands and `steps[r, i]` the steps (bit
+    s-1 for step s) at which it demands site i.
     """
-    order = _masks_by_weight(n)[0].tolist()
-    level = [(0, 0, 0, 0, -1)]
-    for t in range(1, m + 1):
-        yield level
-        if t < m:
-            level = list(_children(level, n, budget, order, n * (t - 1)))
+
+    parent: np.ndarray
+    mask: np.ndarray
+    demands: np.ndarray
+    sites: np.ndarray
+    steps: np.ndarray
 
 
-def _children(level, n: int, budget: int, order: list[int], shift: int):
-    """The nodes one depth below `level`, in order of their parents."""
-    for parent, (_, _, code, demands, site) in enumerate(level):
-        room = budget - 1 - demands
-        if room >= 1:
-            masks = order[:_weight_count(n, room)]
-        elif site is None:
-            masks = []
-        else:
-            masks = order[:n] if site < 0 else [1 << site]
-        for mask in [0] + masks:
-            if mask == 0:
-                child_site = site
-            elif mask & (mask - 1) == 0 and site in (-1, mask.bit_length() - 1):
-                child_site = mask.bit_length() - 1
-            else:
-                child_site = None
-            yield (parent, mask, code | mask << shift, demands + mask.bit_count(),
-                   child_site)
+def _children(nodes: _Nodes, budget: int, t: int) -> _Nodes:
+    """The nodes at depth t + 1, in order of their parents at depth t.
+
+    A node is kept when a scanned pattern extends it: a parent takes the
+    empty mask, every mask of popcount up to budget - 1 - demands
+    (multisite patterns), and each site holding all its demands (single-site
+    ones).
+    """
+    n = nodes.steps.shape[1]
+    order, weight = _masks_by_weight(n)
+    count = _weight_count(n, max(budget - 1, 1)) + 1
+    masks, weight = order[:count], weight[:count]
+    take = weight <= np.maximum(budget - 1 - nodes.demands, 0)[:, None]
+    # the singletons follow the empty mask, site by site
+    singles = masks[1:n + 1]
+    take[:, 1:n + 1] |= (nodes.sites[:, None] | singles) == singles
+    parent, k = np.nonzero(take)
+    mask = masks[k]
+    return _Nodes(parent, mask, nodes.demands[parent] + weight[k],
+                  nodes.sites[parent] | mask, _add_step(nodes.steps[parent], mask, t))
 
 
-def _tree_sizes(n: int, m: int, budget: int) -> tuple[list[int], int]:
-    """Nodes of `_prefix_levels` at each depth, and the values the scan stores.
+def _tree_sizes(n: int, m: int, budget: int) -> list[int]:
+    """Nodes of the prefix tree at each depth t = 1..m.
 
     A prefix of length L demanding k vacancies is a multisite node when
     k <= budget - 1 (any k of the nL (site, step) pairs) and a single-site
     node past that (k of the L steps of one site).
     """
-    rows, stored = [], 0
-    for t in range(1, m + 1):
-        multi = [math.comb(n * (t - 1), k) for k in range(budget)]
-        single = n * sum(math.comb(t - 1, k) for k in range(budget, t))
-        rows.append(sum(multi) + single)
-        stored += (sum(c * _weight_count(n, budget - k) for k, c in enumerate(multi))
-                   + single * n)
-    return rows, stored
+    return [sum(math.comb(n * (t - 1), k) for k in range(budget))
+            + n * sum(math.comb(t - 1, k) for k in range(budget, t))
+            for t in range(1, m + 1)]
 
 
 def _check_scan(n: int, m: int, budget: int):
     """The capacity rule for `path_orthant`: everything it holds, before any of it exists.
 
-    It holds the two (n, 2^m) surrogate tables, the stored pattern values,
-    and per depth the parents' pushed laws and its own; per block, the
-    gathered laws with their product, then the product with the
-    transform's copy, and the vacancy masks.
+    The surrogate's two (n, 2^m) tables take six such arrays to build;
+    the scan holds them, the single-site margins and omega's places; per
+    depth, the parents' laws and its own, the nodes of it and the next
+    (n + 4 int64 each, twice over while built) and a flag per (node,
+    candidate mask); per block, three law-sized arrays; per equal-demand
+    group, 2n + 5 numbers per pattern read.
     """
     what = f"n = {n}, m = {m}, budget {budget}: the path scan"
-    tables = 2 * n * (8 << m)
-    # the tables alone bound m before the tree is sized
-    check_bytes(tables, what)
-    rows, stored = _tree_sizes(n, m, budget)
+    table = 8 << m
+    # the surrogate's two tables alone bound m before the tree is sized
+    check_bytes(2 * n * table, what)
+    rows = _tree_sizes(n, m, budget)
     parents = [1] + rows[:-1]
     laws = max(p + (r if t < m else 0)
                for t, (p, r) in enumerate(zip(parents, rows), start=1))
+    node = 8 * (n + 4)
+    candidates = _weight_count(n, max(budget - 1, 1)) + 1
+    nodes = max(2 * (p + r) * node + p * candidates for p, r in zip(parents, rows))
     block = min(max(rows), 1 << n, BLOCK_LAWS)
-    check_bytes(tables + 8 * stored + (8 << n) * (laws + 3 * block), what)
+    patterns = max(min(block, math.comb(n * (t - 1), d)) * _weight_count(n, budget - d)
+                   for t in range(1, m + 1) for d in range(min(budget, n * (t - 1) + 1)))
+    scan = ((3 * n + 1) * table + nodes + (8 << n) * (laws + 3 * block)
+            + 8 * (2 * n + 5) * patterns)
+    check_bytes(max(6 * n * table, scan), what)
 
 
-def _exact_scan(kernel: exact.Kernel, x0: int, m: int, budget: int):
-    """Exact probabilities of every scanned pattern, one push per tree node.
+def _scan(kernel: exact.Kernel, x0: int, m: int, budget: int):
+    """Push every node of the prefix tree; yield (t, nodes, vac) per block.
 
-    The scan expands the dense kernel, since a block of laws runs faster
-    through one matrix product than through the two factor tables.  Each
-    depth's nodes are masked and pushed in row blocks of at most
-    BLOCK_LAWS laws, one product per block; one vacancy transform of a
-    pushed law reads off every pattern whose last demand falls at that
-    depth.
-    Returns the lookup from a pattern's raw entries ((site, times), ...),
-    with at least one time, to its probability.
+    Blocks of at most BLOCK_LAWS laws go through one product with the
+    dense kernel, faster than through its two factor tables.  vac[r, A]
+    is P(node r's demands, and all sites of A vacant at step t).
     """
     dense = kernel.dense()
     size = dense.shape[0]
     n = size.bit_length() - 1
     rows = min(size, BLOCK_LAWS)
-    order, rank = _masks_by_weight(n)
     words = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    sizes, total = _tree_sizes(n, m, budget)
-    values = np.empty(total)
-    offsets = []
-    stored = 0
+    zero = np.zeros(1, dtype=np.int64)
+    nodes = _Nodes(zero, zero, zero, zero, np.zeros((1, n), dtype=np.int64))
     parents = exact.point_mass(n, x0)[None]
-    for t, level in enumerate(_prefix_levels(n, m, budget), start=1):
-        pushed = np.empty((sizes[t - 1], size)) if t < m else None
-        at = {}
-        for start in range(0, len(level), rows):
-            block = level[start:start + rows]
-            masks = np.array([node[1] for node in block], dtype=words.dtype)
-            laws = parents[[node[0] for node in block]]
-            laws *= (words & masks[:, None]) == 0
+    for t in range(1, m + 1):
+        pushed = np.empty((len(nodes.parent), size)) if t < m else None
+        for start in range(0, len(nodes.parent), rows):
+            block = _Nodes(*(field[start:start + rows] for field in nodes))
+            laws = parents[block.parent]
+            laws *= (words & block.mask.astype(words.dtype)[:, None]) == 0
             laws = laws @ dense
             if pushed is not None:
-                pushed[start:start + len(block)] = laws
-            for vac, (_, _, code, demands, _) in zip(vacancy_transform(laws), block):
-                count = _weight_count(n, max(1, budget - demands))
-                at[code] = stored
-                values[stored:stored + count] = vac[order[:count]]
-                stored += count
-        offsets.append(at)
+                pushed[start:start + rows] = laws
+            yield t, block, vacancy_transform(laws)
         parents = pushed
+        if t < m:
+            nodes = _children(nodes, budget, t)
 
-    def probability(entries) -> float:
-        # the demands before the last demanded step pick the node, the
-        # sites demanded at that step the entry of its transform
-        last = max(times[-1] for _, times in entries)
-        code = mask = 0
-        for site, times in entries:
-            for t in times:
-                if t == last:
-                    mask |= 1 << site
-                else:
-                    code |= 1 << (n * (t - 1) + site)
-        return values[offsets[last - 1][code] + rank[mask]]
 
-    return probability
+def _first_scanned(steps: np.ndarray, m: int) -> int:
+    """The row of `steps` (per-site step masks) that the scan visits first.
+
+    The scan orders by number of sites, sites, then each site's number of
+    steps and steps; of two equal-sized sets, the lexicographically first
+    has the larger bit-reversed mask.
+    """
+    def first(rows, key):
+        return rows[key == key.max()]
+
+    if len(steps) == 1:
+        return 0
+    n = steps.shape[1]
+    demanded = steps != 0
+    rows = first(np.arange(len(steps)), -demanded.sum(axis=1))
+    rows = first(rows, (demanded[rows] << (n - 1 - np.arange(n))).sum(axis=1))
+    for i in range(n):
+        rows = first(rows, -_popcount(steps[rows, i], m))
+        rows = first(rows, _reverse(steps[rows, i], m))
+    return int(rows[0])
 
 
 def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
@@ -392,10 +389,11 @@ def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
     Scans every single-site pattern omega in {0,1}^m and every multisite
     pattern demanding at most `budget` vacancies in steps 1..m.  Margins
     are exact minus surrogate; the surrogate should never exceed.  The
-    exact side is one scan over the tree of demand prefixes with the
-    chain's kernel `kernel`, expanded dense; the surrogate side is one table
-    per site over every set of vacancy times.  The witness is the first
-    pattern, in scan order, with the worst margin.
+    exact side is one pass over the prefix tree (`_scan`) with the
+    chain's kernel `kernel`; the surrogate side is one table per site over
+    every set of vacancy times, a multisite surrogate their product in
+    site order.  The witness is the first pattern, in scan order, with the
+    worst margin.
     """
     if m < 1:
         raise ValueError("path length m must be >= 1")
@@ -405,35 +403,44 @@ def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
     schedules = indep.site_schedules(spec, x0, m)
     _check_scan(n, m, budget)
     at_last, at_end = indep.vacancy_tables(spec, x0, schedules, m)
-    exact_probability = _exact_scan(kernel, x0, m, budget)
-
-    def time_set(times) -> int:
-        return sum(1 << (t - 1) for t in times)
-
-    worst = np.inf
-    witness = {}
-    for site in range(n):
-        for omega in itertools.product((0, 1), repeat=m):
-            times = tuple(t for t, w in enumerate(omega, start=1) if w == 0)
-            exact_p = exact_probability(((site, times),)) if times else 1.0
-            margin = exact_p - at_end[site, time_set(times)]
-            if margin < worst:
-                worst = margin
-                witness = {"kind": "single-site", "site": site, "omega": list(omega)}
-    multi_worst = np.inf
-    multi_witness: dict = {}
-    for entries in _patterns_for_budget(n, m, budget):
-        surrogate = 1.0
-        for site, times in entries:
-            surrogate *= at_last[site, time_set(times)]
-        margin = exact_probability(entries) - surrogate
-        if margin < multi_worst:
-            multi_worst = margin
-            multi_witness = {"kind": "multisite",
-                             "entries": [[site, list(ts)] for site, ts in entries]}
+    order = _masks_by_weight(n)[0]
+    singles = 1 << np.arange(n)
+    # omega of the steps mask S has bit m - t set where step t is free,
+    # so it sits at full - reverse(S) in scan order
+    full = (1 << m) - 1
+    place = full - _reverse(np.arange(1 << m), m)
+    single = np.empty((n, 1 << m))
+    single[:, full] = 1.0 - at_end[:, 0]
+    multi_worst, multi_steps = np.inf, None
+    for t, nodes, vac in _scan(kernel, x0, m, budget):
+        # nodes whose demands all fall on site i give i's single-site margins
+        r, i = np.nonzero((nodes.sites[:, None] | singles) == singles)
+        times = nodes.steps[r, i] | 1 << (t - 1)
+        single[i, place[times]] = vac[r, singles[i]] - at_end[i, times]
+        for d in set(nodes.demands[nodes.demands < budget].tolist()):
+            rows = np.flatnonzero(nodes.demands == d)
+            masks = order[1:_weight_count(n, budget - d) + 1]
+            surrogate = np.ones((rows.size, masks.size))
+            for j in range(n):
+                surrogate *= at_last[j, nodes.steps[rows, j, None] | (masks >> j & 1) << (t - 1)]
+            margins = vac[rows[:, None], masks] - surrogate
+            low = margins.min()
+            if low <= multi_worst:
+                r, k = np.nonzero(margins == low)
+                tied = _add_step(nodes.steps[rows[r]], masks[k], t)
+                if low == multi_worst:
+                    tied = np.vstack([multi_steps, tied])
+                multi_worst, multi_steps = low, tied[_first_scanned(tied, m)]
+    k = int(np.argmin(single))
+    site, omega = divmod(k, 1 << m)
+    worst = single[site, omega]
+    witness = {"kind": "single-site", "site": site,
+               "omega": [omega >> (m - t) & 1 for t in range(1, m + 1)]}
     if multi_worst < worst:
         worst = multi_worst
-        witness = multi_witness
+        witness = {"kind": "multisite",
+                   "entries": [[i, [t for t in range(1, m + 1) if s >> (t - 1) & 1]]
+                               for i, s in enumerate(multi_steps.tolist()) if s]}
     return OrderReport(
         check="path-orthant",
         universe={"n": spec.n, "x0": x0, "m": m, "budget": budget},

@@ -18,6 +18,7 @@ exact.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -127,8 +128,10 @@ def _run_chunks(plan, worker, workers: int):
     """Run per-chunk jobs and yield their results in plan order.
 
     One worker runs each job as its result is asked for, so a caller that
-    folds the results holds one at a time.
+    folds the results holds one at a time.  A pool starts no more threads
+    than there are chunks or CPUs, whatever `workers` asks for.
     """
+    workers = min(workers, len(plan), os.cpu_count() or 1)
     if workers <= 1:
         for chunk, rows in plan:
             yield worker(chunk, rows)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from occupancy import bridge, exact, indep, model, order, zoo
+from occupancy import bridge, exact, indep, model, zoo
 from occupancy.exact import MultiSitePattern, TimePattern
 from occupancy.model import VARIANTS, FunctionFamily, ModelSpec, SpinSpec
 from occupancy.streams import DOMAIN_SIMULATION, REPLICATE_CHUNK, uniform_stream
@@ -128,24 +128,54 @@ def decomposed_path_probability(spec, x0: int, pattern) -> float:
     return solve(pattern.omega)
 
 
+def patterns_for_budget(n: int, m: int, budget: int):
+    """Multisite patterns with total demanded vacancies <= budget, in scan order.
+
+    Each is yielded as its raw entries ((site, times), ...), times ascending.
+    """
+    times = range(1, m + 1)
+    # choose a nonempty set of sites, then for each a nonempty time set,
+    # keeping the total count within budget
+    for sites_count in range(1, min(n, budget) + 1):
+        per_site_max = budget - (sites_count - 1)
+        opts = []
+        for k in range(1, min(per_site_max, m) + 1):
+            opts.extend(itertools.combinations(times, k))
+        for sites in itertools.combinations(range(n), sites_count):
+            for combo in itertools.product(opts, repeat=sites_count):
+                if sum(len(ts) for ts in combo) <= budget:
+                    yield tuple(zip(sites, combo))
+
+
+def scanned_patterns(n: int, m: int, budget: int = 4):
+    """order.path_orthant's patterns in scan order.
+
+    Every single-site pattern, by site then omega, then every multisite
+    one in `patterns_for_budget` order.
+    """
+    for site in range(n):
+        for omega in itertools.product((0, 1), repeat=m):
+            yield TimePattern(site=site, omega=omega)
+    for entries in patterns_for_budget(n, m, budget):
+        yield MultiSitePattern(entries)
+
+
 def per_pattern_scan(spec, x0: int, m: int, kernel, budget: int = 4):
     """order.path_orthant's patterns in scan order, each computed on its own.
 
-    Yields (pattern, exact, surrogate): every single-site pattern, then
-    every multisite one, propagated from the point mass by exact's and
+    Yields (pattern, exact, surrogate) for every pattern of
+    `scanned_patterns`, propagated from the point mass by exact's and
     recursed by indep's per-pattern functions.  The route the prefix-tree
     scan replaced, kept as its oracle.
     """
     schedules = indep.site_schedules(spec, x0, m)
-    for site in range(spec.n):
-        for omega in itertools.product((0, 1), repeat=m):
-            pattern = TimePattern(site=site, omega=omega)
+    for pattern in scanned_patterns(spec.n, m, budget):
+        if isinstance(pattern, TimePattern):
             yield (pattern, exact.path_probability(spec, x0, pattern, kernel),
-                   indep.path_probability(spec, x0, pattern, schedules[site]))
-    for entries in order._patterns_for_budget(spec.n, m, budget):
-        pattern = MultiSitePattern(entries)
-        yield (pattern, exact.multisite_probability(spec, x0, pattern, kernel),
-               indep.multisite_probability(spec, x0, pattern, schedules))
+                   indep.path_probability(spec, x0, pattern, schedules[pattern.site]))
+        else:
+            yield (pattern, exact.multisite_probability(spec, x0, pattern, kernel),
+                   indep.multisite_probability(spec, x0, pattern, schedules))
 
 
 def dense_spin_generator(spec):

@@ -173,9 +173,14 @@ def _family_with(family, params, **fields):
     (_family_with("constant", {"c": 0.2}, scale="1"), "scale must be a number, got '1'"),
     (_family_with("constant", {"c": 0.2}, pins={"1": "1"}),
      "pinned value at site 1 must be a number, got '1'"),
+    # pin keys that are not a site number in plain decimal: int() reads the
+    # first four as a site
+    *[(_family_with("constant", {"c": 0.2}, pins={key: 0.5}),
+       f"'pins' key must be a site number in plain decimal, got {key!r}")
+      for key in (" 1", "+1", "01", "1_0", "1.5", "-1")],
 ])
 def test_non_numbers_in_number_fields_are_usage_errors(tmp_path, capsys, family, named):
-    # float() would read each of these as a number; the loader refuses them
+    # float() or int() would read each of these; the loader refuses them
     path = tmp_path / "m.json"
     path.write_text(json.dumps(_colonising_pair(family)))
     for argv in _OCC_ROUTES:

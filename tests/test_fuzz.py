@@ -90,18 +90,25 @@ def _run(argv):
 
 
 def _routes(spin: bool, model: str, out: str):
+    """(argv, paths it writes) of every route a document runs through."""
     if spin:
-        return [(["check", "--samples", "64", "--out", out + ".json"], out + ".json"),
+        return [(["check", "--samples", "64", "--out", out + ".json"], [out + ".json"]),
                 (["run", "--mode", "meanfield", "--t", "0.5", "--out", out + ".csv"],
-                 out + ".csv"),
+                 [out + ".csv"]),
                 (["verify", "--theorem", "thm2", "--t", "0.5", "--grid-points", "3",
-                  "--samples", "64", "--out", out + ".json"], out + ".json")]
-    return [(["check", "--samples", "64", "--out", out + ".json"], out + ".json"),
-            (["run", "--mode", "exact", "--t", "3", "--out", out + ".csv"], out + ".csv"),
+                  "--samples", "64", "--out", out + ".json"], [out + ".json"]),
+                # thm4 writes its metric table next to the JSON report
+                (["verify", "--theorem", "thm4", "--t", "0.25", "--delta-grid",
+                  "0.125,0.0625", "--samples", "64", "--out", out + ".json"],
+                 [out + ".json", out + ".json.csv"])]
+    return [(["check", "--samples", "64", "--out", out + ".json"], [out + ".json"]),
+            (["run", "--mode", "exact", "--t", "3", "--out", out + ".csv"], [out + ".csv"]),
             (["run", "--mode", "mc", "--t", "3", "--reps", "64", "--out", out + ".csv"],
-             out + ".csv"),
+             [out + ".csv"]),
             (["verify", "--theorem", "thm1", "--t", "3", "--samples", "64",
-              "--out", out + ".json"], out + ".json")]
+              "--out", out + ".json"], [out + ".json"]),
+            (["verify", "--theorem", "thm3", "--t", "3", "--m", "2", "--samples", "64",
+              "--out", out + ".json"], [out + ".json"])]
 
 
 def _check_written(path):
@@ -133,6 +140,7 @@ def test_mutated_documents_exit_cleanly(spin, n, seed, data):
             assert caught == [] and "Traceback" not in err, (argv, text, caught)
             assert all(line.startswith("error: ") for line in err.splitlines()), err
             assert not _NON_FINITE.search(out), (argv, text, out)
-            if os.path.exists(written):
-                _check_written(written)
-                os.remove(written)
+            for path in written:
+                if os.path.exists(path):
+                    _check_written(path)
+                    os.remove(path)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from hypothesis import strategies as st
 
 from occupancy import exact, indep, meanfield, order, zoo
 from occupancy.exact import MultiSitePattern, TimePattern, marginal_trajectory
-from occupancy.lattice import CapacityError
+from occupancy.lattice import CapacityError, check_bytes
 from occupancy.meanfield import OdeConfig
+from occupancy.model import FunctionFamily, ModelSpec
 from occupancy.order import (marginal_bound, path_orthant,
                              positive_correlations, single_time_orthant,
                              spin_marginal_bound, subset_products,
                              vacancy_transform)
 
-from conftest import per_pattern_scan, random_model
+from conftest import patterns_for_budget, per_pattern_scan, random_model, scanned_patterns
 
 
 def naive_vacancy_probabilities(dist, n):
@@ -274,19 +276,66 @@ def test_spin_bound_steps_each_law_from_the_previous(ring3, monkeypatch):
 @pytest.mark.parametrize("n, nodes", [(4, 408), (10, 6054), (12, 10432)])
 def test_prefix_tree_sizes(n, nodes):
     # the default scan, m = 4 and budget 4
-    rows, _ = order._tree_sizes(n, 4, 4)
-    assert sum(rows) == nodes
+    assert sum(order._tree_sizes(n, 4, 4)) == nodes
+
+
+def _scan_depths(spec, x0, m, budget, kernel=None):
+    """The scan's output gathered by depth: t -> (nodes, vacancy rows)."""
+    blocks = {}
+    for t, nodes, vac in order._scan(kernel or exact.kernel(spec), x0, m, budget):
+        blocks.setdefault(t, []).append((nodes, vac))
+    return {t: (order._Nodes(*map(np.concatenate, zip(*(nodes for nodes, _ in parts)))),
+                np.concatenate([vac for _, vac in parts]))
+            for t, parts in blocks.items()}
+
+
+def _scan_probability(depths, n):
+    """A pattern's exact probability, read off the scan's per-depth output.
+
+    The pattern's demands before its last demanded step t pick a node at
+    depth t; the sites it demands at t pick the entry of its transform.
+    """
+    rows = {(t, tuple(steps)): row for t, (nodes, vac) in depths.items()
+            for steps, row in zip(nodes.steps.tolist(), vac)}
+
+    def probability(entries) -> float:
+        last = max(times[-1] for _, times in entries)
+        steps, mask = [0] * n, 0
+        for site, times in entries:
+            for t in times:
+                if t == last:
+                    mask |= 1 << site
+                else:
+                    steps[site] |= 1 << (t - 1)
+        return rows[last, tuple(steps)][mask]
+
+    return probability
+
+
+def _entries(pattern):
+    if isinstance(pattern, TimePattern):
+        return ((pattern.site, tuple(t for _, t in pattern.constraints())),)
+    return pattern.entries
+
+
+def _time_set(times) -> int:
+    return sum(1 << (t - 1) for t in times)
 
 
 def test_prefix_tree_matches_its_size_formula():
     for n, m, budget in itertools.product((1, 2, 4), (1, 3, 6), (1, 2, 5)):
-        levels = [list(level) for level in order._prefix_levels(n, m, budget)]
-        rows, stored = order._tree_sizes(n, m, budget)
-        assert [len(level) for level in levels] == rows
-        assert stored == sum(order._weight_count(n, max(1, budget - node[3]))
-                             for level in levels for node in level)
-        # every node is one prefix
-        assert all(len({node[2] for node in level}) == len(level) for level in levels)
+        depths = _scan_depths(zoo.constant_pair(n), 0, m, budget)
+        assert [len(depths[t][0].parent) for t in range(1, m + 1)] == order._tree_sizes(n, m,
+                                                                                       budget)
+        for t, (nodes, _) in depths.items():
+            # every node is one prefix, and its demands and sites are its steps'
+            assert len({tuple(steps) for steps in nodes.steps.tolist()}) == len(nodes.parent)
+            assert np.array_equal(nodes.demands, order._popcount(nodes.steps, m).sum(axis=1))
+            assert np.array_equal(nodes.sites, ((nodes.steps != 0) << np.arange(n)).sum(axis=1))
+            # a node is its parent with its mask demanded at step t - 1
+            if t > 1:
+                above = depths[t - 1][0].steps[nodes.parent]
+                assert np.array_equal(nodes.steps, order._add_step(above, nodes.mask, t - 1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -296,21 +345,18 @@ def test_scan_matches_the_per_pattern_oracle(n, m, budget, seed, data):
     x0 = data.draw(st.integers(0, (1 << n) - 1), label="x0")
     spec = random_model(n, seed)
     kernel = exact.kernel(spec)
-    scan = order._exact_scan(kernel, x0, m, budget)
+    scan = _scan_probability(_scan_depths(spec, x0, m, budget, kernel), n)
     at_last, at_end = indep.vacancy_tables(spec, x0, indep.site_schedules(spec, x0, m), m)
     single = multi = np.inf
     margins = {}
     surrogates, oracle = [], []
     for pattern, exact_p, surrogate in per_pattern_scan(spec, x0, m, kernel, budget):
+        entries = _entries(pattern)
         if isinstance(pattern, TimePattern):
-            times = tuple(t for _, t in pattern.constraints())
-            entries = ((pattern.site, times),)
-            surrogates.append(at_end[pattern.site, sum(1 << (t - 1) for t in times)])
+            surrogates.append(at_end[pattern.site, _time_set(entries[0][1])])
             key = ("single-site", pattern.site, list(pattern.omega))
         else:
-            entries = pattern.entries
-            surrogates.append(np.prod([at_last[site, sum(1 << (t - 1) for t in ts)]
-                                       for site, ts in entries]))
+            surrogates.append(np.prod([at_last[site, _time_set(ts)] for site, ts in entries]))
             key = ("multisite", [[site, list(ts)] for site, ts in entries])
         oracle.append(surrogate)
         if any(ts for _, ts in entries):
@@ -330,6 +376,100 @@ def test_scan_matches_the_per_pattern_oracle(n, m, budget, seed, data):
     key = ((w["kind"], w["site"], w["omega"]) if w["kind"] == "single-site"
            else (w["kind"], w["entries"]))
     assert abs(margins[repr(key)] - min(single, multi)) <= 1e-15
+
+
+def _repelling_pair():
+    """Two mirror-image sites, each colonised less while the other is occupied.
+
+    Patterns exchanged by the mirror tie exactly, and the worst margin is a
+    multisite one.
+    """
+    def colonise(table):
+        return FunctionFamily(variant="tabulated-multilinear", n=2, params={"table": table})
+
+    survive = FunctionFamily(variant="constant", n=2, params={"c": 0.6})
+    return ModelSpec(n=2, colonisation=(colonise([0.8, 0.8, 0.1, 0.1]),
+                                        colonise([0.8, 0.1, 0.8, 0.1])),
+                     survival=(survive, survive))
+
+
+@pytest.mark.parametrize("spec, x0", [
+    (zoo.constant_pair(4, c=0.0, s=0.0), 0),  # every margin is 0: all patterns tie
+    (_repelling_pair(), 0),  # tied multisite witnesses
+    (_repelling_pair(), 3),
+    (zoo.constant_pair(3, c=1.0, s=1.0), 2),
+    (zoo.constant_pair(3), 5),
+    (zoo.interacting_pair(), 0),
+    (zoo.non_monotone_pair(), 3),
+    (random_model(3, 7), 1),
+    (random_model(4, 2), 6),
+])
+@pytest.mark.parametrize("m, budget", [(1, 1), (2, 2), (3, 4), (4, 3)])
+def test_witness_is_the_first_worst_pattern_in_scan_order(spec, x0, m, budget):
+    # the scan's own values, taken one pattern at a time in scan order: the
+    # report names the first pattern whose margin is strictly the lowest
+    kernel = exact.kernel(spec)
+    scan = _scan_probability(_scan_depths(spec, x0, m, budget, kernel), spec.n)
+    at_last, at_end = indep.vacancy_tables(spec, x0, indep.site_schedules(spec, x0, m), m)
+    worst = multi = np.inf
+    witness = multi_witness = None
+    for pattern in scanned_patterns(spec.n, m, budget):
+        entries = _entries(pattern)
+        if isinstance(pattern, TimePattern):
+            times = entries[0][1]
+            margin = ((scan(entries) if times else 1.0)
+                      - at_end[pattern.site, _time_set(times)])
+            if margin < worst:
+                worst = margin
+                witness = {"kind": "single-site", "site": pattern.site,
+                           "omega": list(pattern.omega)}
+        else:
+            surrogate = 1.0
+            for site, ts in entries:
+                surrogate *= at_last[site, _time_set(ts)]
+            margin = scan(entries) - surrogate
+            if margin < multi:
+                multi = margin
+                multi_witness = {"kind": "multisite",
+                                 "entries": [[site, list(ts)] for site, ts in entries]}
+    if multi < worst:
+        worst, witness = multi, multi_witness
+    report = path_orthant(spec, x0, m, kernel, budget=budget)
+    assert report.witness == witness
+    assert report.worst_margin == worst
+    assert report.details["worst_multisite_margin"] == multi
+
+
+@pytest.mark.parametrize("n, m, budget", [(1, 4, 4), (3, 3, 4), (4, 2, 3), (3, 5, 2)])
+def test_first_scanned_follows_the_scan_order(n, m, budget):
+    # every pattern as its per-site step masks, in scan order
+    steps = np.array([[_time_set(dict(entries).get(i, ())) for i in range(n)]
+                      for entries in patterns_for_budget(n, m, budget)])
+    rng = np.random.default_rng(n * m + budget)
+    for size in (1, 2, 3, 10, len(steps)):
+        rows = rng.permutation(len(steps))[:size]
+        assert rows[order._first_scanned(steps[rows], m)] == rows.min()
+
+
+@pytest.mark.parametrize("n, m", [(2, 14), (3, 12)])
+def test_scan_holds_no_more_than_its_capacity_rule_counts(n, m, monkeypatch):
+    # long paths on small lattices: the tree's nodes outweigh its laws
+    counted = []
+
+    def record(nbytes, what):
+        counted.append(nbytes)
+        check_bytes(nbytes, what)
+
+    monkeypatch.setattr(order, "check_bytes", record)
+    spec = random_model(n, 1)
+    kernel = exact.kernel(spec)
+    tracemalloc.start()
+    try:
+        path_orthant(spec, 1, m, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(counted) + (1 << 19)
 
 
 def test_scan_budget_must_be_positive(interacting):

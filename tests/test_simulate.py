@@ -97,6 +97,37 @@ def test_worker_counts_do_not_change_results(interacting):
     assert np.array_equal(one.ses, eight.ses)
 
 
+def test_worker_pool_is_capped_by_chunks_and_cpus(interacting, monkeypatch):
+    # a pool that records its size and runs every job in this thread
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    for reps, want in ((3 * REPLICATE_CHUNK, 3), (9 * REPLICATE_CHUNK, 4)):
+        got = simulate_marginals(interacting, 0, 2, reps, seed=3, workers=10**6)
+        one = simulate_marginals(interacting, 0, 2, reps, seed=3, workers=1)
+        assert sizes.pop() == want and sizes == []
+        assert np.array_equal(got.means, one.means)
+    # one chunk, or no CPU count, runs without a pool
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    simulate_marginals(interacting, 0, 2, 9 * REPLICATE_CHUNK, seed=3, workers=10**6)
+    simulate_marginals(interacting, 0, 2, REPLICATE_CHUNK, seed=3, workers=10**6)
+    assert sizes == []
+
+
 def test_same_seed_same_output_different_seed_not(interacting):
     a = simulate_marginals(interacting, 0, 5, 4000, seed=11)
     b = simulate_marginals(interacting, 0, 5, 4000, seed=11)
