@@ -99,6 +99,17 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
     return value
 
 
+def vacancy_table_bytes(n: int, m: int) -> int:
+    """Bytes `vacancy_tables` holds at its peak, over n sites and m steps.
+
+    Eight (n, 2^m) float arrays: both tables, the two state masses, and
+    while the new occupied mass is summed, the new vacant mass, both
+    products and their sum (numpy may reuse a product for the sum, but
+    need not); and the (2^m,) int64 step sets.
+    """
+    return (8 * n + 1) * (8 << m)
+
+
 def vacancy_tables(spec: ModelSpec, x0: int, schedules: Sequence[SiteChainSchedule],
                    m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every site's vacancy-pattern probabilities, over every set of steps in 1..m.
@@ -114,8 +125,8 @@ def vacancy_tables(spec: ModelSpec, x0: int, schedules: Sequence[SiteChainSchedu
         raise ValueError("m must be >= 1")
     if len(schedules) != spec.n or any(s.colonise.size < m for s in schedules):
         raise ValueError(f"schedules must cover all {spec.n} sites over {m} steps")
-    # the two state masses, their products, the new masses and the tables
-    check_bytes(6 * spec.n * (8 << m), f"n = {spec.n}, m = {m}: the surrogate tables")
+    check_bytes(vacancy_table_bytes(spec.n, m),
+                f"n = {spec.n}, m = {m}: the surrogate tables")
     bits = state_bits(x0, spec.n)[:, None]
     colonise = np.stack([s.colonise[:m] for s in schedules])
     survive = np.stack([s.survive[:m] for s in schedules])

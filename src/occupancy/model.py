@@ -23,6 +23,7 @@ Everything here is immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -485,8 +486,8 @@ def site_values(spec, points) -> tuple[np.ndarray, np.ndarray]:
 
     Column i holds site i's colonisation and survival probabilities for a
     ModelSpec, its birth and death rates for a SpinSpec, read off the
-    spec's bank.  Every per-site evaluation outside the hypothesis scans
-    goes through here.
+    spec's bank.  Every per-site evaluation outside the sampled hypothesis
+    batches goes through here.
     """
     out = spec.bank.values(points)
     return out[:, :spec.n], out[:, spec.n:]
@@ -772,53 +773,133 @@ def _targets(spec) -> dict[str, Callable[[int, np.ndarray], np.ndarray]]:
     }
 
 
+def _lattice_targets(spec, points: np.ndarray) -> dict[str, np.ndarray]:
+    """Every target's (B, n) values at a (B, n) batch, from one bank evaluation."""
+    up, down = site_values(spec, points)
+    if isinstance(spec, ModelSpec):
+        return {"C": up, "S": down, "gap": down - up}
+    return {"birth": up, "death": down, "total": up + down}
+
+
 def _comparable_lattice_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All lattice pairs x <= y, x != y: each word, after its proper submasks.
+    """Words (lo, hi) of all lattice pairs x <= y, x != y, each hi after its proper submasks.
 
     Words come in increasing order and each word's submasks in decreasing
     order, as submask enumeration visits them.  The k-th largest proper
     submask of a word with c bits set deposits the bits of 2^c - 1 - k into
     the word's set bits.
     """
-    bits = lattice_bits(n)
-    words = np.arange(1 << n)
-    count = (1 << bits.sum(axis=1).astype(np.int64)) - 1
+    # int32 halves the build's peak; 3^n stays below 2^31 up to n = 19
+    words = np.arange(1 << n, dtype=np.int32)
+    count = (1 << lattice_bits(n).sum(axis=1).astype(np.int32)) - 1
     hi = np.repeat(words, count)
     # runs from 2^c - 2 down to 0 within each word
-    rank = np.repeat(np.cumsum(count), count) - 1 - np.arange(hi.size)
+    rank = (np.repeat(np.cumsum(count, dtype=np.int32), count) - 1
+            - np.arange(hi.size, dtype=np.int32))
     lo = np.zeros_like(hi)
     for i in range(n):
         on = (hi >> i) & 1
         lo |= (rank & on) << i
         rank >>= on
-    return np.take(bits, lo, axis=0), np.take(bits, hi, axis=0)
+    return lo, hi
 
 
-def _lattice_pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All unordered lattice pairs, for midpoint scans on small cubes."""
-    size = 1 << n
-    a, b = np.triu_indices(size, k=1)
-    bits = lattice_bits(n)
-    return bits[a], bits[b]
+def _site_minima(margins: Callable[[int, int], np.ndarray], rows: int,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each site's least margin over `rows` rows, and the first row reaching it.
+
+    `margins(start, stop)` gives the (stop - start, n) margins of those
+    rows; they are taken in blocks of at most `lattice.BLOCK_ENTRIES`
+    entries.  A block's minimum replaces the running one only when
+    strictly lower, so ties keep the earliest row, as one `np.argmin`
+    over all rows would.
+    """
+    least = np.full(n, np.inf)
+    first = np.zeros(n, dtype=np.int64)
+    step = max(1, BLOCK_ENTRIES // n)
+    sites = np.arange(n)
+    for start in range(0, rows, step):
+        block = margins(start, min(start + step, rows))
+        k = np.argmin(block, axis=0)
+        low = block[k, sites]
+        lower = low < least
+        least[lower] = low[lower]
+        first[lower] = k[lower] + start
+    return least, first
 
 
-def _margin_batches(kind: str, n: int, seed: int, lane: int, samples: int):
-    """Yield (x, y) batches for one hypothesis; y is None for pointwise kinds."""
+class _LatticeScan:
+    """Exhaustive lattice margins, read off one bank table at the 2^n points.
+
+    A point's bank values do not depend on the batch or the bank, so every
+    margin equals the one each site's family gives on its own.  The
+    comparable pairs and the pair grid's midpoint values are built on
+    first use and shared by every hypothesis of one report.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.bits = lattice_bits(spec.n)
+        self.values = _lattice_targets(spec, self.bits)
+
+    @cached_property
+    def comparable(self) -> tuple[np.ndarray, np.ndarray]:
+        return _comparable_lattice_pairs(self.spec.n)
+
+    @cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """All unordered pairs (a, b) of words and every target at their midpoints."""
+        a, b = np.triu_indices(1 << self.spec.n, k=1)
+        mid = 0.5 * (self.bits[a] + self.bits[b])
+        return a, b, _lattice_targets(self.spec, mid)
+
+    def worst(self, target: str, kind: str) -> Iterable[tuple[float, Witness]]:
+        """Per site in order: its least lattice margin and the first point or pair at it."""
+        n = self.spec.n
+        v = self.values[target]
+        if kind == "nonnegative":
+            least, first = _site_minima(lambda s, e: v[s:e], len(v), n)
+            for i in range(n):
+                yield least[i], Witness(site=i, x=tuple(self.bits[first[i]]))
+            return
+        if kind in ("increasing", "decreasing"):
+            lo, hi = self.comparable
+            mid = None
+        elif n > LATTICE_PAIR_CAP:
+            return
+        else:
+            lo, hi, mids = self.grid
+            mid = mids[target]
+        least, first = _site_minima(
+            lambda s, e: pair_margin(kind, v[lo[s:e]], v[hi[s:e]],
+                                     None if mid is None else mid[s:e]),
+            len(lo), n)
+        for i in range(n):
+            k = first[i]
+            yield least[i], Witness(site=i, x=tuple(self.bits[lo[k]]),
+                                    y=tuple(self.bits[hi[k]]))
+
+
+def _sampled_worst(f: Callable[[int, np.ndarray], np.ndarray], kind: str, n: int,
+                   seed: int, lane: int, samples: int) -> Iterable[tuple[float, Witness]]:
+    """Per site in order: its least sampled margin and the first point or pair at it.
+
+    Each site's family is evaluated on its own (a stacked bank is slower on
+    a few thousand samples); y is None for pointwise kinds.
+    """
     if kind == "nonnegative":
-        u = assumption_uniforms(seed, lane, samples * n).reshape(samples, n)
-        yield u, None
-        if n <= LATTICE_SCAN_CAP:
-            yield np.asarray(lattice_bits(n)), None
-        return
-    u = assumption_uniforms(seed, lane, 2 * samples * n).reshape(2, samples, n)
-    if kind in ("increasing", "decreasing"):
-        yield np.minimum(u[0], u[1]), np.maximum(u[0], u[1])
-        if n <= LATTICE_SCAN_CAP:
-            yield _comparable_lattice_pairs(n)
+        x, y = assumption_uniforms(seed, lane, samples * n).reshape(samples, n), None
     else:
-        yield u[0], u[1]
-        if n <= LATTICE_PAIR_CAP:
-            yield _lattice_pair_grid(n)
+        u = assumption_uniforms(seed, lane, 2 * samples * n).reshape(2, samples, n)
+        x, y = ((np.minimum(u[0], u[1]), np.maximum(u[0], u[1]))
+                if kind in ("increasing", "decreasing") else (u[0], u[1]))
+    mid = 0.5 * (x + y) if kind in ("concave", "convex") else None
+    for i in range(n):
+        margins = pair_margin(kind, f(i, x), None if y is None else f(i, y),
+                              None if mid is None else f(i, mid))
+        k = int(np.argmin(margins))
+        yield margins[k], Witness(site=i, x=tuple(x[k]),
+                                  y=None if y is None else tuple(y[k]))
 
 
 def pair_margin(kind: str, values_x: np.ndarray, values_y, values_mid) -> np.ndarray:
@@ -854,6 +935,7 @@ def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
     table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
     targets = _targets(spec)
     n = spec.n
+    lattice = _LatticeScan(spec) if n <= LATTICE_SCAN_CAP else None
     findings = []
     for lane, (name, target, kind) in enumerate(table):
         f = targets[target]
@@ -869,20 +951,14 @@ def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
                     best = max(best, float(np.max(gaps[ok] / dist[ok])))
             findings.append(HypothesisFinding(name, "pass", np.inf, None, estimate=best))
             continue
+        candidates = _sampled_worst(f, kind, n, seed, lane, samples)
+        if lattice is not None:
+            candidates = itertools.chain(candidates, lattice.worst(target, kind))
         worst = np.inf
         witness = None
-        for x, y in _margin_batches(kind, n, seed, lane, samples):
-            mid = 0.5 * (x + y) if kind in ("concave", "convex") else None
-            for i in range(n):
-                vx = f(i, x)
-                vy = f(i, y) if y is not None else None
-                vm = f(i, mid) if mid is not None else None
-                margins = pair_margin(kind, vx, vy, vm)
-                k = int(np.argmin(margins))
-                if margins[k] < worst:
-                    worst = float(margins[k])
-                    witness = Witness(site=i, x=tuple(x[k]),
-                                      y=None if y is None else tuple(y[k]))
+        for margin, w in candidates:
+            if margin < worst:
+                worst, witness = float(margin), w
         verdict = "fail" if worst < -tol else "pass"
         findings.append(HypothesisFinding(name, verdict, worst, witness))
     return AssumptionReport(tuple(findings), samples=samples, tol=tol, seed=seed)

@@ -303,12 +303,12 @@ def _tree_sizes(n: int, m: int, budget: int) -> list[int]:
 def _check_scan(n: int, m: int, budget: int):
     """The capacity rule for `path_orthant`: everything it holds, before any of it exists.
 
-    The surrogate's two (n, 2^m) tables take six such arrays to build;
-    the scan holds them, the single-site margins and omega's places; per
-    depth, the parents' laws and its own, the nodes of it and the next
-    (n + 4 int64 each, twice over while built) and a flag per (node,
-    candidate mask); per block, three law-sized arrays; per equal-demand
-    group, 2n + 5 numbers per pattern read.
+    The surrogate's two (n, 2^m) tables take `indep.vacancy_table_bytes`
+    to build; the scan holds them, the single-site margins and omega's
+    places; per depth, the parents' laws and its own, the nodes of it and
+    the next (n + 4 int64 each, twice over while built) and a flag per
+    (node, candidate mask); per block, three law-sized arrays; per
+    equal-demand group, 2n + 5 numbers per pattern read.
     """
     what = f"n = {n}, m = {m}, budget {budget}: the path scan"
     table = 8 << m
@@ -326,7 +326,7 @@ def _check_scan(n: int, m: int, budget: int):
                    for t in range(1, m + 1) for d in range(min(budget, n * (t - 1) + 1)))
     scan = ((3 * n + 1) * table + nodes + (8 << n) * (laws + 3 * block)
             + 8 * (2 * n + 5) * patterns)
-    check_bytes(max(6 * n * table, scan), what)
+    check_bytes(max(indep.vacancy_table_bytes(n, m), scan), what)
 
 
 def _scan(kernel: exact.Kernel, x0: int, m: int, budget: int):

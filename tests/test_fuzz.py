@@ -100,7 +100,9 @@ def _routes(spin: bool, model: str, out: str):
                 # thm4 writes its metric table next to the JSON report
                 (["verify", "--theorem", "thm4", "--t", "0.25", "--delta-grid",
                   "0.125,0.0625", "--samples", "64", "--out", out + ".json"],
-                 [out + ".json", out + ".json.csv"])]
+                 [out + ".json", out + ".json.csv"]),
+                (["bridge", "--t", "0.25", "--delta-grid", "0.125,0.0625",
+                  "--out", out + ".csv"], [out + ".csv"])]
     return [(["check", "--samples", "64", "--out", out + ".json"], [out + ".json"]),
             (["run", "--mode", "exact", "--t", "3", "--out", out + ".csv"], [out + ".csv"]),
             (["run", "--mode", "mc", "--t", "3", "--reps", "64", "--out", out + ".csv"],

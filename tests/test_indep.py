@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from occupancy import exact, indep, meanfield, zoo
 from occupancy.exact import MultiSitePattern, TimePattern
+from occupancy.lattice import check_bytes
 from occupancy.meanfield import OdeConfig
 
 from conftest import decomposed_path_probability, random_model
@@ -193,3 +195,25 @@ def test_spin_marginal_consistency(ring3):
     _, states = meanfield.integrate_ode(ring3, [1.0, 0.0, 0.0], t, OdeConfig(h=1e-3))
     got = indep.spin_path_probability(ring3, 1, 2, [t], OdeConfig(h=1e-3))
     assert got == pytest.approx(1.0 - states[-1, 2], abs=1e-10)
+
+
+def test_vacancy_tables_hold_no_more_than_they_count(monkeypatch):
+    # a long path on a small lattice: the step loop's arrays are the work
+    counted = []
+
+    def record(nbytes, what):
+        counted.append(nbytes)
+        check_bytes(nbytes, what)
+
+    monkeypatch.setattr(indep, "check_bytes", record)
+    n, m = 2, 14
+    spec = random_model(n, 1)
+    schedules = indep.site_schedules(spec, 1, m)
+    tracemalloc.start()
+    try:
+        indep.vacancy_tables(spec, 1, schedules, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted == [indep.vacancy_table_bytes(n, m)]
+    assert peak <= counted[0]

@@ -17,8 +17,8 @@ from occupancy.model import (BOUND_HYPOTHESES, DimensionError, FunctionFamily,
                              load_model, model_from_dict, model_to_dict,
                              save_model, site_values, transition_values)
 
-from conftest import (family_formula, hypothesis_margin, random_model,
-                      random_spin_model, submask_lattice_pairs)
+from conftest import (family_formula, hypothesis_margin, per_site_check_assumptions,
+                      random_model, random_spin_model, submask_lattice_pairs)
 
 
 def aff(n, a, b, **kw):
@@ -120,8 +120,8 @@ def test_lattice_evaluation_memory(spec):
 
 
 def test_check_leaves_no_lattice_tables_alive():
-    # a fresh interpreter, so no earlier check in this process has built the
-    # 10-site pair tables (the comparable pairs alone are 9.3 MB)
+    # a fresh interpreter, so nothing an earlier check in this process built
+    # is counted
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = ("import gc, tracemalloc\n"
@@ -137,11 +137,48 @@ def test_check_leaves_no_lattice_tables_alive():
     assert int(out) < 2 << 20
 
 
+def test_check_peak_stays_within_four_megabytes():
+    # the lattice scans read one (2^n, 2n) table and gather margins in row
+    # blocks: no (3^n - 2^n, n) pair tables (9.3 MB at n = 10) are built
+    spec = zoo.contact_ring(10)
+    tracemalloc.start()
+    try:
+        check_assumptions(spec, samples=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_comparable_pairs_follow_submask_order(n):
     lo, hi = model._comparable_lattice_pairs(n)
     want_lo, want_hi = submask_lattice_pairs(n)
-    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    bits = lattice_bits(n)
+    assert np.array_equal(bits[lo], want_lo) and np.array_equal(bits[hi], want_hi)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(spin=st.booleans(), n=st.integers(1, 8), seed=st.integers(0, 2 ** 16),
+       samples=st.sampled_from((1, 64)))
+def test_check_equals_the_per_site_oracle(spin, n, seed, samples):
+    # random families of all five variants, with pins, clamps and negative
+    # scales; with one sample the lattice picks most witnesses
+    spec = random_spin_model(n, seed) if spin else random_model(n, seed)
+    assert (repr(check_assumptions(spec, samples=samples).to_dict())
+            == repr(per_site_check_assumptions(spec, samples=samples).to_dict()))
+
+
+@pytest.mark.parametrize("spec", [
+    zoo.contact_ring(10),
+    zoo.random_certified_model(10, 0),
+    zoo.random_certified_model(10, 3),
+    # every margin ties: each witness is the first site's first point or pair
+    zoo.constant_pair(n=4),
+], ids=["ring-n10", "certified-n10-0", "certified-n10-3", "constant-n4"])
+def test_check_equals_the_per_site_oracle_at_fixed_models(spec):
+    assert (repr(check_assumptions(spec, samples=64).to_dict())
+            == repr(per_site_check_assumptions(spec, samples=64).to_dict()))
 
 
 def test_affine_example():
