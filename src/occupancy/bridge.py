@@ -35,7 +35,7 @@ import numpy as np
 
 from . import exact, indep, meanfield
 from .exact import MultiSitePattern
-from .lattice import check_dense, lattice_bits
+from .lattice import check_bytes, lattice_bits
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec
 from .order import OrderReport
@@ -223,13 +223,11 @@ def convergence_table(spec: SpinSpec, x0: int, t: float,
                       deltas=DEFAULT_DELTAS) -> ConvergenceTable:
     """Rate, law, and Euler diagnostics for each step size on the grid.
 
-    The rate table, the spin law at t and the reference ODE endpoint are
-    computed once; each delta's chain kernel is built once and shared by
-    its rate defect and its subordinated law, neither of which expands the
-    dense matrix.  The dense rule is still the gate, checked before any
-    work, so thm4 and `bridge` stop at the n every exact route stops at.
+    Shared objects are built once, as the module notes say.  One kernel and
+    the spin tables are held at a time; their bytes are checked before any work.
     """
-    check_dense(spec.n)
+    check_bytes(exact.kernel_bytes(spec.n) + exact.spin_bytes(spec.n),
+                f"n = {spec.n}: a kernel and the spin tables")
     configs = [DiscretisationConfig(delta) for delta in deltas]
     chains = [discretise(spec, config) for config in configs]
     p0 = exact.state_bits(x0, spec.n)

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import bridge, exact, meanfield, order, simulate
-from .lattice import CapacityError
+from .lattice import CapacityError, check_bytes, shown
 from .meanfield import OdeConfig
 from .model import (BOUND_HYPOTHESES, ModelError, ModelSpec, SpinSpec,
                     SPIN_BOUND_HYPOTHESES, SPIN_ORDERING_HYPOTHESES,
@@ -181,52 +181,43 @@ def _cmd_verify(args) -> int:
     tol = _parse_tol(args.tol if args.tol is not None else _default_tol(args.theorem))
     seed = _parse_seed(args.seed)
     hypo = check_assumptions(spec, samples=args.samples, tol=1e-9, seed=seed)
+    occupancy = args.theorem in ("thm1", "thm3")
+    if isinstance(spec, ModelSpec) != occupancy:
+        kind = "an occupancy" if occupancy else "a spin"
+        raise _CliError(f"{args.theorem} needs {kind} model", EXIT_USAGE)
+    x0 = _parse_x0(args.x0, spec.n)
     reports = []
     extra_files = []
-    if args.theorem in ("thm1", "thm3"):
-        if not isinstance(spec, ModelSpec):
-            raise _CliError(f"{args.theorem} needs an occupancy model", EXIT_USAGE)
-        x0 = _parse_x0(args.x0, spec.n)
-        # both suites end in site-set scans; reject before any exact work
-        order.check_subset_cap(spec.n)
-        if args.theorem == "thm1":
-            certified = hypo.passed(BOUND_HYPOTHESES)
-            # one propagation: its rows feed the bound, its last law the correlations
-            rows, law = exact.law_trajectory(spec, x0, t)
-            reports.append(order.marginal_bound(spec, x0, rows, tol=tol,
-                                                certified=certified))
-            reports.append(order.positive_correlations(law, tol=tol,
-                                                       certified=certified))
-        else:
-            certified = hypo.ordering_certified
-            kernel = exact.kernel(spec)
-            reports.append(order.path_orthant(spec, x0, args.m, kernel, tol=tol,
-                                              certified=certified))
-            reports.append(order.single_time_orthant(spec, x0, t, kernel, tol=tol,
-                                                     certified=certified))
+    if args.theorem == "thm1":
+        certified = hypo.passed(BOUND_HYPOTHESES)
+        # one propagation: its rows feed the bound, its last law the correlations
+        rows, law = exact.law_trajectory(spec, x0, t)
+        reports.append(order.marginal_bound(spec, x0, rows, tol=tol, certified=certified))
+        reports.append(order.positive_correlations(law, tol=tol, certified=certified))
+    elif args.theorem == "thm3":
+        certified = hypo.ordering_certified
+        # the scan holds the most; reject it before any table exists
+        order.check_scan(spec.n, args.m)
+        kernel = exact.kernel(spec)
+        reports.append(order.path_orthant(spec, x0, args.m, kernel, tol=tol, certified=certified))
+        reports.append(order.single_time_orthant(spec, x0, t, kernel, tol=tol,
+                                                 certified=certified))
     elif args.theorem == "thm2":
-        if not isinstance(spec, SpinSpec):
-            raise _CliError("thm2 needs a spin model", EXIT_USAGE)
-        x0 = _parse_x0(args.x0, spec.n)
         if args.grid_points < 2:
             raise _CliError(f"--grid-points must be >= 2, got {args.grid_points}", EXIT_USAGE)
         certified = hypo.passed(SPIN_BOUND_HYPOTHESES)
+        # per point: two floats, four list slots and their JSON text
+        check_bytes(320 * args.grid_points, f"{shown(args.grid_points)} grid points")
         grid = [k * t / (args.grid_points - 1) for k in range(args.grid_points)]
         reports.append(order.spin_marginal_bound(spec, x0, grid, tol=tol,
                                                  certified=certified,
                                                  config=OdeConfig(h=args.h)))
     else:
-        if not isinstance(spec, SpinSpec):
-            raise _CliError("thm4 needs a spin model", EXIT_USAGE)
-        x0 = _parse_x0(args.x0, spec.n)
         deltas = _parse_deltas(args.delta_grid)
         table = bridge.convergence_table(spec, x0, t, deltas=deltas)
         csv_path = (args.out + ".csv") if args.out else None
-        if csv_path:
-            _write_out(csv_path, table.to_csv())
-            extra_files.append(csv_path)
-        else:
-            sys.stdout.write(table.to_csv())
+        _write_out(csv_path, table.to_csv())
+        extra_files += [csv_path] if csv_path else []
         certified = hypo.passed(SPIN_ORDERING_HYPOTHESES)
         universe = {"n": spec.n, "x0": x0, "t": t, "deltas": list(deltas)}
         reports.append(bridge.convergence_report(table, universe, tol, certified))

@@ -2,8 +2,8 @@
 
 States are the integer words of `occupancy.lattice`.  Everything here
 enumerates the 2^n states explicitly and is the ground truth that the
-approximate modules are checked against; every dense array is checked
-against the byte budget of `occupancy.lattice` before it is allocated.
+approximate modules are checked against; each route checks the bytes it
+holds against the budget of `occupancy.lattice` before it allocates them.
 
 The chain's kernel is one `Kernel`, built once per run by `kernel`.  Bits
 update conditionally independently given the state, so row w of the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_bytes, check_dense, lattice_bits, state_bits
+from .lattice import BLOCK_ENTRIES, check_bytes, lattice_bits, shown, state_bits
 from .model import ModelSpec, SpinSpec, transition_values
 
 DIST_ATOL = 1e-12
@@ -99,19 +99,33 @@ class Kernel:
     def dense(self) -> np.ndarray:
         """The dense 2^n x 2^n kernel, by the factor expansion continued from `low`."""
         size, width = self.low.shape
+        check_bytes(8 * size * size, f"a dense {size} x {size} kernel")
         T = np.empty((size, size))
         T[:, :width] = self.low
         return _expand(T, self.q[:, self.q.shape[1] // 2:], width)
 
 
+def kernel_bytes(n: int) -> int:
+    """Bytes a kernel holds at its peak, built or pushing a law; see `Kernel`.
+
+    A build holds the lattice bits, the (2^n, 2n) bank table, three (2^n, n)
+    temporaries and two bank row blocks; a push the lattice bits, `q`, both
+    tables, four laws and the low-sized product with numpy's buffer.
+    """
+    law, half = 8 << n, n // 2
+    low = law << half
+    bank = 6 * n * law + 16 * min(BLOCK_ENTRIES, (2 * n * n) << n)
+    push = (2 * n + 4) * law + 2 * low + (law << n - half) + 8 * min(np.getbufsize(), low // 8)
+    return max(bank, push)
+
+
 def kernel(spec: ModelSpec) -> Kernel:
     """The chain's kernel; bits update conditionally independently.
 
-    Both tables come from one evaluation of the per-site probabilities.
-    The dense rule stays the gate, so every exact route stops at the n
-    where the dense matrix would.
+    Both tables come from one evaluation of the per-site probabilities,
+    once `kernel_bytes` is checked, so every single-law route reaches n = 17.
     """
-    check_dense(spec.n)
+    check_bytes(kernel_bytes(spec.n), f"n = {spec.n}: the kernel's tables")
     q = transition_values(spec, lattice_bits(spec.n))
     half = spec.n // 2
     return Kernel(_factor_table(q[:, :half]), _factor_table(q[:, half:]), q)
@@ -175,13 +189,13 @@ def marginals(dist: np.ndarray) -> np.ndarray:
 def law_trajectory(spec: ModelSpec, x0: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """(steps+1, n) exact occupation probabilities from x0, and the law at steps.
 
-    The kernel is built even for no step: every exact route stops at the same n.
+    The kernel is built even for no step: a run stops at the same n at any length.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_word(spec.n, x0)
     check_bytes(8 * (steps + 1) * spec.n,
-                f"{steps} steps: a ({steps + 1}, {spec.n}) table of marginals")
+                f"{shown(steps)} steps: a ({shown(steps + 1)}, {spec.n}) table of marginals")
     K = kernel(spec)
     v = point_mass(spec.n, x0)
     out = np.empty((steps + 1, spec.n))

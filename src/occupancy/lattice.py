@@ -1,4 +1,4 @@
-"""Bit conventions for the lattice {0,1}^n and the dense-array capacity rule.
+"""Bit conventions for the lattice {0,1}^n and the one capacity rule, `check_bytes`.
 
 States are integer words with site i stored in bit i (LSB), so word 0 is
 the empty configuration and word 2^n - 1 is fully occupied.
@@ -6,12 +6,13 @@ the empty configuration and word 2^n - 1 is fully occupied.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-# bytes of dense arrays one exact computation may hold at once; a single
-# 2^n x 2^n float64 array takes 8 * 4^n bytes, so one kernel fits up to n = 14
+# bytes of arrays one computation may hold at once; each route counts its
+# own arrays against it, before any of them exists
 DENSE_BYTES_BUDGET = 2 << 30
 
 # entries of one row block, for work on lattice-sized tables that would
@@ -20,24 +21,25 @@ BLOCK_ENTRIES = 1 << 16
 
 
 class CapacityError(RuntimeError):
-    """Problem too large for dense enumeration."""
+    """Problem whose arrays would not fit the byte budget."""
+
+
+def shown(count: int | float) -> str:
+    """A count as capacity errors print it: in full up to 10^15, in %g form past that."""
+    if count <= 1e15:
+        return str(count)
+    try:
+        return f"{count:g}"
+    except OverflowError:  # an int past the float range: read its power of ten off its log
+        power = math.log10(count)
+        return f"{10 ** (power % 1):g}e+{math.floor(power)}"
 
 
 def check_bytes(nbytes: int | float, what: str):
     """Raise CapacityError, before anything is allocated, past the budget."""
     if nbytes > DENSE_BYTES_BUDGET:
-        raise CapacityError(f"{what} needs {nbytes} bytes, over the dense budget "
+        raise CapacityError(f"{what} needs {shown(nbytes)} bytes, over the dense budget "
                             f"of {DENSE_BYTES_BUDGET} bytes")
-
-
-def dense_bytes(n: int) -> int:
-    """Bytes held by one float64 array of shape (2^n, 2^n)."""
-    return 8 << (2 * n)
-
-
-def check_dense(n: int):
-    """The capacity rule for functions holding one state-by-state array."""
-    check_bytes(dense_bytes(n), f"n = {n}: 1 dense 2^{n} x 2^{n} array")
 
 
 @lru_cache(maxsize=32)

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .lattice import check_bytes
+from .lattice import check_bytes, shown
 from .model import ModelSpec, SpinSpec, site_values, transition_values
 
 # the ufunc behind np.clip; calling it directly skips np.clip's Python
@@ -47,7 +47,7 @@ def iterate(spec: ModelSpec, p0, steps: int) -> np.ndarray:
         raise ValueError("steps must be >= 0")
     p = _check_point(spec, p0)
     check_bytes(8 * (steps + 1) * spec.n,
-                f"{steps} steps: a ({steps + 1}, {spec.n}) trajectory")
+                f"{shown(steps)} steps: a ({shown(steps + 1)}, {spec.n}) trajectory")
     out = np.empty((steps + 1, spec.n))
     out[0] = p
     for t in range(1, steps + 1):

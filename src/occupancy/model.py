@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import BLOCK_ENTRIES, check_bytes, lattice_bits
+from .lattice import BLOCK_ENTRIES, check_bytes, lattice_bits, shown
 from .streams import assumption_uniforms
 
 VARIANTS = (
@@ -931,7 +931,7 @@ def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
     # a pair batch holds its 2 x samples uniform points and their ordered
     # copies or midpoints
     check_bytes(4 * 8 * samples * spec.n,
-                f"{samples} samples: {4 * samples} points in [0,1]^{spec.n}")
+                f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{spec.n}")
     table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
     targets = _targets(spec)
     n = spec.n

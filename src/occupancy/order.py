@@ -6,7 +6,8 @@ were certified the verdict is pass/fail at the check's tolerance; for
 uncertified models no claim is made and the verdict is "informative".
 
 Vacancy-pattern comparisons on the hypercube run over every nonempty
-subset of sites, so they are capped at moderate dimensions.
+subset of sites, as law-sized arrays indexed by site mask; each check
+counts the bytes it holds before it allocates any of them.
 
 The path check enumerates its patterns once, as a tree of demand prefixes
 held in arrays; each node's vacancy transform gives every pattern whose
@@ -22,11 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact, indep, meanfield
-from .lattice import CapacityError, check_bytes
+from .lattice import check_bytes, shown
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec
 
-SUBSET_CAP = 12
 DEFAULT_TOL = 1e-10
 # laws the path scan pushes through the dense kernel per block, at most 2^n:
 # a few hundred rows already run a matrix product at full speed, and a block
@@ -67,13 +67,6 @@ def _verdict(worst_margin: float, tol: float, certified) -> str:
     return "pass" if worst_margin >= -tol else "fail"
 
 
-def check_subset_cap(n: int):
-    """Site-set scans cover all 2^n subsets; reject n past SUBSET_CAP."""
-    if n > SUBSET_CAP:
-        raise CapacityError(
-            f"subset scans over 2^{n} site sets exceed the cap 2^{SUBSET_CAP}")
-
-
 def vacancy_transform(dist: np.ndarray) -> np.ndarray:
     """For every site set A (as a bit mask), P(all sites of A vacant).
 
@@ -111,13 +104,10 @@ def _mask_sites(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if (mask >> i) & 1]
 
 
-def _worst(margins: np.ndarray, skip_zero: bool = True):
+def _worst(margins: np.ndarray):
     """Worst margin over masks and its argmin, ignoring the empty mask."""
-    m = margins.copy()
-    if skip_zero:
-        m[0] = np.inf
-    k = int(np.argmin(m))
-    return float(m[k]), k
+    k = int(np.argmin(margins[1:])) + 1
+    return float(margins[k]), k
 
 
 def marginal_bound(spec: ModelSpec, x0: int, exact_rows: np.ndarray,
@@ -159,7 +149,8 @@ def single_time_orthant(spec: ModelSpec, x0: int, t: int, kernel: exact.Kernel,
     margin is the end-to-end one against the deterministic product.
     `kernel` is the chain's `exact.Kernel`.
     """
-    check_subset_cap(spec.n)
+    # the law, its vacancy transform, one product and four arrays making the other
+    check_bytes(7 * (8 << spec.n), f"n = {spec.n}: the site-set tables")
     dist = exact.distribution(spec, x0, t, kernel)
     pi = exact.marginals(dist)
     p = meanfield.iterate(spec, exact.state_bits(x0, spec.n), t)[-1]
@@ -196,7 +187,8 @@ def positive_correlations(dist: np.ndarray, tol: float = DEFAULT_TOL,
     """
     dist = np.asarray(dist, float)
     n = int(np.log2(dist.size))
-    check_subset_cap(n)
+    # the vacancy transform and four arrays making the product
+    check_bytes(5 * (8 << n), f"n = {n}: the site-set tables")
     exact.validate_distribution(dist, atol=1e-9)
     vac = vacancy_transform(dist)
     prod = subset_products(1.0 - exact.marginals(dist))
@@ -300,19 +292,26 @@ def _tree_sizes(n: int, m: int, budget: int) -> list[int]:
             for t in range(1, m + 1)]
 
 
-def _check_scan(n: int, m: int, budget: int):
+def check_scan(n: int, m: int, budget: int = 4):
     """The capacity rule for `path_orthant`: everything it holds, before any of it exists.
 
-    The surrogate's two (n, 2^m) tables take `indep.vacancy_table_bytes`
-    to build; the scan holds them, the single-site margins and omega's
-    places; per depth, the parents' laws and its own, the nodes of it and
-    the next (n + 4 int64 each, twice over while built) and a flag per
-    (node, candidate mask); per block, three law-sized arrays; per
-    equal-demand group, 2n + 5 numbers per pattern read.
+    The kernel is held throughout, and the surrogate's two (n, 2^m) tables
+    take `indep.vacancy_table_bytes` to build; the scan holds them, the
+    single-site margins, omega's places and the dense kernel; per depth,
+    the parents' laws and its own, the nodes of it and the next (n + 4 int64
+    each, twice over while built) and a flag per (node, candidate mask); per
+    block, three law-sized arrays; per equal-demand group, 2n + 5 numbers
+    per pattern read.
     """
-    what = f"n = {n}, m = {m}, budget {budget}: the path scan"
+    if m < 1:
+        raise ValueError("path length m must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    what = f"n = {n}, m = {shown(m)}, budget {budget}: the path scan"
+    # the surrogate's (m, n) schedules bound m before 2^m is formed, and
+    # its two tables before the tree is sized
+    check_bytes(24 * m * n, what)
     table = 8 << m
-    # the surrogate's two tables alone bound m before the tree is sized
     check_bytes(2 * n * table, what)
     rows = _tree_sizes(n, m, budget)
     parents = [1] + rows[:-1]
@@ -325,8 +324,8 @@ def _check_scan(n: int, m: int, budget: int):
     patterns = max(min(block, math.comb(n * (t - 1), d)) * _weight_count(n, budget - d)
                    for t in range(1, m + 1) for d in range(min(budget, n * (t - 1) + 1)))
     scan = ((3 * n + 1) * table + nodes + (8 << n) * (laws + 3 * block)
-            + 8 * (2 * n + 5) * patterns)
-    check_bytes(max(indep.vacancy_table_bytes(n, m), scan), what)
+            + 8 * (2 * n + 5) * patterns + (8 << 2 * n))
+    check_bytes(exact.kernel_bytes(n) + max(indep.vacancy_table_bytes(n, m), scan), what)
 
 
 def _scan(kernel: exact.Kernel, x0: int, m: int, budget: int):
@@ -395,14 +394,9 @@ def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
     site order.  The witness is the first pattern, in scan order, with the
     worst margin.
     """
-    if m < 1:
-        raise ValueError("path length m must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     n = spec.n
-    schedules = indep.site_schedules(spec, x0, m)
-    _check_scan(n, m, budget)
-    at_last, at_end = indep.vacancy_tables(spec, x0, schedules, m)
+    check_scan(n, m, budget)
+    at_last, at_end = indep.vacancy_tables(spec, x0, indep.site_schedules(spec, x0, m), m)
     order = _masks_by_weight(n)[0]
     singles = 1 << np.arange(n)
     # omega of the steps mask S has bit m - t set where step t is free,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import MultiSitePattern, check_constraints
-from .lattice import check_bytes, lattice_bits, state_bits
+from .lattice import check_bytes, lattice_bits, shown, state_bits
 from .model import ModelSpec, transition_values
 from .streams import REPLICATE_CHUNK, UniformArray, new_bit_generator
 
@@ -158,8 +158,8 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
     # workers may finish before the sum reaches them; one rule for every
     # worker count, so --workers never decides whether a run is accepted
     check_bytes(8 * (chunks + 3) * (steps + 1) * spec.n,
-                f"{steps} steps, {reps} replicates: {chunks + 3} ({steps + 1}, {spec.n}) "
-                f"count tables")
+                f"{shown(steps)} steps, {shown(reps)} replicates: {shown(chunks + 3)} "
+                f"({shown(steps + 1)}, {spec.n}) count tables")
     ua = UniformArray(seed=seed, n_sites=spec.n)
     table = _threshold_table(spec)
 

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from occupancy import cli, exact, indep, lattice, zoo
+from occupancy import cli, exact, indep, lattice, order, zoo
 from occupancy.model import load_model, model_to_dict, save_model
 
 from conftest import random_model
@@ -434,7 +434,7 @@ def test_capacity_exit_code(model_dir, capsys):
                    "--mode", "exact", "--t", "1")
     err = capsys.readouterr().err
     assert code == cli.EXIT_CAPACITY
-    assert err.startswith("error: n = 25: 1 dense 2^25 x 2^25 array needs ")
+    assert err.startswith("error: n = 25: the kernel's tables needs ")
 
 
 @pytest.mark.parametrize("argv, builds", [
@@ -506,17 +506,25 @@ def test_dense_kernel_is_expanded_only_where_read(model_dir, capsys, monkeypatch
                      "--samples", "2"]),
 ])
 def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv):
-    # a budget one byte below the route's own first array: the rate tables
-    # on thm2, one kernel on every other route but the one-site path scan;
-    # one sample, and the shared lattice table built before the budget
-    # drops, so no other array is rejected first
+    # a budget one byte below the route's own first count: the default
+    # grid of 11 points on thm2, the path scan on thm3, a kernel and the
+    # rate tables on the other spin routes, a kernel on the rest; one
+    # sample, and the shared lattice table built before the budget drops,
+    # so no other array is rejected first
     n = load_model(model_dir / model).n
     if "thm2" in argv:
-        budget, what = exact.spin_bytes(n), f"n = {n}: the spin rate tables needs"
-    elif model == "single.json":
-        budget, what = lattice.dense_bytes(2), "the path scan needs"
+        budget, what = 320 * 11, "11 grid points needs"
+    elif "thm3" in argv:
+        counted = []
+        with monkeypatch.context() as patch:
+            patch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
+            order.check_scan(n, int(argv[argv.index("--m") + 1]))
+        budget, what = max(counted), "the path scan needs"
+    elif model == "ring.json":
+        budget = exact.kernel_bytes(n) + exact.spin_bytes(n)
+        what = f"n = {n}: a kernel and the spin tables needs"
     else:
-        budget, what = lattice.dense_bytes(n), f"n = {n}: 1 dense 2^{n} x 2^{n} array needs"
+        budget, what = exact.kernel_bytes(n), f"n = {n}: the kernel's tables needs"
     lattice.lattice_bits(n)
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget - 1)
     allocated = []
@@ -543,9 +551,12 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv)
     ["verify", "--model", "ring.json", "--theorem", "thm4", "--t", "1e10"],
     ["verify", "--model", "ring.json", "--theorem", "thm4", "--t", "1e300"],
     ["bridge", "--model", "ring.json", "--t", "1e10"],
+    ["run", "--mode", "exact", "--t", "1e300"],
+    ["run", "--mode", "mc", "--t", "1e300"],
 ])
 def test_oversized_flag_exits_four(model_dir, capsys, argv):
-    # on pair.json unless the row names a model
+    # on pair.json unless the row names a model; counts past 10^15 print
+    # in %g form, so the line stays short
     argv = [str(model_dir / a) if a.endswith(".json") else a for a in argv]
     if "--model" not in argv:
         argv += ["--model", model_dir / "pair.json"]
@@ -553,6 +564,7 @@ def test_oversized_flag_exits_four(model_dir, capsys, argv):
     captured = capsys.readouterr()
     assert code == cli.EXIT_CAPACITY
     assert captured.err.startswith("error: ") and "budget" in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
     assert captured.out == ""
 
 
@@ -574,6 +586,8 @@ def test_ode_step_must_be_finite_and_positive(model_dir, capsys, argv, h):
     (["verify", "--theorem", "thm3", "--t", "2", "--m", "40"], "the path scan"),
     (["verify", "--theorem", "thm3", "--t", "2", "--m", "1000"], "the path scan"),
     (["run", "--mode", "mc", "--t", "2", "--reps", "1000000000000"], "count tables"),
+    # 2^20000 columns: a byte count past the float range, printed in %g form
+    (["verify", "--theorem", "thm3", "--t", "2", "--m", "20000"], "needs 1.27369e+6022 bytes"),
 ])
 def test_runaway_flag_exits_four(model_dir, capsys, argv, what):
     # refused by its arrays' size before the work that would never end
@@ -583,17 +597,57 @@ def test_runaway_flag_exits_four(model_dir, capsys, argv, what):
     assert captured.err.startswith("error: ") and what in captured.err
 
 
-@pytest.mark.parametrize("theorem", ["thm1", "thm3"])
-def test_site_set_cap_rejects_before_exact_work(tmp_path, capsys, monkeypatch, theorem):
-    save_model(zoo.random_certified_model(13, seed=0), tmp_path / "m13.json")
+def test_scan_rule_rejects_thm3_before_exact_work(tmp_path, capsys, monkeypatch):
+    # at n = 14 the path scan's dense kernel alone fills the budget
+    save_model(zoo.random_certified_model(14, seed=0), tmp_path / "m14.json")
     calls = []
     monkeypatch.setattr(exact, "kernel", calls.append)
     monkeypatch.setattr(exact, "transition_matrix", calls.append)
-    code = run_cli("verify", "--model", tmp_path / "m13.json", "--theorem", theorem,
+    code = run_cli("verify", "--model", tmp_path / "m14.json", "--theorem", "thm3",
                    "--t", "2", "--m", "2", "--samples", "64")
     assert code == cli.EXIT_CAPACITY
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: n = 14, m = 2, budget 4: the path scan needs ")
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--mode", "exact", "--t", "2"],
+    ["verify", "--theorem", "thm1", "--t", "2", "--samples", "64"],
+])
+def test_single_law_routes_reach_n_15(tmp_path, capsys, argv):
+    # past the dense matrix's n = 14: the routes hold the factor tables only
+    save_model(zoo.random_certified_model(15, seed=0), tmp_path / "m15.json")
+    code = run_cli(*argv, "--model", tmp_path / "m15.json")
+    assert code == cli.EXIT_PASS
+    assert capsys.readouterr().err == ""
+
+
+def test_kernel_rule_rejects_n_18_before_any_table(tmp_path, capsys, monkeypatch):
+    save_model(zoo.random_certified_model(18, seed=0), tmp_path / "m18.json")
+    calls = []
+    monkeypatch.setattr(exact, "lattice_bits", calls.append)
+    monkeypatch.setattr(exact, "transition_values", calls.append)
+    code = run_cli("run", "--model", tmp_path / "m18.json", "--mode", "exact", "--t", "2")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY
+    assert captured.err.startswith("error: n = 18: the kernel's tables needs ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert calls == []
+
+
+def test_thm2_grid_is_counted_before_it_is_built(model_dir, capsys, monkeypatch):
+    # the grid's times and margins, and their JSON text, count against the
+    # budget: a grid past it exits 4 before any point exists
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", 20_000)
+    argv = ["verify", "--model", model_dir / "ring.json", "--theorem", "thm2", "--t", "0",
+            "--samples", "1", "--out", model_dir / "thm2.json"]
+    assert run_cli(*argv, "--grid-points", "62") == cli.EXIT_PASS
+    capsys.readouterr()
+    assert run_cli(*argv, "--grid-points", "100000") == cli.EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: 100000 grid points needs 32000000 bytes")
+    assert captured.out == ""
 
 
 def test_zero_path_length_is_usage_error(model_dir, capsys):

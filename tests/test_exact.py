@@ -80,17 +80,26 @@ def test_push_matches_the_dense_kernel(n):
                 assert np.max(np.abs(K.push(law) - law @ T)) <= 1e-15
 
 
-def test_single_laws_never_hold_the_dense_kernel():
-    # law_trajectory steps through the two factor tables, so at n = 10 its
-    # peak stays below one dense 2^10 x 2^10 array
-    spec = zoo.random_certified_model(10, 0)
+def traced_peak(run) -> int:
+    """Peak traced bytes of run(), the lattice table built inside it."""
+    lattice.lattice_bits.cache_clear()
     tracemalloc.start()
     try:
-        exact.law_trajectory(spec, 0, 20)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < lattice.dense_bytes(10)
+
+
+def test_single_laws_never_hold_the_dense_kernel():
+    # law_trajectory steps through the two factor tables, so at n = 10 its
+    # peak stays below one dense 2^10 x 2^10 array; kernel_bytes counts it,
+    # neither short nor loose by more than half
+    spec = zoo.random_certified_model(10, 0)
+    peak = traced_peak(lambda: exact.law_trajectory(spec, 0, 20))
+    count = exact.kernel_bytes(10) + 8 * 21 * 10
+    assert count / 2 <= peak <= count
+    assert peak < 8 * 4 ** 10
 
 
 def test_empty_state_absorbing_without_colonisation():
@@ -273,20 +282,24 @@ def test_state_cap():
 
 
 def test_capacity_rule_cost_function():
-    # the rule is checked through its cost function; nothing large is allocated
-    assert lattice.dense_bytes(12) == 8 * 4 ** 12
+    # the rule is checked through its cost function; nothing large is allocated.
+    # Past n = 10 a push holds most: the lattice bits and q, four laws, the
+    # two factor tables and the low-sized product with numpy's buffer
+    law = 8 << 16
+    assert exact.kernel_bytes(16) == ((2 * 16 + 4) * law + 2 * 256 * law + 256 * law
+                                      + 8 * np.getbufsize())
     budget = lattice.DENSE_BYTES_BUDGET
-    biggest = max(n for n in range(40) if lattice.dense_bytes(n) <= budget)
-    lattice.check_dense(biggest)
+    biggest = max(n for n in range(40) if exact.kernel_bytes(n) <= budget)
+    assert biggest == 17
     for n in (biggest + 1, 30, 64):
-        with pytest.raises(CapacityError, match=f"^n = {n}: 1 dense .* budget"):
-            lattice.check_dense(n)
+        with pytest.raises(CapacityError, match=f"^n = {n}: the kernel's tables needs .* budget"):
+            exact.kernel(zoo.constant_pair(n=n))
     with pytest.raises(CapacityError):
         lattice.lattice_bits(60)
 
 
 def test_capacity_rule_guards_dense_builders():
-    n = max(n for n in range(40) if lattice.dense_bytes(n) <= lattice.DENSE_BYTES_BUDGET) + 1
+    n = max(n for n in range(40) if exact.kernel_bytes(n) <= lattice.DENSE_BYTES_BUDGET) + 1
     ring = zoo.contact_ring(n)
     for build in (lambda: transition_matrix(zoo.constant_pair(n=n)),
                   lambda: bridge.convergence_table(ring, 0, 1.0),
@@ -302,7 +315,7 @@ def test_capacity_rule_guards_the_spin_tables():
     assert exact.spin_bytes(3) == 8 * (5 * 3 + 8) * 8
     budget = lattice.DENSE_BYTES_BUDGET
     n = max(n for n in range(64) if exact.spin_bytes(n) <= budget) + 1
-    assert lattice.dense_bytes(n - 1) > budget
+    assert exact.kernel_bytes(n - 1) > budget
     ring = zoo.contact_ring(n)
     for build in (lambda: spin_generator(ring),
                   lambda: order.spin_marginal_bound(ring, 0, [1.0])):
@@ -313,13 +326,19 @@ def test_capacity_rule_guards_the_spin_tables():
 def test_capacity_rule_counts_every_array_held(monkeypatch):
     # a budget of exactly what each holder keeps passes, one byte less fails
     ring = zoo.contact_ring(6)
+    chain = bridge.discretise(ring, bridge.DiscretisationConfig(0.125))
+    kernel = exact.kernel(chain)
     for budget, what, run in (
             # thm2 holds the spin tables and a short trajectory, no dense array
             (exact.spin_bytes(6), "n = 6: the spin rate tables",
              lambda: order.spin_marginal_bound(ring, 0, [0.5, 1.0], config=OdeConfig(h=0.1))),
             # the bridge holds one kernel at a time, its rate defect no copy of it
-            (lattice.dense_bytes(6), "n = 6: 1 dense",
-             lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625)))):
+            (exact.kernel_bytes(6) + exact.spin_bytes(6),
+             "n = 6: a kernel and the spin tables",
+             lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625))),
+            (exact.kernel_bytes(6), "n = 6: the kernel's tables", lambda: exact.kernel(chain)),
+            # only the path scan expands the dense kernel
+            (8 * 4 ** 6, "a dense 64 x 64 kernel", kernel.dense)):
         monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget)
         run()
         monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget - 1)
@@ -327,15 +346,20 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
             run()
 
 
-def test_bridge_counts_one_dense_array(monkeypatch):
-    # so thm4 and the bridge reach n = 14 under the default budget
+def test_bridge_counts_a_kernel_and_the_spin_tables(monkeypatch):
+    # so thm4 and the bridge reach n = 17 under the default budget
+    def both(n):
+        return exact.kernel_bytes(n) + exact.spin_bytes(n)
+
+    assert max(n for n in range(40) if both(n) <= lattice.DENSE_BYTES_BUDGET) == 17
+    # the count is neither short nor loose by more than half
+    ring = zoo.contact_ring(8)
+    peak = traced_peak(lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625)))
+    assert both(8) / 2 <= peak <= both(8)
     counted = []
-    monkeypatch.setattr(bridge, "check_dense", counted.append)
+    monkeypatch.setattr(bridge, "check_bytes", lambda nbytes, what: counted.append(nbytes))
     bridge.convergence_table(zoo.contact_ring(2), 0, 0.5, deltas=(0.125,))
-    assert counted == [2]
-    lattice.check_dense(14)
-    with pytest.raises(CapacityError):
-        lattice.check_dense(15)
+    assert counted == [both(2)]
 
 
 def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
@@ -352,10 +376,10 @@ def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
 def test_zero_step_runs_keep_the_kernel_limit(monkeypatch):
     # a run that takes no step stops at the same n as one that does
     spec = zoo.constant_pair(n=2)
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", lattice.dense_bytes(2) - 1)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", exact.kernel_bytes(2) - 1)
     for run in (lambda: marginal_trajectory(spec, 0, 0),
                 lambda: exact.law_trajectory(spec, 0, 0)):
-        with pytest.raises(CapacityError, match="n = 2: 1 dense 2\\^2 x 2\\^2 array needs"):
+        with pytest.raises(CapacityError, match="n = 2: the kernel's tables needs"):
             run()
 
 

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from occupancy import exact, indep, meanfield, order, zoo
+from occupancy import exact, indep, lattice, meanfield, order, zoo
 from occupancy.exact import MultiSitePattern, TimePattern, marginal_trajectory
 from occupancy.lattice import CapacityError, check_bytes
 from occupancy.meanfield import OdeConfig
@@ -211,11 +211,20 @@ def test_report_serializes(interacting):
     assert isinstance(back["worst_margin"], float)
 
 
-def test_subset_cap_enforced():
-    spec = zoo.random_certified_model(13, seed=0)
-    with pytest.raises(CapacityError):
-        # rejected before the kernel is used, so a 1 x 1 stand-in will do
-        single_time_orthant(spec, 0, 1, np.ones((1, 1)))
+def test_subset_cap_enforced(monkeypatch):
+    # the site-set checks count their law-sized arrays: seven for the
+    # single-time check, five beside the law for the correlations
+    spec = zoo.random_certified_model(3, seed=0)
+    kernel = exact.kernel(spec)
+    law = exact.distribution(spec, 0, 2, kernel)
+    for laws, run in ((7, lambda k: single_time_orthant(spec, 0, 2, k)),
+                      (5, lambda k: positive_correlations(law))):
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", laws * (8 << 3))
+        run(kernel)
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", laws * (8 << 3) - 1)
+        with pytest.raises(CapacityError, match="n = 3: the site-set tables"):
+            # rejected before the kernel is used, so a 1 x 1 stand-in will do
+            run(np.ones((1, 1)))
 
 
 def test_shared_exact_objects_give_the_same_reports():
@@ -338,11 +347,23 @@ def test_prefix_tree_matches_its_size_formula():
                 assert np.array_equal(nodes.steps, order._add_step(above, nodes.mask, t - 1))
 
 
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+# explicit examples only: drawn ones would depend on the modules loaded,
+# which hypothesis mines for constants, and so would the oracle's cost
+@settings(phases=(Phase.explicit,), database=None, deadline=None)
+@example(n=2, m=1, budget=1, seed=0, x0=0)
+@example(n=2, m=5, budget=4, seed=1, x0=3)
+@example(n=3, m=2, budget=2, seed=2, x0=5)
+@example(n=3, m=4, budget=3, seed=3, x0=1)
+@example(n=4, m=3, budget=4, seed=4, x0=9)
+@example(n=4, m=5, budget=2, seed=5, x0=6)
+@example(n=5, m=5, budget=4, seed=6, x0=17)
+@example(n=5, m=2, budget=3, seed=7, x0=30)
+@example(n=6, m=3, budget=2, seed=8, x0=42)
+@example(n=6, m=1, budget=4, seed=9, x0=63)
 @given(n=st.integers(2, 6), m=st.integers(1, 5), budget=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_scan_matches_the_per_pattern_oracle(n, m, budget, seed, data):
-    x0 = data.draw(st.integers(0, (1 << n) - 1), label="x0")
+       seed=st.integers(0, 2**32 - 1), x0=st.integers(0, 63))
+def test_scan_matches_the_per_pattern_oracle(n, m, budget, seed, x0):
+    x0 %= 1 << n
     spec = random_model(n, seed)
     kernel = exact.kernel(spec)
     scan = _scan_probability(_scan_depths(spec, x0, m, budget, kernel), n)
