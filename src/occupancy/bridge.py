@@ -223,11 +223,14 @@ def convergence_table(spec: SpinSpec, x0: int, t: float,
                       deltas=DEFAULT_DELTAS) -> ConvergenceTable:
     """Rate, law, and Euler diagnostics for each step size on the grid.
 
-    Shared objects are built once, as the module notes say.  One kernel and
-    the spin tables are held at a time; their bytes are checked before any work.
+    Shared objects are built once, as the module notes say.  One kernel,
+    the spin tables and the reference ODE's trajectory of times and states
+    are held at a time; their bytes are checked before any work.
     """
-    check_bytes(exact.kernel_bytes(spec.n) + exact.spin_bytes(spec.n),
-                f"n = {spec.n}: a kernel and the spin tables")
+    reference = 8 * (spec.n + 1) * (t / REFERENCE_ODE.h + 2.0)
+    check_bytes(exact.kernel_bytes(spec.n) + exact.spin_bytes(spec.n) + reference,
+                f"n = {spec.n}, t = {t!r}: a kernel, the spin tables and "
+                f"the reference ODE trajectory")
     configs = [DiscretisationConfig(delta) for delta in deltas]
     chains = [discretise(spec, config) for config in configs]
     p0 = exact.state_bits(x0, spec.n)

@@ -123,7 +123,8 @@ def _cmd_check(args) -> int:
     for f in report.findings:
         margin = "n/a" if not np.isfinite(f.worst_margin) else f"{f.worst_margin:+.3e}"
         extra = "" if f.estimate is None else f"  estimate={f.estimate:.6g}"
-        print(f"{f.hypothesis:24s}  {f.verdict:4s}  margin={margin}{extra}")
+        print(f"{f.hypothesis:24s}  {f.verdict:4s}  margin={margin}{extra}  "
+              f"certified_by={f.certified_by}")
     print(f"overall: {report.verdict}")
     if args.out:
         _write_out(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
@@ -190,6 +191,7 @@ def _cmd_verify(args) -> int:
     extra_files = []
     if args.theorem == "thm1":
         certified = hypo.passed(BOUND_HYPOTHESES)
+        order.check_marginal_bound(spec.n, t)
         # one propagation: its rows feed the bound, its last law the correlations
         rows, law = exact.law_trajectory(spec, x0, t)
         reports.append(order.marginal_bound(spec, x0, rows, tol=tol, certified=certified))

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Rational
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -644,6 +646,10 @@ def save_model(spec, path):
 #   lipschitz               : a finite-constant estimate, never a failure
 #
 # "gap" below is survival minus colonisation; "total" is birth plus death.
+#
+# Each hypothesis is first put to the closed-form certifier, which proves
+# it from the family coefficients or leaves it open; only open hypotheses,
+# and the Lipschitz estimates, are scanned.
 
 _OCC_HYPOTHESES = (
     ("colonisation-increasing", "C", "increasing"),
@@ -693,10 +699,18 @@ class Witness:
 
 @dataclass(frozen=True)
 class HypothesisFinding:
+    """One hypothesis over every site, with how its verdict was reached.
+
+    `certified_by` is "proof" when the coefficients prove it, "lattice"
+    when the scans read every lattice point or pair of its kind, and
+    "sampled" when only the random points or pairs were read.
+    """
+
     hypothesis: str
     verdict: str
     worst_margin: float
     witness: Witness | None
+    certified_by: str
     estimate: float | None = None
 
 
@@ -743,6 +757,7 @@ class AssumptionReport:
                 {
                     "hypothesis": f.hypothesis,
                     "verdict": f.verdict,
+                    "certified_by": f.certified_by,
                     "worst_margin": (f.worst_margin if np.isfinite(f.worst_margin)
                                      else None),
                     "estimate": f.estimate,
@@ -842,6 +857,11 @@ class _LatticeScan:
         self.bits = lattice_bits(spec.n)
         self.values = _lattice_targets(spec, self.bits)
 
+    def covers(self, kind: str) -> bool:
+        """Whether the scan reads every lattice point or pair of this kind."""
+        return (kind in ("nonnegative", "increasing", "decreasing")
+                or kind in ("concave", "convex") and self.spec.n <= LATTICE_PAIR_CAP)
+
     @cached_property
     def comparable(self) -> tuple[np.ndarray, np.ndarray]:
         return _comparable_lattice_pairs(self.spec.n)
@@ -862,11 +882,11 @@ class _LatticeScan:
             for i in range(n):
                 yield least[i], Witness(site=i, x=tuple(self.bits[first[i]]))
             return
+        if not self.covers(kind):
+            return
         if kind in ("increasing", "decreasing"):
             lo, hi = self.comparable
             mid = None
-        elif n > LATTICE_PAIR_CAP:
-            return
         else:
             lo, hi, mids = self.grid
             mid = mids[target]
@@ -917,30 +937,180 @@ def pair_margin(kind: str, values_x: np.ndarray, values_y, values_mid) -> np.nda
     raise ValueError(f"unknown hypothesis kind {kind!r}")
 
 
-def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
-                      seed: int = 0) -> AssumptionReport:
-    """Sampled and lattice-exhaustive margins for every theorem hypothesis.
+# -- closed-form certificates ----------------------------------------------
+#
+# A site function's `_Form` is what its coefficients prove on the cube, in
+# exact arithmetic on the float parameters (`_exact`).  Pins are folded
+# into the intercept.  A form is affine when `coef` holds its (alpha,
+# beta), the value being alpha + beta . x with beta zero at pinned
+# coordinates; `lo` and `hi` then are its exact infimum and supremum.  Any
+# other form carries only the shape flags it proves, and a family's form
+# bounds that hold on the cube, for its clamp.  The evaluated function
+# differs from the exact one by round-off only, so a proven hypothesis may
+# show margins of about -1e-16 on a scan.
 
-    A hypothesis fails when some margin drops below -tol; a pass is evidence,
-    not proof, except on the lattice scans which are exhaustive.  Sampling is
-    addressed by (hypothesis, sample) so reports are reproducible and
-    independent of evaluation order.
+
+@dataclass(frozen=True)
+class _Form:
+    increasing: bool = False
+    decreasing: bool = False
+    concave: bool = False
+    convex: bool = False
+    lo: Rational | None = None
+    hi: Rational | None = None
+    coef: tuple[Rational, tuple[Rational, ...]] | None = None
+
+
+_UNKNOWN = _Form()
+
+
+def _exact(value: float) -> Rational:
+    """The rational a float holds, exactly.
+
+    `fractions` is imported on first use: it loads `decimal`, about
+    0.3 MB of resident memory that a run checking no hypothesis never needs.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    # a pair batch holds its 2 x samples uniform points and their ordered
-    # copies or midpoints
-    check_bytes(4 * 8 * samples * spec.n,
-                f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{spec.n}")
-    table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
-    targets = _targets(spec)
-    n = spec.n
-    lattice = _LatticeScan(spec) if n <= LATTICE_SCAN_CAP else None
-    findings = []
-    for lane, (name, target, kind) in enumerate(table):
-        f = targets[target]
+    from fractions import Fraction
+
+    return Fraction(value)
+
+
+def _affine(alpha: Rational, beta: Sequence[Rational]) -> _Form:
+    """alpha + beta . x: monotone by the signs of beta, concave and convex."""
+    return _Form(increasing=all(b >= 0 for b in beta), decreasing=all(b <= 0 for b in beta),
+                 concave=True, convex=True,
+                 lo=alpha + sum(b for b in beta if b < 0),
+                 hi=alpha + sum(b for b in beta if b > 0),
+                 coef=(alpha, tuple(beta)))
+
+
+def _constant(value: Rational, n: int) -> _Form:
+    return _affine(value, (0,) * n)
+
+
+def _raw_form(fam: FunctionFamily) -> _Form:
+    """The family's raw value before offset, scale and clamp."""
+    n, p = fam.n, fam.params
+    pins = {site: _exact(value) for site, value in fam.pins}
+    if fam.variant == "constant":
+        return _constant(_exact(p["c"]), n)
+    if fam.variant == "tabulated-multilinear":
+        table = p["table"]
+        return _constant(_exact(table[0]), n) if np.all(table == table[0]) else _UNKNOWN
+    weights = [_exact(w) for w in p["beta" if fam.variant == "product-form" else "b"]]
+    free = [0 if j in pins else w for j, w in enumerate(weights)]
+    pinned = [pins[j] * weights[j] for j in pins]
+    if fam.variant == "affine-saturated":
+        alpha = _exact(p["a"]) + sum(pinned)
+        if alpha >= 1:
+            return _constant(1, n)
+        if alpha + sum(free) <= 1:
+            return _affine(alpha, free)
+        # min(1, alpha + b . x) with b >= 0: a minimum of affine functions
+        return _Form(increasing=True, concave=True, lo=alpha, hi=1)
+    if any(free):
+        return _UNKNOWN
+    # a product-form or Hanski family of pinned coordinates only is constant
+    if fam.variant == "product-form":
+        return _constant(1 - math.prod(1 - term for term in pinned), n)
+    w2 = sum(pinned) ** 2
+    return _constant(w2 / (w2 + _exact(p["y"]) ** 2), n)
+
+
+def _scaled(form: _Form, scale: Rational, offset: Rational) -> _Form:
+    """offset + scale * form, for scale != 0: a negative scale flips direction and curvature."""
+    if form.coef is not None:
+        alpha, beta = form.coef
+        return _affine(offset + scale * alpha, [scale * b for b in beta])
+    if form.lo is None:
+        return form
+    lo, hi = sorted((offset + scale * form.lo, offset + scale * form.hi))
+    if scale > 0:
+        return replace(form, lo=lo, hi=hi)
+    return _Form(increasing=form.decreasing, decreasing=form.increasing,
+                 concave=form.convex, convex=form.concave, lo=lo, hi=hi)
+
+
+def _clamped(form: _Form, n: int) -> _Form:
+    """The form clipped to [0,1]: unchanged if the clip cannot bind, else monotone only."""
+    if form.lo is None or 0 <= form.lo and form.hi <= 1:
+        return form
+    lo, hi = (min(max(v, 0), 1) for v in (form.lo, form.hi))
+    if lo == hi:
+        # the whole range lies at or past one end
+        return _constant(lo, n)
+    return _Form(increasing=form.increasing, decreasing=form.decreasing, lo=lo, hi=hi)
+
+
+def _family_form(fam: FunctionFamily) -> _Form:
+    if fam.scale == 0:
+        form = _constant(_exact(fam.offset), fam.n)
+    else:
+        form = _scaled(_raw_form(fam), _exact(fam.scale), _exact(fam.offset))
+    return _clamped(form, fam.n) if fam.role == "probability" else form
+
+
+def _sum(f: _Form, g: _Form) -> _Form:
+    """f + g: affine with exact coefficients if both are, else the flags both prove."""
+    if f.coef is not None and g.coef is not None:
+        return _affine(f.coef[0] + g.coef[0], [a + b for a, b in zip(f.coef[1], g.coef[1])])
+    return _Form(increasing=f.increasing and g.increasing,
+                 decreasing=f.decreasing and g.decreasing,
+                 concave=f.concave and g.concave, convex=f.convex and g.convex)
+
+
+def _target_forms(spec) -> dict[str, list[_Form]]:
+    """Every target's per-site forms, keyed as `_targets` is."""
+    if isinstance(spec, ModelSpec):
+        c = [_family_form(f) for f in spec.colonisation]
+        s = [_family_form(f) for f in spec.survival]
+        return {"C": c, "S": s,
+                "gap": [_sum(si, _scaled(ci, -1, 0)) for ci, si in zip(c, s)]}
+    birth = [_family_form(f) for f in spec.birth]
+    death = [_family_form(f) for f in spec.death]
+    return {"birth": birth, "death": death,
+            "total": [_sum(b, d) for b, d in zip(birth, death)]}
+
+
+def _proof(forms: Sequence[_Form], name: str, kind: str) -> HypothesisFinding | None:
+    """The finding of a hypothesis every site's form proves, or None.
+
+    A shape kind's margins reach 0 at x = y, so its infimum is 0.  An
+    affine form's least value, at the vertex with x_j = 1 exactly where
+    beta_j < 0, is the nonnegative margin's infimum and its witness.
+    """
+    if kind == "nonnegative":
+        if not all(f.coef is not None and f.lo >= 0 for f in forms):
+            return None
+        site = min(range(len(forms)), key=lambda i: forms[i].lo)
+        vertex = tuple(1.0 if b < 0 else 0.0 for b in forms[site].coef[1])
+        return HypothesisFinding(name, "pass", float(forms[site].lo),
+                                 Witness(site=site, x=vertex), "proof")
+    if not all(getattr(f, kind) for f in forms):
+        return None
+    return HypothesisFinding(name, "pass", 0.0, None, "proof")
+
+
+class _Scans:
+    """The sampled and lattice scans of one report, for what no proof settles.
+
+    The lattice table is built on the first scan that needs it.
+    """
+
+    def __init__(self, spec, samples: int, tol: float, seed: int):
+        self.spec, self.samples, self.tol, self.seed = spec, samples, tol, seed
+        self.targets = _targets(spec)
+
+    @cached_property
+    def lattice(self) -> _LatticeScan | None:
+        return _LatticeScan(self.spec) if self.spec.n <= LATTICE_SCAN_CAP else None
+
+    def finding(self, lane: int, name: str, target: str, kind: str) -> HypothesisFinding:
+        """The hypothesis's scanned finding; `lane` addresses its sample stream."""
+        f = self.targets[target]
+        n, samples = self.spec.n, self.samples
         if kind == "lipschitz":
-            u = assumption_uniforms(seed, lane, 2 * samples * n).reshape(2, samples, n)
+            u = assumption_uniforms(self.seed, lane, 2 * samples * n).reshape(2, samples, n)
             x, y = u[0], u[1]
             best = 0.0
             dist = np.abs(y - x).sum(axis=1)
@@ -949,16 +1119,44 @@ def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
                 for i in range(n):
                     gaps = np.abs(f(i, y) - f(i, x))
                     best = max(best, float(np.max(gaps[ok] / dist[ok])))
-            findings.append(HypothesisFinding(name, "pass", np.inf, None, estimate=best))
-            continue
-        candidates = _sampled_worst(f, kind, n, seed, lane, samples)
-        if lattice is not None:
-            candidates = itertools.chain(candidates, lattice.worst(target, kind))
+            return HypothesisFinding(name, "pass", np.inf, None, "sampled", estimate=best)
+        candidates = _sampled_worst(f, kind, n, self.seed, lane, samples)
+        by = "sampled"
+        if self.lattice is not None and self.lattice.covers(kind):
+            candidates = itertools.chain(candidates, self.lattice.worst(target, kind))
+            by = "lattice"
         worst = np.inf
         witness = None
         for margin, w in candidates:
             if margin < worst:
                 worst, witness = float(margin), w
-        verdict = "fail" if worst < -tol else "pass"
-        findings.append(HypothesisFinding(name, verdict, worst, witness))
+        verdict = "fail" if worst < -self.tol else "pass"
+        return HypothesisFinding(name, verdict, worst, witness, by)
+
+
+def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
+                      seed: int = 0) -> AssumptionReport:
+    """Margins of every theorem hypothesis, proven in closed form where the families allow.
+
+    A hypothesis the coefficients prove at every site passes whatever
+    `tol`, and reads no sample.  Any other, and every Lipschitz estimate,
+    is scanned: on `samples` random points or pairs and, up to
+    LATTICE_SCAN_CAP sites, on the lattice.  A scanned hypothesis fails
+    when some margin drops below -tol; its pass is evidence, not proof.
+    Sampling is addressed by (hypothesis, sample) so reports are
+    reproducible and independent of evaluation order.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    # a pair batch holds its 2 x samples uniform points and their ordered
+    # copies or midpoints
+    check_bytes(4 * 8 * samples * spec.n,
+                f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{spec.n}")
+    table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
+    forms = _target_forms(spec)
+    scans = _Scans(spec, samples, tol, seed)
+    findings = []
+    for lane, (name, target, kind) in enumerate(table):
+        proof = None if kind == "lipschitz" else _proof(forms[target], name, kind)
+        findings.append(proof or scans.finding(lane, name, target, kind))
     return AssumptionReport(tuple(findings), samples=samples, tol=tol, seed=seed)

@@ -110,6 +110,23 @@ def _worst(margins: np.ndarray):
     return float(margins[k]), k
 
 
+# bytes of the marginal bound's per-step report beyond its float tables: a
+# float and its list slot in `min_margin_per_step` (32), and the peak of that
+# entry's indented JSON text while `json.dumps` joins it (129), read with
+# tracemalloc over 10^5 entries of the longest float repr
+REPORT_STEP_BYTES = 161
+
+
+def check_marginal_bound(n: int, steps: int):
+    """The capacity rule for thm1's steps, before the propagation starts.
+
+    Per step it holds a row of the exact marginals, of the recursion and
+    of their margins, the step's least margin and its report entry.
+    """
+    check_bytes((steps + 1) * (24 * n + 8 + REPORT_STEP_BYTES),
+                f"{shown(steps)} steps: the marginal bound's tables and per-step report")
+
+
 def marginal_bound(spec: ModelSpec, x0: int, exact_rows: np.ndarray,
                    tol: float = DEFAULT_TOL, certified: bool | None = None) -> OrderReport:
     """Deterministic trajectory minus exact occupation probabilities, all (t, i).

@@ -274,13 +274,23 @@ def hypothesis_margin(spec, hypothesis: str, site: int, x, y=None) -> float:
     return float(model.pair_margin(kind, vx, vy, vm)[0])
 
 
+def scan_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9, seed: int = 0):
+    """model.check_assumptions with every hypothesis scanned, none proven."""
+    table = model._OCC_HYPOTHESES if isinstance(spec, ModelSpec) else model._SPIN_HYPOTHESES
+    scans = model._Scans(spec, samples, tol, seed)
+    return model.AssumptionReport(
+        tuple(scans.finding(lane, *hypothesis) for lane, hypothesis in enumerate(table)),
+        samples=samples, tol=tol, seed=seed)
+
+
 def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
                                seed: int = 0):
-    """model.check_assumptions with every site's family evaluated on its own.
+    """The scan route of model.check_assumptions, every site's family evaluated on its own.
 
     The lattice scans run over the comparable pairs and the pair grid as
     full (pairs, n) bit tables, one family per call, after the sampled
     batch; a site's margin replaces the worst only when strictly lower.
+    A finding is labelled "lattice" where one of those scans ran.
     """
     table = model._OCC_HYPOTHESES if isinstance(spec, ModelSpec) else model._SPIN_HYPOTHESES
     targets = model._targets(spec)
@@ -288,6 +298,7 @@ def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
     bits = exact.lattice_bits(n)
 
     def batches(kind, lane):
+        """The sampled batch, then the lattice batch if one is scanned."""
         if kind == "nonnegative":
             yield assumption_uniforms(seed, lane, samples * n).reshape(samples, n), None
             if n <= model.LATTICE_SCAN_CAP:
@@ -317,10 +328,12 @@ def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
                 for i in range(n):
                     gaps = np.abs(f(i, u[1]) - f(i, u[0]))
                     best = max(best, float(np.max(gaps[ok] / dist[ok])))
-            findings.append(model.HypothesisFinding(name, "pass", np.inf, None, estimate=best))
+            findings.append(model.HypothesisFinding(name, "pass", np.inf, None, "sampled",
+                                                    estimate=best))
             continue
-        worst, witness = np.inf, None
-        for x, y in batches(kind, lane):
+        worst, witness, by = np.inf, None, "sampled"
+        for index, (x, y) in enumerate(batches(kind, lane)):
+            by = "lattice" if index else by
             mid = 0.5 * (x + y) if kind in ("concave", "convex") else None
             for i in range(n):
                 margins = model.pair_margin(kind, f(i, x), None if y is None else f(i, y),
@@ -331,7 +344,7 @@ def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
                     witness = model.Witness(site=i, x=tuple(x[k]),
                                             y=None if y is None else tuple(y[k]))
         findings.append(model.HypothesisFinding(name, "fail" if worst < -tol else "pass",
-                                                worst, witness))
+                                                worst, witness, by))
     return model.AssumptionReport(tuple(findings), samples=samples, tol=tol, seed=seed)
 
 
@@ -489,9 +502,9 @@ def random_model(n, seed, variants=VARIANTS):
                                     for _ in range(n)))
 
 
-def random_spin_model(n, seed):
-    """Random spin system over all five variants, with pins."""
+def random_spin_model(n, seed, variants=VARIANTS):
+    """Random spin system over `variants` (all five by default), with pins."""
     rng = np.random.default_rng(seed)
     return SpinSpec(n=n,
-                    birth=tuple(random_family(n, rng, "rate") for _ in range(n)),
-                    death=tuple(random_family(n, rng, "rate") for _ in range(n)))
+                    birth=tuple(random_family(n, rng, "rate", variants) for _ in range(n)),
+                    death=tuple(random_family(n, rng, "rate", variants) for _ in range(n)))

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 
 import pytest
 
-from occupancy import cli, exact, indep, lattice, order, zoo
+from occupancy import bridge, cli, exact, indep, lattice, order, zoo
 from occupancy.model import load_model, model_to_dict, save_model
 
 from conftest import random_model
@@ -378,6 +380,99 @@ def test_verify_marginal_suite(model_dir, capsys):
     assert doc["hypotheses"]["verdict"] == "pass"
 
 
+def test_thm1_report_is_counted_before_the_propagation(model_dir, capsys, monkeypatch):
+    # every per-step row and report entry is counted: one byte short of the
+    # count exits 4 before any law exists, the count itself runs
+    steps, n = 50, 2
+    count = (steps + 1) * (24 * n + 8 + order.REPORT_STEP_BYTES)
+    argv = ["verify", "--model", model_dir / "pair.json", "--theorem", "thm1",
+            "--t", steps, "--samples", "1"]
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", count)
+    assert run_cli(*argv) == cli.EXIT_PASS
+    capsys.readouterr()
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", count - 1)
+    monkeypatch.setattr(exact, "point_mass", lambda *args: pytest.fail("propagated"))
+    assert run_cli(*argv) == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        f"error: 50 steps: the marginal bound's tables and per-step report needs {count} "
+        f"bytes, over the dense budget of {count - 1} bytes\n")
+
+
+def test_thm1_report_entry_is_within_its_count(tmp_path, capsys):
+    # the per-step count covers what a long run adds per step, --out
+    # included, at the longest float repr and at the smallest n
+    save_model(zoo.interacting_pair(), tmp_path / "pair.json")
+    peaks = []
+    for steps in (2000, 6000):
+        tracemalloc.start()
+        run_cli("verify", "--model", tmp_path / "pair.json", "--theorem", "thm1",
+                "--t", steps, "--out", tmp_path / "thm1.json")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert (peaks[1] - peaks[0]) / 4000 <= 24 * 2 + 8 + order.REPORT_STEP_BYTES
+
+
+@pytest.mark.parametrize("argv", [["bridge"], ["verify", "--theorem", "thm4"]])
+def test_reference_ode_is_counted_before_the_spin_law(model_dir, capsys, monkeypatch, argv):
+    # 10^8 reference steps at t = 10^5: refused before the spin law's
+    # Poisson mixture, which would take seconds
+    monkeypatch.setattr(exact, "spin_law", lambda *args: pytest.fail("spin law built"))
+    start = time.perf_counter()
+    code = run_cli(*argv, "--model", model_dir / "ring.json", "--t", "100000")
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CAPACITY and elapsed < 1.0
+    assert err.startswith("error: n = 3, t = 100000.0: a kernel, the spin tables and "
+                          "the reference ODE trajectory needs ")
+
+
+def _fresh_interpreter(probe: str) -> str:
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm3"])
+def test_proven_verify_leaves_the_rng_unloaded(tmp_path, theorem):
+    # every hypothesis of an unsaturated affine model is proven, so no
+    # sample is drawn and numpy.random (with OpenSSL) is never imported
+    save_model(zoo.random_certified_model(6, 0), tmp_path / "model.json")
+    probe = ("import sys\n"
+             "from occupancy import cli\n"
+             f"code = cli.main(['verify', '--model', {str(tmp_path / 'model.json')!r}, "
+             f"'--theorem', {theorem!r}, '--t', '4', '--m', '2'])\n"
+             "print(code, 'numpy.random' in sys.modules)\n")
+    assert _fresh_interpreter(probe).splitlines()[-1] == "0 False"
+
+
+def test_check_labels_every_proven_finding(tmp_path, capsys):
+    save_model(zoo.random_certified_model(12, 0), tmp_path / "model.json")
+    out_path = tmp_path / "check.json"
+    code = run_cli("check", "--model", tmp_path / "model.json", "--out", out_path)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_PASS
+    assert len(lines) == 8 and lines[-1] == "overall: pass"
+    assert all(line.endswith("  certified_by=proof") for line in lines[:-1])
+    doc = json.loads(out_path.read_text())
+    assert [f["certified_by"] for f in doc["findings"]] == ["proof"] * 7
+
+
+@pytest.mark.parametrize("spec", [
+    zoo.contact_ring(10),
+    # the model the exact-n12 benchmark workload runs at seed 1
+    zoo.random_certified_model(12, 577090037),
+], ids=["ring-n10", "certified-n12"])
+def test_check_at_zero_tolerance_passes_what_is_proven(tmp_path, capsys, spec):
+    # the scans see round-off margins of about -4e-16 on these exactly
+    # affine families; a proof has none
+    save_model(spec, tmp_path / "model.json")
+    code = run_cli("check", "--model", tmp_path / "model.json", "--tol", "0")
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_PASS and "overall: pass" in out
+
+
 def test_verify_path_suite(model_dir, capsys):
     code = run_cli("verify", "--model", model_dir / "pair.json",
                    "--theorem", "thm3", "--t", "4", "--m", "3")
@@ -521,8 +616,10 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv)
             order.check_scan(n, int(argv[argv.index("--m") + 1]))
         budget, what = max(counted), "the path scan needs"
     elif model == "ring.json":
-        budget = exact.kernel_bytes(n) + exact.spin_bytes(n)
-        what = f"n = {n}: a kernel and the spin tables needs"
+        budget = (exact.kernel_bytes(n) + exact.spin_bytes(n)
+                  + 8 * (n + 1) * (0.5 / bridge.REFERENCE_ODE.h + 2.0))
+        what = (f"n = {n}, t = 0.5: a kernel, the spin tables and the reference ODE "
+                f"trajectory needs")
     else:
         budget, what = exact.kernel_bytes(n), f"n = {n}: the kernel's tables needs"
     lattice.lattice_bits(n)

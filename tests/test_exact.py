@@ -332,9 +332,10 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
             # thm2 holds the spin tables and a short trajectory, no dense array
             (exact.spin_bytes(6), "n = 6: the spin rate tables",
              lambda: order.spin_marginal_bound(ring, 0, [0.5, 1.0], config=OdeConfig(h=0.1))),
-            # the bridge holds one kernel at a time, its rate defect no copy of it
-            (exact.kernel_bytes(6) + exact.spin_bytes(6),
-             "n = 6: a kernel and the spin tables",
+            # the bridge holds one kernel at a time, its rate defect no copy of
+            # it, and the reference ODE's trajectory of 502 times and states
+            (exact.kernel_bytes(6) + exact.spin_bytes(6) + 8 * 7 * 502,
+             "n = 6, t = 0.5: a kernel, the spin tables and the reference ODE trajectory",
              lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625))),
             (exact.kernel_bytes(6), "n = 6: the kernel's tables", lambda: exact.kernel(chain)),
             # only the path scan expands the dense kernel
@@ -359,7 +360,8 @@ def test_bridge_counts_a_kernel_and_the_spin_tables(monkeypatch):
     counted = []
     monkeypatch.setattr(bridge, "check_bytes", lambda nbytes, what: counted.append(nbytes))
     bridge.convergence_table(zoo.contact_ring(2), 0, 0.5, deltas=(0.125,))
-    assert counted == [both(2)]
+    # with the reference ODE's 502 times and states
+    assert counted == [both(2) + 8 * 3 * 502]
 
 
 def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from occupancy import indep, model, zoo
 from occupancy.lattice import lattice_bits
-from occupancy.model import (BOUND_HYPOTHESES, DimensionError, FunctionFamily,
+from occupancy.model import (BOUND_HYPOTHESES, VARIANTS, DimensionError, FunctionFamily,
                              ModelError, ModelSpec, ORDERING_HYPOTHESES,
                              SPIN_BOUND_HYPOTHESES, SpinSpec, check_assumptions,
                              load_model, model_from_dict, model_to_dict,
                              save_model, site_values, transition_values)
 
 from conftest import (family_formula, hypothesis_margin, per_site_check_assumptions,
-                      random_model, random_spin_model, submask_lattice_pairs)
+                      random_model, random_spin_model, scan_check_assumptions,
+                      submask_lattice_pairs)
 
 
 def aff(n, a, b, **kw):
@@ -165,7 +166,7 @@ def test_check_equals_the_per_site_oracle(spin, n, seed, samples):
     # random families of all five variants, with pins, clamps and negative
     # scales; with one sample the lattice picks most witnesses
     spec = random_spin_model(n, seed) if spin else random_model(n, seed)
-    assert (repr(check_assumptions(spec, samples=samples).to_dict())
+    assert (repr(scan_check_assumptions(spec, samples=samples).to_dict())
             == repr(per_site_check_assumptions(spec, samples=samples).to_dict()))
 
 
@@ -177,8 +178,54 @@ def test_check_equals_the_per_site_oracle(spin, n, seed, samples):
     zoo.constant_pair(n=4),
 ], ids=["ring-n10", "certified-n10-0", "certified-n10-3", "constant-n4"])
 def test_check_equals_the_per_site_oracle_at_fixed_models(spec):
-    assert (repr(check_assumptions(spec, samples=64).to_dict())
+    assert (repr(scan_check_assumptions(spec, samples=64).to_dict())
             == repr(per_site_check_assumptions(spec, samples=64).to_dict()))
+
+
+# the variants the certifier settles; the other three it proves only when
+# they reduce to a constant
+SETTLED = ("constant", "affine-saturated")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(spin=st.booleans(), settled=st.booleans(), n=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 16))
+def test_every_proof_holds_on_the_scan_route(spin, settled, n, seed):
+    # the scans are the oracle: no proven hypothesis shows a margin below
+    # round-off, and a proven infimum is the least lattice margin, at its
+    # witness; every other finding is the scan route's, label and all
+    variants = SETTLED if settled else VARIANTS
+    spec = (random_spin_model(n, seed, variants) if spin
+            else random_model(n, seed, variants))
+    report = check_assumptions(spec, samples=64)
+    scanned = scan_check_assumptions(spec, samples=64)
+    for claim, scan in zip(report.findings, scanned.findings):
+        if claim.certified_by != "proof":
+            assert repr(claim) == repr(scan)
+            continue
+        assert claim.verdict == "pass"
+        assert scan.worst_margin >= -1e-12, claim.hypothesis
+        if claim.witness is None:
+            assert claim.worst_margin == 0.0
+            continue
+        w = claim.witness
+        again = hypothesis_margin(spec, claim.hypothesis, w.site, w.x)
+        assert again == pytest.approx(claim.worst_margin, abs=1e-12)
+        assert scan.worst_margin == pytest.approx(claim.worst_margin, abs=1e-12)
+
+
+@pytest.mark.parametrize("spin", [False, True], ids=["occupancy", "spin"])
+def test_the_certifier_proves_every_hypothesis_somewhere(spin):
+    # the property test above checks proofs; these models give it proofs of
+    # every kind, under pins, clamps and negative scales
+    proven = set()
+    for seed in range(40):
+        spec = (random_spin_model(2, seed, SETTLED) if spin
+                else random_model(2, seed, SETTLED))
+        proven |= {f.hypothesis for f in check_assumptions(spec, samples=1).findings
+                   if f.certified_by == "proof"}
+    table = model._SPIN_HYPOTHESES if spin else model._OCC_HYPOTHESES
+    assert proven == {name for name, _, kind in table if kind != "lipschitz"}
 
 
 def test_affine_example():
