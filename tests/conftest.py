@@ -333,7 +333,8 @@ def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
             continue
         worst, witness, by = np.inf, None, "sampled"
         for index, (x, y) in enumerate(batches(kind, lane)):
-            by = "lattice" if index else by
+            # a second batch, when there is one, is the lattice's
+            by = "lattice" if index else "sampled"
             mid = 0.5 * (x + y) if kind in ("concave", "convex") else None
             for i in range(n):
                 margins = model.pair_margin(kind, f(i, x), None if y is None else f(i, y),
