@@ -25,9 +25,13 @@ class CapacityError(RuntimeError):
 
 
 def shown(count: int | float) -> str:
-    """A count as capacity errors print it: in full up to 10^15, in %g form past that."""
+    """A count as capacity errors print it: in full up to 10^15, in %g form past that.
+
+    A float count up to 10^15, such as bytes from t / h, prints as the
+    integer above it.
+    """
     if count <= 1e15:
-        return str(count)
+        return str(math.ceil(count))
     try:
         return f"{count:g}"
     except OverflowError:  # an int past the float range: read its power of ten off its log

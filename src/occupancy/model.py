@@ -647,9 +647,9 @@ def save_model(spec, path):
 #
 # "gap" below is survival minus colonisation; "total" is birth plus death.
 #
-# Each hypothesis is first put to the closed-form certifier, which proves
-# it from the family coefficients or leaves it open; only open hypotheses,
-# and the Lipschitz estimates, are scanned.
+# Each hypothesis is first put to the closed-form certifier, which decides
+# it from the family coefficients or leaves it open; only open hypotheses
+# are scanned.
 
 _OCC_HYPOTHESES = (
     ("colonisation-increasing", "C", "increasing"),
@@ -701,7 +701,7 @@ class Witness:
 class HypothesisFinding:
     """One hypothesis over every site, with how its verdict was reached.
 
-    `certified_by` is "proof" when the coefficients prove it, "lattice"
+    `certified_by` is "proof" when the coefficients decide it, "lattice"
     when the scans read every lattice point or pair of its kind, and
     "sampled" when only the random points or pairs were read.
     """
@@ -1072,21 +1072,55 @@ def _target_forms(spec) -> dict[str, list[_Form]]:
             "total": [_sum(b, d) for b, d in zip(birth, death)]}
 
 
-def _proof(forms: Sequence[_Form], name: str, kind: str) -> HypothesisFinding | None:
-    """The finding of a hypothesis every site's form proves, or None.
+def _affine_infimum(form: _Form, kind: str) -> Rational:
+    """An affine form's exact least margin of `kind` on the cube.
 
-    A shape kind's margins reach 0 at x = y, so its infimum is 0.  An
-    affine form's least value, at the vertex with x_j = 1 exactly where
-    beta_j < 0, is the nonnegative margin's infimum and its witness.
+    The value alpha + beta . x is least, at `lo`, on the vertex with
+    x_j = 1 exactly where beta_j < 0.  A monotone margin is
+    +-beta . (y - x) with y - x in [0,1]^n, least for x = 0 and y the
+    indicator of the terms that lower it: lo - alpha or alpha - hi.  A
+    midpoint margin is 0 everywhere.
     """
     if kind == "nonnegative":
-        if not all(f.coef is not None and f.lo >= 0 for f in forms):
-            return None
-        site = min(range(len(forms)), key=lambda i: forms[i].lo)
-        vertex = tuple(1.0 if b < 0 else 0.0 for b in forms[site].coef[1])
-        return HypothesisFinding(name, "pass", float(forms[site].lo),
-                                 Witness(site=site, x=vertex), "proof")
-    if not all(getattr(f, kind) for f in forms):
+        return form.lo
+    if kind == "increasing":
+        return form.lo - form.coef[0]
+    if kind == "decreasing":
+        return form.coef[0] - form.hi
+    return 0
+
+
+def _proof(forms: Sequence[_Form], name: str, kind: str,
+           tol: float) -> HypothesisFinding | None:
+    """The finding of a hypothesis the forms decide, or None.
+
+    When every site's form is affine the hypothesis is decided exactly:
+    its margin is the least site's infimum (the lowest site on ties), and
+    it fails below -tol, as a scan would.  A shape kind's margins reach 0
+    at x = y, so a negative infimum alone has a witness; `nonnegative`
+    always names its vertex.  The Lipschitz constant in the l1 quotient is
+    max |beta_j|, reached by moving coordinate j alone.  Otherwise a shape
+    kind that every site's flags prove passes with margin 0.
+    """
+    if all(f.coef is not None for f in forms):
+        if kind == "lipschitz":
+            constant = max(abs(b) for f in forms for b in f.coef[1])
+            return HypothesisFinding(name, "pass", np.inf, None, "proof",
+                                     estimate=float(constant))
+        infima = [_affine_infimum(f, kind) for f in forms]
+        site = min(range(len(forms)), key=infima.__getitem__)
+        least = infima[site]
+        witness = None
+        if kind == "nonnegative" or least < 0:
+            # the coordinates whose terms lower the margin
+            moved = tuple(float(b > 0 if kind == "decreasing" else b < 0)
+                          for b in forms[site].coef[1])
+            witness = (Witness(site=site, x=moved) if kind == "nonnegative"
+                       else Witness(site=site, x=(0.0,) * len(moved), y=moved))
+        margin = float(least)
+        return HypothesisFinding(name, "fail" if margin < -tol else "pass", margin,
+                                 witness, "proof")
+    if kind in ("nonnegative", "lipschitz") or not all(getattr(f, kind) for f in forms):
         return None
     return HypothesisFinding(name, "pass", 0.0, None, "proof")
 
@@ -1094,10 +1128,16 @@ def _proof(forms: Sequence[_Form], name: str, kind: str) -> HypothesisFinding | 
 class _Scans:
     """The sampled and lattice scans of one report, for what no proof settles.
 
-    The lattice table is built on the first scan that needs it.
+    The sample points are counted against the byte budget when the scans
+    are made, before any is drawn; the lattice table is built on the first
+    scan that needs it.
     """
 
     def __init__(self, spec, samples: int, tol: float, seed: int):
+        # a pair batch holds its 2 x samples uniform points and their
+        # ordered copies or midpoints
+        check_bytes(4 * 8 * samples * spec.n,
+                    f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{spec.n}")
         self.spec, self.samples, self.tol, self.seed = spec, samples, tol, seed
         self.targets = _targets(spec)
 
@@ -1136,27 +1176,28 @@ class _Scans:
 
 def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
                       seed: int = 0) -> AssumptionReport:
-    """Margins of every theorem hypothesis, proven in closed form where the families allow.
+    """Margins of every theorem hypothesis, decided in closed form where the families allow.
 
-    A hypothesis the coefficients prove at every site passes whatever
-    `tol`, and reads no sample.  Any other, and every Lipschitz estimate,
-    is scanned: on `samples` random points or pairs and, up to
-    LATTICE_SCAN_CAP sites, on the lattice.  A scanned hypothesis fails
-    when some margin drops below -tol; its pass is evidence, not proof.
+    A hypothesis whose every site is affine is decided exactly: its margin
+    is the exact infimum, or its estimate the exact Lipschitz constant,
+    and it reads no sample.  So is a shape hypothesis the coefficients
+    prove at every site, which passes whatever `tol`.  Any other is
+    scanned: on `samples` random points or pairs and, up to
+    LATTICE_SCAN_CAP sites, on the lattice; a scanned pass is evidence,
+    not proof.  A hypothesis fails when its margin drops below -tol.
     Sampling is addressed by (hypothesis, sample) so reports are
     reproducible and independent of evaluation order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    # a pair batch holds its 2 x samples uniform points and their ordered
-    # copies or midpoints
-    check_bytes(4 * 8 * samples * spec.n,
-                f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{spec.n}")
     table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
     forms = _target_forms(spec)
-    scans = _Scans(spec, samples, tol, seed)
+    scans = None
     findings = []
     for lane, (name, target, kind) in enumerate(table):
-        proof = None if kind == "lipschitz" else _proof(forms[target], name, kind)
-        findings.append(proof or scans.finding(lane, name, target, kind))
+        finding = _proof(forms[target], name, kind, tol)
+        if finding is None:
+            scans = scans or _Scans(spec, samples, tol, seed)
+            finding = scans.finding(lane, name, target, kind)
+        findings.append(finding)
     return AssumptionReport(tuple(findings), samples=samples, tol=tol, seed=seed)

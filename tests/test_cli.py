@@ -427,6 +427,21 @@ def test_reference_ode_is_counted_before_the_spin_law(model_dir, capsys, monkeyp
                           "the reference ODE trajectory needs ")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["bridge", "--t", "100000"],
+     "error: n = 3, t = 100000.0: a kernel, the spin tables and the reference ODE "
+     "trajectory needs 3200004992 bytes, over the dense budget of 2147483648 bytes\n"),
+    (["run", "--mode", "meanfield", "--t", "1e9"],
+     "error: t = 1000000000.0, h = 0.001: a trajectory of times and states needs "
+     "32000000000064 bytes, over the dense budget of 2147483648 bytes\n"),
+], ids=["bridge", "integrate_ode"])
+def test_float_byte_counts_print_as_integers(model_dir, capsys, argv, line):
+    # counts from t / h are floats; they print as the integer above them
+    code = run_cli(*argv, "--model", model_dir / "ring.json")
+    assert code == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err == line
+
+
 def _fresh_interpreter(probe: str) -> str:
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -434,15 +449,22 @@ def _fresh_interpreter(probe: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-@pytest.mark.parametrize("theorem", ["thm1", "thm3"])
-def test_proven_verify_leaves_the_rng_unloaded(tmp_path, theorem):
-    # every hypothesis of an unsaturated affine model is proven, so no
-    # sample is drawn and numpy.random (with OpenSSL) is never imported
-    save_model(zoo.random_certified_model(6, 0), tmp_path / "model.json")
+@pytest.mark.parametrize("spec, argv", [
+    (zoo.random_certified_model(6, 0), ["verify", "--theorem", "thm1", "--t", "4"]),
+    (zoo.random_certified_model(6, 0), ["verify", "--theorem", "thm3", "--t", "4", "--m", "2"]),
+    (zoo.contact_ring(4), ["verify", "--theorem", "thm2", "--t", "0.5"]),
+    (zoo.contact_ring(4), ["verify", "--theorem", "thm4", "--t", "0.5", "--x0", "1"]),
+    (zoo.contact_ring(4), ["check"]),
+], ids=["thm1", "thm3", "thm2", "thm4", "check"])
+def test_proven_verify_leaves_the_rng_unloaded(tmp_path, spec, argv):
+    # every hypothesis of an unsaturated affine model, Lipschitz constants
+    # included, is decided in closed form, so no sample is drawn and
+    # numpy.random (with OpenSSL) is never imported
+    save_model(spec, tmp_path / "model.json")
+    argv = argv + ["--model", str(tmp_path / "model.json")]
     probe = ("import sys\n"
              "from occupancy import cli\n"
-             f"code = cli.main(['verify', '--model', {str(tmp_path / 'model.json')!r}, "
-             f"'--theorem', {theorem!r}, '--t', '4', '--m', '2'])\n"
+             f"code = cli.main({argv!r})\n"
              "print(code, 'numpy.random' in sys.modules)\n")
     assert _fresh_interpreter(probe).splitlines()[-1] == "0 False"
 
@@ -641,7 +663,8 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv)
     ["run", "--mode", "exact", "--t", "1e12"],
     ["run", "--mode", "mc", "--t", "1e12"],
     ["verify", "--theorem", "thm1", "--t", "1e12"],
-    ["check", "--samples", "1000000000000"],
+    # non_monotone_pair's tabulated family leaves hypotheses to the scans
+    ["check", "--model", "broken.json", "--samples", "1000000000000"],
     ["run", "--model", "ring.json", "--mode", "meanfield", "--t", "1e12"],
     ["verify", "--model", "ring.json", "--theorem", "thm2", "--t", "1e12"],
     ["verify", "--model", "ring.json", "--theorem", "thm2", "--t", "1e300"],
@@ -663,6 +686,16 @@ def test_oversized_flag_exits_four(model_dir, capsys, argv):
     assert captured.err.startswith("error: ") and "budget" in captured.err
     assert captured.err.count("\n") == 1 and len(captured.err) < 200
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("model", ["pair.json", "ring.json"])
+def test_proven_check_counts_no_samples(model_dir, capsys, model):
+    # every hypothesis is decided in closed form, so no sample point is
+    # drawn and none is counted against the budget
+    code = run_cli("check", "--model", model_dir / model, "--samples", "1000000000000")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PASS and captured.err == ""
+    assert captured.out.count("certified_by=proof") == len(captured.out.splitlines()) - 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,45 +188,77 @@ def test_check_equals_the_per_site_oracle_at_fixed_models(spec):
 SETTLED = ("constant", "affine-saturated")
 
 
+def axis_quotient(spec, target: str) -> float:
+    """The largest |f(e_j) - f(0)| over sites and coordinates: single-axis lattice quotients."""
+    f = model._targets(spec)[target]
+    bits = lattice_bits(spec.n)
+    axes = bits[[1 << j for j in range(spec.n)]]
+    return max(float(np.max(np.abs(f(i, axes) - f(i, bits[:1])))) for i in range(spec.n))
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(spin=st.booleans(), settled=st.booleans(), n=st.integers(1, 6),
        seed=st.integers(0, 2 ** 16))
 def test_every_proof_holds_on_the_scan_route(spin, settled, n, seed):
-    # the scans are the oracle: no proven hypothesis shows a margin below
-    # round-off, and a proven infimum is the least lattice margin, at its
-    # witness; every other finding is the scan route's, label and all
+    # the scans are the oracle: a proven infimum bounds every scanned
+    # margin, and it is the least lattice margin, at its witness; a proven
+    # Lipschitz constant bounds the sampled quotients and is a single-axis
+    # lattice quotient; every other finding is the scan route's, label and
+    # all.  A sampled quotient divides the values' round-off by distances
+    # down to about 1e-4 (2.5e-12 over the constant was seen at n = 1)
     variants = SETTLED if settled else VARIANTS
     spec = (random_spin_model(n, seed, variants) if spin
             else random_model(n, seed, variants))
+    table = model._SPIN_HYPOTHESES if spin else model._OCC_HYPOTHESES
     report = check_assumptions(spec, samples=64)
     scanned = scan_check_assumptions(spec, samples=64)
-    for claim, scan in zip(report.findings, scanned.findings):
+    for (_, target, kind), claim, scan in zip(table, report.findings, scanned.findings):
         if claim.certified_by != "proof":
             assert repr(claim) == repr(scan)
             continue
-        assert claim.verdict == "pass"
-        assert scan.worst_margin >= -1e-12, claim.hypothesis
+        if kind == "lipschitz":
+            assert claim.estimate >= scan.estimate - 1e-9, claim.hypothesis
+            assert claim.estimate == pytest.approx(axis_quotient(spec, target), abs=1e-12)
+            continue
+        assert claim.verdict == ("fail" if claim.worst_margin < -report.tol else "pass")
+        assert scan.worst_margin >= claim.worst_margin - 1e-12, claim.hypothesis
         if claim.witness is None:
             assert claim.worst_margin == 0.0
             continue
         w = claim.witness
-        again = hypothesis_margin(spec, claim.hypothesis, w.site, w.x)
+        again = hypothesis_margin(spec, claim.hypothesis, w.site, w.x, w.y)
         assert again == pytest.approx(claim.worst_margin, abs=1e-12)
+        assert scan.certified_by == "lattice"
         assert scan.worst_margin == pytest.approx(claim.worst_margin, abs=1e-12)
 
 
 @pytest.mark.parametrize("spin", [False, True], ids=["occupancy", "spin"])
 def test_the_certifier_proves_every_hypothesis_somewhere(spin):
     # the property test above checks proofs; these models give it proofs of
-    # every kind, under pins, clamps and negative scales
-    proven = set()
+    # every kind, and refutations of each monotone kind, under pins, clamps
+    # and negative scales.  Rate families have nonnegative coefficients, so
+    # no increasing spin hypothesis can fail
+    proven, refuted = set(), set()
+    table = model._SPIN_HYPOTHESES if spin else model._OCC_HYPOTHESES
+    kinds = {name: kind for name, _, kind in table}
     for seed in range(40):
         spec = (random_spin_model(2, seed, SETTLED) if spin
                 else random_model(2, seed, SETTLED))
-        proven |= {f.hypothesis for f in check_assumptions(spec, samples=1).findings
-                   if f.certified_by == "proof"}
-    table = model._SPIN_HYPOTHESES if spin else model._OCC_HYPOTHESES
-    assert proven == {name for name, _, kind in table if kind != "lipschitz"}
+        for f in check_assumptions(spec, samples=1).findings:
+            if f.certified_by == "proof":
+                proven.add(f.hypothesis)
+                if f.verdict == "fail":
+                    refuted.add(kinds[f.hypothesis])
+    assert proven == set(kinds)
+    assert refuted >= ({"decreasing"} if spin else {"increasing", "decreasing"})
+
+
+def test_lipschitz_constant_is_the_largest_coefficient_magnitude():
+    # rate families have nonnegative coefficients; the rule reads |beta_j|
+    form = model._affine(Fraction(1, 2), (Fraction(-3, 4), Fraction(1, 4)))
+    finding = model._proof([form, form], "f-lipschitz", "lipschitz", 1e-9)
+    assert (finding.verdict, finding.estimate, finding.certified_by) == ("pass", 0.75, "proof")
+    assert finding.worst_margin == np.inf and finding.witness is None
 
 
 def test_affine_example():
@@ -576,6 +609,10 @@ def test_spin_death_increasing_fails():
     report = check_assumptions(spec, samples=512)
     assert report.finding("death-decreasing").verdict == "fail"
     assert not report.passed(SPIN_BOUND_HYPOTHESES)
+    # refuted in closed form: both sites tie at -0.5, and the lower one is named
+    assert report.finding("death-decreasing") == model.HypothesisFinding(
+        "death-decreasing", "fail", -0.5,
+        model.Witness(site=0, x=(0.0, 0.0), y=(0.0, 1.0)), "proof")
 
 
 def test_verdict_aggregation(broken):
