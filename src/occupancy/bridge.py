@@ -247,6 +247,8 @@ def convergence_table(spec: SpinSpec, x0: int, t: float,
         rows.append((delta, "law-distance",
                      law_distance(spec, config, x0, t, kernel, truth)))
         rows.append((delta, "euler-gap", euler_gap(spec, p0, t, config, reference_end)))
+        # freed before the next step size's kernel is built
+        del kernel
     return ConvergenceTable(rows=tuple(rows))
 
 

@@ -10,7 +10,8 @@ update conditionally independently given the state, so row w of the
 kernel is a product over sites, and the kernel splits exactly into two
 half-site factor tables, `T[w, y] = low[w, y_low] * high[w, y_high]`.  A
 single law is pushed forward by the one loop in `propagate`, through
-those two tables (2 * 4^n flops, reading 2 * 2^n * 2^(n/2) entries).  The
+those two tables (2 * 4^n flops, reading 2 * 2^n * 2^(n/2) entries) in
+row blocks, so a push makes no third table-sized array.  The
 kernel also keeps the (2^n, n) table of per-site probabilities both tables
 come from, which is all the rate defect of `occupancy.bridge` reads.  Only
 the path scan of `occupancy.order`, which pushes stacks of laws one matrix
@@ -85,7 +86,9 @@ class Kernel:
     `T[w, y] = low[w, y & (2^h - 1)] * high[w, y >> h]`.  `q[w, i]` is the
     chance that bit i is on after one step from w, the factor both tables
     are expanded from: entry T[w, y] is the product, in site order, of
-    q[w, i] where bit i of y is set and 1 - q[w, i] where it is not.
+    q[w, i] where bit i of y is set and 1 - q[w, i] where it is not.  A push
+    makes no third array of the tables' size: it contracts them in row
+    blocks of `lattice.BLOCK_ENTRIES` entries.
     """
 
     low: np.ndarray
@@ -93,8 +96,20 @@ class Kernel:
     q: np.ndarray
 
     def push(self, v: np.ndarray) -> np.ndarray:
-        """The law v T: one product of the two tables, never the dense matrix."""
-        return (self.high.T @ (v[:, None] * self.low)).ravel()
+        """The law v T, summed over blocks of states; never the dense matrix.
+
+        Block b contributes `high[b].T @ (v[b, None] * low[b])`, so a push
+        holds one block of at most `BLOCK_ENTRIES` entries and two laws.
+        Up to n = 11 one block covers every state and the push is that one
+        product; past it the blocks' sums differ from it by round-off.
+        """
+        low, high = self.low, self.high
+        rows = max(1, BLOCK_ENTRIES // low.shape[1])
+        out = high[:rows].T @ (v[:rows, None] * low[:rows])
+        for start in range(rows, v.size, rows):
+            block = slice(start, start + rows)
+            out += high[block].T @ (v[block, None] * low[block])
+        return out.ravel()
 
     def dense(self) -> np.ndarray:
         """The dense 2^n x 2^n kernel, by the factor expansion continued from `low`."""
@@ -110,12 +125,13 @@ def kernel_bytes(n: int) -> int:
 
     A build holds the lattice bits, the (2^n, 2n) bank table, three (2^n, n)
     temporaries and two bank row blocks; a push the lattice bits, `q`, both
-    tables, four laws and the low-sized product with numpy's buffer.
+    tables, four laws and one row block of `Kernel.push` with numpy's buffer.
     """
     law, half = 8 << n, n // 2
     low = law << half
+    block = min(8 * BLOCK_ENTRIES, low)
     bank = 6 * n * law + 16 * min(BLOCK_ENTRIES, (2 * n * n) << n)
-    push = (2 * n + 4) * law + 2 * low + (law << n - half) + 8 * min(np.getbufsize(), low // 8)
+    push = (2 * n + 4) * law + low + (law << n - half) + block + 8 * min(np.getbufsize(), block // 8)
     return max(bank, push)
 
 

@@ -51,10 +51,15 @@ def lattice_bits(n: int) -> np.ndarray:
     """(2^n, n) array of state bits as floats; row w is the word w."""
     # the int64 bits and their float copy are held at once while building
     check_bytes(2 * n * (8 << n), f"n = {n}: the lattice table")
-    words = np.arange(1 << n, dtype=np.int64)[:, None]
-    bits = ((words >> np.arange(n)) & 1).astype(float)
+    bits = word_bits(0, 1 << n, n)
     bits.setflags(write=False)
     return bits
+
+
+def word_bits(start: int, stop: int, n: int) -> np.ndarray:
+    """(stop - start, n) array of the bits of state words start..stop-1, as floats."""
+    words = np.arange(start, stop, dtype=np.int64)[:, None]
+    return ((words >> np.arange(n)) & 1).astype(float)
 
 
 def state_bits(word: int, n: int) -> np.ndarray:

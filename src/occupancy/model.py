@@ -943,11 +943,11 @@ def pair_margin(kind: str, values_x: np.ndarray, values_y, values_mid) -> np.nda
 # exact arithmetic on the float parameters (`_exact`).  Pins are folded
 # into the intercept.  A form is affine when `coef` holds its (alpha,
 # beta), the value being alpha + beta . x with beta zero at pinned
-# coordinates; `lo` and `hi` then are its exact infimum and supremum.  Any
-# other form carries only the shape flags it proves, and a family's form
-# bounds that hold on the cube, for its clamp.  The evaluated function
-# differs from the exact one by round-off only, so a proven hypothesis may
-# show margins of about -1e-16 on a scan.
+# coordinates; `lo` and `hi` then are its exact infimum and supremum, summed
+# only when read.  Any other form carries only the shape flags it proves,
+# and a family's form `bounds` that hold on the cube, for its clamp.  The
+# evaluated function differs from the exact one by round-off only, so a
+# proven hypothesis may show margins of about -1e-16 on a scan.
 
 
 @dataclass(frozen=True)
@@ -956,9 +956,24 @@ class _Form:
     decreasing: bool = False
     concave: bool = False
     convex: bool = False
-    lo: Rational | None = None
-    hi: Rational | None = None
+    bounds: tuple[Rational, Rational] | None = None
     coef: tuple[Rational, tuple[Rational, ...]] | None = None
+
+    # an affine form's sums cost most of a report's exact arithmetic, and
+    # most forms are summed into others without being read
+    @cached_property
+    def lo(self) -> Rational | None:
+        if self.coef is None:
+            return None if self.bounds is None else self.bounds[0]
+        alpha, beta = self.coef
+        return alpha + sum(b for b in beta if b < 0)
+
+    @cached_property
+    def hi(self) -> Rational | None:
+        if self.coef is None:
+            return None if self.bounds is None else self.bounds[1]
+        alpha, beta = self.coef
+        return alpha + sum(b for b in beta if b > 0)
 
 
 _UNKNOWN = _Form()
@@ -978,10 +993,7 @@ def _exact(value: float) -> Rational:
 def _affine(alpha: Rational, beta: Sequence[Rational]) -> _Form:
     """alpha + beta . x: monotone by the signs of beta, concave and convex."""
     return _Form(increasing=all(b >= 0 for b in beta), decreasing=all(b <= 0 for b in beta),
-                 concave=True, convex=True,
-                 lo=alpha + sum(b for b in beta if b < 0),
-                 hi=alpha + sum(b for b in beta if b > 0),
-                 coef=(alpha, tuple(beta)))
+                 concave=True, convex=True, coef=(alpha, tuple(beta)))
 
 
 def _constant(value: Rational, n: int) -> _Form:
@@ -1004,10 +1016,12 @@ def _raw_form(fam: FunctionFamily) -> _Form:
         alpha = _exact(p["a"]) + sum(pinned)
         if alpha >= 1:
             return _constant(1, n)
-        if alpha + sum(free) <= 1:
-            return _affine(alpha, free)
+        form = _affine(alpha, free)
+        # b >= 0, so alpha + sum(b) is the supremum, summed once for the clamp too
+        if form.hi <= 1:
+            return form
         # min(1, alpha + b . x) with b >= 0: a minimum of affine functions
-        return _Form(increasing=True, concave=True, lo=alpha, hi=1)
+        return _Form(increasing=True, concave=True, bounds=(alpha, 1))
     if any(free):
         return _UNKNOWN
     # a product-form or Hanski family of pinned coordinates only is constant
@@ -1019,16 +1033,18 @@ def _raw_form(fam: FunctionFamily) -> _Form:
 
 def _scaled(form: _Form, scale: Rational, offset: Rational) -> _Form:
     """offset + scale * form, for scale != 0: a negative scale flips direction and curvature."""
+    if scale == 1 and offset == 0:
+        return form
     if form.coef is not None:
         alpha, beta = form.coef
         return _affine(offset + scale * alpha, [scale * b for b in beta])
-    if form.lo is None:
+    if form.bounds is None:
         return form
-    lo, hi = sorted((offset + scale * form.lo, offset + scale * form.hi))
+    bounds = tuple(sorted(offset + scale * v for v in form.bounds))
     if scale > 0:
-        return replace(form, lo=lo, hi=hi)
+        return replace(form, bounds=bounds)
     return _Form(increasing=form.decreasing, decreasing=form.increasing,
-                 concave=form.convex, convex=form.concave, lo=lo, hi=hi)
+                 concave=form.convex, convex=form.concave, bounds=bounds)
 
 
 def _clamped(form: _Form, n: int) -> _Form:
@@ -1039,7 +1055,7 @@ def _clamped(form: _Form, n: int) -> _Form:
     if lo == hi:
         # the whole range lies at or past one end
         return _constant(lo, n)
-    return _Form(increasing=form.increasing, decreasing=form.decreasing, lo=lo, hi=hi)
+    return _Form(increasing=form.increasing, decreasing=form.decreasing, bounds=(lo, hi))
 
 
 def _family_form(fam: FunctionFamily) -> _Form:

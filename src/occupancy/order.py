@@ -28,10 +28,11 @@ from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec
 
 DEFAULT_TOL = 1e-10
-# laws the path scan pushes through the dense kernel per block, at most 2^n:
+# laws the path scan pushes through the dense kernel per block, at every n:
 # a few hundred rows already run a matrix product at full speed, and a block
 # stays small beside the dense matrix the scan expands (8 MB at n = 12,
-# against 128 MB)
+# against 128 MB); at small n, fewer rows would leave the per-block numpy
+# calls, not the products, as the work
 BLOCK_LAWS = 256
 
 
@@ -337,7 +338,7 @@ def check_scan(n: int, m: int, budget: int = 4):
     node = 8 * (n + 4)
     candidates = _weight_count(n, max(budget - 1, 1)) + 1
     nodes = max(2 * (p + r) * node + p * candidates for p, r in zip(parents, rows))
-    block = min(max(rows), 1 << n, BLOCK_LAWS)
+    block = min(max(rows), BLOCK_LAWS)
     patterns = max(min(block, math.comb(n * (t - 1), d)) * _weight_count(n, budget - d)
                    for t in range(1, m + 1) for d in range(min(budget, n * (t - 1) + 1)))
     scan = ((3 * n + 1) * table + nodes + (8 << n) * (laws + 3 * block)
@@ -355,20 +356,19 @@ def _scan(kernel: exact.Kernel, x0: int, m: int, budget: int):
     dense = kernel.dense()
     size = dense.shape[0]
     n = size.bit_length() - 1
-    rows = min(size, BLOCK_LAWS)
     words = np.arange(size, dtype=np.min_scalar_type(size - 1))
     zero = np.zeros(1, dtype=np.int64)
     nodes = _Nodes(zero, zero, zero, zero, np.zeros((1, n), dtype=np.int64))
     parents = exact.point_mass(n, x0)[None]
     for t in range(1, m + 1):
         pushed = np.empty((len(nodes.parent), size)) if t < m else None
-        for start in range(0, len(nodes.parent), rows):
-            block = _Nodes(*(field[start:start + rows] for field in nodes))
+        for start in range(0, len(nodes.parent), BLOCK_LAWS):
+            block = _Nodes(*(field[start:start + BLOCK_LAWS] for field in nodes))
             laws = parents[block.parent]
             laws *= (words & block.mask.astype(words.dtype)[:, None]) == 0
             laws = laws @ dense
             if pushed is not None:
-                pushed[start:start + rows] = laws
+                pushed[start:start + BLOCK_LAWS] = laws
             yield t, block, vacancy_transform(laws)
         parents = pushed
         if t < m:

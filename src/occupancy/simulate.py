@@ -19,13 +19,12 @@ exact.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import MultiSitePattern, check_constraints
-from .lattice import check_bytes, lattice_bits, shown, state_bits
+from .lattice import BLOCK_ENTRIES, check_bytes, shown, state_bits, word_bits
 from .model import ModelSpec, transition_values
 from .streams import REPLICATE_CHUNK, UniformArray, new_bit_generator
 
@@ -47,10 +46,22 @@ def _threshold_words(p: np.ndarray) -> np.ndarray:
 
 
 def _threshold_table(spec: ModelSpec):
-    """(2^n, n) word thresholds of each bit, by state word; None past the cap."""
-    if spec.n > _TABLE_CAP:
+    """(2^n, n) word thresholds of each bit, by state word; None past the cap.
+
+    The table is filled in row blocks of states whose bits and bank
+    evaluation, 2n families times n coordinates per state, hold at most
+    about `BLOCK_ENTRIES` entries, so the whole lattice is never formed; a
+    state's thresholds do not depend on its block.
+    """
+    n = spec.n
+    if n > _TABLE_CAP:
         return None
-    return _threshold_words(transition_values(spec, lattice_bits(spec.n)))
+    size, rows = 1 << n, max(1, BLOCK_ENTRIES // (2 * n * n))
+    table = np.empty((size, n), dtype=np.uint64)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        table[start:stop] = _threshold_words(transition_values(spec, word_bits(start, stop, n)))
+    return table
 
 
 def _thresholds(spec: ModelSpec, states: np.ndarray, table) -> np.ndarray:
@@ -136,6 +147,9 @@ def _run_chunks(plan, worker, workers: int):
         for chunk, rows in plan:
             yield worker(chunk, rows)
         return
+    # imported here, so that no single-worker or exact route loads the pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(lambda job: worker(*job), plan)
 

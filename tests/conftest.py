@@ -385,6 +385,16 @@ def where_transition_matrix(spec):
     return T
 
 
+def one_product_push(kernel, v):
+    """exact.Kernel.push as one product of the two whole factor tables.
+
+    It holds a (2^n, 2^(n/2)) product; the kernel's own push sums row
+    blocks, one block up to n = 11, so the two agree bit for bit there and
+    by round-off past it.
+    """
+    return (kernel.high.T @ (v[:, None] * kernel.low)).ravel()
+
+
 def hamming_rate_defect(spec, config):
     """bridge.rate_defect by masks over the full matrix of Hamming distances."""
     T = exact.transition_matrix(bridge.discretise(spec, config))

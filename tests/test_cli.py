@@ -469,6 +469,21 @@ def test_proven_verify_leaves_the_rng_unloaded(tmp_path, spec, argv):
     assert _fresh_interpreter(probe).splitlines()[-1] == "0 False"
 
 
+@pytest.mark.parametrize("argv", [["verify", "--theorem", "thm1", "--t", "4"],
+                                  ["run", "--mode", "exact", "--t", "4"]],
+                         ids=["thm1", "run-exact"])
+def test_exact_routes_leave_the_thread_pool_unloaded(tmp_path, argv):
+    # cli imports simulate, which imports concurrent.futures only when a
+    # pool of two or more workers runs
+    save_model(zoo.random_certified_model(6, 0), tmp_path / "model.json")
+    argv = argv + ["--model", str(tmp_path / "model.json")]
+    probe = ("import sys\n"
+             "from occupancy import cli\n"
+             f"code = cli.main({argv!r})\n"
+             "print(code, 'concurrent.futures' in sys.modules)\n")
+    assert _fresh_interpreter(probe).splitlines()[-1] == "0 False"
+
+
 def test_check_labels_every_proven_finding(tmp_path, capsys):
     save_model(zoo.random_certified_model(12, 0), tmp_path / "model.json")
     out_path = tmp_path / "check.json"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import concurrent.futures
 import math
 
 import numpy as np
@@ -114,7 +115,8 @@ def test_worker_pool_is_capped_by_chunks_and_cpus(interacting, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
+    # simulate imports the pool class from its module when a pool runs
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
     for reps, want in ((3 * REPLICATE_CHUNK, 3), (9 * REPLICATE_CHUNK, 4)):
         got = simulate_marginals(interacting, 0, 2, reps, seed=3, workers=10**6)
