@@ -181,12 +181,22 @@ def _cmd_verify(args) -> int:
     t = _parse_t(spec, args.t)
     tol = _parse_tol(args.tol if args.tol is not None else _default_tol(args.theorem))
     seed = _parse_seed(args.seed)
-    hypo = check_assumptions(spec, samples=args.samples, tol=1e-9, seed=seed)
     occupancy = args.theorem in ("thm1", "thm3")
     if isinstance(spec, ModelSpec) != occupancy:
         kind = "an occupancy" if occupancy else "a spin"
         raise _CliError(f"{args.theorem} needs {kind} model", EXIT_USAGE)
     x0 = _parse_x0(args.x0, spec.n)
+    # every flag is checked before the hypothesis scan, which can take seconds
+    if args.theorem == "thm2":
+        if args.grid_points < 2:
+            raise _CliError(f"--grid-points must be >= 2, got {args.grid_points}", EXIT_USAGE)
+        config = OdeConfig(h=args.h)
+    elif args.theorem == "thm3":
+        # the path scan holds the most; reject it before any table exists
+        order.check_scan(spec.n, args.m)
+    elif args.theorem == "thm4":
+        deltas = _parse_deltas(args.delta_grid)
+    hypo = check_assumptions(spec, samples=args.samples, tol=1e-9, seed=seed)
     reports = []
     extra_files = []
     if args.theorem == "thm1":
@@ -198,24 +208,18 @@ def _cmd_verify(args) -> int:
         reports.append(order.positive_correlations(law, tol=tol, certified=certified))
     elif args.theorem == "thm3":
         certified = hypo.ordering_certified
-        # the scan holds the most; reject it before any table exists
-        order.check_scan(spec.n, args.m)
         kernel = exact.kernel(spec)
         reports.append(order.path_orthant(spec, x0, args.m, kernel, tol=tol, certified=certified))
         reports.append(order.single_time_orthant(spec, x0, t, kernel, tol=tol,
                                                  certified=certified))
     elif args.theorem == "thm2":
-        if args.grid_points < 2:
-            raise _CliError(f"--grid-points must be >= 2, got {args.grid_points}", EXIT_USAGE)
         certified = hypo.passed(SPIN_BOUND_HYPOTHESES)
         # per point: two floats, four list slots and their JSON text
         check_bytes(320 * args.grid_points, f"{shown(args.grid_points)} grid points")
         grid = [k * t / (args.grid_points - 1) for k in range(args.grid_points)]
         reports.append(order.spin_marginal_bound(spec, x0, grid, tol=tol,
-                                                 certified=certified,
-                                                 config=OdeConfig(h=args.h)))
+                                                 certified=certified, config=config))
     else:
-        deltas = _parse_deltas(args.delta_grid)
         table = bridge.convergence_table(spec, x0, t, deltas=deltas)
         csv_path = (args.out + ".csv") if args.out else None
         _write_out(csv_path, table.to_csv())

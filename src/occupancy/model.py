@@ -23,7 +23,6 @@ Everything here is immutable after construction.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -46,7 +45,10 @@ VARIANTS = (
 
 ROLES = ("probability", "rate")
 
-# exhaustive lattice scans are restricted to cubes of this dimension
+# exhaustive lattice scans are restricted to cubes of this dimension.  Their
+# margins take O(n 2^n) per site, but the lattice table folds each
+# tabulated-multilinear family's whole table at every point, O(n 4^n), and
+# no work budget bounds either yet
 LATTICE_SCAN_CAP = 10
 # all-pairs lattice midpoint scans grow as 4^n; keep them small
 LATTICE_PAIR_CAP = 6
@@ -488,8 +490,8 @@ def site_values(spec, points) -> tuple[np.ndarray, np.ndarray]:
 
     Column i holds site i's colonisation and survival probabilities for a
     ModelSpec, its birth and death rates for a SpinSpec, read off the
-    spec's bank.  Every per-site evaluation outside the sampled hypothesis
-    batches goes through here.
+    spec's bank.  Every per-site evaluation goes through here but the
+    hypothesis scans' point and pair batches, which read one bank per role.
     """
     out = spec.bank.values(points)
     return out[:, :spec.n], out[:, spec.n:]
@@ -772,51 +774,11 @@ class AssumptionReport:
         }
 
 
-def _targets(spec) -> dict[str, Callable[[int, np.ndarray], np.ndarray]]:
+def _targets(spec, up: Callable, down: Callable) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
+    """Every target as a map from a (B, n) batch to its (B, n) values, given both roles' maps."""
     if isinstance(spec, ModelSpec):
-        return {
-            "C": lambda i, pts: spec.colonisation[i].eval_batch(pts),
-            "S": lambda i, pts: spec.survival[i].eval_batch(pts),
-            "gap": lambda i, pts: (spec.survival[i].eval_batch(pts)
-                                   - spec.colonisation[i].eval_batch(pts)),
-        }
-    return {
-        "birth": lambda i, pts: spec.birth[i].eval_batch(pts),
-        "death": lambda i, pts: spec.death[i].eval_batch(pts),
-        "total": lambda i, pts: (spec.birth[i].eval_batch(pts)
-                                 + spec.death[i].eval_batch(pts)),
-    }
-
-
-def _lattice_targets(spec, points: np.ndarray) -> dict[str, np.ndarray]:
-    """Every target's (B, n) values at a (B, n) batch, from one bank evaluation."""
-    up, down = site_values(spec, points)
-    if isinstance(spec, ModelSpec):
-        return {"C": up, "S": down, "gap": down - up}
-    return {"birth": up, "death": down, "total": up + down}
-
-
-def _comparable_lattice_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Words (lo, hi) of all lattice pairs x <= y, x != y, each hi after its proper submasks.
-
-    Words come in increasing order and each word's submasks in decreasing
-    order, as submask enumeration visits them.  The k-th largest proper
-    submask of a word with c bits set deposits the bits of 2^c - 1 - k into
-    the word's set bits.
-    """
-    # int32 halves the build's peak; 3^n stays below 2^31 up to n = 19
-    words = np.arange(1 << n, dtype=np.int32)
-    count = (1 << lattice_bits(n).sum(axis=1).astype(np.int32)) - 1
-    hi = np.repeat(words, count)
-    # runs from 2^c - 2 down to 0 within each word
-    rank = (np.repeat(np.cumsum(count, dtype=np.int32), count) - 1
-            - np.arange(hi.size, dtype=np.int32))
-    lo = np.zeros_like(hi)
-    for i in range(n):
-        on = (hi >> i) & 1
-        lo |= (rank & on) << i
-        rank >>= on
-    return lo, hi
+        return {"C": up, "S": down, "gap": lambda pts: down(pts) - up(pts)}
+    return {"birth": up, "death": down, "total": lambda pts: up(pts) + down(pts)}
 
 
 def _site_minima(margins: Callable[[int, int], np.ndarray], rows: int,
@@ -843,98 +805,60 @@ def _site_minima(margins: Callable[[int, int], np.ndarray], rows: int,
     return least, first
 
 
-class _LatticeScan:
-    """Exhaustive lattice margins, read off one bank table at the 2^n points.
+def _margins(kind: str, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+             y: np.ndarray | None) -> np.ndarray:
+    """Signed margins of `kind` at a batch of points x, or of pairs (x, y), for target `f`.
 
-    A point's bank values do not depend on the batch or the bank, so every
-    margin equals the one each site's family gives on its own.  The
-    comparable pairs and the pair grid's midpoint values are built on
-    first use and shared by every hypothesis of one report.
-    """
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.bits = lattice_bits(spec.n)
-        self.values = _lattice_targets(spec, self.bits)
-
-    def covers(self, kind: str) -> bool:
-        """Whether the scan reads every lattice point or pair of this kind."""
-        return (kind in ("nonnegative", "increasing", "decreasing")
-                or kind in ("concave", "convex") and self.spec.n <= LATTICE_PAIR_CAP)
-
-    @cached_property
-    def comparable(self) -> tuple[np.ndarray, np.ndarray]:
-        return _comparable_lattice_pairs(self.spec.n)
-
-    @cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """All unordered pairs (a, b) of words and every target at their midpoints."""
-        a, b = np.triu_indices(1 << self.spec.n, k=1)
-        mid = 0.5 * (self.bits[a] + self.bits[b])
-        return a, b, _lattice_targets(self.spec, mid)
-
-    def worst(self, target: str, kind: str) -> Iterable[tuple[float, Witness]]:
-        """Per site in order: its least lattice margin and the first point or pair at it."""
-        n = self.spec.n
-        v = self.values[target]
-        if kind == "nonnegative":
-            least, first = _site_minima(lambda s, e: v[s:e], len(v), n)
-            for i in range(n):
-                yield least[i], Witness(site=i, x=tuple(self.bits[first[i]]))
-            return
-        if not self.covers(kind):
-            return
-        if kind in ("increasing", "decreasing"):
-            lo, hi = self.comparable
-            mid = None
-        else:
-            lo, hi, mids = self.grid
-            mid = mids[target]
-        least, first = _site_minima(
-            lambda s, e: pair_margin(kind, v[lo[s:e]], v[hi[s:e]],
-                                     None if mid is None else mid[s:e]),
-            len(lo), n)
-        for i in range(n):
-            k = first[i]
-            yield least[i], Witness(site=i, x=tuple(self.bits[lo[k]]),
-                                    y=tuple(self.bits[hi[k]]))
-
-
-def _sampled_worst(f: Callable[[int, np.ndarray], np.ndarray], kind: str, n: int,
-                   seed: int, lane: int, samples: int) -> Iterable[tuple[float, Witness]]:
-    """Per site in order: its least sampled margin and the first point or pair at it.
-
-    Each site's family is evaluated on its own (a stacked bank is slower on
-    a few thousand samples); y is None for pointwise kinds.
+    Negative means the hypothesis is violated.  A Lipschitz margin is the
+    negated l1 quotient |f(y) - f(x)| / |y - x|, so its least margin is the
+    largest quotient; pairs within 1e-12 of each other read +inf.
     """
     if kind == "nonnegative":
-        x, y = assumption_uniforms(seed, lane, samples * n).reshape(samples, n), None
-    else:
-        u = assumption_uniforms(seed, lane, 2 * samples * n).reshape(2, samples, n)
-        x, y = ((np.minimum(u[0], u[1]), np.maximum(u[0], u[1]))
-                if kind in ("increasing", "decreasing") else (u[0], u[1]))
-    mid = 0.5 * (x + y) if kind in ("concave", "convex") else None
-    for i in range(n):
-        margins = pair_margin(kind, f(i, x), None if y is None else f(i, y),
-                              None if mid is None else f(i, mid))
-        k = int(np.argmin(margins))
-        yield margins[k], Witness(site=i, x=tuple(x[k]),
-                                  y=None if y is None else tuple(y[k]))
-
-
-def pair_margin(kind: str, values_x: np.ndarray, values_y, values_mid) -> np.ndarray:
-    """Signed margins for one batch; negative means the hypothesis is violated."""
-    if kind == "nonnegative":
-        return values_x
+        return f(x)
+    fx, fy = f(x), f(y)
     if kind == "increasing":
-        return values_y - values_x
+        return fy - fx
     if kind == "decreasing":
-        return values_x - values_y
+        return fx - fy
+    if kind == "lipschitz":
+        dist = np.abs(y - x).sum(axis=1)[:, None]
+        gaps = np.abs(fy - fx)
+        return np.divide(-gaps, dist, out=np.full(gaps.shape, np.inf), where=dist > 1e-12)
     if kind == "concave":
-        return values_mid - 0.5 * (values_x + values_y)
+        return f(0.5 * (x + y)) - 0.5 * (fx + fy)
     if kind == "convex":
-        return 0.5 * (values_x + values_y) - values_mid
+        return 0.5 * (fx + fy) - f(0.5 * (x + y))
     raise ValueError(f"unknown hypothesis kind {kind!r}")
+
+
+def _rising_minima(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per site, the words (x, y) of the first lattice pair x < y at the least v[y] - v[x].
+
+    `v` is a (2^n, n) table, row w a word's values.  A subset-max
+    transform gives each word's largest value over its submasks, and a
+    second sweep its largest over proper submasks, each in n passes: the
+    least margin at y is v[y] less that, in O(n 2^n).  Rounding is
+    monotone, so it is the least rounded difference over y's submasks.
+    A scan of the comparable pairs, words in increasing order and each
+    word's submasks in decreasing order, meets first the first y at the
+    minimum and, of y's submasks, the largest x whose difference equals it.
+    """
+    size, n = v.shape
+    below = v.copy()
+    under = np.full_like(v, -np.inf)
+    for sweep in (below, under):
+        for j in range(n):
+            # the words with bit j clear, then set, at each setting of the other bits
+            src = below.reshape(-1, 2, 1 << j, n)
+            dst = sweep.reshape(-1, 2, 1 << j, n)
+            np.maximum(dst[:, 1], src[:, 0], out=dst[:, 1])
+    rise = np.subtract(v, under, out=under)
+    sites = np.arange(n)
+    hi = np.argmin(rise, axis=0)
+    words = np.arange(size)[:, None]
+    at = (v[hi, sites] - v == rise[hi, sites]) & (words & hi == words) & (words != hi)
+    lo = size - 1 - np.argmax(at[::-1], axis=0)
+    return lo, hi
 
 
 # -- closed-form certificates ----------------------------------------------
@@ -1144,50 +1068,78 @@ def _proof(forms: Sequence[_Form], name: str, kind: str,
 class _Scans:
     """The sampled and lattice scans of one report, for what no proof settles.
 
-    The sample points are counted against the byte budget when the scans
-    are made, before any is drawn; the lattice table is built on the first
-    scan that needs it.
+    Each target reads one `SiteBank` per role, and a point's value does not
+    depend on its batch or its bank, so every margin is the one each site's
+    family gives on its own.  Every batch is reduced in row blocks by
+    `_site_minima`, but the comparable lattice pairs of the monotone kinds,
+    which `_rising_minima` reads off the lattice table.  The sample points
+    are counted against the byte budget when the scans are made, before
+    any is drawn; the lattice table is built once, when first needed.
     """
 
     def __init__(self, spec, samples: int, tol: float, seed: int):
         # a pair batch holds its 2 x samples uniform points and their
-        # ordered copies or midpoints
+        # ordered copies; its margins are taken in row blocks
         check_bytes(4 * 8 * samples * spec.n,
                     f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{spec.n}")
         self.spec, self.samples, self.tol, self.seed = spec, samples, tol, seed
-        self.targets = _targets(spec)
+        roles = ((spec.colonisation, spec.survival) if isinstance(spec, ModelSpec)
+                 else (spec.birth, spec.death))
+        self.targets = _targets(spec, *(SiteBank(fams).values for fams in roles))
 
     @cached_property
-    def lattice(self) -> _LatticeScan | None:
-        return _LatticeScan(self.spec) if self.spec.n <= LATTICE_SCAN_CAP else None
+    def lattice(self) -> dict[str, np.ndarray]:
+        """Every target's (2^n, n) values at the lattice points, from one bank table."""
+        up, down = site_values(self.spec, lattice_bits(self.spec.n))
+        # each role's map gives its half of the table, whatever it is asked
+        return {target: f(None)
+                for target, f in _targets(self.spec, lambda _: up, lambda _: down).items()}
 
     def finding(self, lane: int, name: str, target: str, kind: str) -> HypothesisFinding:
-        """The hypothesis's scanned finding; `lane` addresses its sample stream."""
-        f = self.targets[target]
-        n, samples = self.spec.n, self.samples
-        if kind == "lipschitz":
+        """The hypothesis's scanned finding: the first least margin of every batch's sites.
+
+        Batches are read sampled first, then lattice, each site by site, so
+        ties keep the earliest; `lane` addresses the sample stream, and y is
+        None for the pointwise kind.
+        """
+        f, n, samples = self.targets[target], self.spec.n, self.samples
+        if kind == "nonnegative":
+            x, y = assumption_uniforms(self.seed, lane, samples * n).reshape(samples, n), None
+        else:
             u = assumption_uniforms(self.seed, lane, 2 * samples * n).reshape(2, samples, n)
-            x, y = u[0], u[1]
-            best = 0.0
-            dist = np.abs(y - x).sum(axis=1)
-            ok = dist > 1e-12
-            if np.any(ok):
-                for i in range(n):
-                    gaps = np.abs(f(i, y) - f(i, x))
-                    best = max(best, float(np.max(gaps[ok] / dist[ok])))
-            return HypothesisFinding(name, "pass", np.inf, None, "sampled", estimate=best)
-        candidates = _sampled_worst(f, kind, n, self.seed, lane, samples)
+            x, y = ((np.minimum(u[0], u[1]), np.maximum(u[0], u[1]))
+                    if kind in ("increasing", "decreasing") else (u[0], u[1]))
+        least, first = _site_minima(
+            lambda s, e: _margins(kind, f, x[s:e], None if y is None else y[s:e]), samples, n)
+        if kind == "lipschitz":
+            return HypothesisFinding(name, "pass", np.inf, None, "sampled",
+                                     estimate=max(0.0, -float(least.min())))
+        found = [(least, x[first], None if y is None else y[first])]
         by = "sampled"
-        if self.lattice is not None and self.lattice.covers(kind):
-            candidates = itertools.chain(candidates, self.lattice.worst(target, kind))
+        if n <= LATTICE_SCAN_CAP and (kind not in ("concave", "convex")
+                                      or n <= LATTICE_PAIR_CAP):
             by = "lattice"
-        worst = np.inf
-        witness = None
-        for margin, w in candidates:
-            if margin < worst:
-                worst, witness = float(margin), w
-        verdict = "fail" if worst < -self.tol else "pass"
-        return HypothesisFinding(name, verdict, worst, witness, by)
+            bits, v = lattice_bits(n), self.lattice[target]
+            if kind == "nonnegative":
+                least, first = _site_minima(lambda s, e: v[s:e], len(v), n)
+                found.append((least, bits[first], None))
+            elif kind in ("increasing", "decreasing"):
+                # a falling margin is the rising margin of -v, exactly
+                lo, hi = _rising_minima(v if kind == "increasing" else -v)
+                sites = np.arange(n)
+                found.append((_margins(kind, lambda w: v[w, sites], lo, hi), bits[lo], bits[hi]))
+            else:
+                a, b = np.triu_indices(1 << n, k=1)
+                least, first = _site_minima(
+                    lambda s, e: _margins(kind, f, bits[a[s:e]], bits[b[s:e]]), len(a), n)
+                found.append((least, bits[a[first]], bits[b[first]]))
+        batch, site = divmod(int(np.argmin(np.concatenate([m for m, _, _ in found]))), n)
+        margins, wx, wy = found[batch]
+        worst = float(margins[site])
+        witness = Witness(site=site, x=tuple(wx[site]),
+                          y=None if wy is None else tuple(wy[site]))
+        return HypothesisFinding(name, "fail" if worst < -self.tol else "pass", worst,
+                                 witness, by)
 
 
 def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
@@ -1198,9 +1150,11 @@ def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
     is the exact infimum, or its estimate the exact Lipschitz constant,
     and it reads no sample.  So is a shape hypothesis the coefficients
     prove at every site, which passes whatever `tol`.  Any other is
-    scanned: on `samples` random points or pairs and, up to
-    LATTICE_SCAN_CAP sites, on the lattice; a scanned pass is evidence,
-    not proof.  A hypothesis fails when its margin drops below -tol.
+    scanned by `_Scans`: on `samples` random points or pairs and, up to
+    LATTICE_SCAN_CAP sites, on the lattice, every point and every
+    comparable pair (the latter through a subset-max transform), with
+    every pair's midpoint up to LATTICE_PAIR_CAP sites; a scanned pass is
+    evidence, not proof.  A hypothesis fails when its margin drops below -tol.
     Sampling is addressed by (hypothesis, sample) so reports are
     reproducible and independent of evaluation order.
     """

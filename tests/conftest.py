@@ -259,19 +259,59 @@ def family_formula(fam, points):
     return out
 
 
+def site_targets(spec):
+    """Every hypothesis target as f(site, points), one site's families evaluated on their own.
+
+    The per-site evaluation the scans' per-role banks replaced, kept as
+    their oracle.
+    """
+    if isinstance(spec, ModelSpec):
+        return {
+            "C": lambda i, pts: spec.colonisation[i].eval_batch(pts),
+            "S": lambda i, pts: spec.survival[i].eval_batch(pts),
+            "gap": lambda i, pts: (spec.survival[i].eval_batch(pts)
+                                   - spec.colonisation[i].eval_batch(pts)),
+        }
+    return {
+        "birth": lambda i, pts: spec.birth[i].eval_batch(pts),
+        "death": lambda i, pts: spec.death[i].eval_batch(pts),
+        "total": lambda i, pts: (spec.birth[i].eval_batch(pts)
+                                 + spec.death[i].eval_batch(pts)),
+    }
+
+
+def comparable_lattice_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Words (lo, hi) of all lattice pairs x <= y, x != y, each hi after its proper submasks.
+
+    Words come in increasing order and each word's submasks in decreasing
+    order, as submask enumeration visits them.  The k-th largest proper
+    submask of a word with c bits set deposits the bits of 2^c - 1 - k into
+    the word's set bits.  The pair list the subset-max transform of the
+    monotone scans replaced, kept as its oracle.
+    """
+    # int32 halves the build's peak; 3^n stays below 2^31 up to n = 19
+    words = np.arange(1 << n, dtype=np.int32)
+    count = (1 << exact.lattice_bits(n).sum(axis=1).astype(np.int32)) - 1
+    hi = np.repeat(words, count)
+    # runs from 2^c - 2 down to 0 within each word
+    rank = (np.repeat(np.cumsum(count, dtype=np.int32), count) - 1
+            - np.arange(hi.size, dtype=np.int32))
+    lo = np.zeros_like(hi)
+    for i in range(n):
+        on = (hi >> i) & 1
+        lo |= (rank & on) << i
+        rank >>= on
+    return lo, hi
+
+
 def hypothesis_margin(spec, hypothesis: str, site: int, x, y=None) -> float:
     """One witness's margin, re-evaluated on its own to audit a report."""
     table = model._OCC_HYPOTHESES if isinstance(spec, ModelSpec) else model._SPIN_HYPOTHESES
     target, kind = next((t, k) for name, t, k in table if name == hypothesis)
-    f = model._targets(spec)[target]
+    f = site_targets(spec)[target]
     xs = np.asarray(x, float)[None, :]
-    vx = f(site, xs)
-    if kind == "nonnegative":
-        return float(vx[0])
-    ys = np.asarray(y, float)[None, :]
-    vy = f(site, ys)
-    vm = f(site, 0.5 * (xs + ys)) if kind in ("concave", "convex") else None
-    return float(model.pair_margin(kind, vx, vy, vm)[0])
+    ys = None if y is None else np.asarray(y, float)[None, :]
+    return float(model._margins(kind, lambda pts: f(site, pts), xs, ys)[0])
 
 
 def scan_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9, seed: int = 0):
@@ -293,7 +333,7 @@ def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
     A finding is labelled "lattice" where one of those scans ran.
     """
     table = model._OCC_HYPOTHESES if isinstance(spec, ModelSpec) else model._SPIN_HYPOTHESES
-    targets = model._targets(spec)
+    targets = site_targets(spec)
     n = spec.n
     bits = exact.lattice_bits(n)
 
@@ -308,7 +348,7 @@ def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
         if kind in ("increasing", "decreasing"):
             yield np.minimum(u[0], u[1]), np.maximum(u[0], u[1])
             if n <= model.LATTICE_SCAN_CAP:
-                lo, hi = model._comparable_lattice_pairs(n)
+                lo, hi = comparable_lattice_pairs(n)
                 yield bits[lo], bits[hi]
         else:
             yield u[0], u[1]
@@ -335,10 +375,8 @@ def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
         for index, (x, y) in enumerate(batches(kind, lane)):
             # a second batch, when there is one, is the lattice's
             by = "lattice" if index else "sampled"
-            mid = 0.5 * (x + y) if kind in ("concave", "convex") else None
             for i in range(n):
-                margins = model.pair_margin(kind, f(i, x), None if y is None else f(i, y),
-                                            None if mid is None else f(i, mid))
+                margins = model._margins(kind, lambda pts: f(i, pts), x, y)
                 k = int(np.argmin(margins))
                 if margins[k] < worst:
                     worst = float(margins[k])
@@ -350,7 +388,7 @@ def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
 
 
 def submask_lattice_pairs(n):
-    """model._comparable_lattice_pairs by submask enumeration, word by word."""
+    """comparable_lattice_pairs by submask enumeration, word by word."""
     lo, hi = [], []
     for word in range(1 << n):
         sub = (word - 1) & word

@@ -561,6 +561,41 @@ def test_verify_theorem_model_kind_mismatch(model_dir, capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("model, argv", [
+    ("broken.json", ["verify", "--theorem", "thm2"]),
+    ("ring.json", ["verify", "--theorem", "thm1"]),
+    ("ring.json", ["verify", "--theorem", "thm3"]),
+    ("broken.json", ["verify", "--theorem", "thm4"]),
+    ("broken.json", ["verify", "--theorem", "thm1", "--x0", "4"]),
+    ("broken.json", ["verify", "--theorem", "thm3", "--x0", "one"]),
+    ("broken.json", ["verify", "--theorem", "thm3", "--m", "0"]),
+    ("ring.json", ["verify", "--theorem", "thm2", "--grid-points", "1"]),
+    ("ring.json", ["verify", "--theorem", "thm2", "--h", "0"]),
+    ("ring.json", ["verify", "--theorem", "thm4", "--delta-grid", "0.0625,0.125"]),
+    ("ring.json", ["verify", "--theorem", "thm4", "--delta-grid", "fine"]),
+])
+def test_verify_checks_its_flags_before_the_scan(model_dir, capsys, monkeypatch, model,
+                                                 argv):
+    # the hypothesis scan can take seconds; a malformed flag exits first
+    monkeypatch.setattr(cli, "check_assumptions",
+                        lambda *args, **kwargs: pytest.fail("scanned"))
+    code = run_cli(*argv, "--model", model_dir / model)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_malformed_verify_over_the_sample_budget_exits_one(model_dir, capsys):
+    # broken.json is scanned, and 10^12 samples are over the byte budget;
+    # the wrong model kind is found first
+    code = run_cli("verify", "--model", model_dir / "broken.json", "--theorem", "thm2",
+                   "--samples", "1000000000000")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.err == "error: thm2 needs a spin model\n"
+
+
 def test_capacity_exit_code(model_dir, capsys):
     code = run_cli("run", "--model", model_dir / "big.json",
                    "--mode", "exact", "--t", "1")

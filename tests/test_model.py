@@ -18,9 +18,9 @@ from occupancy.model import (BOUND_HYPOTHESES, VARIANTS, DimensionError, Functio
                              load_model, model_from_dict, model_to_dict,
                              save_model, site_values, transition_values)
 
-from conftest import (family_formula, hypothesis_margin, per_site_check_assumptions,
-                      random_model, random_spin_model, scan_check_assumptions,
-                      submask_lattice_pairs)
+from conftest import (comparable_lattice_pairs, family_formula, hypothesis_margin,
+                      per_site_check_assumptions, random_model, random_spin_model,
+                      scan_check_assumptions, site_targets, submask_lattice_pairs)
 
 
 def aff(n, a, b, **kw):
@@ -121,14 +121,23 @@ def test_lattice_evaluation_memory(spec):
     assert peak <= 12 * out.nbytes
 
 
+# an n = 10 model whose findings read `lattice` and `sampled`: its
+# hypotheses are scanned, not proven
+SCANNED_N10 = random_model(10, 3)
+
+
 def test_check_leaves_no_lattice_tables_alive():
     # a fresh interpreter, so nothing an earlier check in this process built
     # is counted
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
     probe = ("import gc, tracemalloc\n"
-             "from occupancy import model, zoo\n"
-             "spec = zoo.contact_ring(10)\n"
+             "from conftest import random_model\n"
+             "from occupancy import model\n"
+             "spec = random_model(10, 3)\n"
+             "assert {f.certified_by for f in model.check_assumptions(spec, samples=64).findings}"
+             " == {'lattice', 'sampled'}\n"
              "tracemalloc.start()\n"
              "model.check_assumptions(spec, samples=64)\n"
              "gc.collect()\n"
@@ -139,22 +148,25 @@ def test_check_leaves_no_lattice_tables_alive():
     assert int(out) < 2 << 20
 
 
-def test_check_peak_stays_within_four_megabytes():
-    # the lattice scans read one (2^n, 2n) table and gather margins in row
-    # blocks: no (3^n - 2^n, n) pair tables (9.3 MB at n = 10) are built
-    spec = zoo.contact_ring(10)
+def test_check_peak_stays_within_two_megabytes():
+    # the lattice scans read one (2^n, 2n) bank table, take monotone margins
+    # by a subset-max transform of (2^n, n) tables and the others in row
+    # blocks: no list of the 3^n - 2^n comparable pairs is built
+    spec = SCANNED_N10
+    assert {f.certified_by for f in check_assumptions(spec, samples=64).findings} == {
+        "lattice", "sampled"}
     tracemalloc.start()
     try:
         check_assumptions(spec, samples=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_comparable_pairs_follow_submask_order(n):
-    lo, hi = model._comparable_lattice_pairs(n)
+    lo, hi = comparable_lattice_pairs(n)
     want_lo, want_hi = submask_lattice_pairs(n)
     bits = lattice_bits(n)
     assert np.array_equal(bits[lo], want_lo) and np.array_equal(bits[hi], want_hi)
@@ -171,13 +183,46 @@ def test_check_equals_the_per_site_oracle(spin, n, seed, samples):
             == repr(per_site_check_assumptions(spec, samples=samples).to_dict()))
 
 
+def tie_model(n, seed):
+    """Tabulated families with entries in {0, 0.5, 1}, some pinned at 0 or 1: margins tie often."""
+    rng = np.random.default_rng(seed)
+
+    def fam(site):
+        pins = ((site, float(rng.integers(2))),) if rng.random() < 0.3 else ()
+        return FunctionFamily("tabulated-multilinear", n,
+                              {"table": list(rng.choice([0.0, 0.5, 1.0], 1 << n))}, pins=pins)
+
+    return ModelSpec(n=n, colonisation=tuple(fam(i) for i in range(n)),
+                     survival=tuple(fam(i) for i in range(n)))
+
+
+# non-affine models at and below LATTICE_SCAN_CAP, each with all five
+# variants and a pin in each; one tabulated family keeps the oracle's pair
+# scans short
+CAP_MODELS = [random_model(9, 9), random_model(10, 53),
+              random_spin_model(9, 9), random_spin_model(10, 53)]
+
+
+def test_cap_models_cover_every_variant_with_pins():
+    for spec in CAP_MODELS:
+        fams = spec.bank.groups
+        assert {g.variant for g in fams} == set(VARIANTS)
+        roles = (spec.colonisation + spec.survival if isinstance(spec, ModelSpec)
+                 else spec.birth + spec.death)
+        assert {f.variant for f in roles if f.pins} == set(VARIANTS)
+
+
 @pytest.mark.parametrize("spec", [
     zoo.contact_ring(10),
     zoo.random_certified_model(10, 0),
     zoo.random_certified_model(10, 3),
     # every margin ties: each witness is the first site's first point or pair
     zoo.constant_pair(n=4),
-], ids=["ring-n10", "certified-n10-0", "certified-n10-3", "constant-n4"])
+    *CAP_MODELS,
+    # the monotone witnesses pick among many pairs at the least margin
+    tie_model(8, 0),
+], ids=["ring-n10", "certified-n10-0", "certified-n10-3", "constant-n4", "random-n9",
+        "random-n10", "spin-n9", "spin-n10", "ties-n8"])
 def test_check_equals_the_per_site_oracle_at_fixed_models(spec):
     assert (repr(scan_check_assumptions(spec, samples=64).to_dict())
             == repr(per_site_check_assumptions(spec, samples=64).to_dict()))
@@ -190,7 +235,7 @@ SETTLED = ("constant", "affine-saturated")
 
 def axis_quotient(spec, target: str) -> float:
     """The largest |f(e_j) - f(0)| over sites and coordinates: single-axis lattice quotients."""
-    f = model._targets(spec)[target]
+    f = site_targets(spec)[target]
     bits = lattice_bits(spec.n)
     axes = bits[[1 << j for j in range(spec.n)]]
     return max(float(np.max(np.abs(f(i, axes) - f(i, bits[:1])))) for i in range(spec.n))
