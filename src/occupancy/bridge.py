@@ -33,8 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import exact, indep, meanfield
-from .exact import MultiSitePattern
+from . import exact, meanfield
 from .lattice import check_bytes, lattice_bits
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec
@@ -73,12 +72,17 @@ def admissibility_bound(spec: SpinSpec) -> float:
     return np.inf if sup == 0.0 else 1.0 / sup
 
 
+def check_delta(spec: SpinSpec, delta: float):
+    """Raise InadmissibleDelta where step delta is past `admissibility_bound`."""
+    bound = admissibility_bound(spec)
+    if delta > bound * (1.0 + _ADMISSIBLE_SLACK):
+        raise InadmissibleDelta(f"delta={delta} exceeds the admissibility bound {bound}")
+
+
 def discretise(spec: SpinSpec, config: DiscretisationConfig) -> ModelSpec:
     """Occupancy chain with colonisation delta*birth and survival 1 - delta*death."""
     delta = config.delta
-    if delta > admissibility_bound(spec) * (1.0 + _ADMISSIBLE_SLACK):
-        raise InadmissibleDelta(
-            f"delta={delta} exceeds the admissibility bound {admissibility_bound(spec)}")
+    check_delta(spec, delta)
     colonisation = tuple(
         replace(fam, role="probability",
                 offset=delta * fam.offset, scale=delta * fam.scale)
@@ -169,36 +173,6 @@ def euler_gap(spec: SpinSpec, p0, t: float, config: DiscretisationConfig,
     _, coarse = meanfield.integrate_ode(spec, p0, t,
                                         OdeConfig(h=config.delta, method="euler"))
     return float(np.max(np.abs(coarse[-1] - reference_end)))
-
-
-def ordering_margins(spec: SpinSpec, x0: int, demands,
-                     deltas=DEFAULT_DELTAS) -> list[tuple[float, float]]:
-    """Vacancy-ordering margins of the discretised chains along a delta grid.
-
-    `demands` lists (site, times) with real-valued times; each time must be
-    an integer multiple of every delta in the grid.  Returns (delta, margin)
-    pairs, margin being the chain's joint vacancy probability minus the
-    independent surrogate's.
-    """
-    out = []
-    for delta in deltas:
-        entries = []
-        for site, times in demands:
-            steps = []
-            for tau in times:
-                k = round(tau / delta)
-                if abs(k * delta - tau) > 1e-9 * max(1.0, abs(tau)):
-                    raise ValueError(f"time {tau} is not a multiple of delta={delta}")
-                steps.append(k)
-            entries.append((site, tuple(steps)))
-        chain = discretise(spec, DiscretisationConfig(delta))
-        discrete = MultiSitePattern(entries=tuple(entries))
-        kernel = exact.kernel(chain)
-        schedules = indep.site_schedules(chain, x0, max(1, discrete.horizon))
-        p_chain = exact.multisite_probability(chain, x0, discrete, kernel)
-        p_indep = indep.multisite_probability(chain, x0, discrete, schedules)
-        out.append((delta, p_chain - p_indep))
-    return out
 
 
 @dataclass(frozen=True)

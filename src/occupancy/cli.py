@@ -191,11 +191,15 @@ def _cmd_verify(args) -> int:
         if args.grid_points < 2:
             raise _CliError(f"--grid-points must be >= 2, got {args.grid_points}", EXIT_USAGE)
         config = OdeConfig(h=args.h)
+        # per point: two floats, four list slots and their JSON text
+        check_bytes(320 * args.grid_points, f"{shown(args.grid_points)} grid points")
+        grid = [k * t / (args.grid_points - 1) for k in range(args.grid_points)]
+        order.check_spin_marginal_bound(spec.n, grid, config.h)
     elif args.theorem == "thm3":
         # the path scan holds the most; reject it before any table exists
         order.check_scan(spec.n, args.m)
     elif args.theorem == "thm4":
-        deltas = _parse_deltas(args.delta_grid)
+        deltas = _parse_deltas(spec, args.delta_grid)
     hypo = check_assumptions(spec, samples=args.samples, tol=1e-9, seed=seed)
     reports = []
     extra_files = []
@@ -214,9 +218,6 @@ def _cmd_verify(args) -> int:
                                                  certified=certified))
     elif args.theorem == "thm2":
         certified = hypo.passed(SPIN_BOUND_HYPOTHESES)
-        # per point: two floats, four list slots and their JSON text
-        check_bytes(320 * args.grid_points, f"{shown(args.grid_points)} grid points")
-        grid = [k * t / (args.grid_points - 1) for k in range(args.grid_points)]
         reports.append(order.spin_marginal_bound(spec, x0, grid, tol=tol,
                                                  certified=certified, config=config))
     else:
@@ -241,7 +242,8 @@ def _cmd_verify(args) -> int:
     return _report_exit([r.verdict for r in reports])
 
 
-def _parse_deltas(text: str):
+def _parse_deltas(spec: SpinSpec, text: str):
+    """--delta-grid: strictly decreasing step sizes, the largest admissible for `spec`."""
     try:
         deltas = tuple(float(v) for v in text.split(","))
     except ValueError:
@@ -250,6 +252,8 @@ def _parse_deltas(text: str):
             and all(a > b for a, b in zip(deltas, deltas[1:]))):
         raise _CliError(f"delta grid must be positive, finite and strictly "
                         f"decreasing, got {text!r}", EXIT_USAGE)
+    # the first step is the largest, and the first a table would discretise
+    bridge.check_delta(spec, deltas[0])
     return deltas
 
 
@@ -259,7 +263,7 @@ def _cmd_bridge(args) -> int:
         raise _CliError("bridge needs a spin model", EXIT_USAGE)
     t = _parse_t(spec, args.t)
     x0 = _parse_x0(args.x0, spec.n)
-    deltas = _parse_deltas(args.delta_grid)
+    deltas = _parse_deltas(spec, args.delta_grid)
     table = bridge.convergence_table(spec, x0, t, deltas=deltas)
     _write_out(args.out, table.to_csv())
     return EXIT_PASS

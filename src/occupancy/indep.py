@@ -1,37 +1,20 @@
 """Independent-site surrogate processes.
 
 Each site evolves as its own two-state chain whose transition
-probabilities (or rates, in continuous time) are the model's functions
-evaluated along the deterministic trajectory rather than at the random
-state.  Site marginals of the surrogate coincide with the deterministic
-trajectory itself; joint laws factor across sites.
+probabilities are the model's functions evaluated along the deterministic
+trajectory rather than at the random state.  Site marginals of the
+surrogate coincide with the deterministic trajectory itself; joint laws
+factor across sites.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import meanfield
 from .exact import MultiSitePattern, TimePattern, state_bits
 from .lattice import check_bytes
-from .meanfield import OdeConfig
-from .model import ModelSpec, SpinSpec, site_values
-
-
-@dataclass(frozen=True)
-class SiteChainSchedule:
-    """Per-step colonise/survive probabilities for one site's two-state chain."""
-
-    site: int
-    colonise: np.ndarray
-    survive: np.ndarray
-
-    def __post_init__(self):
-        if self.colonise.shape != self.survive.shape or self.colonise.ndim != 1:
-            raise ValueError("colonise and survive must be equal-length vectors")
+from .model import ModelSpec, site_values
 
 
 def _check_site(spec, site: int):
@@ -39,37 +22,43 @@ def _check_site(spec, site: int):
         raise ValueError(f"site {site} out of range")
 
 
-def site_schedules(spec: ModelSpec, x0: int, horizon: int) -> tuple[SiteChainSchedule, ...]:
-    """Every site's schedule for steps 1..horizon, from one deterministic trajectory.
+def _check_schedules(spec, schedules, m: int):
+    colonise, survive = schedules
+    if colonise.shape != survive.shape or colonise.shape[1:] != (spec.n,) or len(colonise) < m:
+        raise ValueError(f"schedules of shape {colonise.shape} cannot serve "
+                         f"{spec.n} sites over {m} steps")
 
-    A schedule covering more steps than a pattern serves it unchanged, so
-    one call serves a whole scan of patterns up to `horizon`.
+
+def site_schedules(spec: ModelSpec, x0: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """(colonise, survive) for steps 1..horizon, from one deterministic trajectory.
+
+    Each is (horizon, n): row t - 1 holds every site's probabilities for
+    step t, column i site i's schedule.  Schedules covering more steps than
+    a pattern serve it unchanged, so one call serves a whole scan of
+    patterns up to `horizon`.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     # the deterministic states at steps 0..horizon-1 drive steps 1..horizon
     traj = meanfield.iterate(spec, state_bits(x0, spec.n), horizon - 1)
-    colonise, survive = site_values(spec, traj)
-    return tuple(SiteChainSchedule(site, colonise[:, site], survive[:, site])
-                 for site in range(spec.n))
+    return site_values(spec, traj)
 
 
-def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
-                     schedule: SiteChainSchedule) -> float:
+def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern, schedules) -> float:
     """Forward two-state recursion for one site's vacancy pattern.
 
-    `schedule` is the pattern site's schedule over at least the pattern's
-    horizon, as from `site_schedules`.
+    `schedules` cover at least the pattern's horizon, as from
+    `site_schedules`; the recursion reads the pattern site's column.
     """
     m = pattern.horizon
-    _check_site(spec, pattern.site)
-    if schedule.site != pattern.site or schedule.colonise.size < m:
-        raise ValueError(f"schedule for site {schedule.site} over "
-                         f"{schedule.colonise.size} steps cannot serve the pattern")
-    bit = int(state_bits(x0, spec.n)[pattern.site])
+    site = pattern.site
+    _check_site(spec, site)
+    _check_schedules(spec, schedules, m)
+    colonise, survive = schedules
+    bit = int(state_bits(x0, spec.n)[site])
     v = np.array([1.0 - bit, float(bit)])
     for t in range(m):
-        c, s = schedule.colonise[t], schedule.survive[t]
+        c, s = colonise[t, site], survive[t, site]
         v = np.array([v[0] * (1.0 - c) + v[1] * (1.0 - s), v[0] * c + v[1] * s])
         if pattern.omega[t] == 0:
             v[1] = 0.0
@@ -77,12 +66,12 @@ def path_probability(spec: ModelSpec, x0: int, pattern: TimePattern,
 
 
 def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
-                          schedules: Sequence[SiteChainSchedule]) -> float:
+                          schedules) -> float:
     """Joint vacancy probability; sites are independent so it is a product.
 
-    `schedules` are every site's schedules over at least the pattern's
-    horizon, as from `site_schedules`; a pattern with no demand reads none
-    of them and has probability 1.
+    `schedules` cover at least the pattern's horizon, as from
+    `site_schedules`; a pattern with no demand reads none of them and has
+    probability 1.
     """
     for site, _ in pattern.constraints():
         _check_site(spec, site)
@@ -95,7 +84,7 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
         for t in times:
             omega[t - 1] = 0
         value *= path_probability(spec, x0, TimePattern(site=site, omega=tuple(omega)),
-                                  schedules[site])
+                                  schedules)
     return value
 
 
@@ -110,7 +99,7 @@ def vacancy_table_bytes(n: int, m: int) -> int:
     return (8 * n + 1) * (8 << m)
 
 
-def vacancy_tables(spec: ModelSpec, x0: int, schedules: Sequence[SiteChainSchedule],
+def vacancy_tables(spec: ModelSpec, x0: int, schedules,
                    m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every site's vacancy-pattern probabilities, over every set of steps in 1..m.
 
@@ -123,13 +112,12 @@ def vacancy_tables(spec: ModelSpec, x0: int, schedules: Sequence[SiteChainSchedu
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if len(schedules) != spec.n or any(s.colonise.size < m for s in schedules):
-        raise ValueError(f"schedules must cover all {spec.n} sites over {m} steps")
+    _check_schedules(spec, schedules, m)
     check_bytes(vacancy_table_bytes(spec.n, m),
                 f"n = {spec.n}, m = {m}: the surrogate tables")
     bits = state_bits(x0, spec.n)[:, None]
-    colonise = np.stack([s.colonise[:m] for s in schedules])
-    survive = np.stack([s.survive[:m] for s in schedules])
+    # (n, m) views: row i is site i's schedule
+    colonise, survive = (table[:m].T for table in schedules)
     sets = np.arange(1 << m)
     vacant = np.repeat(1.0 - bits, 1 << m, axis=1)
     occupied = np.repeat(bits, 1 << m, axis=1)
@@ -141,42 +129,3 @@ def vacancy_tables(spec: ModelSpec, x0: int, schedules: Sequence[SiteChainSchedu
         at_end = vacant + occupied
         at_last[:, 1 << t:2 << t] = at_end[:, 1 << t:2 << t]
     return at_last, at_end
-
-
-def spin_path_probability(spec: SpinSpec, x0: int, site: int, times,
-                          config: OdeConfig = OdeConfig()) -> float:
-    """P(site vacant at every listed time) for the continuous-time surrogate.
-
-    The site's two-state master equation is integrated jointly with the
-    occupancy ODE that drives its rates; at each listed time the occupied
-    mass is projected out (conditioning on vacancy without renormalising).
-    """
-    _check_site(spec, site)
-    times = [float(t) for t in times]
-    if any(t <= 0 for t in times):
-        raise ValueError("times must be > 0")
-    if sorted(set(times)) != times:
-        raise ValueError("times must be strictly increasing")
-    n = spec.n
-
-    def rhs(y):
-        # y stacks the ODE point p with the site's (P(vacant), P(occupied));
-        # the rates at p drive both the ODE and the site's chain
-        p, vacant, occupied = y[:n], y[n], y[n + 1]
-        lam, mu = site_values(spec, p[None])
-        lam, mu = lam[0], mu[0]
-        flow = vacant * lam[site] - occupied * mu[site]
-        return np.concatenate([(1.0 - p) * lam - p * mu, [-flow, flow]])
-
-    p0 = state_bits(x0, n)
-    y = np.concatenate([p0, [1.0 - p0[site], p0[site]]])
-    t_cur = 0.0
-    for t_next in times:
-        full, rem = meanfield.step_count(t_next - t_cur, config.h)
-        for _ in range(full):
-            y = meanfield.advance(rhs, y, config.h, config.method)
-        if rem > 0.0:
-            y = meanfield.advance(rhs, y, rem, config.method)
-        y[n + 1] = 0.0
-        t_cur = t_next
-    return float(y[n])

@@ -56,19 +56,6 @@ def iterate(spec: ModelSpec, p0, steps: int) -> np.ndarray:
     return out
 
 
-def mask_self_colonisation(spec: ModelSpec) -> ModelSpec:
-    """Pin each colonisation function's own coordinate to zero.
-
-    On the lattice this never changes the process: colonisation only acts
-    on sites that are currently empty.  On the cube it removes each site's
-    self-term from its own colonisation pressure, which can only lower the
-    deterministic trajectory while it remains an upper bound for the
-    stochastic occupation probabilities (for certified models).
-    """
-    masked = tuple(fam.pinned(i, 0.0) for i, fam in enumerate(spec.colonisation))
-    return ModelSpec(n=spec.n, colonisation=masked, survival=spec.survival)
-
-
 @dataclass(frozen=True)
 class OdeConfig:
     """Fixed-step integrator settings."""

@@ -8,8 +8,8 @@ and combine exact integer counts.
 A bit turns on when its uniform falls below the colonisation (if vacant)
 or survival (if occupied) probability of the current state.  For models
 whose survival dominates colonisation this threshold rule is monotone:
-raising any uniform can only turn bits off, which is what the paired-path
-check below exercises.
+raising any uniform can only turn bits off, which the test suite's
+paired-path check exercises.
 
 The engines compare integers: a uniform u = k * 2^-53 of 53-bit word k is
 below p in [0, 1] exactly when k < ceil(p * 2^53), as scaling by 2^53 is
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import MultiSitePattern, check_constraints
 from .lattice import BLOCK_ENTRIES, check_bytes, shown, state_bits, word_bits
 from .model import ModelSpec, transition_values
 from .streams import REPLICATE_CHUNK, UniformArray, new_bit_generator
@@ -195,59 +194,3 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
     counts = sum(_run_chunks(_chunk_plan(reps), run, workers))
     return MarginalEstimates(means=counts / reps, ses=_bernoulli_se(counts, reps),
                              reps=reps, seed=seed)
-
-
-def simulate_event_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
-                               reps: int, seed: int, workers: int = 1) -> McEstimate:
-    """Estimate the probability of a joint vacancy pattern."""
-    check_constraints(spec.n, pattern.constraints())
-    horizon = pattern.horizon
-    by_time: dict[int, list[int]] = {}
-    for site, t in pattern.constraints():
-        by_time.setdefault(t, []).append(site)
-    ua = UniformArray(seed=seed, n_sites=spec.n)
-    table = _threshold_table(spec)
-
-    def run(chunk: int, rows: int) -> np.ndarray:
-        bitgen = new_bit_generator()
-        states = _initial_states(x0, spec.n, rows)
-        alive = np.ones(rows, dtype=bool)
-        for t in range(1, horizon + 1):
-            states = step_occupancy(
-                spec, states, ua.chunk_values(t, chunk, rows, words=True, bitgen=bitgen), table)
-            for site in by_time.get(t, ()):
-                alive &= states[:, site] == 0
-        return np.asarray(alive.sum(), dtype=np.int64)
-
-    count = int(sum(_run_chunks(_chunk_plan(reps), run, workers)))
-    return McEstimate(mean=count / reps, se=float(_bernoulli_se(np.asarray(count), reps)),
-                      reps=reps, seed=seed)
-
-
-def monotone_path_check(spec: ModelSpec, x0: int, steps: int, reps: int, seed: int,
-                        gamma: float = 0.5, workers: int = 1) -> int:
-    """Count order violations between paths driven by U and by U**gamma.
-
-    U**gamma dominates U pointwise (gamma in (0,1]) and the threshold rule
-    is antitone in its uniforms for survival-dominant monotone models, so
-    the powered path should sit below the plain one at every site and step.
-    Returns the number of (replicate, step, site) triples where it does not.
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must be in (0, 1]")
-    ua = UniformArray(seed=seed, n_sites=spec.n)
-    table = _threshold_table(spec)
-
-    def run(chunk: int, rows: int) -> np.ndarray:
-        bitgen = new_bit_generator()
-        lo = _initial_states(x0, spec.n, rows)
-        hi = lo.copy()
-        bad = 0
-        for t in range(1, steps + 1):
-            u = ua.chunk_values(t, chunk, rows, bitgen=bitgen)
-            hi = step_occupancy(spec, hi, u, table)
-            lo = step_occupancy(spec, lo, u ** gamma, table)
-            bad += int(np.sum(lo > hi))
-        return np.asarray(bad, dtype=np.int64)
-
-    return int(sum(_run_chunks(_chunk_plan(reps), run, workers)))

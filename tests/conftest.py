@@ -4,11 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from occupancy import bridge, exact, indep, model, zoo
+from occupancy import bridge, exact, indep, meanfield, model, simulate, zoo
 from occupancy.exact import MultiSitePattern, TimePattern
+from occupancy.meanfield import OdeConfig
 from occupancy.model import VARIANTS, FunctionFamily, ModelSpec, SpinSpec
-from occupancy.streams import (DOMAIN_SIMULATION, REPLICATE_CHUNK, assumption_uniforms,
-                               uniform_stream)
+from occupancy.streams import (DOMAIN_SIMULATION, REPLICATE_CHUNK, UniformArray,
+                               assumption_uniforms, new_bit_generator, uniform_stream)
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ def decomposed_path_probability(spec, x0: int, pattern) -> float:
     (survive - colonise) * P(pattern with phi freed and phi-1 demanded).
     An independent route to indep.path_probability's forward recursion.
     """
-    sched = indep.site_schedules(spec, x0, pattern.horizon)[pattern.site]
+    colonise, survive = indep.site_schedules(spec, x0, pattern.horizon)
     bit = int(exact.state_bits(x0, spec.n)[pattern.site])
 
     @functools.lru_cache(maxsize=None)
@@ -117,7 +118,7 @@ def decomposed_path_probability(spec, x0: int, pattern) -> float:
         if not zeros:
             return 1.0
         phi = zeros[-1]
-        c, s = sched.colonise[phi - 1], sched.survive[phi - 1]
+        c, s = colonise[phi - 1, pattern.site], survive[phi - 1, pattern.site]
         if phi == 1:
             return 1.0 - (c if bit == 0 else s)
         freed = list(omega)
@@ -173,7 +174,7 @@ def per_pattern_scan(spec, x0: int, m: int, kernel, budget: int = 4):
     for pattern in scanned_patterns(spec.n, m, budget):
         if isinstance(pattern, TimePattern):
             yield (pattern, exact.path_probability(spec, x0, pattern, kernel),
-                   indep.path_probability(spec, x0, pattern, schedules[pattern.site]))
+                   indep.path_probability(spec, x0, pattern, schedules))
         else:
             yield (pattern, exact.multisite_probability(spec, x0, pattern, kernel),
                    indep.multisite_probability(spec, x0, pattern, schedules))
@@ -557,3 +558,116 @@ def random_spin_model(n, seed, variants=VARIANTS):
     return SpinSpec(n=n,
                     birth=tuple(random_family(n, rng, "rate", variants) for _ in range(n)),
                     death=tuple(random_family(n, rng, "rate", variants) for _ in range(n)))
+
+
+# -- acceptance helpers: the paper's secondary guarantees, run by the tests --
+
+
+def simulate_event_probability(spec, x0: int, pattern: MultiSitePattern, reps: int,
+                               seed: int, workers: int = 1) -> simulate.McEstimate:
+    """Estimate the probability of a joint vacancy pattern with the engines' step."""
+    exact.check_constraints(spec.n, pattern.constraints())
+    horizon = pattern.horizon
+    by_time: dict[int, list[int]] = {}
+    for site, t in pattern.constraints():
+        by_time.setdefault(t, []).append(site)
+    ua = UniformArray(seed=seed, n_sites=spec.n)
+    table = simulate._threshold_table(spec)
+
+    def run(chunk: int, rows: int) -> np.ndarray:
+        bitgen = new_bit_generator()
+        states = simulate._initial_states(x0, spec.n, rows)
+        alive = np.ones(rows, dtype=bool)
+        for t in range(1, horizon + 1):
+            states = simulate.step_occupancy(
+                spec, states, ua.chunk_values(t, chunk, rows, words=True, bitgen=bitgen), table)
+            for site in by_time.get(t, ()):
+                alive &= states[:, site] == 0
+        return np.asarray(alive.sum(), dtype=np.int64)
+
+    count = int(sum(simulate._run_chunks(simulate._chunk_plan(reps), run, workers)))
+    se = float(simulate._bernoulli_se(np.asarray(count), reps))
+    return simulate.McEstimate(mean=count / reps, se=se, reps=reps, seed=seed)
+
+
+def monotone_path_check(spec, x0: int, steps: int, reps: int, seed: int,
+                        gamma: float = 0.5, workers: int = 1) -> int:
+    """Count order violations between paths driven by U and by U**gamma.
+
+    U**gamma dominates U pointwise (gamma in (0,1]) and the threshold rule
+    is antitone in its uniforms for survival-dominant monotone models, so
+    the powered path should sit below the plain one at every site and step.
+    Returns the number of (replicate, step, site) triples where it does not.
+    """
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must be in (0, 1]")
+    ua = UniformArray(seed=seed, n_sites=spec.n)
+    table = simulate._threshold_table(spec)
+
+    def run(chunk: int, rows: int) -> np.ndarray:
+        bitgen = new_bit_generator()
+        lo = simulate._initial_states(x0, spec.n, rows)
+        hi = lo.copy()
+        bad = 0
+        for t in range(1, steps + 1):
+            u = ua.chunk_values(t, chunk, rows, bitgen=bitgen)
+            hi = simulate.step_occupancy(spec, hi, u, table)
+            lo = simulate.step_occupancy(spec, lo, u ** gamma, table)
+            bad += int(np.sum(lo > hi))
+        return np.asarray(bad, dtype=np.int64)
+
+    return int(sum(simulate._run_chunks(simulate._chunk_plan(reps), run, workers)))
+
+
+def mask_self_colonisation(spec):
+    """Pin each colonisation function's own coordinate to zero.
+
+    On the lattice this never changes the process: colonisation only acts
+    on sites that are currently empty.  On the cube it removes each site's
+    self-term from its own colonisation pressure, which can only lower the
+    deterministic trajectory while it remains an upper bound for the
+    stochastic occupation probabilities (for certified models).
+    """
+    masked = tuple(fam.pinned(i, 0.0) for i, fam in enumerate(spec.colonisation))
+    return ModelSpec(n=spec.n, colonisation=masked, survival=spec.survival)
+
+
+def spin_path_probability(spec, x0: int, site: int, times,
+                          config: OdeConfig = OdeConfig()) -> float:
+    """P(site vacant at every listed time) for the continuous-time surrogate.
+
+    The site's two-state master equation is integrated jointly with the
+    occupancy ODE that drives its rates, by meanfield's fixed step; at each
+    listed time the occupied mass is projected out (conditioning on vacancy
+    without renormalising).
+    """
+    if not 0 <= site < spec.n:
+        raise ValueError(f"site {site} out of range")
+    times = [float(t) for t in times]
+    if any(t <= 0 for t in times):
+        raise ValueError("times must be > 0")
+    if sorted(set(times)) != times:
+        raise ValueError("times must be strictly increasing")
+    n = spec.n
+
+    def rhs(y):
+        # y stacks the ODE point p with the site's (P(vacant), P(occupied));
+        # the rates at p drive both the ODE and the site's chain
+        p, vacant, occupied = y[:n], y[n], y[n + 1]
+        lam, mu = model.site_values(spec, p[None])
+        lam, mu = lam[0], mu[0]
+        flow = vacant * lam[site] - occupied * mu[site]
+        return np.concatenate([(1.0 - p) * lam - p * mu, [-flow, flow]])
+
+    p0 = exact.state_bits(x0, n)
+    y = np.concatenate([p0, [1.0 - p0[site], p0[site]]])
+    t_cur = 0.0
+    for t_next in times:
+        full, rem = meanfield.step_count(t_next - t_cur, config.h)
+        for _ in range(full):
+            y = meanfield.advance(rhs, y, config.h, config.method)
+        if rem > 0.0:
+            y = meanfield.advance(rhs, y, rem, config.method)
+        y[n + 1] = 0.0
+        t_cur = t_next
+    return float(y[n])

@@ -19,7 +19,8 @@ from occupancy.model import (BOUND_HYPOTHESES, FunctionFamily, ModelSpec,
                              ORDERING_HYPOTHESES, SPIN_BOUND_HYPOTHESES,
                              check_assumptions)
 
-from conftest import decomposed_path_probability, enumerate_event_probability
+from conftest import (decomposed_path_probability, enumerate_event_probability,
+                      mask_self_colonisation, monotone_path_check)
 
 
 @contextmanager
@@ -85,7 +86,7 @@ def test_criterion_3_path_ordering_suite():
                             pat = TimePattern(site=site, omega=omega)
                             px = enumerate_event_probability(
                                 spec, x0, pat.constraints(), m)
-                            pw = indep.path_probability(spec, x0, pat, schedules[site])
+                            pw = indep.path_probability(spec, x0, pat, schedules)
                             assert px - pw >= -1e-10, (x0, site, omega)
                             split = decomposed_path_probability(spec, x0, pat)
                             assert abs(split - pw) <= 1e-14, (x0, site, omega)
@@ -152,19 +153,17 @@ def test_criterion_6_simulation_coupling():
             assert np.array_equal(est.ses, with8.ses)
         for n in (2, 3, 4):
             spec = zoo.random_certified_model(n, seed=100 + n)
-            bad = simulate.monotone_path_check(spec, 0, steps=10,
-                                               reps=10_000, seed=n)
+            bad = monotone_path_check(spec, 0, steps=10, reps=10_000, seed=n)
             assert bad == 0, (n, bad)
         broken = zoo.non_monotone_pair()
-        assert simulate.monotone_path_check(broken, 0, steps=10,
-                                            reps=10_000, seed=1) > 0
+        assert monotone_path_check(broken, 0, steps=10, reps=10_000, seed=1) > 0
 
 
 def test_criterion_7_extension_transforms():
     with criterion(7, "extension-transforms"):
         specs = [zoo.interacting_pair(), zoo.random_certified_model(3, seed=8)]
         for spec in specs:
-            masked = meanfield.mask_self_colonisation(spec)
+            masked = mask_self_colonisation(spec)
             gap = np.max(np.abs(exact.transition_matrix(spec)
                                 - exact.transition_matrix(masked)))
             assert gap <= 1e-15, gap

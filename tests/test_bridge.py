@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +9,25 @@ from occupancy import bridge, exact, meanfield, zoo
 from occupancy.bridge import (ConvergenceTable, DiscretisationConfig,
                               InadmissibleDelta, admissibility_bound,
                               convergence_table, discretise, euler_gap,
-                              law_distance, ordering_margins, rate_defect,
-                              subordinated_law)
+                              law_distance, rate_defect, subordinated_law)
 from occupancy.meanfield import OdeConfig
 from occupancy.model import check_assumptions
 
 from conftest import hamming_rate_defect, random_spin_model
 
 DELTAS = bridge.DEFAULT_DELTAS
+
+
+def _script(name):
+    """A module of scripts/, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ordering_margins = _script("bridge_convergence").ordering_margins
 
 
 def chain_kernel(spec, config):

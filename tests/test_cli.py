@@ -596,6 +596,50 @@ def test_malformed_verify_over_the_sample_budget_exits_one(model_dir, capsys):
     assert captured.err == "error: thm2 needs a spin model\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "thm4", "--delta-grid", "2.0,0.5"],
+    ["bridge", "--delta-grid", "2.0,0.5"],
+])
+def test_inadmissible_delta_grid_exits_one_before_any_work(model_dir, capsys, monkeypatch,
+                                                           argv):
+    # the admissibility bound is closed-form, so it is checked with the other flags
+    for module, name in ((cli, "check_assumptions"), (bridge, "convergence_table")):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("ran"))
+    code = run_cli(*argv, "--model", model_dir / "ring.json")
+    captured = capsys.readouterr()
+    bound = bridge.admissibility_bound(load_model(model_dir / "ring.json"))
+    assert code == cli.EXIT_USAGE
+    assert captured.err == f"error: delta=2.0 exceeds the admissibility bound {bound}\n"
+
+
+@pytest.mark.parametrize("argv, short", [
+    (["--t", "1e9"], False),
+    (["--t", "10", "--grid-points", "6", "--h", "0.01"], True),
+])
+def test_thm2_counts_its_tables_and_widest_segment_first(model_dir, capsys, monkeypatch,
+                                                         argv, short):
+    # the rate tables and one segment's ODE trajectory are held at once;
+    # their sum is counted before the scan, and before any table exists
+    if short:
+        counted = []
+        with monkeypatch.context() as patch:
+            patch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
+            order.check_spin_marginal_bound(3, [2.0 * k for k in range(6)], 0.01)
+        lattice.lattice_bits(3)
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", counted[0] - 1)
+    for module, name in ((exact, "spin_generator"), (exact, "point_mass"),
+                         (cli, "check_assumptions")):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("allocated"))
+    code = run_cli("verify", "--model", model_dir / "ring.json", "--theorem", "thm2",
+                   "--samples", "1", *argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY
+    t, points, h = ("10.0", 6, 0.01) if short else ("1000000000.0", 11, 0.001)
+    assert captured.err.startswith(
+        f"error: n = 3, t = {t} over {points} grid points, h = {h}: the spin tables and "
+        f"a grid segment's ODE trajectory needs ")
+
+
 def test_capacity_exit_code(model_dir, capsys):
     code = run_cli("run", "--model", model_dir / "big.json",
                    "--mode", "exact", "--t", "1")

@@ -358,10 +358,12 @@ def test_capacity_rule_guards_the_spin_tables():
     n = max(n for n in range(64) if exact.spin_bytes(n) <= budget) + 1
     assert exact.kernel_bytes(n - 1) > budget
     ring = zoo.contact_ring(n)
-    for build in (lambda: spin_generator(ring),
-                  lambda: order.spin_marginal_bound(ring, 0, [1.0])):
-        with pytest.raises(CapacityError, match=f"^n = {n}: the spin rate tables needs"):
-            build()
+    with pytest.raises(CapacityError, match=f"^n = {n}: the spin rate tables needs"):
+        spin_generator(ring)
+    # thm2 counts the tables with its widest grid segment's trajectory
+    with pytest.raises(CapacityError, match=f"^n = {n}, t = 1.0 over 1 grid points, "
+                                            f"h = 0.001: the spin tables and a grid segment"):
+        order.spin_marginal_bound(ring, 0, [1.0])
 
 
 def test_capacity_rule_counts_every_array_held(monkeypatch):
@@ -370,8 +372,11 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
     chain = bridge.discretise(ring, bridge.DiscretisationConfig(0.125))
     kernel = exact.kernel(chain)
     for budget, what, run in (
-            # thm2 holds the spin tables and a short trajectory, no dense array
-            (exact.spin_bytes(6), "n = 6: the spin rate tables",
+            # thm2 holds the spin tables and one segment's trajectory of 7
+            # times and states, no dense array
+            (exact.spin_bytes(6) + 8 * 7 * 7,
+             "n = 6, t = 1.0 over 2 grid points, h = 0.1: the spin tables and "
+             "a grid segment's ODE trajectory",
              lambda: order.spin_marginal_bound(ring, 0, [0.5, 1.0], config=OdeConfig(h=0.1))),
             # the bridge holds one kernel at a time, its rate defect no copy of
             # it, and the reference ODE's trajectory of 502 times and states

@@ -11,25 +11,25 @@ from occupancy.exact import MultiSitePattern, TimePattern
 from occupancy.lattice import check_bytes
 from occupancy.meanfield import OdeConfig
 
-from conftest import decomposed_path_probability, random_model
+from conftest import decomposed_path_probability, random_model, spin_path_probability
 
 
 def test_schedule_matches_family_evaluations(interacting):
-    sched = indep.site_schedules(interacting, 0, 4)[1]
+    colonise, survive = indep.site_schedules(interacting, 0, 4)
     traj = meanfield.iterate(interacting, [0.0, 0.0], 3)
     for t in range(4):
-        assert sched.colonise[t] == interacting.colonisation[1].eval(traj[t])
-        assert sched.survive[t] == interacting.survival[1].eval(traj[t])
+        assert colonise[t, 1] == interacting.colonisation[1].eval(traj[t])
+        assert survive[t, 1] == interacting.survival[1].eval(traj[t])
 
 
 def test_site_schedules_share_one_trajectory():
     spec = zoo.random_certified_model(3, 4)
-    schedules = indep.site_schedules(spec, 5, 6)
+    colonise, survive = indep.site_schedules(spec, 5, 6)
     traj = meanfield.iterate(spec, exact.state_bits(5, 3), 5)
-    for site, sched in enumerate(schedules):
-        assert sched.site == site
-        assert np.array_equal(sched.colonise, spec.colonisation[site].eval_batch(traj))
-        assert np.array_equal(sched.survive, spec.survival[site].eval_batch(traj))
+    assert colonise.shape == survive.shape == (6, 3)
+    for site in range(3):
+        assert np.array_equal(colonise[:, site], spec.colonisation[site].eval_batch(traj))
+        assert np.array_equal(survive[:, site], spec.survival[site].eval_batch(traj))
 
 
 def test_patterns_without_schedules(interacting):
@@ -41,7 +41,7 @@ def test_patterns_without_schedules(interacting):
     for site in (-1, 2):
         with pytest.raises(ValueError, match="out of range"):
             indep.path_probability(interacting, 0, TimePattern(site=site, omega=(0,)),
-                                   schedules[0])
+                                   schedules)
         with pytest.raises(ValueError, match="out of range"):
             indep.multisite_probability(interacting, 0,
                                         MultiSitePattern(entries=((site, (1,)),)), schedules)
@@ -56,22 +56,23 @@ def test_longer_schedule_serves_shorter_patterns(seed):
     schedules = indep.site_schedules(spec, 2, 5)
     for omega in [(0,), (1, 0), (0, 1, 0), (1, 1, 0, 0, 1)]:
         pattern = TimePattern(site=1, omega=omega)
-        own = indep.site_schedules(spec, 2, pattern.horizon)[1]
-        assert indep.path_probability(spec, 2, pattern, schedules[1]) == pytest.approx(
+        own = indep.site_schedules(spec, 2, pattern.horizon)
+        assert indep.path_probability(spec, 2, pattern, schedules) == pytest.approx(
             indep.path_probability(spec, 2, pattern, own), abs=tol)
     multi = MultiSitePattern(entries=((0, (2,)), (2, (1, 4))))
     own = indep.site_schedules(spec, 2, multi.horizon)
     assert indep.multisite_probability(spec, 2, multi, schedules) == pytest.approx(
         indep.multisite_probability(spec, 2, multi, own), abs=tol)
     with pytest.raises(ValueError, match="cannot serve"):
-        indep.path_probability(spec, 2, TimePattern(site=0, omega=(0,)), schedules[1])
+        indep.path_probability(spec, 2, TimePattern(site=0, omega=(0,)),
+                               tuple(table[:, 1:] for table in schedules))
     with pytest.raises(ValueError, match="cannot serve"):
         indep.path_probability(spec, 2, TimePattern(site=1, omega=(1,) * 5 + (0,)),
-                               schedules[1])
+                               schedules)
 
 
 def test_path_probability_trivial_cases(interacting):
-    schedule = indep.site_schedules(interacting, 0, 3)[0]
+    schedule = indep.site_schedules(interacting, 0, 3)
     assert indep.path_probability(interacting, 0,
                                   TimePattern(site=0, omega=(1, 1, 1)), schedule) == 1.0
     one = indep.path_probability(interacting, 0, TimePattern(site=0, omega=(0,)), schedule)
@@ -80,13 +81,13 @@ def test_path_probability_trivial_cases(interacting):
 
 def test_constant_model_frozen_value(single_site):
     value = indep.path_probability(single_site, 0, TimePattern(site=0, omega=(0, 0)),
-                                   indep.site_schedules(single_site, 0, 2)[0])
+                                   indep.site_schedules(single_site, 0, 2))
     assert value == pytest.approx(0.49, abs=1e-15)
 
 
 def test_constant_model_surrogate_equals_chain(single_site):
     # one independent site: the surrogate IS the chain
-    schedule = indep.site_schedules(single_site, 0, 4)[0]
+    schedule = indep.site_schedules(single_site, 0, 4)
     kernel = exact.kernel(single_site)
     for omega in itertools.product((0, 1), repeat=4):
         if all(omega):
@@ -106,7 +107,7 @@ def test_decomposition_equals_forward_recursion(interacting):
                 for omega in itertools.product((0, 1), repeat=m):
                     for site in range(spec.n):
                         pattern = TimePattern(site=site, omega=omega)
-                        a = indep.path_probability(spec, x0, pattern, schedules[site])
+                        a = indep.path_probability(spec, x0, pattern, schedules)
                         b = decomposed_path_probability(spec, x0, pattern)
                         assert a == pytest.approx(b, abs=1e-14)
 
@@ -116,9 +117,9 @@ def test_multisite_factorises(interacting):
     schedules = indep.site_schedules(interacting, 0, 3)
     by_hand = (
         indep.path_probability(interacting, 0, TimePattern(site=0, omega=(0, 1, 0)),
-                               schedules[0])
+                               schedules)
         * indep.path_probability(interacting, 0, TimePattern(site=1, omega=(1, 0)),
-                                 schedules[1])
+                                 schedules)
     )
     assert indep.multisite_probability(interacting, 0, pattern, schedules) == pytest.approx(
         by_hand, abs=1e-15)
@@ -139,7 +140,7 @@ def test_more_constraints_never_raise_probability(seed):
     rng = np.random.default_rng(seed)
     spec = zoo.random_certified_model(2, seed)
     omega = [int(b) for b in rng.integers(0, 2, size=5)]
-    schedule = indep.site_schedules(spec, 0, 5)[0]
+    schedule = indep.site_schedules(spec, 0, 5)
     loose = indep.path_probability(spec, 0, TimePattern(site=0, omega=tuple(omega)), schedule)
     k = int(rng.integers(5))
     omega[k] = 0
@@ -155,37 +156,37 @@ def test_spin_single_time_closed_form():
     spec = zoo.two_state_spin(lam, mu)
     t = 2.0
     occupied = lam / (lam + mu) * (1.0 - np.exp(-(lam + mu) * t))
-    got = indep.spin_path_probability(spec, 0, 0, [t], OdeConfig(h=1e-3))
+    got = spin_path_probability(spec, 0, 0, [t], OdeConfig(h=1e-3))
     assert got == pytest.approx(1.0 - occupied, abs=1e-9)
 
 
 def test_spin_path_refines_with_step(ring3):
-    coarse = indep.spin_path_probability(ring3, 1, 0, [0.5, 1.25], OdeConfig(h=2e-3))
-    fine = indep.spin_path_probability(ring3, 1, 0, [0.5, 1.25], OdeConfig(h=1e-3))
-    finer = indep.spin_path_probability(ring3, 1, 0, [0.5, 1.25], OdeConfig(h=5e-4))
+    coarse = spin_path_probability(ring3, 1, 0, [0.5, 1.25], OdeConfig(h=2e-3))
+    fine = spin_path_probability(ring3, 1, 0, [0.5, 1.25], OdeConfig(h=1e-3))
+    finer = spin_path_probability(ring3, 1, 0, [0.5, 1.25], OdeConfig(h=5e-4))
     assert abs(fine - finer) < 1e-8
     assert abs(coarse - finer) < 1e-7
 
 
 def test_spin_path_monotone_in_constraints(ring3):
-    one = indep.spin_path_probability(ring3, 1, 0, [1.0])
-    both = indep.spin_path_probability(ring3, 1, 0, [0.5, 1.0])
+    one = spin_path_probability(ring3, 1, 0, [1.0])
+    both = spin_path_probability(ring3, 1, 0, [0.5, 1.0])
     assert 0.0 <= both <= one <= 1.0
 
 
 def test_spin_path_from_occupied_start(ring3):
     # starting occupied, immediate vacancy demands decay from survival mass
-    early = indep.spin_path_probability(ring3, 1, 0, [0.01])
+    early = spin_path_probability(ring3, 1, 0, [0.01])
     assert early == pytest.approx(0.01, abs=2e-3)
 
 
 def test_spin_path_input_validation(ring3):
     with pytest.raises(ValueError):
-        indep.spin_path_probability(ring3, 1, 0, [1.0, 0.5])
+        spin_path_probability(ring3, 1, 0, [1.0, 0.5])
     with pytest.raises(ValueError):
-        indep.spin_path_probability(ring3, 1, 0, [0.0])
+        spin_path_probability(ring3, 1, 0, [0.0])
     with pytest.raises(ValueError):
-        indep.spin_path_probability(ring3, 1, 5, [1.0])
+        spin_path_probability(ring3, 1, 5, [1.0])
 
 
 def test_spin_marginal_consistency(ring3):
@@ -193,7 +194,7 @@ def test_spin_marginal_consistency(ring3):
     # for the surrogate the chain marginal is the ODE value itself
     t = 1.5
     _, states = meanfield.integrate_ode(ring3, [1.0, 0.0, 0.0], t, OdeConfig(h=1e-3))
-    got = indep.spin_path_probability(ring3, 1, 2, [t], OdeConfig(h=1e-3))
+    got = spin_path_probability(ring3, 1, 2, [t], OdeConfig(h=1e-3))
     assert got == pytest.approx(1.0 - states[-1, 2], abs=1e-10)
 
 

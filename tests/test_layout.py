@@ -1,0 +1,63 @@
+"""`src/` holds product code: every top-level name there has a user outside tests.
+
+A function or class defined at the top of a module under `src/occupancy`
+must be referenced by name from `src/` outside its own definition, be
+exported in `occupancy.__all__`, or be named in the benchmark tracer's
+`FUNCTIONS`.  Helpers that only tests or scripts run belong in `tests/` or
+`scripts/`.  `zoo` is exempt: the benchmark, the tests and the docs read
+its models.  Sources are read as text; nothing is imported from the bench.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import occupancy
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "occupancy"
+EXEMPT = {"zoo"}
+
+
+def _traced_names() -> set[tuple[str, str]]:
+    """(module, top-level name) of every entry of the tracer's FUNCTIONS."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets):
+            return {tuple(entry.split(".")[:2]) for entry in ast.literal_eval(node.value)}
+    raise AssertionError("FUNCTIONS not found in tracer.py")
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read, taken as an attribute or imported under `node`."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def test_every_top_level_name_in_src_has_a_product_user():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    traced = _traced_names()
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        if module in EXEMPT:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in occupancy.__all__ or (module, name) in traced:
+                continue
+            # a reference inside its own definition, as in recursion, is no user
+            if everywhere[name] == _references(node)[name]:
+                unused.append(f"{module}.{name}")
+    assert unused == [], f"defined in src/ but used only outside it: {unused}"

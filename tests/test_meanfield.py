@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from occupancy import exact, lattice, meanfield, zoo
 from occupancy.lattice import CapacityError
-from occupancy.meanfield import (OdeConfig, integrate_ode, iterate,
-                                 mask_self_colonisation, ode_rhs,
+from occupancy.meanfield import (OdeConfig, integrate_ode, iterate, ode_rhs,
                                  recursion_step, step_count)
+
+from conftest import mask_self_colonisation
 
 
 def test_constant_recursion_matches_scalar_oracle(single_site):

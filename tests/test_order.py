@@ -138,7 +138,7 @@ def test_path_orthant_interacting(interacting):
     if w["kind"] == "single-site":
         pattern = TimePattern(site=w["site"], omega=tuple(w["omega"]))
         got = exact.path_probability(interacting, 0, pattern, kernel)
-        sur = indep.path_probability(interacting, 0, pattern, schedules[w["site"]])
+        sur = indep.path_probability(interacting, 0, pattern, schedules)
     else:
         pattern = MultiSitePattern(tuple(
             (site, tuple(ts)) for site, ts in w["entries"]))
@@ -246,7 +246,7 @@ def test_shared_exact_objects_give_the_same_reports():
             == single_time_orthant(spec, 2, 4, exact.kernel(spec)).to_dict())
     w = scan.witness
     pattern = TimePattern(site=w["site"], omega=tuple(w["omega"]))
-    schedule = indep.site_schedules(spec, 2, 3)[w["site"]]
+    schedule = indep.site_schedules(spec, 2, 3)
     assert scan.worst_margin == pytest.approx(exact.path_probability(spec, 2, pattern, kernel)
                                               - indep.path_probability(spec, 2, pattern,
                                                                        schedule),
@@ -282,7 +282,21 @@ def test_spin_bound_steps_each_law_from_the_previous(ring3, monkeypatch):
     assert w["exact"] == pytest.approx(exact.marginals(law)[w["site"]], abs=1e-12)
 
 
-@pytest.mark.parametrize("n, nodes", [(4, 408), (10, 6054), (12, 10432)])
+def test_spin_marginal_bound_counts_its_widest_segment_first(ring3, monkeypatch):
+    # the rate tables and the widest segment's trajectory, 100 of 10^9, are
+    # held at once: refused before the rate table or any law exists
+    for name in ("spin_generator", "point_mass"):
+        monkeypatch.setattr(exact, name, lambda *args: pytest.fail("allocated"))
+    grid = [0.0, 1.0, 101.0, 1e9]
+    with pytest.raises(CapacityError, match="t = 1000000000.0 over 4 grid points"):
+        spin_marginal_bound(ring3, 1, grid)
+    counted = []
+    monkeypatch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
+    order.check_spin_marginal_bound(3, grid, 1e-3)
+    assert counted == [exact.spin_bytes(3) + 8 * 4 * ((1e9 - 101.0) / 1e-3 + 2.0)]
+
+
+@pytest.mark.parametrize("n, nodes",[(4, 408), (10, 6054), (12, 10432)])
 def test_prefix_tree_sizes(n, nodes):
     # the default scan, m = 4 and budget 4
     assert sum(order._tree_sizes(n, 4, 4)) == nodes

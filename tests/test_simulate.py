@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from occupancy import exact, simulate, zoo
 from occupancy.exact import MultiSitePattern
-from occupancy.simulate import (monotone_path_check, simulate_event_probability,
-                                simulate_marginals, step_occupancy)
+from occupancy.simulate import simulate_marginals, step_occupancy
 from occupancy.model import FunctionFamily, ModelSpec
 from occupancy.streams import REPLICATE_CHUNK, UniformArray
 
-from conftest import family_site_values, float_route_paths, random_model
+from conftest import (family_site_values, float_route_paths, monotone_path_check,
+                      random_model, simulate_event_probability)
 
 # random models of every variant, with pins, clamps and negative scales
 RANDOM_MODELS = [(n, seed) for seed, n in enumerate((1, 2, 3, 4, 5, 6, 3, 4))]
