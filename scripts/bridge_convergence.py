@@ -9,11 +9,11 @@ Usage:
     python3 scripts/bridge_convergence.py --sites 3 --beta 0.35 --mu 1.0 --t 1.0
 """
 
-import argparse
 import sys
 
 from occupancy import bridge, exact, indep, zoo
 from occupancy.bridge import DiscretisationConfig
+from occupancy.cli import _Parser
 from occupancy.exact import MultiSitePattern
 
 
@@ -48,7 +48,8 @@ def ordering_margins(spec, x0: int, demands,
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # malformed flags exit 1, as the CLI's do; exit 2 is a failed check
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--sites", type=int, default=3)
     parser.add_argument("--beta", type=float, default=0.35)
     parser.add_argument("--mu", type=float, default=1.0)

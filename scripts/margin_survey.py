@@ -9,11 +9,11 @@ Usage:
     python3 scripts/margin_survey.py --n 2 3 4 --seeds 20 --steps 12
 """
 
-import argparse
 import csv
 import sys
 
 from occupancy import exact, order, zoo
+from occupancy.cli import _Parser
 from occupancy.model import check_assumptions
 
 
@@ -42,7 +42,8 @@ def survey_row(n: int, seed: int, steps: int, m: int):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # malformed flags exit 1, as the CLI's do; exit 2 is a failed check
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, nargs="+", default=[2, 3, 4])
     parser.add_argument("--seeds", type=int, default=20,
                         help="seeds 0..seeds-1 per size")

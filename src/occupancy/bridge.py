@@ -20,8 +20,9 @@ chain's `exact.Kernel`; the spin generator as its rate table
 `exact.spin_generator`; the spin law; the reference ODE endpoint), so
 `convergence_table` builds each once: a kernel per delta, the rest once
 per table.  No metric forms the dense 2^n x 2^n matrix: the rate defect
-reads the kernel's (2^n, n) per-site probabilities, and the subordinated
-law's Poisson mixture pushes through the kernel's two factor tables.
+reads the chain's per-site probabilities a row block at a time, and the
+subordinated law's Poisson mixture pushes through the kernel's two factor
+tables.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import exact, meanfield
-from .lattice import check_bytes, lattice_bits
+from .lattice import check_bytes, lattice_blocks
 from .meanfield import OdeConfig
-from .model import ModelSpec, SpinSpec
+from .model import ModelSpec, SpinSpec, lattice_transitions
 from .order import OrderReport
 
 DEFAULT_DELTAS = tuple(2.0 ** -k for k in range(4, 9))
@@ -107,36 +108,39 @@ def _site_products(stay: np.ndarray, flip: np.ndarray, flipped) -> np.ndarray:
     return out
 
 
-def rate_defect(spec: SpinSpec, config: DiscretisationConfig, kernel: exact.Kernel,
+def rate_defect(spec: SpinSpec, config: DiscretisationConfig,
                 rates: np.ndarray) -> tuple[float, float]:
     """(worst single-flip rate error, worst multi-flip rate) of the chain.
 
-    Single-flip rates T[w, w ^ 2^i] / delta, T the chain's kernel, converge
-    to rates[w, i] at first order in delta; transitions flipping two or
-    more bits have probability O(delta^2), hence rate O(delta).
+    Single-flip rates T[w, w ^ 2^i] / delta, T the kernel of the chain
+    `discretise(spec, config)`, converge to rates[w, i] at first order in
+    delta; transitions flipping two or more bits have probability
+    O(delta^2), hence rate O(delta).
 
-    Both are read off the kernel's per-site probabilities, never the dense
-    matrix.  Bit i of w stays with probability `stay[w, i]` and flips with
-    `flip[w, i]`, and T[w, y] is the product of one of them per site.  The
-    largest entry flipping two or more sites flips some pair j < k, so it
-    is at most the product with flip at j and k and the larger factor at
-    every other site; that product is itself an entry, since a rounded
-    product of nonnegative floats never falls when a factor grows.
-    `kernel` (the chain's) and `rates` (the spin system's table) are left
-    as they are.
+    Both are read off the chain's per-site probabilities, a row block of
+    states at a time, never a kernel.  Bit i of w stays with probability
+    `stay[w, i]` and flips with `flip[w, i]`, and T[w, y] is the product
+    of one of them per site.  The largest entry flipping two or more sites
+    flips some pair j < k, so it is at most the product with flip at j and
+    k and the larger factor at every other site; that product is itself an
+    entry, since a rounded product of nonnegative floats never falls when
+    a factor grows.  `rates` (the spin system's table) is left as it is.
     """
-    delta = config.delta
-    on = lattice_bits(spec.n) > 0
-    stay = np.where(on, kernel.q, 1.0 - kernel.q)
-    flip = np.where(on, 1.0 - kernel.q, kernel.q)
-    single = 0.0
-    for i in range(spec.n):
-        flips = _site_products(stay, flip, (i,)) / delta
-        single = max(single, float(np.max(np.abs(flips - rates[:, i]))))
-    larger = np.maximum(stay, flip)
-    multi = 0.0
-    for pair in itertools.combinations(range(spec.n), 2):
-        multi = max(multi, float(np.max(_site_products(larger, flip, pair))))
+    delta, n = config.delta, spec.n
+    chain = discretise(spec, config)
+    pairs = list(itertools.combinations(range(n), 2))
+    single = multi = 0.0
+    for rows, bits in lattice_blocks(n, n):
+        q = lattice_transitions(chain, bits)
+        on = bits > 0
+        stay = np.where(on, q, 1.0 - q)
+        flip = np.where(on, 1.0 - q, q)
+        for i in range(n):
+            flips = _site_products(stay, flip, (i,)) / delta
+            single = max(single, float(np.max(np.abs(flips - rates[rows, i]))))
+        larger = np.maximum(stay, flip)
+        for pair in pairs:
+            multi = max(multi, float(np.max(_site_products(larger, flip, pair))))
     return single, multi / delta
 
 
@@ -214,8 +218,8 @@ def convergence_table(spec: SpinSpec, x0: int, t: float,
     rows = []
     for config, chain in zip(configs, chains):
         delta = config.delta
+        single, multi = rate_defect(spec, config, rates)
         kernel = exact.kernel(chain)
-        single, multi = rate_defect(spec, config, kernel, rates)
         rows.append((delta, "single-flip-rate-error", single))
         rows.append((delta, "multi-flip-rate", multi))
         rows.append((delta, "law-distance",

@@ -11,13 +11,14 @@ kernel is a product over sites, and the kernel splits exactly into two
 half-site factor tables, `T[w, y] = low[w, y_low] * high[w, y_high]`.  A
 single law is pushed forward by the one loop in `propagate`, through
 those two tables (2 * 4^n flops, reading 2 * 2^n * 2^(n/2) entries) in
-row blocks, so a push makes no third table-sized array.  The
-kernel also keeps the (2^n, n) table of per-site probabilities both tables
-come from, which is all the rate defect of `occupancy.bridge` reads.  Only
-the path scan of `occupancy.order`, which pushes stacks of laws one matrix
-product per block, expands the dense 2^n x 2^n matrix, `Kernel.dense`.  A
-spin generator is its (2^n, n) rate table, `spin_generator`: spin laws take
-matrix-free uniformised steps, in O(n 2^n), and no spin array is dense.
+row blocks, so a push makes no third table-sized array.  The kernel holds
+the two tables only: the per-site probabilities they come from are read
+a row block at a time, by `model.lattice_transitions`, where a route
+needs them.  Only the path scan of `occupancy.order`, which pushes stacks
+of laws one matrix product per block, expands the dense 2^n x 2^n matrix,
+`Kernel.dense`.  A spin generator is its (2^n, n) rate table,
+`spin_generator`: spin laws take matrix-free uniformised steps, in
+O(n 2^n), and no spin array is dense.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BLOCK_ENTRIES, check_bytes, lattice_bits, shown, state_bits
-from .model import ModelSpec, SpinSpec, transition_values
+from .lattice import BLOCK_ENTRIES, check_bytes, lattice_blocks, shown, state_bits
+from .model import ModelSpec, SpinSpec, lattice_transitions
 
 DIST_ATOL = 1e-12
 # Poisson mass left out of every uniformised mixture
@@ -55,26 +56,20 @@ def as_distribution(values: np.ndarray) -> np.ndarray:
 
 
 def _expand(table: np.ndarray, q: np.ndarray, width: int) -> np.ndarray:
-    """Expand `table`'s first `width` columns over the sites of `q`'s columns, in place.
+    """Expand `table`'s first `width` rows over the sites of `q`'s columns, in place.
 
-    Once the sites before column i of `q` are expanded, column y < width
-    holds the product of their factors for the bits of y; site i splits it
-    into column y (times 1 - q_i) and column y + width (times q_i), and the
-    width doubles.  No full-size temporary is made.
+    Column r of `table` belongs to the state of row r of `q`.  Once the
+    sites before column i of `q` are expanded, row y < width holds the
+    product of their factors for the bits of y; site i splits it into row
+    y (times 1 - q_i) and row y + width (times q_i), and the width doubles.
+    Rows are contiguous, and no full-size temporary is made.
     """
     for i in range(q.shape[1]):
-        qi = q[:, i:i + 1]
-        np.multiply(table[:, :width], qi, out=table[:, width:2 * width])
-        table[:, :width] *= 1.0 - qi
+        qi = q[:, i]
+        np.multiply(table[:width], qi, out=table[width:2 * width])
+        table[:width] *= 1.0 - qi
         width *= 2
     return table
-
-
-def _factor_table(q: np.ndarray) -> np.ndarray:
-    """(2^n, 2^k) products of the k sites' factors in `q`'s columns: row w, column y."""
-    table = np.empty((q.shape[0], 1 << q.shape[1]))
-    table[:, 0] = 1.0
-    return _expand(table, q, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,17 +78,17 @@ class Kernel:
 
     `low[w, y_low]` is the product of the factors of sites 0..h-1 and
     `high[w, y_high]` that of sites h..n-1, h = n // 2, so the kernel is
-    `T[w, y] = low[w, y & (2^h - 1)] * high[w, y >> h]`.  `q[w, i]` is the
-    chance that bit i is on after one step from w, the factor both tables
-    are expanded from: entry T[w, y] is the product, in site order, of
-    q[w, i] where bit i of y is set and 1 - q[w, i] where it is not.  A push
-    makes no third array of the tables' size: it contracts them in row
-    blocks of `lattice.BLOCK_ENTRIES` entries.
+    `T[w, y] = low[w, y & (2^h - 1)] * high[w, y >> h]`.  With q[w, i] the
+    chance that bit i is on after one step from w, entry T[w, y] is the
+    product, in site order, of q[w, i] where bit i of y is set and
+    1 - q[w, i] where it is not.  The kernel holds the two tables and
+    nothing else; q is read a row block at a time, where it is needed.  A
+    push makes no third array of the tables' size: it contracts them in
+    row blocks of `lattice.BLOCK_ENTRIES` entries.
     """
 
     low: np.ndarray
     high: np.ndarray
-    q: np.ndarray
 
     def push(self, v: np.ndarray) -> np.ndarray:
         """The law v T, summed over blocks of states; never the dense matrix.
@@ -111,45 +106,80 @@ class Kernel:
             out += high[block].T @ (v[block, None] * low[block])
         return out.ravel()
 
-    def dense(self) -> np.ndarray:
-        """The dense 2^n x 2^n kernel, by the factor expansion continued from `low`."""
+    def dense(self, spec: ModelSpec) -> np.ndarray:
+        """The dense 2^n x 2^n kernel of `spec`, the chain this kernel was built for.
+
+        `low` is expanded over the sites of `high`, whose probabilities are
+        read again from `spec` a row block at a time.
+        """
         size, width = self.low.shape
         check_bytes(8 * size * size, f"a dense {size} x {size} kernel")
         T = np.empty((size, size))
-        T[:, :width] = self.low
-        return _expand(T, self.q[:, self.q.shape[1] // 2:], width)
+        for rows, bits in lattice_blocks(spec.n, size):
+            block = np.empty((size, bits.shape[0]))
+            block[:width] = self.low[rows].T
+            q = lattice_transitions(spec, bits)[:, spec.n // 2:]
+            T[rows] = _expand(block, q, width).T
+        return T
 
 
 def kernel_bytes(n: int) -> int:
-    """Bytes a kernel holds at its peak, built or pushing a law; see `Kernel`.
+    """Bytes a kernel holds at its peak: its two tables, one row block and four laws.
 
-    A build holds the lattice bits, the (2^n, 2n) bank table, three (2^n, n)
-    temporaries and two bank row blocks; a push the lattice bits, `q`, both
-    tables, four laws and one row block of `Kernel.push` with numpy's buffer.
+    A build's row block holds, per state, its rows of both tables in the
+    expansion's layout, the bank's terms (2n families times n coordinates)
+    and eight (rows, n) arrays: the bits, the bank values, the per-site
+    probabilities and their temporaries.  A push holds four
+    laws and one block of `Kernel.push` with numpy's buffer; the marginals
+    of a law, less: one block of bits beside two laws.
     """
     law, half = 8 << n, n // 2
-    low = law << half
+    low, high = law << half, law << n - half
+    width = _build_width(n)
+    rows = min(1 << n, max(1, BLOCK_ENTRIES // width))
+    build = 8 * rows * (width + n * n + 8 * n)
     block = min(8 * BLOCK_ENTRIES, low)
-    bank = 6 * n * law + 16 * min(BLOCK_ENTRIES, (2 * n * n) << n)
-    push = (2 * n + 4) * law + low + (law << n - half) + block + 8 * min(np.getbufsize(), block // 8)
-    return max(bank, push)
+    push = 4 * law + block + 8 * min(np.getbufsize(), block // 8)
+    return low + high + max(build, push)
 
 
 def kernel(spec: ModelSpec) -> Kernel:
     """The chain's kernel; bits update conditionally independently.
 
-    Both tables come from one evaluation of the per-site probabilities,
-    once `kernel_bytes` is checked, so every single-law route reaches n = 17.
+    Both tables are filled a row block of states at a time: the block's
+    per-site probabilities, read once, are expanded into its rows of each,
+    after `kernel_bytes` is checked, so every single-law route reaches n = 17.
     """
-    check_bytes(kernel_bytes(spec.n), f"n = {spec.n}: the kernel's tables")
-    q = transition_values(spec, lattice_bits(spec.n))
-    half = spec.n // 2
-    return Kernel(_factor_table(q[:, :half]), _factor_table(q[:, half:]), q)
+    n, half = spec.n, spec.n // 2
+    check_bytes(kernel_bytes(n), f"n = {n}: the kernel's tables")
+    low, high = np.empty((1 << n, 1 << half)), np.empty((1 << n, 1 << n - half))
+    for rows, bits in lattice_blocks(n, _build_width(n)):
+        q = lattice_transitions(spec, bits)
+        low[rows] = _factor_rows(q[:, :half])
+        high[rows] = _factor_rows(q[:, half:])
+    return Kernel(low, high)
+
+
+def _build_width(n: int) -> int:
+    """Entries a kernel build takes a state, for its row blocks: its rows
+    of both tables and n^2 for the bank's terms, n coordinates a family."""
+    return n * n + (1 << n // 2) + (1 << n - n // 2)
+
+
+def _factor_rows(q: np.ndarray) -> np.ndarray:
+    """(rows, 2^k) products of the k sites' factors in `q`'s columns, per row of `q`.
+
+    They are expanded in the transposed layout, whose rows are contiguous,
+    and returned as its transpose.
+    """
+    block = np.empty((1 << q.shape[1], q.shape[0]))
+    block[0] = 1.0
+    return _expand(block, q, 1).T
 
 
 def transition_matrix(spec: ModelSpec) -> np.ndarray:
-    """Dense one-step kernel, `kernel(spec).dense()`."""
-    return kernel(spec).dense()
+    """Dense one-step kernel, `kernel(spec).dense(spec)`."""
+    return kernel(spec).dense(spec)
 
 
 def _check_word(n: int, x0: int):
@@ -199,7 +229,13 @@ def marginals(dist: np.ndarray) -> np.ndarray:
     n = int(math.log2(dist.size))
     if 1 << n != dist.size:
         raise ValueError("distribution length must be a power of two")
-    return lattice_bits(n).T @ dist
+    # summed a row block of bits at a time: one block up to n = 12
+    blocks = lattice_blocks(n, n)
+    rows, bits = next(blocks)
+    out = bits.T @ dist[rows]
+    for rows, bits in blocks:
+        out += bits.T @ dist[rows]
+    return out
 
 
 def law_trajectory(spec: ModelSpec, x0: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,10 +364,10 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
 
 
 def spin_bytes(n: int) -> int:
-    """Bytes the spin engine holds at its peak: five (2^n, n) tables and eight laws.
+    """Bytes the spin engine is counted to hold at its peak: five (2^n, n) tables and eight laws.
 
-    Building the rate table holds the lattice bits, the birth and death
-    values and two products; a law steps next to three tables.
+    A law steps next to the rate table and its shares; the rate table is
+    built a row block at a time, so the count is above what is held.
     """
     return (8 * (5 * n + 8)) << n
 
@@ -342,8 +378,12 @@ def spin_generator(spec: SpinSpec) -> np.ndarray:
     A spin system flips one bit at a time (birth if empty, death if
     occupied), so these n rates per state are the whole generator.
     """
-    check_bytes(spin_bytes(spec.n), f"n = {spec.n}: the spin rate tables")
-    return transition_values(spec, lattice_bits(spec.n))
+    n = spec.n
+    check_bytes(spin_bytes(n), f"n = {n}: the spin rate tables")
+    rates = np.empty((1 << n, n))
+    for rows, bits in lattice_blocks(n, 2 * n * n):
+        rates[rows] = lattice_transitions(spec, bits)
+    return rates
 
 
 def poisson_weights(mean: float) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Bit conventions for the lattice {0,1}^n and the one capacity rule, `check_bytes`.
 
 States are integer words with site i stored in bit i (LSB), so word 0 is
-the empty configuration and word 2^n - 1 is fully occupied.
+the empty configuration and word 2^n - 1 is fully occupied.  No table of
+the whole lattice's bits is kept: routes that sweep the lattice read its
+words' bits a row block at a time (`lattice_blocks`).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,20 +47,33 @@ def check_bytes(nbytes: int | float, what: str):
                             f"of {DENSE_BYTES_BUDGET} bytes")
 
 
-@lru_cache(maxsize=32)
-def lattice_bits(n: int) -> np.ndarray:
-    """(2^n, n) array of state bits as floats; row w is the word w."""
-    # the int64 bits and their float copy are held at once while building
-    check_bytes(2 * n * (8 << n), f"n = {n}: the lattice table")
-    bits = word_bits(0, 1 << n, n)
-    bits.setflags(write=False)
+def lattice_blocks(n: int, width: int):
+    """Yield (rows, bits) over the 2^n state words in row blocks, in word order.
+
+    `rows` is a slice of words and `bits` their (rows, n) bits, as
+    `word_bits` gives them; a block holds at most BLOCK_ENTRIES // width
+    words (at least one), for work that takes `width` entries a word.
+    Every block's bits are written into one buffer, so a block's `bits`
+    hold only until the next block is asked for.
+    """
+    size = 1 << n
+    step = min(size, max(1, BLOCK_ENTRIES // max(1, width)))
+    buffer = np.empty((step, n))
+    for start in range(0, size, step):
+        stop = min(start + step, size)
+        yield slice(start, stop), word_bits(start, stop, n, buffer[:stop - start])
+
+
+def word_bits(start: int, stop: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(stop - start, n) array of the bits of state words start..stop-1, as floats.
+
+    Unpacked from the words' little-endian bytes, into `out` when given,
+    so no integer table of the block's size is made beside one of bytes.
+    """
+    words = np.arange(start, stop, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    bits = np.empty((words.shape[0], n)) if out is None else out
+    bits[...] = np.unpackbits(words, axis=1, count=n, bitorder="little")
     return bits
-
-
-def word_bits(start: int, stop: int, n: int) -> np.ndarray:
-    """(stop - start, n) array of the bits of state words start..stop-1, as floats."""
-    words = np.arange(start, stop, dtype=np.int64)[:, None]
-    return ((words >> np.arange(n)) & 1).astype(float)
 
 
 def state_bits(word: int, n: int) -> np.ndarray:

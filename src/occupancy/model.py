@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import BLOCK_ENTRIES, check_bytes, lattice_bits, shown
+from .lattice import BLOCK_ENTRIES, check_bytes, lattice_blocks, shown, word_bits
 from .streams import assumption_uniforms
 
 VARIANTS = (
@@ -46,9 +46,7 @@ VARIANTS = (
 ROLES = ("probability", "rate")
 
 # exhaustive lattice scans are restricted to cubes of this dimension.  Their
-# margins take O(n 2^n) per site, but the lattice table folds each
-# tabulated-multilinear family's whole table at every point, O(n 4^n), and
-# no work budget bounds either yet
+# margins take O(n 2^n) per site, and no work budget bounds them yet
 LATTICE_SCAN_CAP = 10
 # all-pairs lattice midpoint scans grow as 4^n; keep them small
 LATTICE_PAIR_CAP = 6
@@ -370,6 +368,33 @@ class _VariantGroup:
         m2 = dot ** 2
         return m2 / (m2 + self.y2)
 
+    def _entries(self, xt: np.ndarray) -> np.ndarray:
+        """(families, rows) raw values at an (n, rows) block of lattice points, as `_raw` folds them.
+
+        Each table's pinned coordinates are folded, in coordinate order as
+        `_raw` folds them, into a table of its free coordinates, which the
+        points' bits then index.  At a 0/1 coordinate the fold
+        `a (1 - w) + b w` picks one half exactly, but for the sign of a
+        zero: it adds the other half times 0, so its value is the entry plus
+        0.0, which is -0.0 only where every entry of the table is -0.0.
+        """
+        raw = np.empty((len(self.tables), xt.shape[1]))
+        for j, (table, pins) in enumerate(zip(self.tables, self.pins)):
+            cur, free = table, []
+            for i in range(self.n):
+                if i not in pins:
+                    free.append(i)
+                    continue
+                # the free coordinates before i are the low bits of cur's index
+                pair = cur.reshape(-1, 2, 1 << len(free))
+                folded = pair[:, 0] * (1.0 - pins[i])
+                folded += pair[:, 1] * pins[i]
+                cur = folded.reshape(-1)
+            # the bits of the free coordinates sum exactly to the index
+            index = (2.0 ** np.arange(len(free)) @ xt[free]).astype(np.intp)
+            np.add(cur[index], -0.0 if np.signbit(table).all() else 0.0, out=raw[j])
+        return raw
+
     def _finish(self, raw: np.ndarray) -> np.ndarray:
         """offset + scale * raw, clamped where the role asks; in place."""
         raw *= self.scale
@@ -378,10 +403,16 @@ class _VariantGroup:
             np.clip(raw, *self.clamp, out=raw)
         return raw
 
-    def fill(self, xt: np.ndarray, out: np.ndarray):
-        """Write the group's columns of the (B, families) `out` for an (n, B) batch."""
+    def fill(self, xt: np.ndarray, out: np.ndarray, lattice: bool):
+        """Write the group's columns of the (B, families) `out` for an (n, B) batch.
+
+        At a `lattice` batch, whose points are 0/1, tables are read by entry.
+        """
         if self.variant == "constant":
             out[:, self.cols] = self.value
+            return
+        if lattice and self.variant == "tabulated-multilinear":
+            out[:, self.cols] = self._finish(self._entries(xt)).T
             return
         # row blocks bound every temporary, whatever the batch
         rows = max(1, BLOCK_ENTRIES // self.width)
@@ -417,13 +448,24 @@ class SiteBank:
 
     def values(self, points) -> np.ndarray:
         """(B, families) values at a (B, n) batch of cube points."""
+        return self._values(points, False)
+
+    def lattice_values(self, bits) -> np.ndarray:
+        """`values` at a (B, n) batch of lattice points, bit for bit.
+
+        The points are state words' 0/1 bits, so a tabulated family reads
+        its entries in O(1) a point, where `values` folds its whole table.
+        """
+        return self._values(bits, True)
+
+    def _values(self, points, lattice: bool) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise DimensionError(f"expected points of shape (B, {self.n}), got {pts.shape}")
         xt = pts.T
         out = np.empty((pts.shape[0], self.size))
         for group in self.groups:
-            group.fill(xt, out)
+            group.fill(xt, out, lattice)
         return out
 
 
@@ -490,8 +532,9 @@ def site_values(spec, points) -> tuple[np.ndarray, np.ndarray]:
 
     Column i holds site i's colonisation and survival probabilities for a
     ModelSpec, its birth and death rates for a SpinSpec, read off the
-    spec's bank.  Every per-site evaluation goes through here but the
-    hypothesis scans' point and pair batches, which read one bank per role.
+    spec's bank.  Every per-site evaluation at interior points goes
+    through here but the hypothesis scans' point and pair batches, which
+    read one bank per role; lattice points go through `lattice_transitions`.
     """
     out = spec.bank.values(points)
     return out[:, :spec.n], out[:, spec.n:]
@@ -507,6 +550,21 @@ def transition_values(spec, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     up, down = site_values(spec, pts)
     return up * (1.0 - pts) + down * pts
+
+
+def lattice_transitions(spec, bits) -> np.ndarray:
+    """`transition_values` at a (B, n) batch of lattice points, bit for bit.
+
+    The points are the 0/1 bits of state words, at which the bank reads
+    tabulated families by entry (`SiteBank.lattice_values`).  Every table
+    of per-site values on the lattice comes from here, a row block of
+    `lattice.lattice_blocks` at a time: the exact kernel, its dense
+    expansion, the rate defect, the spin rate table and the Monte Carlo
+    thresholds, which also read it at the states past their table's cap.
+    """
+    pts = np.asarray(bits, dtype=float)
+    out = spec.bank.lattice_values(pts)
+    return out[:, :spec.n] * (1.0 - pts) + out[:, spec.n:] * pts
 
 
 # -- JSON documents ---------------------------------------------------------
@@ -1089,8 +1147,15 @@ class _Scans:
 
     @cached_property
     def lattice(self) -> dict[str, np.ndarray]:
-        """Every target's (2^n, n) values at the lattice points, from one bank table."""
-        up, down = site_values(self.spec, lattice_bits(self.spec.n))
+        """Every target's (2^n, n) values at the lattice points, from one bank table.
+
+        The table is filled a row block at a time, tables read by entry.
+        """
+        n = self.spec.n
+        table = np.empty((1 << n, 2 * n))
+        for rows, bits in lattice_blocks(n, 2 * n * n):
+            table[rows] = self.spec.bank.lattice_values(bits)
+        up, down = table[:, :n], table[:, n:]
         # each role's map gives its half of the table, whatever it is asked
         return {target: f(None)
                 for target, f in _targets(self.spec, lambda _: up, lambda _: down).items()}
@@ -1119,7 +1184,8 @@ class _Scans:
         if n <= LATTICE_SCAN_CAP and (kind not in ("concave", "convex")
                                       or n <= LATTICE_PAIR_CAP):
             by = "lattice"
-            bits, v = lattice_bits(n), self.lattice[target]
+            # the words' bits, for the witnesses and the pair grid
+            bits, v = word_bits(0, 1 << n, n), self.lattice[target]
             if kind == "nonnegative":
                 least, first = _site_minima(lambda s, e: v[s:e], len(v), n)
                 found.append((least, bits[first], None))

@@ -359,14 +359,13 @@ def check_scan(n: int, m: int, budget: int = 4):
     check_bytes(exact.kernel_bytes(n) + max(indep.vacancy_table_bytes(n, m), scan), what)
 
 
-def _scan(kernel: exact.Kernel, x0: int, m: int, budget: int):
+def _scan(dense: np.ndarray, x0: int, m: int, budget: int):
     """Push every node of the prefix tree; yield (t, nodes, vac) per block.
 
     Blocks of at most BLOCK_LAWS laws go through one product with the
     dense kernel, faster than through its two factor tables.  vac[r, A]
     is P(node r's demands, and all sites of A vacant at step t).
     """
-    dense = kernel.dense()
     size = dense.shape[0]
     n = size.bit_length() - 1
     words = np.arange(size, dtype=np.min_scalar_type(size - 1))
@@ -436,7 +435,7 @@ def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
     single = np.empty((n, 1 << m))
     single[:, full] = 1.0 - at_end[:, 0]
     multi_worst, multi_steps = np.inf, None
-    for t, nodes, vac in _scan(kernel, x0, m, budget):
+    for t, nodes, vac in _scan(kernel.dense(spec), x0, m, budget):
         # nodes whose demands all fall on site i give i's single-site margins
         r, i = np.nonzero((nodes.sites[:, None] | singles) == singles)
         times = nodes.steps[r, i] | 1 << (t - 1)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BLOCK_ENTRIES, check_bytes, shown, state_bits, word_bits
-from .model import ModelSpec, transition_values
+from .lattice import check_bytes, lattice_blocks, shown, state_bits
+from .model import ModelSpec, lattice_transitions
 from .streams import REPLICATE_CHUNK, UniformArray, new_bit_generator
 
 # the per-word threshold table is precomputed up to this dimension
@@ -55,17 +55,16 @@ def _threshold_table(spec: ModelSpec):
     n = spec.n
     if n > _TABLE_CAP:
         return None
-    size, rows = 1 << n, max(1, BLOCK_ENTRIES // (2 * n * n))
-    table = np.empty((size, n), dtype=np.uint64)
-    for start in range(0, size, rows):
-        stop = min(start + rows, size)
-        table[start:stop] = _threshold_words(transition_values(spec, word_bits(start, stop, n)))
+    table = np.empty((1 << n, n), dtype=np.uint64)
+    for rows, bits in lattice_blocks(n, 2 * n * n):
+        table[rows] = _threshold_words(lattice_transitions(spec, bits))
     return table
 
 
 def _thresholds(spec: ModelSpec, states: np.ndarray, table) -> np.ndarray:
     if table is None:
-        return _threshold_words(transition_values(spec, states))
+        # the states are lattice points too
+        return _threshold_words(lattice_transitions(spec, states))
     words = (states @ _WORD_WEIGHTS[:spec.n]).astype(np.int64)
     return table.take(words, axis=0)
 

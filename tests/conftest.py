@@ -6,6 +6,7 @@ import pytest
 
 from occupancy import bridge, exact, indep, meanfield, model, simulate, zoo
 from occupancy.exact import MultiSitePattern, TimePattern
+from occupancy.lattice import word_bits
 from occupancy.meanfield import OdeConfig
 from occupancy.model import VARIANTS, FunctionFamily, ModelSpec, SpinSpec
 from occupancy.streams import (DOMAIN_SIMULATION, REPLICATE_CHUNK, UniformArray,
@@ -36,6 +37,15 @@ def ring3():
 def certified_suite():
     """A handful of certified random models of mixed dimension."""
     return [zoo.random_certified_model(n, seed=100 + n) for n in (2, 3, 4)]
+
+
+def lattice_bits(n: int) -> np.ndarray:
+    """(2^n, n) bits of every state word as floats; row w is the word w.
+
+    The whole lattice as one table, which no route of the package holds:
+    they read it a row block at a time.
+    """
+    return word_bits(0, 1 << n, n)
 
 
 def naive_transition_probability(spec, x: int, y: int) -> float:
@@ -292,7 +302,7 @@ def comparable_lattice_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     # int32 halves the build's peak; 3^n stays below 2^31 up to n = 19
     words = np.arange(1 << n, dtype=np.int32)
-    count = (1 << exact.lattice_bits(n).sum(axis=1).astype(np.int32)) - 1
+    count = (1 << lattice_bits(n).sum(axis=1).astype(np.int32)) - 1
     hi = np.repeat(words, count)
     # runs from 2^c - 2 down to 0 within each word
     rank = (np.repeat(np.cumsum(count, dtype=np.int32), count) - 1
@@ -336,7 +346,7 @@ def per_site_check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
     table = model._OCC_HYPOTHESES if isinstance(spec, ModelSpec) else model._SPIN_HYPOTHESES
     targets = site_targets(spec)
     n = spec.n
-    bits = exact.lattice_bits(n)
+    bits = lattice_bits(n)
 
     def batches(kind, lane):
         """The sampled batch, then the lattice batch if one is scanned."""
@@ -402,7 +412,7 @@ def submask_lattice_pairs(n):
     lo = np.asarray(lo)
     hi = np.asarray(hi)
     keep = lo != hi
-    bits = exact.lattice_bits(n)
+    bits = lattice_bits(n)
     return bits[lo[keep]], bits[hi[keep]]
 
 
@@ -413,7 +423,7 @@ def where_transition_matrix(spec):
     site factors in place; both multiply the factors in site order, so
     they agree bit for bit.  The site factors come one family at a time.
     """
-    col_bits = exact.lattice_bits(spec.n)
+    col_bits = lattice_bits(spec.n)
     c, s = family_site_values(spec, col_bits)
     q = np.where(col_bits > 0, s, c)
     size = 1 << spec.n
@@ -422,6 +432,58 @@ def where_transition_matrix(spec):
         qi = q[:, i][:, None]
         T *= np.where(col_bits[None, :, i] > 0, qi, 1.0 - qi)
     return T
+
+
+def factor_table(q):
+    """(2^n, 2^k) products of the k sites' factors in `q`'s columns, row w, column y.
+
+    Expanded column by column over the whole table at once, as the
+    kernel's tables were before they were built in row blocks; the
+    factors are multiplied in the same order, so the two agree bit for bit.
+    """
+    table = np.empty((q.shape[0], 1 << q.shape[1]))
+    table[:, 0] = 1.0
+    width = 1
+    for i in range(q.shape[1]):
+        qi = q[:, i:i + 1]
+        np.multiply(table[:, :width], qi, out=table[:, width:2 * width])
+        table[:, :width] *= 1.0 - qi
+        width *= 2
+    return table
+
+
+def signed_zero_model(n, seed, spin=False):
+    """A model of all five variants pinned at 0, 1 and inside, with signed zeros.
+
+    Site i's families are pinned at the first none to three of the
+    coordinates i, i + 1 and i + 2 (mod n), to 0, 1 and 0.37, later pins
+    overriding earlier ones.  Tabulated families hold -0.0 entries, one of
+    them only -0.0 entries, and the families take a -0.0 offset: the cases
+    where reading a table's entry and folding it could differ in the sign
+    of a zero.
+    """
+    rng = np.random.default_rng(seed)
+    role = "rate" if spin else "probability"
+
+    def family(i, k):
+        variant = VARIANTS[(i + k) % len(VARIANTS)]
+        table = rng.random(1 << n)
+        table[rng.random(1 << n) < 0.3] = -0.0
+        params = {"constant": {"c": float(rng.random())},
+                  "affine-saturated": {"a": float(rng.random()), "b": list(rng.random(n) / n)},
+                  "product-form": {"beta": list(rng.random(n))},
+                  "hanski-incidence": {"b": list(rng.random(n)), "y": 0.5},
+                  "tabulated-multilinear": {"table": list(table) if k else [-0.0] * (1 << n)},
+                  }[variant]
+        pins = ((i % n, 0.0), ((i + 1) % n, 1.0), ((i + 2) % n, 0.37))[:(i + k) % 4]
+        return FunctionFamily(variant=variant, n=n, params=params, role=role,
+                              offset=-0.0, scale=float(0.5 + rng.random()), pins=pins)
+
+    up = tuple(family(i, 0) for i in range(n))
+    down = tuple(family(i, 1) for i in range(n))
+    if spin:
+        return SpinSpec(n=n, birth=up, death=down)
+    return ModelSpec(n=n, colonisation=up, survival=down)
 
 
 def one_product_push(kernel, v):

@@ -126,7 +126,7 @@ def test_criterion_5_discretisation_bridge():
         for d in deltas:
             config = DiscretisationConfig(d)
             kernel = exact.kernel(bridge.discretise(ring, config))
-            single, _ = bridge.rate_defect(ring, config, kernel, rates)
+            single, _ = bridge.rate_defect(ring, config, rates)
             singles.append(single)
             tvs.append(bridge.law_distance(ring, config, 1, 1.0, kernel, truth))
             gaps.append(bridge.euler_gap(ring, p0, 1.0, config, reference_end))

@@ -13,7 +13,7 @@ from occupancy.bridge import (ConvergenceTable, DiscretisationConfig,
 from occupancy.meanfield import OdeConfig
 from occupancy.model import check_assumptions
 
-from conftest import hamming_rate_defect, random_spin_model
+from conftest import hamming_rate_defect, lattice_bits, random_spin_model
 
 DELTAS = bridge.DEFAULT_DELTAS
 
@@ -57,7 +57,7 @@ def test_inadmissible_delta_rejected():
 def test_discretised_lattice_values(ring3):
     delta = 0.125
     chain = discretise(ring3, DiscretisationConfig(delta))
-    bits = exact.lattice_bits(3)
+    bits = lattice_bits(3)
     for i in range(3):
         lam = ring3.birth[i].eval_batch(bits)
         mu = ring3.death[i].eval_batch(bits)
@@ -81,7 +81,7 @@ def test_single_site_rate_defect_is_exact():
     rates = exact.spin_generator(spec)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
-        single, multi = rate_defect(spec, config, chain_kernel(spec, config), rates)
+        single, multi = rate_defect(spec, config, rates)
         assert single <= 1e-14 and multi == 0.0
 
 
@@ -90,7 +90,7 @@ def test_rate_defect_first_order(ring3):
     rates = exact.spin_generator(ring3)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
-        single, multi = rate_defect(ring3, config, chain_kernel(ring3, config), rates)
+        single, multi = rate_defect(ring3, config, rates)
         singles.append(single)
         multis.append(multi)
         assert multi <= 3.0 * delta  # multi-flip mass is O(delta)
@@ -105,8 +105,7 @@ def test_rate_defect_matches_hamming_masks(n):
         spec = random_spin_model(n, seed=300 * n + seed)
         for share in (0.5, 1.0):
             config = DiscretisationConfig(share * admissibility_bound(spec))
-            got = rate_defect(spec, config, chain_kernel(spec, config),
-                              exact.spin_generator(spec))
+            got = rate_defect(spec, config, exact.spin_generator(spec))
             assert got == hamming_rate_defect(spec, config)
 
 
@@ -115,19 +114,20 @@ def test_rate_defect_matches_hamming_masks_on_the_ring():
     rates = exact.spin_generator(ring)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
-        got = rate_defect(ring, config, chain_kernel(ring, config), rates)
+        got = rate_defect(ring, config, rates)
         assert got == hamming_rate_defect(ring, config)
 
 
 def test_rate_defect_never_holds_the_dense_kernel():
-    # it reads the kernel's (2^n, n) site probabilities: at n = 10 its peak
-    # is a few such tables, far below one dense 2^10 x 2^10 array (8 MB)
+    # it reads the chain's (2^n, n) site probabilities a row block at a
+    # time: at n = 10 its peak is a few such tables, far below one dense
+    # 2^10 x 2^10 array (8 MB)
     ring = zoo.contact_ring(10)
     config = DiscretisationConfig(DELTAS[0])
-    kernel, rates = chain_kernel(ring, config), exact.spin_generator(ring)
+    rates = exact.spin_generator(ring)
     tracemalloc.start()
     try:
-        rate_defect(ring, config, kernel, rates)
+        rate_defect(ring, config, rates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -140,9 +140,9 @@ def test_shared_kernel_and_generator_are_left_unchanged(ring3):
     rates = exact.spin_generator(ring3)
     kept = kernel.low.copy(), kernel.high.copy(), rates.copy()
     # every metric of one delta runs on the same two arrays, in any order
-    first = rate_defect(ring3, config, kernel, rates)
+    first = rate_defect(ring3, config, rates)
     law = subordinated_law(ring3, config, 1, 0.5, kernel)
-    assert rate_defect(ring3, config, kernel, rates) == first
+    assert rate_defect(ring3, config, rates) == first
     assert np.array_equal(subordinated_law(ring3, config, 1, 0.5, kernel), law)
     assert all(np.array_equal(a, b)
                for a, b in zip((kernel.low, kernel.high, rates), kept))
@@ -241,8 +241,7 @@ def test_convergence_table_rows_equal_standalone_metrics():
     for delta in deltas:
         # every shared object built afresh for each metric call
         config = DiscretisationConfig(delta)
-        single, multi = rate_defect(spec, config, chain_kernel(spec, config),
-                                    exact.spin_generator(spec))
+        single, multi = rate_defect(spec, config, exact.spin_generator(spec))
         tv = law_distance(spec, config, x0, t, chain_kernel(spec, config),
                           exact.spin_law(exact.spin_generator(spec), x0, t))
         gap = euler_gap(spec, p0, t, config, reference_end(spec, p0, t))

@@ -625,7 +625,6 @@ def test_thm2_counts_its_tables_and_widest_segment_first(model_dir, capsys, monk
         with monkeypatch.context() as patch:
             patch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
             order.check_spin_marginal_bound(3, [2.0 * k for k in range(6)], 0.01)
-        lattice.lattice_bits(3)
         monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", counted[0] - 1)
     for module, name in ((exact, "spin_generator"), (exact, "point_mass"),
                          (cli, "check_assumptions")):
@@ -689,13 +688,13 @@ def test_each_kernel_is_built_once(model_dir, capsys, monkeypatch, argv, builds)
 def test_dense_kernel_is_expanded_only_where_read(model_dir, capsys, monkeypatch, argv,
                                                   expansions):
     # single laws step through the two factor tables and the rate defect
-    # reads the kernel's site probabilities; only the thm3 scan expands
+    # reads the chain's site probabilities; only the thm3 scan expands
     # the dense matrix
     calls = []
 
-    def counted(self, dense=exact.Kernel.dense):
+    def counted(self, spec, dense=exact.Kernel.dense):
         calls.append(self)
-        return dense(self)
+        return dense(self, spec)
 
     monkeypatch.setattr(exact.Kernel, "dense", counted)
     argv = [str(model_dir / a) if a.endswith(".json") else a for a in argv]
@@ -720,8 +719,7 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv)
     # a budget one byte below the route's own first count: the default
     # grid of 11 points on thm2, the path scan on thm3, a kernel and the
     # rate tables on the other spin routes, a kernel on the rest; one
-    # sample, and the shared lattice table built before the budget drops,
-    # so no other array is rejected first
+    # sample, so no other array is rejected first
     n = load_model(model_dir / model).n
     if "thm2" in argv:
         budget, what = 320 * 11, "11 grid points needs"
@@ -738,7 +736,6 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv)
                 f"trajectory needs")
     else:
         budget, what = exact.kernel_bytes(n), f"n = {n}: the kernel's tables needs"
-    lattice.lattice_bits(n)
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget - 1)
     allocated = []
     for module, name in ((exact, "point_mass"), (indep, "vacancy_tables")):
@@ -850,8 +847,8 @@ def test_single_law_routes_reach_n_15(tmp_path, capsys, argv):
 def test_kernel_rule_rejects_n_18_before_any_table(tmp_path, capsys, monkeypatch):
     save_model(zoo.random_certified_model(18, seed=0), tmp_path / "m18.json")
     calls = []
-    monkeypatch.setattr(exact, "lattice_bits", calls.append)
-    monkeypatch.setattr(exact, "transition_values", calls.append)
+    monkeypatch.setattr(exact, "lattice_blocks", calls.append)
+    monkeypatch.setattr(exact, "lattice_transitions", calls.append)
     code = run_cli("run", "--model", tmp_path / "m18.json", "--mode", "exact", "--t", "2")
     captured = capsys.readouterr()
     assert code == cli.EXIT_CAPACITY

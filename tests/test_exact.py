@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from occupancy import bridge, exact, lattice, order, zoo
 from occupancy.exact import (MultiSitePattern, TimePattern,
-                             as_distribution, lattice_bits,
+                             as_distribution,
                              marginal_trajectory, marginals, path_probability,
                              poisson_mixture, poisson_weights, spin_generator,
                              spin_law, state_bits, transition_matrix,
@@ -19,17 +19,29 @@ from occupancy.meanfield import OdeConfig
 from occupancy.model import VARIANTS, transition_values
 
 from conftest import (dense_spin_generator, dense_spin_law,
-                      enumerate_event_probability, naive_event_probability,
+                      enumerate_event_probability, lattice_bits, naive_event_probability,
                       naive_transition_probability, one_product_push, random_model,
                       random_spin_model, uniformised, where_transition_matrix)
 
 
 def test_bit_conventions():
     assert np.array_equal(state_bits(5, 3), [1.0, 0.0, 1.0])
-    assert np.array_equal(lattice_bits(2),
+    assert np.array_equal(lattice.word_bits(0, 4, 2),
                           [[0, 0], [1, 0], [0, 1], [1, 1]])
     with pytest.raises(ValueError):
         state_bits(8, 3)
+
+
+@pytest.mark.parametrize("n, width", [(1, 1), (3, 1 << 20), (10, 12), (13, 13)])
+def test_lattice_blocks_cover_the_words_in_order(n, width):
+    # each block's bits are those of its words, and no block passes
+    # BLOCK_ENTRIES // width words unless one word already does
+    seen = []
+    for rows, bits in lattice.lattice_blocks(n, width):
+        assert rows.stop - rows.start <= max(1, lattice.BLOCK_ENTRIES // width)
+        assert np.array_equal(bits, lattice.word_bits(rows.start, rows.stop, n))
+        seen += range(rows.start, rows.stop)
+    assert seen == list(range(1 << n))
 
 
 def test_single_site_rows(single_site):
@@ -72,7 +84,7 @@ def test_push_matches_the_dense_kernel(n):
                                   bridge.DiscretisationConfig(0.25 / n))
         for spec in (random_model(n, seed=3000 * n + seed), chain):
             K = exact.kernel(spec)
-            T = K.dense()
+            T = K.dense(spec)
             assert np.array_equal(T, where_transition_matrix(spec))
             point = np.zeros(1 << n)
             point[rng.integers(1 << n)] = 1.0
@@ -121,8 +133,7 @@ def test_a_push_holds_one_row_block():
 
 
 def traced_peak(run) -> int:
-    """Peak traced bytes of run(), the lattice table built inside it."""
-    lattice.lattice_bits.cache_clear()
+    """Peak traced bytes of run()."""
     tracemalloc.start()
     try:
         run()
@@ -140,6 +151,28 @@ def test_single_laws_never_hold_the_dense_kernel():
     count = exact.kernel_bytes(10) + 8 * 21 * 10
     assert count / 2 <= peak <= count
     assert peak < 8 * 4 ** 10
+
+
+def test_law_trajectory_pushes_beside_the_two_tables_only(monkeypatch):
+    # at n = 12, what law_trajectory holds at each push beyond the kernel's
+    # two factor tables is its laws and its table of marginals: no (2^n, n)
+    # array of per-site probabilities or of lattice bits
+    n, steps = 12, 5
+    spec = zoo.random_certified_model(n, 0)
+    held = []
+
+    def push(self, v, push=exact.Kernel.push):
+        held.append(tracemalloc.get_traced_memory()[0] - self.low.nbytes - self.high.nbytes)
+        return push(self, v)
+
+    monkeypatch.setattr(exact.Kernel, "push", push)
+    tracemalloc.start()
+    try:
+        exact.law_trajectory(spec, 0, steps)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == steps
+    assert max(held) < (8 * n) << n
 
 
 def test_empty_state_absorbing_without_colonisation():
@@ -182,7 +215,7 @@ def test_law_trajectory_is_one_propagation(interacting):
 def test_given_kernel_is_used_and_kept(interacting):
     spec = random_model(3, seed=7)
     K = exact.kernel(spec)
-    before = K.low.copy(), K.high.copy(), K.q.copy()
+    before = K.low.copy(), K.high.copy()
     # the kernel one run shares gives what a fresh kernel gives, and is kept
     assert np.array_equal(exact.distribution(spec, 5, 4, K),
                           exact.law_trajectory(spec, 5, 4)[1])
@@ -192,12 +225,13 @@ def test_given_kernel_is_used_and_kept(interacting):
     single = TimePattern(site=1, omega=(1, 0, 0))
     assert (path_probability(spec, 2, single, K)
             == path_probability(spec, 2, single, exact.kernel(spec)))
-    assert np.array_equal(K.dense(), transition_matrix(spec))
-    assert all(np.array_equal(a, b) for a, b in zip((K.low, K.high, K.q), before))
+    assert np.array_equal(K.dense(spec), transition_matrix(spec))
+    assert all(np.array_equal(a, b) for a, b in zip((K.low, K.high), before))
     # a kernel handed in is used as it is, never rebuilt from the spec: the
     # chain that keeps every bit has the identity kernel
-    identity = exact.kernel(zoo.constant_pair(n=3, c=0.0, s=1.0))
-    assert np.array_equal(identity.dense(), np.eye(8))
+    keep = zoo.constant_pair(n=3, c=0.0, s=1.0)
+    identity = exact.kernel(keep)
+    assert np.array_equal(identity.dense(keep), np.eye(8))
     assert exact.distribution(spec, 0, 1, identity)[0] == 1.0
 
 
@@ -323,20 +357,18 @@ def test_state_cap():
 
 def test_capacity_rule_cost_function():
     # the rule is checked through its cost function; nothing large is allocated.
-    # Past n = 10 a push holds most: the lattice bits and q, four laws, the
-    # two factor tables and one row block with numpy's buffer
+    # Past n = 13 a push holds most beside the two factor tables: four laws
+    # and one row block with numpy's buffer
     law = 8 << 16
     block = 8 * lattice.BLOCK_ENTRIES
-    assert exact.kernel_bytes(16) == ((2 * 16 + 4) * law + 256 * law + 256 * law
+    assert exact.kernel_bytes(16) == (4 * law + 256 * law + 256 * law
                                       + block + 8 * np.getbufsize())
     budget = lattice.DENSE_BYTES_BUDGET
     biggest = max(n for n in range(40) if exact.kernel_bytes(n) <= budget)
     assert biggest == 17
-    for n in (biggest + 1, 30, 64):
+    for n in (biggest + 1, 30, 60, 64):
         with pytest.raises(CapacityError, match=f"^n = {n}: the kernel's tables needs .* budget"):
             exact.kernel(zoo.constant_pair(n=n))
-    with pytest.raises(CapacityError):
-        lattice.lattice_bits(60)
 
 
 def test_capacity_rule_guards_dense_builders():
@@ -385,7 +417,7 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
              lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625))),
             (exact.kernel_bytes(6), "n = 6: the kernel's tables", lambda: exact.kernel(chain)),
             # only the path scan expands the dense kernel
-            (8 * 4 ** 6, "a dense 64 x 64 kernel", kernel.dense)):
+            (8 * 4 ** 6, "a dense 64 x 64 kernel", lambda: kernel.dense(chain))):
         monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget)
         run()
         monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget - 1)
@@ -413,14 +445,16 @@ def test_bridge_counts_a_kernel_and_the_spin_tables(monkeypatch):
 
 
 def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
-    # the int64 bits and their float copy: one table's bytes are not enough
+    # the kernel's lattice tables are built a row block at a time: the two
+    # tables' bytes alone are not enough, with the row block they are
     n = 5
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", n * (8 << n))
-    lattice.lattice_bits.cache_clear()
-    with pytest.raises(CapacityError, match="n = 5: the lattice table"):
-        lattice.lattice_bits(n)
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", 2 * n * (8 << n))
-    assert lattice.lattice_bits(n).shape == (1 << n, n)
+    spec = zoo.constant_pair(n=n)
+    law = 8 << n
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", (law << n // 2) + (law << n - n // 2))
+    with pytest.raises(CapacityError, match="n = 5: the kernel's tables"):
+        exact.kernel(spec)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", exact.kernel_bytes(n))
+    assert exact.kernel(spec).low.shape == (1 << n, 1 << n // 2)
 
 
 def test_zero_step_runs_keep_the_kernel_limit(monkeypatch):

@@ -6,6 +6,7 @@ exported in `occupancy.__all__`, or be named in the benchmark tracer's
 `FUNCTIONS`.  Helpers that only tests or scripts run belong in `tests/` or
 `scripts/`.  `zoo` is exempt: the benchmark, the tests and the docs read
 its models.  Sources are read as text; nothing is imported from the bench.
+No module keeps a process-wide `functools` cache.
 """
 
 import ast
@@ -61,3 +62,19 @@ def test_every_top_level_name_in_src_has_a_product_user():
             if everywhere[name] == _references(node)[name]:
                 unused.append(f"{module}.{name}")
     assert unused == [], f"defined in src/ but used only outside it: {unused}"
+
+
+def test_no_process_wide_cache_in_src():
+    # a functools cache keeps what it returns for the life of the process,
+    # outside every route's byte count; per-object caches are allowed
+    banned = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.stem}: from functools import {alias.name}"
+                          for alias in node.names if alias.name in banned]
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.stem}: functools.{node.attr}")
+    assert found == [], f"process-wide caches in src/: {found}"

@@ -10,17 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occupancy import indep, model, zoo
-from occupancy.lattice import lattice_bits
+from occupancy import exact, indep, model, simulate, zoo
 from occupancy.model import (BOUND_HYPOTHESES, VARIANTS, DimensionError, FunctionFamily,
                              ModelError, ModelSpec, ORDERING_HYPOTHESES,
                              SPIN_BOUND_HYPOTHESES, SpinSpec, check_assumptions,
                              load_model, model_from_dict, model_to_dict,
                              save_model, site_values, transition_values)
 
-from conftest import (comparable_lattice_pairs, family_formula, hypothesis_margin,
-                      per_site_check_assumptions, random_model, random_spin_model,
-                      scan_check_assumptions, site_targets, submask_lattice_pairs)
+from conftest import (comparable_lattice_pairs, factor_table, family_formula,
+                      hypothesis_margin, lattice_bits, per_site_check_assumptions, random_model,
+                      random_spin_model, scan_check_assumptions, signed_zero_model, site_targets,
+                      submask_lattice_pairs)
 
 
 def aff(n, a, b, **kw):
@@ -118,6 +118,50 @@ def test_lattice_evaluation_memory(spec):
         tracemalloc.stop()
     assert out.shape == (1 << spec.n, spec.n)
     assert peak <= 12 * out.nbytes
+
+
+def same_bits(a, b) -> bool:
+    """Equal float arrays to the bit, telling -0.0 from 0.0."""
+    a, b = np.ascontiguousarray(a, float), np.ascontiguousarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_lattice_route_reads_the_fold_bit_for_bit(n):
+    # every lattice table reads tabulated families by entry and in row
+    # blocks; each equals the fold of `site_values` at the words' bits, to
+    # the sign of a zero.  Past n = 10 one occupancy model, as the fold's
+    # oracle costs O(n 4^n) a tabulated family
+    specs = [random_model(n, 8000 + n)]
+    if n <= 10:
+        specs += [random_spin_model(n, 8200 + n), signed_zero_model(n, 8100 + n),
+                  signed_zero_model(n, 8300 + n, spin=True)]
+    bits = lattice_bits(n)
+    rng = np.random.default_rng(n)
+    for spec in specs:
+        up, down = site_values(spec, bits)
+        # `transition_values`, from the one fold
+        q = up * (1.0 - bits) + down * bits
+        assert same_bits(model.lattice_transitions(spec, bits), q)
+        if isinstance(spec, ModelSpec):
+            K = exact.kernel(spec)
+            assert same_bits(K.low, factor_table(q[:, :n // 2]))
+            assert same_bits(K.high, factor_table(q[:, n // 2:]))
+            if n <= 8:
+                assert same_bits(K.dense(spec), factor_table(q))
+            words = rng.integers(1 << n, size=50)
+            # the engines' thresholds: the table up to its cap, the states past it
+            want = simulate._threshold_words(q[words].copy())
+            assert np.array_equal(simulate._thresholds(spec, bits[words], None), want)
+            table = simulate._threshold_table(spec)
+            if n <= simulate._TABLE_CAP:
+                assert np.array_equal(table, simulate._threshold_words(q.copy()))
+        else:
+            assert same_bits(exact.spin_generator(spec), q)
+        if n <= model.LATTICE_SCAN_CAP:
+            lattice = model._Scans(spec, 1, 1e-9, 0).lattice
+            for target, f in model._targets(spec, lambda _: up, lambda _: down).items():
+                assert same_bits(lattice[target], f(None))
 
 
 # an n = 10 model whose findings read `lattice` and `sampled`: its

@@ -305,7 +305,7 @@ def test_prefix_tree_sizes(n, nodes):
 def _scan_depths(spec, x0, m, budget, kernel=None):
     """The scan's output gathered by depth: t -> (nodes, vacancy rows)."""
     blocks = {}
-    for t, nodes, vac in order._scan(kernel or exact.kernel(spec), x0, m, budget):
+    for t, nodes, vac in order._scan((kernel or exact.kernel(spec)).dense(spec), x0, m, budget):
         blocks.setdefault(t, []).append((nodes, vac))
     return {t: (order._Nodes(*map(np.concatenate, zip(*(nodes for nodes, _ in parts)))),
                 np.concatenate([vac for _, vac in parts]))
