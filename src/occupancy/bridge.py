@@ -21,8 +21,8 @@ chain's `exact.Kernel`; the spin generator as its rate table
 `convergence_table` builds each once: a kernel per delta, the rest once
 per table.  No metric forms the dense 2^n x 2^n matrix: the rate defect
 reads the chain's per-site probabilities a row block at a time, and the
-subordinated law's Poisson mixture pushes through the kernel's two factor
-tables.
+subordinated law's Poisson mixture, thinned to the chain's moves, pushes
+through the kernel's two factor tables.
 """
 
 from __future__ import annotations
@@ -148,13 +148,28 @@ def subordinated_law(spec: SpinSpec, config: DiscretisationConfig, x0: int,
                      t: float, kernel: exact.Kernel) -> np.ndarray:
     """Law of the chain run for a Poisson(t/delta) number of steps.
 
-    Each step is `kernel.push`, through the chain's two factor tables.
+    Most of those steps stay put, so the chain is thinned to its moves:
+    with e = `kernel.largest_exit()` and P = I + (T - I)/e, which is
+    stochastic, sum_k Pois(k; t/delta) v T^k = sum_k Pois(k; e t/delta) v P^k,
+    both being v exp((t/delta)(T - I)).  A step of P is one `kernel.push`
+    through the chain's two factor tables, and the mixture takes about
+    t * (largest exit rate) of them whatever delta is.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     v0 = exact.point_mass(spec.n, x0)
-    return exact.as_distribution(
-        exact.poisson_mixture(kernel.push, v0, t / config.delta))
+    e = kernel.largest_exit()
+    if e == 0.0:
+        return v0
+
+    def step(v):
+        out = kernel.push(v)
+        out -= v
+        out /= e
+        out += v
+        return out
+
+    return exact.as_distribution(exact.poisson_mixture(step, v0, e * t / config.delta))
 
 
 def law_distance(spec: SpinSpec, config: DiscretisationConfig, x0: int, t: float,
@@ -197,16 +212,33 @@ class ConvergenceTable:
         return buf.getvalue()
 
 
+def convergence_bytes(n: int, t: float, deltas=DEFAULT_DELTAS) -> float:
+    """Bytes `convergence_table` holds at its peak: the spin rate table and
+    the most that is held beside it at once.
+
+    That is the spin engine's build or law (`exact.spin_bytes`), or, beside
+    the spin law at t: the finest ODE trajectory of times and states (the
+    reference's, or a finer step's Euler path), or one step size's kernel
+    (`exact.kernel_bytes`) with its thinned mixture's sum, the one law a
+    mixture holds beyond the four a push is counted with.  The diagonal
+    read of `Kernel.largest_exit` and the rate defect's row blocks hold
+    less than a push and a kernel's build.
+    """
+    law, table = 8 << n, 8 * n << n
+    trajectory = 8 * (n + 1) * (t / min(REFERENCE_ODE.h, *deltas) + 2.0)
+    return table + max(exact.spin_bytes(n) - table,
+                       law + max(trajectory, exact.kernel_bytes(n) + law))
+
+
 def convergence_table(spec: SpinSpec, x0: int, t: float,
                       deltas=DEFAULT_DELTAS) -> ConvergenceTable:
     """Rate, law, and Euler diagnostics for each step size on the grid.
 
-    Shared objects are built once, as the module notes say.  One kernel,
-    the spin tables and the reference ODE's trajectory of times and states
-    are held at a time; their bytes are checked before any work.
+    Shared objects are built once, as the module notes say; each kernel
+    lives for its law distance only.  What is held is counted by
+    `convergence_bytes` before any work.
     """
-    reference = 8 * (spec.n + 1) * (t / REFERENCE_ODE.h + 2.0)
-    check_bytes(exact.kernel_bytes(spec.n) + exact.spin_bytes(spec.n) + reference,
+    check_bytes(convergence_bytes(spec.n, t, deltas),
                 f"n = {spec.n}, t = {t!r}: a kernel, the spin tables and "
                 f"the reference ODE trajectory")
     configs = [DiscretisationConfig(delta) for delta in deltas]
@@ -214,19 +246,17 @@ def convergence_table(spec: SpinSpec, x0: int, t: float,
     p0 = exact.state_bits(x0, spec.n)
     rates = exact.spin_generator(spec)
     truth = exact.spin_law(rates, x0, t)
-    reference_end = meanfield.integrate_ode(spec, p0, t, REFERENCE_ODE)[1][-1]
+    # a copy of the last state, so the trajectory is freed
+    reference_end = meanfield.integrate_ode(spec, p0, t, REFERENCE_ODE)[1][-1].copy()
     rows = []
     for config, chain in zip(configs, chains):
-        delta = config.delta
         single, multi = rate_defect(spec, config, rates)
-        kernel = exact.kernel(chain)
-        rows.append((delta, "single-flip-rate-error", single))
-        rows.append((delta, "multi-flip-rate", multi))
-        rows.append((delta, "law-distance",
-                     law_distance(spec, config, x0, t, kernel, truth)))
-        rows.append((delta, "euler-gap", euler_gap(spec, p0, t, config, reference_end)))
-        # freed before the next step size's kernel is built
-        del kernel
+        distance = law_distance(spec, config, x0, t, exact.kernel(chain), truth)
+        rows += [(config.delta, "single-flip-rate-error", single),
+                 (config.delta, "multi-flip-rate", multi),
+                 (config.delta, "law-distance", distance),
+                 (config.delta, "euler-gap",
+                  euler_gap(spec, p0, t, config, reference_end))]
     return ConvergenceTable(rows=tuple(rows))
 
 

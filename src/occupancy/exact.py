@@ -106,6 +106,23 @@ class Kernel:
             out += high[block].T @ (v[block, None] * low[block])
         return out.ravel()
 
+    def largest_exit(self) -> float:
+        """The largest chance of leaving a state in one step, max_w (1 - T[w, w]).
+
+        With w = w_high 2^h + w_low, T[w, w] = low[w, w_low] * high[w, w_high]:
+        both factors are diagonals of the tables viewed as 3-d arrays, read
+        without a copy, and multiplied a row block of `BLOCK_ENTRIES` states
+        at a time.
+        """
+        width = self.low.shape[1]
+        lows = np.diagonal(self.low.reshape(-1, width, width), axis1=1, axis2=2)
+        highs = np.diagonal(self.high.reshape(-1, width, self.high.shape[1]),
+                            axis1=0, axis2=2).T
+        rows = max(1, BLOCK_ENTRIES // width)
+        stay = min(float(np.min(lows[start:start + rows] * highs[start:start + rows]))
+                   for start in range(0, lows.shape[0], rows))
+        return 1.0 - stay
+
     def dense(self, spec: ModelSpec) -> np.ndarray:
         """The dense 2^n x 2^n kernel of `spec`, the chain this kernel was built for.
 
@@ -363,13 +380,30 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
 # -- spin systems ------------------------------------------------------------
 
 
-def spin_bytes(n: int) -> int:
-    """Bytes the spin engine is counted to hold at its peak: five (2^n, n) tables and eight laws.
+# bytes numpy allocates within one call beside the arrays it returns (the
+# unpacking of a block's words takes 5.4 KB, a ufunc's iterator 1.5 KB), and
+# the Poisson weights of a law at a contact ring's rates; read with tracemalloc
+CALL_BYTES = 8 << 10
 
-    A law steps next to the rate table and its shares; the rate table is
-    built a row block at a time, so the count is above what is held.
+
+def spin_bytes(n: int) -> int:
+    """Bytes the spin engine holds at its peak: the rate table, and the
+    larger of its build's row block and `spin_law_from`'s shares and laws.
+
+    A build's row block holds, per state, the bank's terms (2n families
+    times n coordinates) with numpy's two buffers of them, and eight
+    (rows, n) arrays: the bits, the bank values, the rates and their
+    temporaries.  A law steps beside n + 2 shares (the exit rates, the
+    stay shares and n jump shares) and five laws (the start, the mixture's
+    sum and step, the step's sum and one share's move), with the ufunc
+    buffer of the move's swapped halves.  Weights of larger Poisson means
+    count themselves (`poisson_weights`).
     """
-    return (8 * (5 * n + 8)) << n
+    law = 8 << n
+    rows = min(1 << n, max(1, BLOCK_ENTRIES // max(1, 2 * n * n)))
+    build = 8 * rows * (2 * n * n + 8 * n) + 16 * min(np.getbufsize(), 2 * rows * n * n)
+    step = (n + 7) * law + 8 * min(np.getbufsize(), 1 << n)
+    return n * law + max(build, step) + CALL_BYTES
 
 
 def spin_generator(spec: SpinSpec) -> np.ndarray:
@@ -437,7 +471,9 @@ def spin_law_from(rates: np.ndarray, dist: np.ndarray, t: float) -> np.ndarray:
     if rate <= 0.0 or t == 0:
         return v0.copy()
     stay = 1.0 - total / rate
-    jump = np.divide(rates.T, rate, out=np.empty(rates.shape[::-1]))
+    # copied in row order, then divided in place: no ufunc buffer of the transpose
+    jump = np.ascontiguousarray(rates.T)
+    jump /= rate
 
     def step(v):
         out = v * stay

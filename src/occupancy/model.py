@@ -356,7 +356,8 @@ class _VariantGroup:
         if self.pinned is not None:
             terms[self.pinned] = self.pinned_terms
         if self.variant == "product-form":
-            return 1.0 - np.multiply.reduce(1.0 - terms, axis=0)
+            # the complements overwrite the terms: no second array of them
+            return 1.0 - np.multiply.reduce(np.subtract(1.0, terms, out=terms), axis=0)
         if terms.size > self.n:
             dot = np.add.reduce(terms, axis=0)
         else:

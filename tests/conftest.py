@@ -229,6 +229,17 @@ def dense_spin_law(spec, x0: int, t: float):
     return exact.as_distribution(exact.poisson_mixture(lambda v: v @ P, v0, rate * t))
 
 
+def dense_subordinated_law(spec, config, x0: int, t: float):
+    """bridge.subordinated_law by powers of the dense kernel, one per lazy step too.
+
+    The chain's law after a Poisson(t / delta) number of steps, every one of
+    them a product with the dense kernel T, with no thinning to the moves.
+    """
+    T = exact.transition_matrix(bridge.discretise(spec, config))
+    v0 = exact.point_mass(spec.n, x0)
+    return exact.as_distribution(exact.poisson_mixture(lambda v: v @ T, v0, t / config.delta))
+
+
 def family_site_values(spec, points):
     """(up, down) of model.site_values, one family at a time."""
     up, down = ((spec.colonisation, spec.survival) if isinstance(spec, ModelSpec)
@@ -421,11 +432,13 @@ def where_transition_matrix(spec):
 
     An independent route to exact.transition_matrix, which expands the
     site factors in place; both multiply the factors in site order, so
-    they agree bit for bit.  The site factors come one family at a time.
+    they agree bit for bit, signed zeros included.  The site factors come
+    one family at a time, and q is `c (1 - x) + s x`, as
+    `model.transition_values` forms it.
     """
     col_bits = lattice_bits(spec.n)
     c, s = family_site_values(spec, col_bits)
-    q = np.where(col_bits > 0, s, c)
+    q = c * (1.0 - col_bits) + s * col_bits
     size = 1 << spec.n
     T = np.ones((size, size))
     for i in range(spec.n):

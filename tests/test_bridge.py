@@ -13,7 +13,8 @@ from occupancy.bridge import (ConvergenceTable, DiscretisationConfig,
 from occupancy.meanfield import OdeConfig
 from occupancy.model import check_assumptions
 
-from conftest import hamming_rate_defect, lattice_bits, random_spin_model
+from conftest import (dense_subordinated_law, hamming_rate_defect, lattice_bits,
+                      random_spin_model)
 
 DELTAS = bridge.DEFAULT_DELTAS
 
@@ -152,6 +153,75 @@ def test_subordinated_law_at_zero_time(ring3):
     config = DiscretisationConfig(0.0625)
     law = subordinated_law(ring3, config, 5, 0.0, chain_kernel(ring3, config))
     assert law[5] == 1.0
+
+
+def counted_pushes(monkeypatch) -> list:
+    """A list that gains one entry per `Kernel.push` from here on."""
+    calls = []
+    push = exact.Kernel.push
+
+    def counted(self, v):
+        calls.append(self)
+        return push(self, v)
+
+    monkeypatch.setattr(exact.Kernel, "push", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_subordinated_law_matches_the_dense_mixture(n):
+    # random spin systems over all five variants with pins, at half the
+    # admissibility bound and at the bound itself, where some stay or flip
+    # factors are 0: the mixture thinned to the moves is the mixture of
+    # every step through the dense kernel
+    for seed in range(3):
+        spec = random_spin_model(n, seed=700 * n + seed)
+        x0 = (5 * seed) % (1 << n)
+        for share in (0.5, 1.0):
+            config = DiscretisationConfig(share * admissibility_bound(spec))
+            kernel = chain_kernel(spec, config)
+            for t in (0.4, 1.3):
+                law = subordinated_law(spec, config, x0, t, kernel)
+                oracle = dense_subordinated_law(spec, config, x0, t)
+                assert np.max(np.abs(law - oracle)) <= 1e-11
+
+
+def test_two_state_subordinated_law_matches_the_dense_mixture():
+    spec = zoo.two_state_spin(0.5, 1.0)
+    for delta in (admissibility_bound(spec),) + DELTAS:
+        config = DiscretisationConfig(delta)
+        kernel = chain_kernel(spec, config)
+        for x0 in (0, 1):
+            law = subordinated_law(spec, config, x0, 1.0, kernel)
+            assert np.max(np.abs(law - dense_subordinated_law(spec, config, x0, 1.0))) <= 1e-11
+
+
+def test_frozen_chain_and_zero_time_push_nothing(ring3, monkeypatch):
+    # with every rate 0 no state is ever left (e = 0), and at t = 0 the
+    # mixture is its first term: both are the point mass, with no push
+    calls = counted_pushes(monkeypatch)
+    frozen = zoo.contact_ring(3, beta=0.0, mu=0.0)
+    config = DiscretisationConfig(0.25)
+    still = chain_kernel(frozen, config)
+    assert still.largest_exit() == 0.0
+    for spec, kernel, t in ((frozen, still, 2.0),
+                            (ring3, chain_kernel(ring3, config), 0.0)):
+        law = subordinated_law(spec, config, 5, t, kernel)
+        assert np.array_equal(law, exact.point_mass(3, 5))
+        assert np.array_equal(law, dense_subordinated_law(spec, config, 5, t))
+    assert calls == []
+
+
+def test_the_mixture_pushes_the_moves_only(monkeypatch):
+    # a push per Poisson(e t / delta) term, e the largest exit probability:
+    # about t times the largest exit rate at every step size, where a push
+    # per Poisson(t / delta) term, every lazy step too, takes 849 here
+    ring = zoo.contact_ring(10)
+    means = [chain_kernel(ring, DiscretisationConfig(d)).largest_exit() / d for d in DELTAS]
+    calls = counted_pushes(monkeypatch)
+    convergence_table(ring, 1, 1.0)
+    assert len(calls) == sum(exact.poisson_weights(mean).size - 1 for mean in means)
+    assert len(calls) <= 200
 
 
 def test_single_site_subordination_is_exact():

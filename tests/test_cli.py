@@ -430,7 +430,7 @@ def test_reference_ode_is_counted_before_the_spin_law(model_dir, capsys, monkeyp
 @pytest.mark.parametrize("argv, line", [
     (["bridge", "--t", "100000"],
      "error: n = 3, t = 100000.0: a kernel, the spin tables and the reference ODE "
-     "trajectory needs 3200004992 bytes, over the dense budget of 2147483648 bytes\n"),
+     "trajectory needs 3200000320 bytes, over the dense budget of 2147483648 bytes\n"),
     (["run", "--mode", "meanfield", "--t", "1e9"],
      "error: t = 1000000000.0, h = 0.001: a trajectory of times and states needs "
      "32000000000064 bytes, over the dense budget of 2147483648 bytes\n"),
@@ -730,8 +730,7 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv)
             order.check_scan(n, int(argv[argv.index("--m") + 1]))
         budget, what = max(counted), "the path scan needs"
     elif model == "ring.json":
-        budget = (exact.kernel_bytes(n) + exact.spin_bytes(n)
-                  + 8 * (n + 1) * (0.5 / bridge.REFERENCE_ODE.h + 2.0))
+        budget = bridge.convergence_bytes(n, 0.5)
         what = (f"n = {n}, t = 0.5: a kernel, the spin tables and the reference ODE "
                 f"trajectory needs")
     else:

@@ -21,7 +21,8 @@ from occupancy.model import VARIANTS, transition_values
 from conftest import (dense_spin_generator, dense_spin_law,
                       enumerate_event_probability, lattice_bits, naive_event_probability,
                       naive_transition_probability, one_product_push, random_model,
-                      random_spin_model, uniformised, where_transition_matrix)
+                      random_spin_model, signed_zero_model, uniformised,
+                      where_transition_matrix)
 
 
 def test_bit_conventions():
@@ -64,10 +65,14 @@ def test_transition_matrix_matches_naive_product(interacting, broken):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_kernel_build_matches_per_site_factors(n):
     # random models over all five variants with pins and clamped offsets,
-    # and discretised spin systems whose survival has a negative scale
+    # models with -0.0 entries and offsets, and discretised spin systems
+    # whose survival has a negative scale; signed zeros must agree too
     for seed in range(3):
-        spec = random_model(n, seed=1000 * n + seed)
-        assert np.array_equal(transition_matrix(spec), where_transition_matrix(spec))
+        for spec in (random_model(n, seed=1000 * n + seed),
+                     signed_zero_model(n, seed=5000 * n + seed)):
+            T, oracle = transition_matrix(spec), where_transition_matrix(spec)
+            assert np.array_equal(T, oracle)
+            assert np.array_equal(np.signbit(T), np.signbit(oracle))
         chain = bridge.discretise(random_spin_model(n, seed=2000 * n + seed),
                                   bridge.DiscretisationConfig(0.25 / n))
         assert any(fam.scale < 0 for fam in chain.survival)
@@ -90,6 +95,26 @@ def test_push_matches_the_dense_kernel(n):
             point[rng.integers(1 << n)] = 1.0
             for law in (rng.dirichlet(np.ones(1 << n)), point):
                 assert np.max(np.abs(K.push(law) - law @ T)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_largest_exit_reads_the_diagonal(n, monkeypatch):
+    # the largest 1 - T[w, w], against the dense kernel's diagonal, and in
+    # row blocks of one or a few states as in one block of all of them
+    for seed in range(3):
+        for spec in (random_model(n, seed=6000 * n + seed),
+                     bridge.discretise(random_spin_model(n, seed=6100 * n + seed),
+                                       bridge.DiscretisationConfig(0.25 / n))):
+            K = exact.kernel(spec)
+            e = K.largest_exit()
+            assert abs(e - np.max(1.0 - np.diag(K.dense(spec)))) <= 1e-15
+            words, half = np.arange(1 << n), n // 2
+            stay = K.low[words, words & ((1 << half) - 1)] * K.high[words, words >> half]
+            assert e == 1.0 - np.min(stay)
+            with monkeypatch.context() as patch:
+                for entries in (1, 4, 3 << half):
+                    patch.setattr(exact, "BLOCK_ENTRIES", entries)
+                    assert K.largest_exit() == e
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 11, 12, 13])
@@ -385,7 +410,10 @@ def test_capacity_rule_guards_dense_builders():
 def test_capacity_rule_guards_the_spin_tables():
     # the spin engine holds (2^n, n) tables, never a dense array: it stops
     # where its own byte count does, far past the kernel's limit
-    assert exact.spin_bytes(3) == 8 * (5 * 3 + 8) * 8
+    # the rate table, one build row block of all 8 states (the bank's terms
+    # and their two buffers, and eight (8, 3) arrays) and numpy's call bytes
+    assert exact.spin_bytes(3) == (8 * 3 * 8 + 8 * 8 * (2 * 9 + 8 * 3) + 16 * 2 * 8 * 9
+                                   + exact.CALL_BYTES)
     budget = lattice.DENSE_BYTES_BUDGET
     n = max(n for n in range(64) if exact.spin_bytes(n) <= budget) + 1
     assert exact.kernel_bytes(n - 1) > budget
@@ -396,6 +424,20 @@ def test_capacity_rule_guards_the_spin_tables():
     with pytest.raises(CapacityError, match=f"^n = {n}, t = 1.0 over 1 grid points, "
                                             f"h = 0.001: the spin tables and a grid segment"):
         order.spin_marginal_bound(ring, 0, [1.0])
+
+
+@pytest.mark.parametrize("n", [4, 10, 12])
+def test_spin_bytes_counts_what_the_spin_engine_holds(n):
+    # the rate table's build and one law from it: the count covers every
+    # model, and is neither short nor loose by more than half where every
+    # family takes the product form, whose bank holds the most
+    count = exact.spin_bytes(n)
+    x0 = (1 << n) - 3
+    heaviest = random_spin_model(n, 100 + n, ("product-form",))
+    peaks = [traced_peak(lambda: spin_law(spin_generator(spec), x0, 0.5))
+             for spec in (heaviest, zoo.contact_ring(n), random_spin_model(n, n),
+                          signed_zero_model(n, n, spin=True))]
+    assert count / 2 <= peaks[0] and max(peaks) <= count
 
 
 def test_capacity_rule_counts_every_array_held(monkeypatch):
@@ -410,9 +452,9 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
              "n = 6, t = 1.0 over 2 grid points, h = 0.1: the spin tables and "
              "a grid segment's ODE trajectory",
              lambda: order.spin_marginal_bound(ring, 0, [0.5, 1.0], config=OdeConfig(h=0.1))),
-            # the bridge holds one kernel at a time, its rate defect no copy of
-            # it, and the reference ODE's trajectory of 502 times and states
-            (exact.kernel_bytes(6) + exact.spin_bytes(6) + 8 * 7 * 502,
+            # the bridge holds one kernel at a time and its rate defect no
+            # copy of it; here the spin table's build holds the most
+            (bridge.convergence_bytes(6, 0.5, (0.125, 0.0625)),
              "n = 6, t = 0.5: a kernel, the spin tables and the reference ODE trajectory",
              lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625))),
             (exact.kernel_bytes(6), "n = 6: the kernel's tables", lambda: exact.kernel(chain)),
@@ -427,21 +469,24 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
 
 def test_bridge_counts_a_kernel_and_the_spin_tables(monkeypatch):
     # so thm4 and the bridge reach n = 17 under the default budget
-    def both(n):
-        return exact.kernel_bytes(n) + exact.spin_bytes(n)
-
-    assert max(n for n in range(40) if both(n) <= lattice.DENSE_BYTES_BUDGET) == 17
+    assert max(n for n in range(40)
+               if bridge.convergence_bytes(n, 0.5) <= lattice.DENSE_BYTES_BUDGET) == 17
     # the count is neither short nor loose by more than half; at n = 11 the
     # kernel's tables pass its bank, so a second kernel would not fit
     for n in (8, 11):
         ring = zoo.contact_ring(n)
+        count = bridge.convergence_bytes(n, 0.5, (0.125, 0.0625))
         peak = traced_peak(lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625)))
-        assert both(n) / 2 <= peak <= both(n)
+        assert count / 2 <= peak <= count
     counted = []
     monkeypatch.setattr(bridge, "check_bytes", lambda nbytes, what: counted.append(nbytes))
     bridge.convergence_table(zoo.contact_ring(2), 0, 0.5, deltas=(0.125,))
-    # with the reference ODE's 502 times and states
-    assert counted == [both(2) + 8 * 3 * 502]
+    # the rate table, then the larger of the spin engine's peak and, beside
+    # the spin law, a kernel with its mixture's sum or the reference ODE's
+    # 502 times and states
+    law, table = 8 << 2, 8 * 2 << 2
+    assert counted == [table + max(exact.spin_bytes(2) - table,
+                                   law + max(8 * 3 * 502, exact.kernel_bytes(2) + law))]
 
 
 def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
