@@ -216,13 +216,12 @@ def convergence_bytes(n: int, t: float, deltas=DEFAULT_DELTAS) -> float:
     """Bytes `convergence_table` holds at its peak: the spin rate table and
     the most that is held beside it at once.
 
-    That is the spin engine's build or law (`exact.spin_bytes`), or, beside
-    the spin law at t: the finest ODE trajectory of times and states (the
+    That is the spin engine's law (`exact.spin_bytes`), or, beside the
+    spin law at t: the finest ODE trajectory of times and states (the
     reference's, or a finer step's Euler path), or one step size's kernel
     (`exact.kernel_bytes`) with its thinned mixture's sum, the one law a
     mixture holds beyond the four a push is counted with.  The diagonal
-    read of `Kernel.largest_exit` and the rate defect's row blocks hold
-    less than a push and a kernel's build.
+    read of `Kernel.largest_exit` and the rate defect go by row blocks.
     """
     law, table = 8 << n, 8 * n << n
     trajectory = 8 * (n + 1) * (t / min(REFERENCE_ODE.h, *deltas) + 2.0)

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import bridge, exact, meanfield, order, simulate
-from .lattice import CapacityError, check_bytes, shown
+from .lattice import CapacityError
 from .meanfield import OdeConfig
 from .model import (BOUND_HYPOTHESES, ModelError, ModelSpec, SpinSpec,
                     SPIN_BOUND_HYPOTHESES, SPIN_ORDERING_HYPOTHESES,
@@ -191,10 +191,9 @@ def _cmd_verify(args) -> int:
         if args.grid_points < 2:
             raise _CliError(f"--grid-points must be >= 2, got {args.grid_points}", EXIT_USAGE)
         config = OdeConfig(h=args.h)
-        # per point: two floats, four list slots and their JSON text
-        check_bytes(320 * args.grid_points, f"{shown(args.grid_points)} grid points")
+        order.check_spin_marginal_bound(spec.n, float(t), args.grid_points,
+                                        t / (args.grid_points - 1), config.h)
         grid = [k * t / (args.grid_points - 1) for k in range(args.grid_points)]
-        order.check_spin_marginal_bound(spec.n, grid, config.h)
     elif args.theorem == "thm3":
         # the path scan holds the most; reject it before any table exists
         order.check_scan(spec.n, args.m)

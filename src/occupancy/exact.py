@@ -141,23 +141,14 @@ class Kernel:
 
 
 def kernel_bytes(n: int) -> int:
-    """Bytes a kernel holds at its peak: its two tables, one row block and four laws.
+    """Bytes a kernel holds at its peak: its two tables and four laws.
 
-    A build's row block holds, per state, its rows of both tables in the
-    expansion's layout, the bank's terms (2n families times n coordinates)
-    and eight (rows, n) arrays: the bits, the bank values, the per-site
-    probabilities and their temporaries.  A push holds four
-    laws and one block of `Kernel.push` with numpy's buffer; the marginals
-    of a law, less: one block of bits beside two laws.
+    A push holds four laws beside the tables; its row block, a build's
+    row block and the bits the marginals of a law read, a block at a
+    time, are bounded by `lattice.BLOCK_ENTRIES` and not counted here.
     """
     law, half = 8 << n, n // 2
-    low, high = law << half, law << n - half
-    width = _build_width(n)
-    rows = min(1 << n, max(1, BLOCK_ENTRIES // width))
-    build = 8 * rows * (width + n * n + 8 * n)
-    block = min(8 * BLOCK_ENTRIES, low)
-    push = 4 * law + block + 8 * min(np.getbufsize(), block // 8)
-    return low + high + max(build, push)
+    return (law << half) + (law << n - half) + 4 * law
 
 
 def kernel(spec: ModelSpec) -> Kernel:
@@ -170,17 +161,12 @@ def kernel(spec: ModelSpec) -> Kernel:
     n, half = spec.n, spec.n // 2
     check_bytes(kernel_bytes(n), f"n = {n}: the kernel's tables")
     low, high = np.empty((1 << n, 1 << half)), np.empty((1 << n, 1 << n - half))
-    for rows, bits in lattice_blocks(n, _build_width(n)):
+    # a state takes its rows of both tables and n^2 bank terms, n coordinates a family
+    for rows, bits in lattice_blocks(n, n * n + low.shape[1] + high.shape[1]):
         q = lattice_transitions(spec, bits)
         low[rows] = _factor_rows(q[:, :half])
         high[rows] = _factor_rows(q[:, half:])
     return Kernel(low, high)
-
-
-def _build_width(n: int) -> int:
-    """Entries a kernel build takes a state, for its row blocks: its rows
-    of both tables and n^2 for the bank's terms, n coordinates a family."""
-    return n * n + (1 << n // 2) + (1 << n - n // 2)
 
 
 def _factor_rows(q: np.ndarray) -> np.ndarray:
@@ -380,30 +366,16 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
 # -- spin systems ------------------------------------------------------------
 
 
-# bytes numpy allocates within one call beside the arrays it returns (the
-# unpacking of a block's words takes 5.4 KB, a ufunc's iterator 1.5 KB), and
-# the Poisson weights of a law at a contact ring's rates; read with tracemalloc
-CALL_BYTES = 8 << 10
-
-
 def spin_bytes(n: int) -> int:
-    """Bytes the spin engine holds at its peak: the rate table, and the
-    larger of its build's row block and `spin_law_from`'s shares and laws.
+    """Bytes the spin engine holds at its peak: 2n + 7 laws.
 
-    A build's row block holds, per state, the bank's terms (2n families
-    times n coordinates) with numpy's two buffers of them, and eight
-    (rows, n) arrays: the bits, the bank values, the rates and their
-    temporaries.  A law steps beside n + 2 shares (the exit rates, the
-    stay shares and n jump shares) and five laws (the start, the mixture's
-    sum and step, the step's sum and one share's move), with the ufunc
-    buffer of the move's swapped halves.  Weights of larger Poisson means
-    count themselves (`poisson_weights`).
+    They are the rate table's n, and `spin_law_from`'s n + 2 shares (the
+    exit rates, the stay shares and n jump shares) and five laws (the
+    start, the mixture's sum and step, the step's sum and one share's
+    move).  A build's row block is bounded by `lattice.BLOCK_ENTRIES`;
+    the Poisson weights count themselves (`poisson_weights`).
     """
-    law = 8 << n
-    rows = min(1 << n, max(1, BLOCK_ENTRIES // max(1, 2 * n * n)))
-    build = 8 * rows * (2 * n * n + 8 * n) + 16 * min(np.getbufsize(), 2 * rows * n * n)
-    step = (n + 7) * law + 8 * min(np.getbufsize(), 1 << n)
-    return n * law + max(build, step) + CALL_BYTES
+    return (2 * n + 7) * (8 << n)
 
 
 def spin_generator(spec: SpinSpec) -> np.ndarray:

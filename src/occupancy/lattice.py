@@ -20,6 +20,10 @@ DENSE_BYTES_BUDGET = 2 << 30
 # otherwise make temporaries of 2^n rows times a further dimension
 BLOCK_ENTRIES = 1 << 16
 
+# bytes `check_bytes` allows beside every count, for what a block constant
+# bounds: eight row blocks of BLOCK_ENTRIES floats
+BLOCK_BYTES = 8 * 8 * BLOCK_ENTRIES
+
 
 class CapacityError(RuntimeError):
     """Problem whose arrays would not fit the byte budget."""
@@ -41,7 +45,15 @@ def shown(count: int | float) -> str:
 
 
 def check_bytes(nbytes: int | float, what: str):
-    """Raise CapacityError, before anything is allocated, past the budget."""
+    """Raise CapacityError, before anything is allocated, past the budget.
+
+    `nbytes` lists every array whose size grows with the input (n, steps,
+    samples, replicates, grid points); what a block constant bounds, such
+    as a row block of BLOCK_ENTRIES entries, numpy's ufunc buffers and its
+    bytes within a call, or a lattice table up to `model.LATTICE_SCAN_CAP`
+    sites, is covered by BLOCK_BYTES, which is added here and nowhere else.
+    """
+    nbytes += BLOCK_BYTES
     if nbytes > DENSE_BYTES_BUDGET:
         raise CapacityError(f"{what} needs {shown(nbytes)} bytes, over the dense budget "
                             f"of {DENSE_BYTES_BUDGET} bytes")
@@ -77,6 +89,8 @@ def word_bits(start: int, stop: int, n: int, out: np.ndarray | None = None) -> n
 
 
 def state_bits(word: int, n: int) -> np.ndarray:
+    """(n,) bits of the state word, as floats; read off the int's bytes, at any n."""
     if not 0 <= word < (1 << n):
         raise ValueError(f"state word {word} out of range for n={n}")
-    return ((word >> np.arange(n)) & 1).astype(float)
+    words = np.frombuffer(word.to_bytes(-(-n // 8), "little"), np.uint8)
+    return np.unpackbits(words, count=n, bitorder="little").astype(float)

@@ -128,16 +128,16 @@ def check_marginal_bound(n: int, steps: int):
                 f"{shown(steps)} steps: the marginal bound's tables and per-step report")
 
 
-def check_spin_marginal_bound(n: int, t_grid, h: float):
-    """The capacity rule for `spin_marginal_bound`, before its rate tables exist.
+def check_spin_marginal_bound(n: int, t: float, points: int, widest: float, h: float):
+    """The capacity rule for `spin_marginal_bound`, before its grid or rate tables exist.
 
     It holds the spin engine's tables and laws throughout, and beside them
-    one grid segment's ODE trajectory of times and states at a time; the
-    widest segment's is the largest.
+    one grid segment's ODE trajectory of times and states at a time, the
+    `widest` segment's the largest; per grid point, two floats, four list
+    slots and their JSON text (320 bytes).
     """
-    widest = max(b - a for a, b in zip([0.0, *t_grid], t_grid))
-    check_bytes(exact.spin_bytes(n) + 8 * (n + 1) * (widest / h + 2.0),
-                f"n = {n}, t = {t_grid[-1]!r} over {shown(len(t_grid))} grid points, "
+    check_bytes(exact.spin_bytes(n) + 8 * (n + 1) * (widest / h + 2.0) + 320 * points,
+                f"n = {n}, t = {t!r} over {shown(points)} grid points, "
                 f"h = {h!r}: the spin tables and a grid segment's ODE trajectory")
 
 
@@ -487,7 +487,8 @@ def spin_marginal_bound(spec: SpinSpec, x0: int, t_grid, tol: float = 1e-6,
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(t < 0 for t in t_grid) or sorted(t_grid) != t_grid:
         raise ValueError("t_grid must be nonempty, nondecreasing and nonnegative")
-    check_spin_marginal_bound(spec.n, t_grid, config.h)
+    check_spin_marginal_bound(spec.n, t_grid[-1], len(t_grid),
+                              max(b - a for a, b in zip([0.0, *t_grid], t_grid)), config.h)
     rates = exact.spin_generator(spec)
     p = exact.state_bits(x0, spec.n)
     law = exact.point_mass(spec.n, x0)

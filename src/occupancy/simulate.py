@@ -167,9 +167,13 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
         raise ValueError("steps must be >= 0")
     chunks = -(-reps // REPLICATE_CHUNK)
     # the sum, means and ses, and every chunk's counts, which a pool of
-    # workers may finish before the sum reaches them; one rule for every
-    # worker count, so --workers never decides whether a run is accepted
-    check_bytes(8 * (chunks + 3) * (steps + 1) * spec.n,
+    # workers may finish before the sum reaches them; and per thread six
+    # (REPLICATE_CHUNK, n) arrays of states, words and thresholds, for as
+    # many threads as any worker count starts, so --workers never decides
+    # whether a run is accepted
+    threads = min(chunks, os.cpu_count() or 1)
+    check_bytes(8 * (chunks + 3) * (steps + 1) * spec.n
+                + 6 * threads * 8 * REPLICATE_CHUNK * spec.n,
                 f"{shown(steps)} steps, {shown(reps)} replicates: {shown(chunks + 3)} "
                 f"({shown(steps + 1)}, {spec.n}) count tables")
     ua = UniformArray(seed=seed, n_sites=spec.n)

@@ -382,9 +382,10 @@ def test_verify_marginal_suite(model_dir, capsys):
 
 def test_thm1_report_is_counted_before_the_propagation(model_dir, capsys, monkeypatch):
     # every per-step row and report entry is counted: one byte short of the
-    # count exits 4 before any law exists, the count itself runs
+    # count with the row-block allowance exits 4 before any law exists, the
+    # count itself runs
     steps, n = 50, 2
-    count = (steps + 1) * (24 * n + 8 + order.REPORT_STEP_BYTES)
+    count = (steps + 1) * (24 * n + 8 + order.REPORT_STEP_BYTES) + lattice.BLOCK_BYTES
     argv = ["verify", "--model", model_dir / "pair.json", "--theorem", "thm1",
             "--t", steps, "--samples", "1"]
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", count)
@@ -430,10 +431,10 @@ def test_reference_ode_is_counted_before_the_spin_law(model_dir, capsys, monkeyp
 @pytest.mark.parametrize("argv, line", [
     (["bridge", "--t", "100000"],
      "error: n = 3, t = 100000.0: a kernel, the spin tables and the reference ODE "
-     "trajectory needs 3200000320 bytes, over the dense budget of 2147483648 bytes\n"),
+     "trajectory needs 3204194624 bytes, over the dense budget of 2147483648 bytes\n"),
     (["run", "--mode", "meanfield", "--t", "1e9"],
      "error: t = 1000000000.0, h = 0.001: a trajectory of times and states needs "
-     "32000000000064 bytes, over the dense budget of 2147483648 bytes\n"),
+     "32000004194368 bytes, over the dense budget of 2147483648 bytes\n"),
 ], ids=["bridge", "integrate_ode"])
 def test_float_byte_counts_print_as_integers(model_dir, capsys, argv, line):
     # counts from t / h are floats; they print as the integer above them
@@ -624,8 +625,8 @@ def test_thm2_counts_its_tables_and_widest_segment_first(model_dir, capsys, monk
         counted = []
         with monkeypatch.context() as patch:
             patch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
-            order.check_spin_marginal_bound(3, [2.0 * k for k in range(6)], 0.01)
-        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", counted[0] - 1)
+            order.check_spin_marginal_bound(3, 10.0, 6, 2.0, 0.01)
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", counted[0] + lattice.BLOCK_BYTES - 1)
     for module, name in ((exact, "spin_generator"), (exact, "point_mass"),
                          (cli, "check_assumptions")):
         monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("allocated"))
@@ -716,13 +717,23 @@ def test_dense_kernel_is_expanded_only_where_read(model_dir, capsys, monkeypatch
                      "--samples", "2"]),
 ])
 def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv):
-    # a budget one byte below the route's own first count: the default
-    # grid of 11 points on thm2, the path scan on thm3, a kernel and the
+    # a budget one byte below the route's own first count with the row-block
+    # allowance: the rate tables and the default grid of 11 points on thm2,
+    # the per-step report on thm1, the path scan on thm3, a kernel and the
     # rate tables on the other spin routes, a kernel on the rest; one
     # sample, so no other array is rejected first
     n = load_model(model_dir / model).n
     if "thm2" in argv:
-        budget, what = 320 * 11, "11 grid points needs"
+        counted = []
+        with monkeypatch.context() as patch:
+            patch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
+            order.check_spin_marginal_bound(n, 0.5, 11, 0.05, 1e-3)
+        budget, what = counted[0], "over 11 grid points, h = 0.001: the spin tables"
+    elif "thm1" in argv:
+        # at n = 2 its three steps' report outweighs the kernel's tables
+        budget = 4 * (24 * n + 8 + order.REPORT_STEP_BYTES)
+        what = "3 steps: the marginal bound's tables and per-step report needs"
+        assert budget > exact.kernel_bytes(n)
     elif "thm3" in argv:
         counted = []
         with monkeypatch.context() as patch:
@@ -735,7 +746,7 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv)
                 f"trajectory needs")
     else:
         budget, what = exact.kernel_bytes(n), f"n = {n}: the kernel's tables needs"
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget - 1)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget + lattice.BLOCK_BYTES - 1)
     allocated = []
     for module, name in ((exact, "point_mass"), (indep, "vacancy_tables")):
         monkeypatch.setattr(module, name, lambda *args, name=name: allocated.append(name))
@@ -858,16 +869,39 @@ def test_kernel_rule_rejects_n_18_before_any_table(tmp_path, capsys, monkeypatch
 
 def test_thm2_grid_is_counted_before_it_is_built(model_dir, capsys, monkeypatch):
     # the grid's times and margins, and their JSON text, count against the
-    # budget: a grid past it exits 4 before any point exists
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", 20_000)
+    # budget with the rate tables and laws (13 laws at n = 3) and the ODE's
+    # two times and states: a grid past it exits 4 before any point exists
+    held = 13 * 64 + 8 * 4 * 2 + lattice.BLOCK_BYTES
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", held + 320 * 62)
     argv = ["verify", "--model", model_dir / "ring.json", "--theorem", "thm2", "--t", "0",
             "--samples", "1", "--out", model_dir / "thm2.json"]
     assert run_cli(*argv, "--grid-points", "62") == cli.EXIT_PASS
     capsys.readouterr()
+    assert run_cli(*argv, "--grid-points", "63") == cli.EXIT_CAPACITY
+    capsys.readouterr()
     assert run_cli(*argv, "--grid-points", "100000") == cli.EXIT_CAPACITY
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: 100000 grid points needs 32000000 bytes")
+    assert captured.err.startswith(
+        f"error: n = 3, t = 0.0 over 100000 grid points, h = 0.001: the spin tables and "
+        f"a grid segment's ODE trajectory needs {held + 32_000_000} bytes")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode", ["meanfield", "mc"])
+def test_state_words_past_int64_start_their_runs(tmp_path, capsys, mode):
+    # a 70-site start with bit 63 alone set: its bits are read off the
+    # Python int, where a shift of int64 sites would overflow
+    save_model(zoo.constant_pair(70), tmp_path / "m70.json")
+    out = tmp_path / "rows.csv"
+    code = run_cli("run", "--model", tmp_path / "m70.json", "--mode", mode, "--t", "1",
+                   "--reps", "10", "--x0", "0x8000000000000000", "--out", out)
+    assert code == cli.EXIT_PASS and capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    if mode == "mc":
+        start = [float(mean) for step, _, mean, _ in rows if step == "0"]
+    else:
+        start = [float(value) for value in rows[0][1:]]
+    assert start == [1.0 if site == 63 else 0.0 for site in range(70)]
 
 
 def test_zero_path_length_is_usage_error(model_dir, capsys):

@@ -170,11 +170,12 @@ def traced_peak(run) -> int:
 def test_single_laws_never_hold_the_dense_kernel():
     # law_trajectory steps through the two factor tables, so at n = 10 its
     # peak stays below one dense 2^10 x 2^10 array; kernel_bytes counts it,
-    # neither short nor loose by more than half
+    # neither short by more than the row-block allowance nor loose by more
+    # than half
     spec = zoo.random_certified_model(10, 0)
     peak = traced_peak(lambda: exact.law_trajectory(spec, 0, 20))
     count = exact.kernel_bytes(10) + 8 * 21 * 10
-    assert count / 2 <= peak <= count
+    assert count / 2 <= peak <= count + lattice.BLOCK_BYTES
     assert peak < 8 * 4 ** 10
 
 
@@ -382,13 +383,11 @@ def test_state_cap():
 
 def test_capacity_rule_cost_function():
     # the rule is checked through its cost function; nothing large is allocated.
-    # Past n = 13 a push holds most beside the two factor tables: four laws
-    # and one row block with numpy's buffer
+    # Beside the two factor tables a push holds four laws; its row block is
+    # the allowance's
     law = 8 << 16
-    block = 8 * lattice.BLOCK_ENTRIES
-    assert exact.kernel_bytes(16) == (4 * law + 256 * law + 256 * law
-                                      + block + 8 * np.getbufsize())
-    budget = lattice.DENSE_BYTES_BUDGET
+    assert exact.kernel_bytes(16) == 4 * law + 256 * law + 256 * law
+    budget = lattice.DENSE_BYTES_BUDGET - lattice.BLOCK_BYTES
     biggest = max(n for n in range(40) if exact.kernel_bytes(n) <= budget)
     assert biggest == 17
     for n in (biggest + 1, 30, 60, 64):
@@ -397,7 +396,8 @@ def test_capacity_rule_cost_function():
 
 
 def test_capacity_rule_guards_dense_builders():
-    n = max(n for n in range(40) if exact.kernel_bytes(n) <= lattice.DENSE_BYTES_BUDGET) + 1
+    budget = lattice.DENSE_BYTES_BUDGET - lattice.BLOCK_BYTES
+    n = max(n for n in range(40) if exact.kernel_bytes(n) <= budget) + 1
     ring = zoo.contact_ring(n)
     for build in (lambda: transition_matrix(zoo.constant_pair(n=n)),
                   lambda: bridge.convergence_table(ring, 0, 1.0),
@@ -410,13 +410,11 @@ def test_capacity_rule_guards_dense_builders():
 def test_capacity_rule_guards_the_spin_tables():
     # the spin engine holds (2^n, n) tables, never a dense array: it stops
     # where its own byte count does, far past the kernel's limit
-    # the rate table, one build row block of all 8 states (the bank's terms
-    # and their two buffers, and eight (8, 3) arrays) and numpy's call bytes
-    assert exact.spin_bytes(3) == (8 * 3 * 8 + 8 * 8 * (2 * 9 + 8 * 3) + 16 * 2 * 8 * 9
-                                   + exact.CALL_BYTES)
-    budget = lattice.DENSE_BYTES_BUDGET
+    # the rate table's three laws, a law's five shares and its five laws
+    assert exact.spin_bytes(3) == 13 * 8 * 8
+    budget = lattice.DENSE_BYTES_BUDGET - lattice.BLOCK_BYTES
     n = max(n for n in range(64) if exact.spin_bytes(n) <= budget) + 1
-    assert exact.kernel_bytes(n - 1) > budget
+    assert n == 23 and exact.kernel_bytes(n - 1) > budget
     ring = zoo.contact_ring(n)
     with pytest.raises(CapacityError, match=f"^n = {n}: the spin rate tables needs"):
         spin_generator(ring)
@@ -428,27 +426,28 @@ def test_capacity_rule_guards_the_spin_tables():
 
 @pytest.mark.parametrize("n", [4, 10, 12])
 def test_spin_bytes_counts_what_the_spin_engine_holds(n):
-    # the rate table's build and one law from it: the count covers every
-    # model, and is neither short nor loose by more than half where every
-    # family takes the product form, whose bank holds the most
+    # the rate table's build and one law from it: the count with the
+    # row-block allowance covers every model, and is not loose by more than
+    # half where every family takes the product form, whose bank holds the most
     count = exact.spin_bytes(n)
     x0 = (1 << n) - 3
     heaviest = random_spin_model(n, 100 + n, ("product-form",))
     peaks = [traced_peak(lambda: spin_law(spin_generator(spec), x0, 0.5))
              for spec in (heaviest, zoo.contact_ring(n), random_spin_model(n, n),
                           signed_zero_model(n, n, spin=True))]
-    assert count / 2 <= peaks[0] and max(peaks) <= count
+    assert count / 2 <= peaks[0] and max(peaks) <= count + lattice.BLOCK_BYTES
 
 
 def test_capacity_rule_counts_every_array_held(monkeypatch):
-    # a budget of exactly what each holder keeps passes, one byte less fails
+    # a budget of exactly what each holder keeps, with the row-block
+    # allowance, passes; one byte less fails
     ring = zoo.contact_ring(6)
     chain = bridge.discretise(ring, bridge.DiscretisationConfig(0.125))
     kernel = exact.kernel(chain)
     for budget, what, run in (
-            # thm2 holds the spin tables and one segment's trajectory of 7
-            # times and states, no dense array
-            (exact.spin_bytes(6) + 8 * 7 * 7,
+            # thm2 holds the spin tables, one segment's trajectory of 7
+            # times and states and its 2 grid points, no dense array
+            (exact.spin_bytes(6) + 8 * 7 * 7 + 320 * 2,
              "n = 6, t = 1.0 over 2 grid points, h = 0.1: the spin tables and "
              "a grid segment's ODE trajectory",
              lambda: order.spin_marginal_bound(ring, 0, [0.5, 1.0], config=OdeConfig(h=0.1))),
@@ -460,52 +459,57 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
             (exact.kernel_bytes(6), "n = 6: the kernel's tables", lambda: exact.kernel(chain)),
             # only the path scan expands the dense kernel
             (8 * 4 ** 6, "a dense 64 x 64 kernel", lambda: kernel.dense(chain))):
-        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget)
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget + lattice.BLOCK_BYTES)
         run()
-        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget - 1)
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget + lattice.BLOCK_BYTES - 1)
         with pytest.raises(CapacityError, match=what):
             run()
 
 
 def test_bridge_counts_a_kernel_and_the_spin_tables(monkeypatch):
     # so thm4 and the bridge reach n = 17 under the default budget
-    assert max(n for n in range(40)
-               if bridge.convergence_bytes(n, 0.5) <= lattice.DENSE_BYTES_BUDGET) == 17
-    # the count is neither short nor loose by more than half; at n = 11 the
-    # kernel's tables pass its bank, so a second kernel would not fit
+    budget = lattice.DENSE_BYTES_BUDGET - lattice.BLOCK_BYTES
+    assert max(n for n in range(40) if bridge.convergence_bytes(n, 0.5) <= budget) == 17
+    # the count is neither short by more than the row-block allowance nor
+    # loose by more than half; at n = 11 the kernel's tables pass its bank,
+    # so a second kernel would not fit
     for n in (8, 11):
         ring = zoo.contact_ring(n)
         count = bridge.convergence_bytes(n, 0.5, (0.125, 0.0625))
         peak = traced_peak(lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625)))
-        assert count / 2 <= peak <= count
+        assert count / 2 <= peak <= count + lattice.BLOCK_BYTES
     counted = []
     monkeypatch.setattr(bridge, "check_bytes", lambda nbytes, what: counted.append(nbytes))
     bridge.convergence_table(zoo.contact_ring(2), 0, 0.5, deltas=(0.125,))
-    # the rate table, then the larger of the spin engine's peak and, beside
+    # the rate table, then the larger of the spin engine's laws and, beside
     # the spin law, a kernel with its mixture's sum or the reference ODE's
-    # 502 times and states
+    # 502 times and states, which here is the largest
     law, table = 8 << 2, 8 * 2 << 2
-    assert counted == [table + max(exact.spin_bytes(2) - table,
-                                   law + max(8 * 3 * 502, exact.kernel_bytes(2) + law))]
+    assert 8 * 3 * 502 > max(exact.spin_bytes(2) - table, exact.kernel_bytes(2) + law)
+    assert counted == [table + law + 8 * 3 * 502]
 
 
 def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
-    # the kernel's lattice tables are built a row block at a time: the two
-    # tables' bytes alone are not enough, with the row block they are
+    # the kernel's lattice tables are built a row block at a time, and a
+    # push holds four laws beside them: the two tables' bytes with the
+    # row-block allowance are not enough, with the four laws they are
     n = 5
     spec = zoo.constant_pair(n=n)
     law = 8 << n
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", (law << n // 2) + (law << n - n // 2))
+    tables = (law << n // 2) + (law << n - n // 2)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", tables + lattice.BLOCK_BYTES)
     with pytest.raises(CapacityError, match="n = 5: the kernel's tables"):
         exact.kernel(spec)
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", exact.kernel_bytes(n))
+    assert exact.kernel_bytes(n) == tables + 4 * law
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", exact.kernel_bytes(n) + lattice.BLOCK_BYTES)
     assert exact.kernel(spec).low.shape == (1 << n, 1 << n // 2)
 
 
 def test_zero_step_runs_keep_the_kernel_limit(monkeypatch):
     # a run that takes no step stops at the same n as one that does
     spec = zoo.constant_pair(n=2)
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", exact.kernel_bytes(2) - 1)
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET",
+                        exact.kernel_bytes(2) + lattice.BLOCK_BYTES - 1)
     for run in (lambda: marginal_trajectory(spec, 0, 0),
                 lambda: exact.law_trajectory(spec, 0, 0)):
         with pytest.raises(CapacityError, match="n = 2: the kernel's tables needs"):

@@ -172,8 +172,9 @@ def test_config_validation():
 
 
 def test_trajectory_is_checked_before_it_exists(interacting, monkeypatch):
-    # 100 rows of two sites fit a 2 KB budget; 1,001 rows do not
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", 2048)
+    # 100 rows of two sites fit a 2 KB budget beside the row-block
+    # allowance; 1,001 rows do not
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", 2048 + lattice.BLOCK_BYTES)
     assert iterate(interacting, [0.0, 0.0], 99).shape == (100, 2)
     with pytest.raises(CapacityError, match="1000 steps"):
         iterate(interacting, [0.0, 0.0], 1000)

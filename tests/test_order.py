@@ -219,9 +219,10 @@ def test_subset_cap_enforced(monkeypatch):
     law = exact.distribution(spec, 0, 2, kernel)
     for laws, run in ((7, lambda k: single_time_orthant(spec, 0, 2, k)),
                       (5, lambda k: positive_correlations(law))):
-        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", laws * (8 << 3))
+        budget = laws * (8 << 3) + lattice.BLOCK_BYTES
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget)
         run(kernel)
-        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", laws * (8 << 3) - 1)
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget - 1)
         with pytest.raises(CapacityError, match="n = 3: the site-set tables"):
             # rejected before the kernel is used, so a 1 x 1 stand-in will do
             run(np.ones((1, 1)))
@@ -283,17 +284,24 @@ def test_spin_bound_steps_each_law_from_the_previous(ring3, monkeypatch):
 
 
 def test_spin_marginal_bound_counts_its_widest_segment_first(ring3, monkeypatch):
-    # the rate tables and the widest segment's trajectory, 100 of 10^9, are
-    # held at once: refused before the rate table or any law exists
+    # the rate tables, the widest segment's trajectory, 100 of 10^9, and
+    # the four grid points are held at once: refused before the rate table
+    # or any law exists
     for name in ("spin_generator", "point_mass"):
         monkeypatch.setattr(exact, name, lambda *args: pytest.fail("allocated"))
     grid = [0.0, 1.0, 101.0, 1e9]
     with pytest.raises(CapacityError, match="t = 1000000000.0 over 4 grid points"):
         spin_marginal_bound(ring3, 1, grid)
     counted = []
-    monkeypatch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
-    order.check_spin_marginal_bound(3, grid, 1e-3)
-    assert counted == [exact.spin_bytes(3) + 8 * 4 * ((1e9 - 101.0) / 1e-3 + 2.0)]
+
+    def record(nbytes, what):
+        counted.append(nbytes)
+        raise CapacityError(what)
+
+    monkeypatch.setattr(order, "check_bytes", record)
+    with pytest.raises(CapacityError):
+        spin_marginal_bound(ring3, 1, grid)
+    assert counted == [exact.spin_bytes(3) + 8 * 4 * ((1e9 - 101.0) / 1e-3 + 2.0) + 320 * 4]
 
 
 @pytest.mark.parametrize("n, nodes",[(4, 408), (10, 6054), (12, 10432)])
