@@ -13,7 +13,8 @@ import csv
 import sys
 
 from occupancy import exact, order, zoo
-from occupancy.cli import _Parser
+from occupancy.cli import EXIT_CAPACITY, _Parser
+from occupancy.lattice import CapacityError
 from occupancy.model import check_assumptions
 
 
@@ -42,7 +43,8 @@ def survey_row(n: int, seed: int, steps: int, m: int):
 
 
 def main(argv=None) -> int:
-    # malformed flags exit 1, as the CLI's do; exit 2 is a failed check
+    # malformed flags exit 1, as the CLI's do, and a run over the byte or
+    # work budget exits 4; exit 2 is a failed check
     parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, nargs="+", default=[2, 3, 4])
     parser.add_argument("--seeds", type=int, default=20,
@@ -52,9 +54,15 @@ def main(argv=None) -> int:
                         help="path length for the pattern scan")
     parser.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
+    if min(args.n) < 1 or args.seeds < 1 or args.steps < 0 or args.m < 1:
+        parser.error("--n, --seeds and --m must be >= 1, and --steps >= 0")
 
-    rows = [survey_row(n, seed, args.steps, args.m)
-            for n in args.n for seed in range(args.seeds)]
+    try:
+        rows = [survey_row(n, seed, args.steps, args.m)
+                for n in args.n for seed in range(args.seeds)]
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
     handle = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))

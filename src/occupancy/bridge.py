@@ -1,9 +1,9 @@
 """Time discretisation linking spin systems to occupancy chains.
 
-A spin system with birth rates lam and death rates mu maps, for a step
-delta small enough that delta * sup(lam) <= 1 and delta * sup(mu) <= 1,
-to the occupancy chain with colonisation delta * lam and survival
-1 - delta * mu.  Three quantities measure how faithful the chain is:
+A spin system with birth rates lam and death rates mu maps, for delta *
+sup(lam) <= 1 and delta * sup(mu) <= 1, to the occupancy chain with
+colonisation delta * lam and survival 1 - delta * mu, whose faithfulness
+three quantities measure:
 
   * uniformised flip rates (off-diagonal transition mass over delta)
     against the generator's rate table;
@@ -15,14 +15,14 @@ to the occupancy chain with colonisation delta * lam and survival
 All three converge at first order in delta, and path-level vacancy
 orderings established for the chain survive the limit.
 
-Each metric function takes the objects it shares as arguments (the
-chain's `exact.Kernel`; the spin generator as its rate table
-`exact.spin_generator`; the spin law; the reference ODE endpoint), so
-`convergence_table` builds each once: a kernel per delta, the rest once
-per table.  No metric forms the dense 2^n x 2^n matrix: the rate defect
-reads the chain's per-site probabilities a row block at a time, and the
-subordinated law's Poisson mixture, thinned to the chain's moves, pushes
-through the kernel's two factor tables.
+Each metric takes the objects it shares as arguments (the chain and its
+`exact.Kernel`, the rate table `exact.spin_generator`, the spin law, the
+reference ODE's end state), so `convergence_table` builds each once: a
+chain and a kernel per delta, the rest once per table.  No metric forms
+the dense 2^n x 2^n matrix: the rate defect reads the chain's per-site
+probabilities a row block at a time, and the subordinated law's Poisson
+mixture, thinned to the chain's moves, pushes through the kernel's two
+factor tables.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import exact, meanfield
-from .lattice import check_bytes, lattice_blocks
+from .lattice import BLOCK_ENTRIES, CALL_WORK, ENTRY_WORK, Plan, check_plan, lattice_blocks
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec, lattice_transitions
 from .order import OrderReport
@@ -67,9 +67,7 @@ def admissibility_bound(spec: SpinSpec) -> float:
     are ignored by the bounds, which can only make the result smaller
     (never unsafely large).
     """
-    sup = 0.0
-    for fam in spec.birth + spec.death:
-        sup = max(sup, fam.range_bounds()[1])
+    sup = max(fam.range_bounds()[1] for fam in spec.birth + spec.death)
     return np.inf if sup == 0.0 else 1.0 / sup
 
 
@@ -108,26 +106,22 @@ def _site_products(stay: np.ndarray, flip: np.ndarray, flipped) -> np.ndarray:
     return out
 
 
-def rate_defect(spec: SpinSpec, config: DiscretisationConfig,
+def rate_defect(chain: ModelSpec, config: DiscretisationConfig,
                 rates: np.ndarray) -> tuple[float, float]:
-    """(worst single-flip rate error, worst multi-flip rate) of the chain.
+    """(worst single-flip rate error, worst multi-flip rate) of `chain`, a spin system discretised.
 
-    Single-flip rates T[w, w ^ 2^i] / delta, T the kernel of the chain
-    `discretise(spec, config)`, converge to rates[w, i] at first order in
-    delta; transitions flipping two or more bits have probability
-    O(delta^2), hence rate O(delta).
-
-    Both are read off the chain's per-site probabilities, a row block of
-    states at a time, never a kernel.  Bit i of w stays with probability
+    Single-flip rates T[w, w ^ 2^i] / delta, T the chain's kernel, converge
+    to the spin system's rates[w, i] at first order in delta; transitions
+    flipping two or more bits have probability O(delta^2), hence rate
+    O(delta).  Both are read off the chain's per-site probabilities, a row
+    block of states at a time: bit i of w stays with probability
     `stay[w, i]` and flips with `flip[w, i]`, and T[w, y] is the product
     of one of them per site.  The largest entry flipping two or more sites
     flips some pair j < k, so it is at most the product with flip at j and
-    k and the larger factor at every other site; that product is itself an
-    entry, since a rounded product of nonnegative floats never falls when
-    a factor grows.  `rates` (the spin system's table) is left as it is.
+    k and the larger factor elsewhere, itself an entry, since a rounded
+    product of nonnegative floats never falls when a factor grows.
     """
-    delta, n = config.delta, spec.n
-    chain = discretise(spec, config)
+    delta, n = config.delta, chain.n
     pairs = list(itertools.combinations(range(n), 2))
     single = multi = 0.0
     for rows, bits in lattice_blocks(n, n):
@@ -151,9 +145,8 @@ def subordinated_law(spec: SpinSpec, config: DiscretisationConfig, x0: int,
     Most of those steps stay put, so the chain is thinned to its moves:
     with e = `kernel.largest_exit()` and P = I + (T - I)/e, which is
     stochastic, sum_k Pois(k; t/delta) v T^k = sum_k Pois(k; e t/delta) v P^k,
-    both being v exp((t/delta)(T - I)).  A step of P is one `kernel.push`
-    through the chain's two factor tables, and the mixture takes about
-    t * (largest exit rate) of them whatever delta is.
+    both being v exp((t/delta)(T - I)).  A step of P is one `kernel.push`,
+    about t * (largest exit rate) of them whatever delta is.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -181,17 +174,15 @@ def law_distance(spec: SpinSpec, config: DiscretisationConfig, x0: int, t: float
 
 def euler_gap(spec: SpinSpec, p0, t: float, config: DiscretisationConfig,
               reference_end: np.ndarray) -> float:
-    """Sup-norm gap at time t between the delta-step Euler path and a fine reference.
+    """Sup-norm gap at time t between the delta-step Euler path and `reference_end`.
 
-    The Euler path with step delta is exactly the discretised chain's
-    deterministic recursion, so this measures how far the chain's
-    deterministic trajectory sits from the ODE flow.  `reference_end` is
-    the state at t of a fine integration from p0, such as one with
-    `REFERENCE_ODE`.
+    The Euler path is the discretised chain's deterministic recursion, and
+    `reference_end` the state at t of a fine integration from p0, such as
+    `REFERENCE_ODE`'s: the gap is how far the chain's recursion sits from
+    the ODE flow.
     """
-    _, coarse = meanfield.integrate_ode(spec, p0, t,
-                                        OdeConfig(h=config.delta, method="euler"))
-    return float(np.max(np.abs(coarse[-1] - reference_end)))
+    coarse = meanfield.flow(spec, p0, t, OdeConfig(h=config.delta, method="euler"))
+    return float(np.max(np.abs(coarse - reference_end)))
 
 
 @dataclass(frozen=True)
@@ -212,44 +203,46 @@ class ConvergenceTable:
         return buf.getvalue()
 
 
-def convergence_bytes(n: int, t: float, deltas=DEFAULT_DELTAS) -> float:
-    """Bytes `convergence_table` holds at its peak: the spin rate table and
-    the most that is held beside it at once.
+def convergence_plan(spec: SpinSpec, t: float, deltas=DEFAULT_DELTAS) -> Plan:
+    """`convergence_table`'s plan: the rate table, and the most held beside it at once.
 
-    That is the spin engine's law (`exact.spin_bytes`), or, beside the
-    spin law at t: the finest ODE trajectory of times and states (the
-    reference's, or a finer step's Euler path), or one step size's kernel
-    (`exact.kernel_bytes`) with its thinned mixture's sum, the one law a
-    mixture holds beyond the four a push is counted with.  The diagonal
-    read of `Kernel.largest_exit` and the rate defect go by row blocks.
+    That is the spin engine's law (`exact.spin_plan`) or, beside the spin
+    law, a kernel and its thinned mixture's sum; and the Poisson weights.
+    The spin law and each mixture take about t times the largest total
+    flip rate steps, each rate defect n^2 (n + 1) / 2 passes over the
+    states, and the ODE paths, one state each, t / delta Euler steps and
+    the reference's t / h.
     """
-    law, table = 8 << n, 8 * n << n
-    trajectory = 8 * (n + 1) * (t / min(REFERENCE_ODE.h, *deltas) + 2.0)
-    return table + max(exact.spin_bytes(n) - table,
-                       law + max(trajectory, exact.kernel_bytes(n) + law))
+    n, mean = spec.n, exact.spin_rate_bound(spec) * t
+    law, table, terms = 8 << n, 8 * n << n, exact.poisson_terms(mean)
+    spin, kernel = exact.spin_plan(n, terms), exact.kernel_plan(n, terms)
+    passes = n * n * (n + 1) // 2 + 12 * n
+    defect = ENTRY_WORK * float(passes << n) + CALL_WORK * passes * -(-(n << n) // BLOCK_ENTRIES)
+    odes = [OdeConfig(h=delta, method="euler") for delta in deltas] + [REFERENCE_ODE]
+    return Plan(f"n = {n}, t = {t!r}: a kernel, the spin tables and their steps",
+                table + max(spin.nbytes - table, 2 * law + kernel.nbytes)
+                + exact.poisson_plan(mean).nbytes,
+                spin.work + len(deltas) * (kernel.work + defect)
+                + sum(meanfield.ode_plan(spec, t, config).work for config in odes))
 
 
 def convergence_table(spec: SpinSpec, x0: int, t: float,
                       deltas=DEFAULT_DELTAS) -> ConvergenceTable:
     """Rate, law, and Euler diagnostics for each step size on the grid.
 
-    Shared objects are built once, as the module notes say; each kernel
-    lives for its law distance only.  What is held is counted by
-    `convergence_bytes` before any work.
+    Shared objects are built once, as the module notes say, after
+    `convergence_plan` is checked; each kernel lives for its law distance only.
     """
-    check_bytes(convergence_bytes(spec.n, t, deltas),
-                f"n = {spec.n}, t = {t!r}: a kernel, the spin tables and "
-                f"the reference ODE trajectory")
+    check_plan(convergence_plan(spec, t, deltas))
     configs = [DiscretisationConfig(delta) for delta in deltas]
     chains = [discretise(spec, config) for config in configs]
     p0 = exact.state_bits(x0, spec.n)
     rates = exact.spin_generator(spec)
     truth = exact.spin_law(rates, x0, t)
-    # a copy of the last state, so the trajectory is freed
-    reference_end = meanfield.integrate_ode(spec, p0, t, REFERENCE_ODE)[1][-1].copy()
+    reference_end = meanfield.flow(spec, p0, t, REFERENCE_ODE)
     rows = []
     for config, chain in zip(configs, chains):
-        single, multi = rate_defect(spec, config, rates)
+        single, multi = rate_defect(chain, config, rates)
         distance = law_distance(spec, config, x0, t, exact.kernel(chain), truth)
         rows += [(config.delta, "single-flip-rate-error", single),
                  (config.delta, "multi-flip-rate", multi),

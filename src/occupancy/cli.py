@@ -7,7 +7,7 @@ Subcommands:
   bridge  discretisation convergence table for a spin model
 
 Exit codes: 0 checks passed, 1 malformed input, 2 a check failed,
-3 inconclusive / informative only, 4 capacity exceeded.
+3 inconclusive / informative only, 4 over the byte or the work budget.
 All outputs are deterministic for a given input and seed.
 """
 
@@ -22,11 +22,11 @@ import sys
 import numpy as np
 
 from . import bridge, exact, meanfield, order, simulate
-from .lattice import CapacityError
+from .lattice import CapacityError, check_plan
 from .meanfield import OdeConfig
 from .model import (BOUND_HYPOTHESES, ModelError, ModelSpec, SpinSpec,
                     SPIN_BOUND_HYPOTHESES, SPIN_ORDERING_HYPOTHESES,
-                    check_assumptions, load_model)
+                    check_assumptions, hypothesis_plan, load_model)
 from .streams import check_seed
 
 EXIT_PASS = 0
@@ -186,25 +186,27 @@ def _cmd_verify(args) -> int:
         kind = "an occupancy" if occupancy else "a spin"
         raise _CliError(f"{args.theorem} needs {kind} model", EXIT_USAGE)
     x0 = _parse_x0(args.x0, spec.n)
-    # every flag is checked before the hypothesis scan, which can take seconds
-    if args.theorem == "thm2":
+    # every flag is checked, and the route's plan, before the hypothesis
+    # scan, which can take seconds
+    if args.theorem == "thm1":
+        plan = order.bound_plan(spec, t)
+    elif args.theorem == "thm2":
         if args.grid_points < 2:
             raise _CliError(f"--grid-points must be >= 2, got {args.grid_points}", EXIT_USAGE)
         config = OdeConfig(h=args.h)
-        order.check_spin_marginal_bound(spec.n, float(t), args.grid_points,
-                                        t / (args.grid_points - 1), config.h)
-        grid = [k * t / (args.grid_points - 1) for k in range(args.grid_points)]
+        plan = order.spin_bound_plan(spec, float(t), args.grid_points,
+                                     t / (args.grid_points - 1), config)
     elif args.theorem == "thm3":
-        # the path scan holds the most; reject it before any table exists
-        order.check_scan(spec.n, args.m)
-    elif args.theorem == "thm4":
+        plan = order.scan_plan(spec, args.m, t)
+    else:
         deltas = _parse_deltas(spec, args.delta_grid)
+        plan = bridge.convergence_plan(spec, t, deltas)
+    check_plan(hypothesis_plan(spec, args.samples).then(plan))
     hypo = check_assumptions(spec, samples=args.samples, tol=1e-9, seed=seed)
     reports = []
     extra_files = []
     if args.theorem == "thm1":
         certified = hypo.passed(BOUND_HYPOTHESES)
-        order.check_marginal_bound(spec.n, t)
         # one propagation: its rows feed the bound, its last law the correlations
         rows, law = exact.law_trajectory(spec, x0, t)
         reports.append(order.marginal_bound(spec, x0, rows, tol=tol, certified=certified))
@@ -217,6 +219,7 @@ def _cmd_verify(args) -> int:
                                                  certified=certified))
     elif args.theorem == "thm2":
         certified = hypo.passed(SPIN_BOUND_HYPOTHESES)
+        grid = [k * t / (args.grid_points - 1) for k in range(args.grid_points)]
         reports.append(order.spin_marginal_bound(spec, x0, grid, tol=tol,
                                                  certified=certified, config=config))
     else:
@@ -338,7 +341,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the route: the subcommand, and its mode or theorem
+        route = " ".join([args.command] + [getattr(args, k) for k in ("mode", "theorem")
+                                           if hasattr(args, k)])
+        print(f"error: {route}: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,24 +1,19 @@
-"""Exact computations on the full state space {0,1}^n.
+"""Exact computations on the full state space {0,1}^n of `occupancy.lattice`'s words.
 
-States are the integer words of `occupancy.lattice`.  Everything here
-enumerates the 2^n states explicitly and is the ground truth that the
-approximate modules are checked against; each route checks the bytes it
-holds against the budget of `occupancy.lattice` before it allocates them.
+Everything here enumerates the 2^n states and is the ground truth the
+approximate modules are checked against; each route checks its plan
+(`lattice.check_plan`) before it allocates anything.
 
 The chain's kernel is one `Kernel`, built once per run by `kernel`.  Bits
-update conditionally independently given the state, so row w of the
-kernel is a product over sites, and the kernel splits exactly into two
-half-site factor tables, `T[w, y] = low[w, y_low] * high[w, y_high]`.  A
-single law is pushed forward by the one loop in `propagate`, through
-those two tables (2 * 4^n flops, reading 2 * 2^n * 2^(n/2) entries) in
-row blocks, so a push makes no third table-sized array.  The kernel holds
-the two tables only: the per-site probabilities they come from are read
-a row block at a time, by `model.lattice_transitions`, where a route
-needs them.  Only the path scan of `occupancy.order`, which pushes stacks
-of laws one matrix product per block, expands the dense 2^n x 2^n matrix,
-`Kernel.dense`.  A spin generator is its (2^n, n) rate table,
-`spin_generator`: spin laws take matrix-free uniformised steps, in
-O(n 2^n), and no spin array is dense.
+update conditionally independently given the state, so the kernel splits
+exactly into two half-site factor tables, `T[w, y] = low[w, y_low] *
+high[w, y_high]`.  A single law is pushed by the one loop in `propagate`
+through those tables in row blocks (2 * 4^n flops), never a third
+table-sized array; the per-site probabilities are read a row block at a
+time, by `model.lattice_transitions`, where needed.  Only the path scan of
+`occupancy.order` expands the dense 2^n x 2^n matrix, `Kernel.dense`.  A
+spin generator is its (2^n, n) rate table, `spin_generator`: spin laws
+take matrix-free uniformised steps, in O(n 2^n).
 """
 
 from __future__ import annotations
@@ -28,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BLOCK_ENTRIES, check_bytes, lattice_blocks, shown, state_bits
+from .lattice import (BLOCK_ENTRIES, CALL_WORK, ENTRY_WORK, Plan, check_plan, lattice_blocks,
+                      shown, state_bits, sweep_work)
 from .model import ModelSpec, SpinSpec, lattice_transitions
 
 DIST_ATOL = 1e-12
@@ -58,11 +54,10 @@ def as_distribution(values: np.ndarray) -> np.ndarray:
 def _expand(table: np.ndarray, q: np.ndarray, width: int) -> np.ndarray:
     """Expand `table`'s first `width` rows over the sites of `q`'s columns, in place.
 
-    Column r of `table` belongs to the state of row r of `q`.  Once the
-    sites before column i of `q` are expanded, row y < width holds the
-    product of their factors for the bits of y; site i splits it into row
-    y (times 1 - q_i) and row y + width (times q_i), and the width doubles.
-    Rows are contiguous, and no full-size temporary is made.
+    Column r of `table` is the state of row r of `q`.  Once the sites
+    before column i are expanded, row y < width holds the product of their
+    factors for the bits of y; site i splits it into rows y (times 1 - q_i)
+    and y + width (times q_i), contiguous, with no full-size temporary.
     """
     for i in range(q.shape[1]):
         qi = q[:, i]
@@ -74,17 +69,14 @@ def _expand(table: np.ndarray, q: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """The chain's one-step kernel as two half-site factor tables.
+    """The chain's one-step kernel as two half-site factor tables, and nothing else.
 
     `low[w, y_low]` is the product of the factors of sites 0..h-1 and
     `high[w, y_high]` that of sites h..n-1, h = n // 2, so the kernel is
     `T[w, y] = low[w, y & (2^h - 1)] * high[w, y >> h]`.  With q[w, i] the
     chance that bit i is on after one step from w, entry T[w, y] is the
     product, in site order, of q[w, i] where bit i of y is set and
-    1 - q[w, i] where it is not.  The kernel holds the two tables and
-    nothing else; q is read a row block at a time, where it is needed.  A
-    push makes no third array of the tables' size: it contracts them in
-    row blocks of `lattice.BLOCK_ENTRIES` entries.
+    1 - q[w, i] where it is not.
     """
 
     low: np.ndarray
@@ -93,10 +85,9 @@ class Kernel:
     def push(self, v: np.ndarray) -> np.ndarray:
         """The law v T, summed over blocks of states; never the dense matrix.
 
-        Block b contributes `high[b].T @ (v[b, None] * low[b])`, so a push
-        holds one block of at most `BLOCK_ENTRIES` entries and two laws.
-        Up to n = 11 one block covers every state and the push is that one
-        product; past it the blocks' sums differ from it by round-off.
+        Block b contributes `high[b].T @ (v[b, None] * low[b])`, at most
+        `BLOCK_ENTRIES` entries; up to n = 11 one block covers every state,
+        and past it the blocks' sums differ from one product by round-off.
         """
         low, high = self.low, self.high
         rows = max(1, BLOCK_ENTRIES // low.shape[1])
@@ -111,8 +102,7 @@ class Kernel:
 
         With w = w_high 2^h + w_low, T[w, w] = low[w, w_low] * high[w, w_high]:
         both factors are diagonals of the tables viewed as 3-d arrays, read
-        without a copy, and multiplied a row block of `BLOCK_ENTRIES` states
-        at a time.
+        without a copy and multiplied a row block at a time.
         """
         width = self.low.shape[1]
         lows = np.diagonal(self.low.reshape(-1, width, width), axis1=1, axis2=2)
@@ -130,7 +120,7 @@ class Kernel:
         read again from `spec` a row block at a time.
         """
         size, width = self.low.shape
-        check_bytes(8 * size * size, f"a dense {size} x {size} kernel")
+        check_plan(Plan(f"a dense {size} x {size} kernel", 8 * size * size))
         T = np.empty((size, size))
         for rows, bits in lattice_blocks(spec.n, size):
             block = np.empty((size, bits.shape[0]))
@@ -140,26 +130,27 @@ class Kernel:
         return T
 
 
-def kernel_bytes(n: int) -> int:
-    """Bytes a kernel holds at its peak: its two tables and four laws.
+def kernel_plan(n: int, pushes: float = 0) -> Plan:
+    """A kernel's two tables and the four laws of a push; its build and `pushes` pushes.
 
-    A push holds four laws beside the tables; its row block, a build's
-    row block and the bits the marginals of a law read, a block at a
-    time, are bounded by `lattice.BLOCK_ENTRIES` and not counted here.
+    A push is 2 * 4^n flops and a pass over each row block's product; the
+    row blocks of a push, a build and a law's marginals are the allowance's.
     """
-    law, half = 8 << n, n // 2
-    return (law << half) + (law << n - half) + 4 * law
+    law, half, entries = 8 << n, n // 2, 1 << n + n // 2
+    blocks = -(-entries // BLOCK_ENTRIES)
+    push = 2.0 * 4 ** n + ENTRY_WORK * float(entries + (blocks << n)) + 5 * CALL_WORK * blocks
+    return Plan(f"n = {n}: the kernel's tables", (law << half) + (law << n - half) + 4 * law,
+                sweep_work(n, n * n + (1 << half) + (1 << n - half), 4 * n + 30) + pushes * push)
 
 
 def kernel(spec: ModelSpec) -> Kernel:
-    """The chain's kernel; bits update conditionally independently.
+    """The chain's kernel, after `kernel_plan` is checked: every single-law route reaches n = 17.
 
-    Both tables are filled a row block of states at a time: the block's
-    per-site probabilities, read once, are expanded into its rows of each,
-    after `kernel_bytes` is checked, so every single-law route reaches n = 17.
+    Both tables are filled a row block of states at a time, from the
+    block's per-site probabilities, read once.
     """
     n, half = spec.n, spec.n // 2
-    check_bytes(kernel_bytes(n), f"n = {n}: the kernel's tables")
+    check_plan(kernel_plan(n))
     low, high = np.empty((1 << n, 1 << half)), np.empty((1 << n, 1 << n - half))
     # a state takes its rows of both tables and n^2 bank terms, n coordinates a family
     for rows, bits in lattice_blocks(n, n * n + low.shape[1] + high.shape[1]):
@@ -193,16 +184,14 @@ def _check_word(n: int, x0: int):
 def point_mass(n: int, x0: int) -> np.ndarray:
     """The law concentrated on state word x0."""
     _check_word(n, x0)
-    check_bytes(8 << n, f"n = {n}: a law on 2^{n} states")
+    check_plan(Plan(f"n = {n}: a law on 2^{n} states", 8 << n))
     v = np.zeros(1 << n)
     v[x0] = 1.0
     return v
 
 
 def propagate(kernel: Kernel, v: np.ndarray, steps: int, vacate=None):
-    """Yield the laws v T^t for t = 1..steps; every single exact law runs through here.
-
-    Each step is `kernel.push`, through the two factor tables.
+    """Yield the laws v T^t for t = 1..steps, a `kernel.push` each: every single exact law.
 
     `vacate` maps a step to the sites demanded vacant there: right after
     that step their occupied states are zeroed, so the yielded vectors
@@ -241,6 +230,13 @@ def marginals(dist: np.ndarray) -> np.ndarray:
     return out
 
 
+def trajectory_plan(n: int, steps: int) -> Plan:
+    """`law_trajectory`'s plan: a kernel and its pushes, beside a table of marginals."""
+    return kernel_plan(n, steps).then(
+        Plan(f"{shown(steps)} steps: a ({shown(steps + 1)}, {n}) table of marginals",
+             8 * (steps + 1) * n, (steps + 1) * sweep_work(n, n, 6)), beside=True)
+
+
 def law_trajectory(spec: ModelSpec, x0: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """(steps+1, n) exact occupation probabilities from x0, and the law at steps.
 
@@ -249,8 +245,7 @@ def law_trajectory(spec: ModelSpec, x0: int, steps: int) -> tuple[np.ndarray, np
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_word(spec.n, x0)
-    check_bytes(8 * (steps + 1) * spec.n,
-                f"{shown(steps)} steps: a ({shown(steps + 1)}, {spec.n}) table of marginals")
+    check_plan(trajectory_plan(spec.n, steps))
     K = kernel(spec)
     v = point_mass(spec.n, x0)
     out = np.empty((steps + 1, spec.n))
@@ -270,11 +265,9 @@ def marginal_trajectory(spec: ModelSpec, x0: int, steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimePattern:
-    """One site observed at steps 1..m; omega[t-1] = 0 demands vacancy at t.
+    """One site observed at steps 1..m; omega[t-1] = 0 demands vacancy at t, 1 nothing.
 
-    The probability of the pattern is the chance that the site's path agrees
-    with omega wherever omega is 0; entries equal to 1 impose nothing beyond
-    the complementary patterns summing correctly.
+    Its probability is the chance that the site's path is vacant wherever omega is 0.
     """
 
     site: int
@@ -366,26 +359,43 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
 # -- spin systems ------------------------------------------------------------
 
 
-def spin_bytes(n: int) -> int:
-    """Bytes the spin engine holds at its peak: 2n + 7 laws.
+def spin_plan(n: int, terms: float = 0) -> Plan:
+    """The spin engine's 2n + 7 laws; the rate table's build and `terms` steps.
 
-    They are the rate table's n, and `spin_law_from`'s n + 2 shares (the
-    exit rates, the stay shares and n jump shares) and five laws (the
+    The laws are the rate table's n, and `spin_law_from`'s n + 2 shares
+    (the exit rates, the stay shares and n jump shares) and five laws (the
     start, the mixture's sum and step, the step's sum and one share's
-    move).  A build's row block is bounded by `lattice.BLOCK_ENTRIES`;
-    the Poisson weights count themselves (`poisson_weights`).
+    move).  A step makes three passes over a law per site.
     """
-    return (2 * n + 7) * (8 << n)
+    step = ENTRY_WORK * float((3 * n + 3) << n) + (3 * n + 4) * CALL_WORK
+    return Plan(f"n = {n}: the spin rate tables", (2 * n + 7) * (8 << n),
+                sweep_work(n, 2 * n * n, 30) + terms * step)
+
+
+def spin_rate_bound(spec: SpinSpec) -> float:
+    """An upper bound on the largest total flip rate: each site's larger family bound."""
+    return sum(max(b.range_bounds()[1], d.range_bounds()[1])
+               for b, d in zip(spec.birth, spec.death))
+
+
+def poisson_terms(mean: float) -> float:
+    """At least the terms `poisson_weights(mean)` keeps: past the mean, eight deviations and 16."""
+    return mean + 8.0 * math.sqrt(mean) + 16.0
+
+
+def poisson_plan(mean: float) -> Plan:
+    """`poisson_weights(mean)`'s ratios, pmf and running sum, forty deviations past the mode."""
+    span = 40.0 * (math.sqrt(mean) + 1.0)
+    return Plan(f"mean {mean:.6g}: the Poisson weights", 24 * (mean + span + 1.0))
 
 
 def spin_generator(spec: SpinSpec) -> np.ndarray:
-    """The generator as its (2^n, n) rate table: entry [w, i] is the rate at which bit i flips from w.
+    """The generator as its (2^n, n) rate table, [w, i] the rate at which bit i flips from w.
 
-    A spin system flips one bit at a time (birth if empty, death if
-    occupied), so these n rates per state are the whole generator.
+    A spin flips one bit at a time (birth if empty, death if occupied): that is all its rates.
     """
     n = spec.n
-    check_bytes(spin_bytes(n), f"n = {n}: the spin rate tables")
+    check_plan(spin_plan(n))
     rates = np.empty((1 << n, n))
     for rows, bits in lattice_blocks(n, 2 * n * n):
         rates[rows] = lattice_transitions(spec, bits)
@@ -401,11 +411,10 @@ def poisson_weights(mean: float) -> np.ndarray:
     """
     if mean < 0:
         raise ValueError("mean must be >= 0")
-    # forty standard deviations past the mode the mass left is far below an ulp
-    span = 40.0 * (math.sqrt(mean) + 1.0)
-    # the ratios, the pmf and its running sum, counted before int() overflows
-    check_bytes(24 * (mean + span + 1.0), f"mean {mean:.6g}: the Poisson weights")
-    mode, span = int(mean), int(span)
+    # past forty standard deviations the mass left is far below an ulp;
+    # counted before int() overflows
+    check_plan(poisson_plan(mean))
+    mode, span = int(mean), int(40.0 * (math.sqrt(mean) + 1.0))
     below = np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
     above = np.cumprod(mean / np.arange(mode + 1, mode + span + 1))
     w = np.concatenate([below, [1.0], above])
@@ -431,9 +440,8 @@ def spin_law_from(rates: np.ndarray, dist: np.ndarray, t: float) -> np.ndarray:
     """Law at time t from `dist` under the rate table `rates` (see `spin_generator`).
 
     A Poisson(rate t) mixture of uniformised steps v -> v (I + Q/rate), rate
-    the largest exit rate, each taken without a matrix: the mass at w keeps
-    the share 1 - sum_i r_i(w)/rate and moves r_i(w)/rate to w ^ 2^i, which
-    for bit i swaps the halves of every block of 2^(i+1) states.
+    the largest exit rate: the mass at w keeps 1 - sum_i r_i(w)/rate and
+    moves r_i(w)/rate to w ^ 2^i, swapping the halves of blocks of 2^(i+1).
     """
     if t < 0:
         raise ValueError("t must be >= 0")

@@ -2,9 +2,7 @@
 
 Each site evolves as its own two-state chain whose transition
 probabilities are the model's functions evaluated along the deterministic
-trajectory rather than at the random state.  Site marginals of the
-surrogate coincide with the deterministic trajectory itself; joint laws
-factor across sites.
+trajectory, which its site marginals therefore equal; joint laws factor.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ import numpy as np
 
 from . import meanfield
 from .exact import MultiSitePattern, TimePattern, state_bits
-from .lattice import check_bytes
+from .lattice import ENTRY_WORK, Plan, check_plan
 from .model import ModelSpec, site_values
 
 
@@ -33,9 +31,7 @@ def site_schedules(spec: ModelSpec, x0: int, horizon: int) -> tuple[np.ndarray, 
     """(colonise, survive) for steps 1..horizon, from one deterministic trajectory.
 
     Each is (horizon, n): row t - 1 holds every site's probabilities for
-    step t, column i site i's schedule.  Schedules covering more steps than
-    a pattern serve it unchanged, so one call serves a whole scan of
-    patterns up to `horizon`.
+    step t.  One call serves every pattern up to `horizon` steps.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -88,15 +84,16 @@ def multisite_probability(spec: ModelSpec, x0: int, pattern: MultiSitePattern,
     return value
 
 
-def vacancy_table_bytes(n: int, m: int) -> int:
-    """Bytes `vacancy_tables` holds at its peak, over n sites and m steps.
+def vacancy_plan(n: int, m: int) -> Plan:
+    """`vacancy_tables`' plan over n sites and m steps, a pass over each array a step.
 
-    Eight (n, 2^m) float arrays: both tables, the two state masses, and
-    while the new occupied mass is summed, the new vacant mass, both
-    products and their sum (numpy may reuse a product for the sum, but
+    It holds eight (n, 2^m) float arrays: both tables, the two state
+    masses, and while the new occupied mass is summed, the new vacant mass,
+    both products and their sum (numpy may reuse a product for the sum, but
     need not); and the (2^m,) int64 step sets.
     """
-    return (8 * n + 1) * (8 << m)
+    return Plan(f"n = {n}, m = {m}: the surrogate tables", (8 * n + 1) * (8 << m),
+                ENTRY_WORK * float(m * (8 * n + 1) << m))
 
 
 def vacancy_tables(spec: ModelSpec, x0: int, schedules,
@@ -105,16 +102,14 @@ def vacancy_tables(spec: ModelSpec, x0: int, schedules,
 
     A set S of steps is the mask with bit t-1 for step t.  Returns two
     (n, 2^m) tables: `at_last[i, S]` is `path_probability` of site i
-    demanding vacancy exactly at the steps of S, run to S's last step;
-    `at_end[i, S]` is the same run to step m.  All sets go through one
-    vectorised forward recursion with `path_probability`'s float
-    operations, so the tables equal its values bit for bit.
+    demanding vacancy exactly at the steps of S, run to S's last step, and
+    `at_end[i, S]` the same run to step m, bit for bit: one vectorised
+    recursion with `path_probability`'s float operations.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_schedules(spec, schedules, m)
-    check_bytes(vacancy_table_bytes(spec.n, m),
-                f"n = {spec.n}, m = {m}: the surrogate tables")
+    check_plan(vacancy_plan(spec.n, m))
     bits = state_bits(x0, spec.n)[:, None]
     # (n, m) views: row i is site i's schedule
     colonise, survive = (table[:m].T for table in schedules)

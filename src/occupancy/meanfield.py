@@ -1,10 +1,9 @@
 """Deterministic site-occupancy approximations.
 
-The discrete recursion propagates a probability vector p in [0,1]^n with
-the same colonisation/survival functions the stochastic model uses,
-evaluated at p instead of at a random state.  The continuous analogue is
-the ODE p' = (1-p) * birth(p) - p * death(p), integrated with fixed-step
-Euler or classic Runge-Kutta.
+The discrete recursion propagates p in [0,1]^n by the model's functions
+evaluated at p instead of at a random state; its continuous analogue, the
+ODE p' = (1-p) * birth(p) - p * death(p), is integrated by fixed-step Euler
+or classic Runge-Kutta.
 """
 
 from __future__ import annotations
@@ -15,18 +14,13 @@ from functools import partial
 
 import numpy as np
 
-from .lattice import check_bytes, shown
+from .lattice import Plan, check_plan, shown
 from .model import ModelSpec, SpinSpec, site_values, transition_values
 
 # the ufunc behind np.clip; calling it directly skips np.clip's Python
-# wrappers, which cost more than the clamp itself on an n-vector
-try:
-    from numpy._core.umath import clip as _clip
-except ImportError:
-    try:  # numpy < 2
-        from numpy.core.umath import clip as _clip
-    except ImportError:  # a later layout: the same clamp, at np.clip's speed
-        _clip = np.clip
+# wrappers, which cost more than the clamp itself on an n-vector (numpy < 2
+# keeps it under `numpy.core`)
+_clip = (getattr(np, "_core", None) or np.core).umath.clip
 
 
 def _check_point(spec, p) -> np.ndarray:
@@ -46,13 +40,12 @@ def iterate(spec: ModelSpec, p0, steps: int) -> np.ndarray:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     p = _check_point(spec, p0)
-    check_bytes(8 * (steps + 1) * spec.n,
-                f"{shown(steps)} steps: a ({shown(steps + 1)}, {spec.n}) trajectory")
+    check_plan(Plan(f"{shown(steps)} steps: a ({shown(steps + 1)}, {spec.n}) trajectory",
+                    8 * (steps + 1) * spec.n, steps * spec.bank.point_work))
     out = np.empty((steps + 1, spec.n))
     out[0] = p
     for t in range(1, steps + 1):
-        p = recursion_step(spec, p)
-        out[t] = p
+        out[t] = p = recursion_step(spec, p)
     return out
 
 
@@ -99,33 +92,50 @@ def step_count(t_end: float, h: float) -> tuple[int, float]:
     """Number of full steps and the remainder needed to land exactly on t_end."""
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    full = int(math.floor(t_end / h + 1e-9))
+    full = math.floor(t_end / h + 1e-9)
     rem = t_end - full * h
     if rem < 1e-12 * max(1.0, t_end):
         rem = 0.0
     return full, rem
 
 
-def integrate_ode(spec: SpinSpec, p0, t_end: float,
-                  config: OdeConfig = OdeConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step integration to t_end; returns (times, states).
+def ode_plan(spec, t_end, config, held=0):
+    """An integration's stages, and `held` bytes a step; from t_end / h as a float."""
+    steps = t_end / config.h + 2.0
+    return Plan(f"t = {t_end!r}, h = {config.h!r}: the ODE's steps and states",
+                held * steps if held else 0,
+                steps * (4 if config.method == "rk4" else 1) * spec.bank.point_work)
 
-    States are clamped to [0,1] after every step.  With method="euler" and
-    h equal to a discretisation step, the returned rows reproduce the
-    discrete recursion of the matching probability model up to round-off.
+
+def flow(spec, p0, t_end, config, out=None):
+    """The state at t_end after full steps of h and a remainder step: the one step loop.
+
+    Only one state is held, unless `out` is given: its rows take p0 and each
+    state after it, as `integrate_ode` returns them.
     """
     p = _clamp01(_check_point(spec, p0))
+    check_plan(ode_plan(spec, t_end, config))
     rhs = partial(ode_rhs, spec)
-    # the times and states, counted before step_count's int() can overflow
-    check_bytes(8 * (spec.n + 1) * (t_end / config.h + 2.0),
-                f"t = {t_end!r}, h = {config.h!r}: a trajectory of times and states")
     full, rem = step_count(t_end, config.h)
-    times = np.empty(full + 1 + (rem > 0.0))
+    for k in range(full + 1 + (rem > 0.0)):
+        if k:
+            p = advance(rhs, p, config.h if k <= full else rem, config.method)
+        if out is not None:
+            out[k] = p
+    return p
+
+
+def integrate_ode(spec: SpinSpec, p0, t_end: float,
+                  config: OdeConfig = OdeConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step integration to t_end, clamped to [0,1] after every step; (times, states).
+
+    With method="euler" and h a discretisation step, the rows are the
+    discretised chain's recursion up to round-off.
+    """
+    # a time and a state a step
+    check_plan(ode_plan(spec, t_end, config, 8 * (spec.n + 1)))
+    full, rem = step_count(t_end, config.h)
+    times = np.append(np.arange(full + 1) * config.h, [t_end] * (rem > 0.0))
     states = np.empty((times.size, spec.n))
-    times[0], states[0] = 0.0, p
-    for k in range(1, full + 1):
-        p = advance(rhs, p, config.h, config.method)
-        times[k], states[k] = k * config.h, p
-    if rem > 0.0:
-        times[-1], states[-1] = t_end, advance(rhs, p, rem, config.method)
+    flow(spec, p0, t_end, config, states)
     return times, states

@@ -1,24 +1,18 @@
-"""Model definitions and hypothesis checks.
+"""Model definitions and hypothesis checks; everything here is immutable after construction.
 
 An occupancy model assigns each site a colonisation and a survival
-probability; a spin model assigns each site a birth and a death rate.
-All of these are functions [0,1]^n -> R drawn from a small set of
-closed-form families, so that evaluation on the whole cube, restriction
-to the lattice {0,1}^n, and exact range bounds are all available.
+probability, a spin model a birth and a death rate: functions [0,1]^n -> R
+from a small set of closed-form families, so that evaluation on the cube,
+on the lattice {0,1}^n, and exact range bounds are all available.
 
 A family value is ``offset + scale * raw(p)`` with raw(p) in [0,1];
-probability-role families clamp the result to [0,1], rate-role families
-require offset, scale >= 0 and offset + scale <= RATE_BOUND.  The affine
-post-transform is what lets the same parameter set serve as a rate and as
-its own time-discretised probability.  Coordinate pins substitute fixed
-values for chosen coordinates before evaluation (used to mask
-self-colonisation).
-
-Each spec compiles its families once into a `SiteBank`, which evaluates
-every site's functions on a batch at once; a family on its own is the
-bank's one-family case.
-
-Everything here is immutable after construction.
+probability-role families clamp it to [0,1], rate-role families require
+offset, scale >= 0 and offset + scale <= RATE_BOUND.  The affine
+post-transform lets one parameter set serve as a rate and as its own
+time-discretised probability.  Coordinate pins substitute fixed values for
+chosen coordinates (used to mask self-colonisation).  Each spec compiles
+its families once into a `SiteBank`, which evaluates every site's
+functions on a batch at once.
 """
 
 from __future__ import annotations
@@ -32,7 +26,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import BLOCK_ENTRIES, check_bytes, lattice_blocks, shown, word_bits
+from .lattice import (BLOCK_ENTRIES, CALL_WORK, ENTRY_WORK, Plan, check_plan, lattice_blocks,
+                      shown, sweep_work, word_bits)
 from .streams import assumption_uniforms
 
 VARIANTS = (
@@ -46,15 +41,15 @@ VARIANTS = (
 ROLES = ("probability", "rate")
 
 # exhaustive lattice scans are restricted to cubes of this dimension.  Their
-# margins take O(n 2^n) per site, and no work budget bounds them yet
+# margins take O(n 2^n) per site; `hypothesis_plan` counts that work, but
+# moving the cap would move findings from `sampled` to `lattice`
 LATTICE_SCAN_CAP = 10
 # all-pairs lattice midpoint scans grow as 4^n; keep them small
 LATTICE_PAIR_CAP = 6
 
 # largest rate a family may take (its offset + scale): far below the float
-# range, so the sums and quotients the spin routes form from rates (n rates
-# a state, six RK4 stages, Lipschitz gaps over distances down to 1e-12)
-# stay finite
+# range, so the spin routes' sums and quotients of rates (n a state, six RK4
+# stages, Lipschitz gaps over distances down to 1e-12) stay finite
 RATE_BOUND = 1e200
 
 
@@ -107,20 +102,10 @@ def _check_top(top, label: str):
 class FunctionFamily:
     """One evaluable function on [0,1]^n.
 
-    Parameters
-    ----------
-    variant : str
-        One of VARIANTS.
-    n : int
-        Cube dimension.
-    params : mapping
-        Variant parameters; see _validate for the exact keys and ranges.
-    role : str
-        "probability" (values clamped to [0,1]) or "rate" (values >= 0).
-    offset, scale : float
-        Affine post-transform applied to the raw family value.
-    pins : tuple of (site, value)
-        Coordinates substituted before evaluation.
+    `variant` is one of VARIANTS, with `params` as `_validate` checks them;
+    `role` is "probability" (values clamped to [0,1]) or "rate" (values
+    >= 0); `offset` and `scale` are the affine post-transform of the raw
+    value; `pins` are (site, value) coordinates substituted before evaluation.
     """
 
     variant: str
@@ -249,11 +234,9 @@ class FunctionFamily:
         return replace(self, params=dict(self.params), pins=tuple(sorted(merged.items())))
 
     def range_bounds(self) -> tuple[float, float]:
-        """Exact [lo, hi] bounds of the family over the whole cube.
+        """Exact [lo, hi] bounds of the family over the cube, in closed form; pins are ignored.
 
-        Raw ranges are closed-form for every variant (the multilinear table
-        attains its extremes at lattice points), so no sampling is involved.
-        Pins are ignored, which can only widen the interval.
+        A multilinear table attains its extremes at lattice points.
         """
         p = self.params
         if self.variant == "constant":
@@ -289,10 +272,9 @@ def _columns(cols: list[int]):
 
 
 class _VariantGroup:
-    """A bank's families of one variant, with their parameters stacked.
+    """A bank's families of one variant, their parameters stacked; values are family-major.
 
-    Values are computed family-major, as (families, rows) blocks of the
-    batch read coordinate by coordinate, as its (n, B) transpose.
+    A batch is read coordinate by coordinate, as its (n, B) transpose.
     """
 
     def __init__(self, variant: str, fams: Sequence[FunctionFamily], cols):
@@ -370,14 +352,12 @@ class _VariantGroup:
         return m2 / (m2 + self.y2)
 
     def _entries(self, xt: np.ndarray) -> np.ndarray:
-        """(families, rows) raw values at an (n, rows) block of lattice points, as `_raw` folds them.
+        """(families, rows) raw values at an (n, rows) block of lattice points, as `_raw` folds.
 
-        Each table's pinned coordinates are folded, in coordinate order as
-        `_raw` folds them, into a table of its free coordinates, which the
-        points' bits then index.  At a 0/1 coordinate the fold
-        `a (1 - w) + b w` picks one half exactly, but for the sign of a
-        zero: it adds the other half times 0, so its value is the entry plus
-        0.0, which is -0.0 only where every entry of the table is -0.0.
+        Each table's pins are folded, in `_raw`'s order, into a table of its
+        free coordinates, which the points' bits index.  At a 0/1 coordinate
+        the fold `a (1 - w) + b w` picks one half exactly but for a zero's
+        sign: the entry plus 0.0, -0.0 only where every entry is -0.0.
         """
         raw = np.empty((len(self.tables), xt.shape[1]))
         for j, (table, pins) in enumerate(zip(self.tables, self.pins)):
@@ -426,20 +406,24 @@ class _VariantGroup:
 
 
 class SiteBank:
-    """Families on one cube, compiled to evaluate all at once.
+    """Families on one cube, grouped by variant with each group's parameters stacked.
 
-    Families are grouped by variant, each group's parameters stacked, so a
-    (B, n) batch gives every family's value with a few array operations
-    per group.  A point's value does not depend on the batch it comes in,
-    nor on the bank: sums and products run over the coordinates in order.
-    Batches are taken in row blocks whose temporaries hold at most about
-    `lattice.BLOCK_ENTRIES` entries.
+    A (B, n) batch gives every family's value with a few array operations
+    per group, in row blocks of about `lattice.BLOCK_ENTRIES` entries.  A
+    point's value depends on neither its batch nor the bank: sums and
+    products run over the coordinates in order.
     """
 
     def __init__(self, families: Sequence[FunctionFamily]):
         fams = tuple(families)
         self.n = fams[0].n
         self.size = len(fams)
+        # entries one interior point's evaluation reads, a weight per family
+        # and coordinate and about two per entry of a folded table, and its
+        # work with about 24 numpy calls, as an ODE stage or a recursion step
+        self.entries = sum(2 << f.n if f.variant == "tabulated-multilinear" else f.n
+                           for f in fams)
+        self.point_work = ENTRY_WORK * self.entries + 24 * CALL_WORK
         self.groups = []
         for variant in VARIANTS:
             cols = [j for j, f in enumerate(fams) if f.variant == variant]
@@ -452,11 +436,7 @@ class SiteBank:
         return self._values(points, False)
 
     def lattice_values(self, bits) -> np.ndarray:
-        """`values` at a (B, n) batch of lattice points, bit for bit.
-
-        The points are state words' 0/1 bits, so a tabulated family reads
-        its entries in O(1) a point, where `values` folds its whole table.
-        """
+        """`values` at a (B, n) batch of lattice points, bit for bit; tables are read by entry."""
         return self._values(bits, True)
 
     def _values(self, points, lattice: bool) -> np.ndarray:
@@ -504,6 +484,13 @@ class ModelSpec:
                                                  "survival", "probability"))
         object.__setattr__(self, "bank", SiteBank(self.colonisation + self.survival))
 
+    @cached_property
+    def forms(self) -> dict:
+        """Every target's per-site closed-form certificates, keyed as `_targets` is."""
+        c = [_family_form(f) for f in self.colonisation]
+        s = [_family_form(f) for f in self.survival]
+        return {"C": c, "S": s, "gap": [_sum(si, _scaled(ci, -1, 0)) for ci, si in zip(c, s)]}
+
 
 @dataclass(frozen=True)
 class SpinSpec:
@@ -524,18 +511,23 @@ class SpinSpec:
                            _check_site_functions(self.n, self.death, "death", "rate"))
         object.__setattr__(self, "bank", SiteBank(self.birth + self.death))
 
+    @cached_property
+    def forms(self) -> dict:
+        """Every target's per-site closed-form certificates, keyed as `_targets` is."""
+        birth = [_family_form(f) for f in self.birth]
+        death = [_family_form(f) for f in self.death]
+        return {"birth": birth, "death": death, "total": [_sum(b, d) for b, d in zip(birth, death)]}
+
 
 # -- the per-site functions, all sites at once ------------------------------
 
 
 def site_values(spec, points) -> tuple[np.ndarray, np.ndarray]:
-    """(up, down) at a (B, n) batch of points, each of shape (B, n).
+    """(up, down) at a (B, n) batch of interior points, each of shape (B, n), off the bank.
 
     Column i holds site i's colonisation and survival probabilities for a
-    ModelSpec, its birth and death rates for a SpinSpec, read off the
-    spec's bank.  Every per-site evaluation at interior points goes
-    through here but the hypothesis scans' point and pair batches, which
-    read one bank per role; lattice points go through `lattice_transitions`.
+    ModelSpec, its birth and death rates for a SpinSpec.  The hypothesis
+    scans read one bank per role instead.
     """
     out = spec.bank.values(points)
     return out[:, :spec.n], out[:, spec.n:]
@@ -554,14 +546,11 @@ def transition_values(spec, points) -> np.ndarray:
 
 
 def lattice_transitions(spec, bits) -> np.ndarray:
-    """`transition_values` at a (B, n) batch of lattice points, bit for bit.
+    """`transition_values` at a (B, n) batch of state words' bits, bit for bit.
 
-    The points are the 0/1 bits of state words, at which the bank reads
-    tabulated families by entry (`SiteBank.lattice_values`).  Every table
-    of per-site values on the lattice comes from here, a row block of
-    `lattice.lattice_blocks` at a time: the exact kernel, its dense
-    expansion, the rate defect, the spin rate table and the Monte Carlo
-    thresholds, which also read it at the states past their table's cap.
+    Every table of per-site values on the lattice comes from here, a row
+    block at a time: the exact kernel, its dense expansion, the rate
+    defect, the spin rate table and the Monte Carlo thresholds.
     """
     pts = np.asarray(bits, dtype=float)
     out = spec.bank.lattice_values(pts)
@@ -700,17 +689,11 @@ def save_model(spec, path):
 
 # -- hypothesis checking ----------------------------------------------------
 #
-# Hypothesis kinds:
-#   increasing / decreasing : margins on comparable pairs x <= y
-#   concave / convex        : midpoint margins on arbitrary pairs
-#   nonnegative             : pointwise margins
-#   lipschitz               : a finite-constant estimate, never a failure
-#
-# "gap" below is survival minus colonisation; "total" is birth plus death.
-#
-# Each hypothesis is first put to the closed-form certifier, which decides
-# it from the family coefficients or leaves it open; only open hypotheses
-# are scanned.
+# Kinds: increasing / decreasing (margins on comparable pairs x <= y),
+# concave / convex (midpoint margins on any pairs), nonnegative (pointwise),
+# lipschitz (a finite-constant estimate, never a failure).  "gap" is survival
+# minus colonisation, "total" birth plus death.  Each hypothesis is first put
+# to the closed-form certifier; only those it leaves open are scanned.
 
 _OCC_HYPOTHESES = (
     ("colonisation-increasing", "C", "increasing"),
@@ -845,10 +828,8 @@ def _site_minima(margins: Callable[[int, int], np.ndarray], rows: int,
     """Each site's least margin over `rows` rows, and the first row reaching it.
 
     `margins(start, stop)` gives the (stop - start, n) margins of those
-    rows; they are taken in blocks of at most `lattice.BLOCK_ENTRIES`
-    entries.  A block's minimum replaces the running one only when
-    strictly lower, so ties keep the earliest row, as one `np.argmin`
-    over all rows would.
+    rows, taken in blocks of `lattice.BLOCK_ENTRIES` entries; ties keep the
+    earliest row, as one `np.argmin` over all rows would.
     """
     least = np.full(n, np.inf)
     first = np.zeros(n, dtype=np.int64)
@@ -868,9 +849,8 @@ def _margins(kind: str, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
              y: np.ndarray | None) -> np.ndarray:
     """Signed margins of `kind` at a batch of points x, or of pairs (x, y), for target `f`.
 
-    Negative means the hypothesis is violated.  A Lipschitz margin is the
-    negated l1 quotient |f(y) - f(x)| / |y - x|, so its least margin is the
-    largest quotient; pairs within 1e-12 of each other read +inf.
+    Negative is violated.  A Lipschitz margin is the negated l1 quotient
+    |f(y) - f(x)| / |y - x|; pairs within 1e-12 of each other read +inf.
     """
     if kind == "nonnegative":
         return f(x)
@@ -893,14 +873,12 @@ def _margins(kind: str, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 def _rising_minima(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per site, the words (x, y) of the first lattice pair x < y at the least v[y] - v[x].
 
-    `v` is a (2^n, n) table, row w a word's values.  A subset-max
-    transform gives each word's largest value over its submasks, and a
-    second sweep its largest over proper submasks, each in n passes: the
-    least margin at y is v[y] less that, in O(n 2^n).  Rounding is
-    monotone, so it is the least rounded difference over y's submasks.
-    A scan of the comparable pairs, words in increasing order and each
-    word's submasks in decreasing order, meets first the first y at the
-    minimum and, of y's submasks, the largest x whose difference equals it.
+    `v` is a (2^n, n) table, row w a word's values.  Two subset-max sweeps
+    of n passes give each word's largest value over its proper submasks;
+    the least margin at y is v[y] less that, in O(n 2^n), and, rounding
+    being monotone, the least rounded difference.  A pair scan in word
+    order, each word's submasks in decreasing order, meets first the first
+    y at the minimum and, of its submasks, the largest x reaching it.
     """
     size, n = v.shape
     below = v.copy()
@@ -923,14 +901,12 @@ def _rising_minima(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- closed-form certificates ----------------------------------------------
 #
 # A site function's `_Form` is what its coefficients prove on the cube, in
-# exact arithmetic on the float parameters (`_exact`).  Pins are folded
-# into the intercept.  A form is affine when `coef` holds its (alpha,
-# beta), the value being alpha + beta . x with beta zero at pinned
-# coordinates; `lo` and `hi` then are its exact infimum and supremum, summed
-# only when read.  Any other form carries only the shape flags it proves,
-# and a family's form `bounds` that hold on the cube, for its clamp.  The
-# evaluated function differs from the exact one by round-off only, so a
-# proven hypothesis may show margins of about -1e-16 on a scan.
+# exact arithmetic on the float parameters (`_exact`), pins folded into the
+# intercept.  An affine form's `coef` is its (alpha, beta), beta zero at
+# pins, and `lo` and `hi` its exact infimum and supremum, summed when read.
+# Any other form carries the shape flags it proves, and `bounds` on the cube
+# for a clamp.  The evaluated function differs from the exact one by
+# round-off, so a proven hypothesis may show margins of about -1e-16 on a scan.
 
 
 @dataclass(frozen=True)
@@ -965,8 +941,7 @@ _UNKNOWN = _Form()
 def _exact(value: float) -> Rational:
     """The rational a float holds, exactly.
 
-    `fractions` is imported on first use: it loads `decimal`, about
-    0.3 MB of resident memory that a run checking no hypothesis never needs.
+    `fractions` is imported on first use: its `decimal` is 0.3 MB of memory.
     """
     from fractions import Fraction
 
@@ -1058,25 +1033,11 @@ def _sum(f: _Form, g: _Form) -> _Form:
                  concave=f.concave and g.concave, convex=f.convex and g.convex)
 
 
-def _target_forms(spec) -> dict[str, list[_Form]]:
-    """Every target's per-site forms, keyed as `_targets` is."""
-    if isinstance(spec, ModelSpec):
-        c = [_family_form(f) for f in spec.colonisation]
-        s = [_family_form(f) for f in spec.survival]
-        return {"C": c, "S": s,
-                "gap": [_sum(si, _scaled(ci, -1, 0)) for ci, si in zip(c, s)]}
-    birth = [_family_form(f) for f in spec.birth]
-    death = [_family_form(f) for f in spec.death]
-    return {"birth": birth, "death": death,
-            "total": [_sum(b, d) for b, d in zip(birth, death)]}
-
-
 def _affine_infimum(form: _Form, kind: str) -> Rational:
     """An affine form's exact least margin of `kind` on the cube.
 
-    The value alpha + beta . x is least, at `lo`, on the vertex with
-    x_j = 1 exactly where beta_j < 0.  A monotone margin is
-    +-beta . (y - x) with y - x in [0,1]^n, least for x = 0 and y the
+    alpha + beta . x is least, at `lo`, where x_j = 1 exactly for beta_j < 0.
+    A monotone margin +-beta . (y - x) is least for x = 0 and y the
     indicator of the terms that lower it: lo - alpha or alpha - hi.  A
     midpoint margin is 0 everywhere.
     """
@@ -1093,13 +1054,11 @@ def _proof(forms: Sequence[_Form], name: str, kind: str,
            tol: float) -> HypothesisFinding | None:
     """The finding of a hypothesis the forms decide, or None.
 
-    When every site's form is affine the hypothesis is decided exactly:
-    its margin is the least site's infimum (the lowest site on ties), and
-    it fails below -tol, as a scan would.  A shape kind's margins reach 0
-    at x = y, so a negative infimum alone has a witness; `nonnegative`
-    always names its vertex.  The Lipschitz constant in the l1 quotient is
-    max |beta_j|, reached by moving coordinate j alone.  Otherwise a shape
-    kind that every site's flags prove passes with margin 0.
+    With every site's form affine, the margin is the least site's infimum
+    (the lowest site on ties), failing below -tol; a shape kind's margins
+    reach 0 at x = y, so only a negative infimum has a witness, while
+    `nonnegative` always names its vertex.  The l1 Lipschitz constant is
+    max |beta_j|.  Otherwise a shape kind every site's flags prove passes with margin 0.
     """
     if all(f.coef is not None for f in forms):
         if kind == "lipschitz":
@@ -1127,20 +1086,13 @@ def _proof(forms: Sequence[_Form], name: str, kind: str,
 class _Scans:
     """The sampled and lattice scans of one report, for what no proof settles.
 
-    Each target reads one `SiteBank` per role, and a point's value does not
-    depend on its batch or its bank, so every margin is the one each site's
-    family gives on its own.  Every batch is reduced in row blocks by
-    `_site_minima`, but the comparable lattice pairs of the monotone kinds,
-    which `_rising_minima` reads off the lattice table.  The sample points
-    are counted against the byte budget when the scans are made, before
-    any is drawn; the lattice table is built once, when first needed.
+    Each target reads one `SiteBank` per role, so every margin is the one
+    each site's family gives on its own.  Batches are reduced in row blocks
+    by `_site_minima`, the monotone kinds' lattice pairs by `_rising_minima`
+    off the lattice table, which is built once, when first needed.
     """
 
     def __init__(self, spec, samples: int, tol: float, seed: int):
-        # a pair batch holds its 2 x samples uniform points and their
-        # ordered copies; its margins are taken in row blocks
-        check_bytes(4 * 8 * samples * spec.n,
-                    f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{spec.n}")
         self.spec, self.samples, self.tol, self.seed = spec, samples, tol, seed
         roles = ((spec.colonisation, spec.survival) if isinstance(spec, ModelSpec)
                  else (spec.birth, spec.death))
@@ -1209,26 +1161,44 @@ class _Scans:
                                  witness, by)
 
 
+def hypothesis_plan(spec, samples: int) -> Plan:
+    """`check_assumptions`' plan: its scans of the hypotheses no proof settles.
+
+    A scan holds a pair batch's 2 x samples uniform points and their
+    ordered copies; it evaluates its target at up to three points a sample
+    (a pair and its midpoint), at the lattice up to LATTICE_SCAN_CAP sites
+    and its pairs up to LATTICE_PAIR_CAP.  With every hypothesis proven,
+    nothing is drawn or held.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    n, forms = spec.n, spec.forms
+    table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
+    scanned = sum(_proof(forms[target], name, kind, 0.0) is None for name, target, kind in table)
+    points = 3 * samples + (3 << 2 * n - 1 if n <= LATTICE_PAIR_CAP else 0)
+    blocks = -(-points // (BLOCK_ENTRIES // n))
+    scan = (ENTRY_WORK * (points * spec.bank.entries + 16 * samples * n) + 60 * CALL_WORK * blocks
+            + (sweep_work(n, 2 * n * n + 8 * n, 40) if n <= LATTICE_SCAN_CAP else 0))
+    return Plan(f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{n}",
+                4 * 8 * samples * n if scanned else 0, scanned * scan)
+
+
 def check_assumptions(spec, samples: int = 4096, tol: float = 1e-9,
                       seed: int = 0) -> AssumptionReport:
     """Margins of every theorem hypothesis, decided in closed form where the families allow.
 
-    A hypothesis whose every site is affine is decided exactly: its margin
-    is the exact infimum, or its estimate the exact Lipschitz constant,
-    and it reads no sample.  So is a shape hypothesis the coefficients
-    prove at every site, which passes whatever `tol`.  Any other is
-    scanned by `_Scans`: on `samples` random points or pairs and, up to
-    LATTICE_SCAN_CAP sites, on the lattice, every point and every
-    comparable pair (the latter through a subset-max transform), with
-    every pair's midpoint up to LATTICE_PAIR_CAP sites; a scanned pass is
-    evidence, not proof.  A hypothesis fails when its margin drops below -tol.
-    Sampling is addressed by (hypothesis, sample) so reports are
-    reproducible and independent of evaluation order.
+    A hypothesis whose every site is affine is decided exactly (its exact
+    infimum, or Lipschitz constant), and so is a shape hypothesis the
+    coefficients prove at every site, which passes whatever `tol`.  Any
+    other is scanned by `_Scans`, after `hypothesis_plan` is checked: on
+    `samples` random points or pairs, addressed by (hypothesis, sample),
+    and up to LATTICE_SCAN_CAP sites on every lattice point and comparable
+    pair, with every pair's midpoint up to LATTICE_PAIR_CAP sites; a
+    scanned pass is evidence, not proof.  A margin below -tol fails.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_plan(hypothesis_plan(spec, samples))
     table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
-    forms = _target_forms(spec)
+    forms = spec.forms
     scans = None
     findings = []
     for lane, (name, target, kind) in enumerate(table):

@@ -5,34 +5,31 @@ the witness realising it, and a verdict.  For models whose hypotheses
 were certified the verdict is pass/fail at the check's tolerance; for
 uncertified models no claim is made and the verdict is "informative".
 
-Vacancy-pattern comparisons on the hypercube run over every nonempty
-subset of sites, as law-sized arrays indexed by site mask; each check
-counts the bytes it holds before it allocates any of them.
-
-The path check enumerates its patterns once, as a tree of demand prefixes
-held in arrays; each node's vacancy transform gives every pattern whose
-last demand falls at its depth.
+Vacancy-pattern comparisons run over every nonempty subset of sites, as
+law-sized arrays indexed by site mask.  The path check enumerates its
+patterns once, as a tree of demand prefixes held in arrays; each node's
+vacancy transform gives every pattern whose last demand falls at its depth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import exact, indep, meanfield
-from .lattice import check_bytes, shown
+from .lattice import (CALL_WORK, ENTRY_WORK, Plan, bit_reverse, check_plan, masks_by_weight,
+                      popcount, shown, sweep_work, weight_count)
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec
 
 DEFAULT_TOL = 1e-10
 # laws the path scan pushes through the dense kernel per block, at every n:
-# a few hundred rows already run a matrix product at full speed, and a block
-# stays small beside the dense matrix the scan expands (8 MB at n = 12,
-# against 128 MB); at small n, fewer rows would leave the per-block numpy
-# calls, not the products, as the work
+# a few hundred rows run a matrix product at full speed (fewer would leave
+# the per-block calls as the work at small n), and a block stays small
+# beside the dense matrix (8 MB at n = 12, against 128 MB)
 BLOCK_LAWS = 256
 
 
@@ -50,16 +47,7 @@ class OrderReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "universe": self.universe,
-            "worst_margin": self.worst_margin,
-            "witness": self.witness,
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "certified": self.certified,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _verdict(worst_margin: float, tol: float, certified) -> str:
@@ -69,11 +57,9 @@ def _verdict(worst_margin: float, tol: float, certified) -> str:
 
 
 def vacancy_transform(dist: np.ndarray) -> np.ndarray:
-    """For every site set A (as a bit mask), P(all sites of A vacant).
+    """For every site set A (as a bit mask), P(all sites of A vacant), along the last axis.
 
-    Computed for all masks at once by a subset-sum sweep: mass at state x
-    contributes to exactly the masks disjoint from x.  A (B, 2^n) stack of
-    laws is transformed row by row along its last axis.
+    A subset-sum sweep: mass at state x counts toward the masks disjoint from x.
     """
     dist = np.asarray(dist, float)
     size = dist.shape[-1] if dist.ndim else 0
@@ -118,27 +104,35 @@ def _worst(margins: np.ndarray):
 REPORT_STEP_BYTES = 161
 
 
-def check_marginal_bound(n: int, steps: int):
-    """The capacity rule for thm1's steps, before the propagation starts.
+def bound_plan(spec: ModelSpec, steps: int) -> Plan:
+    """thm1's plan: the exact marginals and law, then the marginal bound.
 
-    Per step it holds a row of the exact marginals, of the recursion and
-    of their margins, the step's least margin and its report entry.
+    Per step the bound holds a row of the exact marginals, of the recursion
+    and of their margins, the step's least margin and its report entry.  The
+    correlations' six law-sized arrays, then, are fewer than the kernel's.
     """
-    check_bytes((steps + 1) * (24 * n + 8 + REPORT_STEP_BYTES),
-                f"{shown(steps)} steps: the marginal bound's tables and per-step report")
+    report = Plan(f"{shown(steps)} steps: the marginal bound's tables and per-step report",
+                  (steps + 1) * (24 * spec.n + 8 + REPORT_STEP_BYTES),
+                  steps * spec.bank.point_work)
+    return exact.trajectory_plan(spec.n, steps).then(report)
 
 
-def check_spin_marginal_bound(n: int, t: float, points: int, widest: float, h: float):
-    """The capacity rule for `spin_marginal_bound`, before its grid or rate tables exist.
+def spin_bound_plan(spec: SpinSpec, t: float, points: int, widest: float,
+                    config: OdeConfig) -> Plan:
+    """`spin_marginal_bound`'s plan, before its grid or rate tables exist.
 
-    It holds the spin engine's tables and laws throughout, and beside them
-    one grid segment's ODE trajectory of times and states at a time, the
-    `widest` segment's the largest; per grid point, two floats, four list
-    slots and their JSON text (320 bytes).
+    It holds the spin engine, one ODE state, the `widest` segment's Poisson
+    weights and per grid point two floats, four list slots and their JSON
+    text (320 bytes); it takes the ODE's steps over [0, t], and per point at
+    most the widest segment's mixture and a marginals sweep.
     """
-    check_bytes(exact.spin_bytes(n) + 8 * (n + 1) * (widest / h + 2.0) + 320 * points,
-                f"n = {n}, t = {t!r} over {shown(points)} grid points, "
-                f"h = {h!r}: the spin tables and a grid segment's ODE trajectory")
+    n, mean = spec.n, exact.spin_rate_bound(spec) * widest
+    spin = exact.spin_plan(n, points * exact.poisson_terms(mean))
+    ode = meanfield.ode_plan(spec, t + 2 * points * config.h, config)
+    return Plan(f"n = {n}, t = {t!r} over {shown(points)} grid points, h = {config.h!r}: "
+                f"the spin laws and ODE",
+                spin.nbytes + exact.poisson_plan(mean).nbytes + 320 * points,
+                spin.work + ode.work + points * sweep_work(n, n, 6))
 
 
 def marginal_bound(spec: ModelSpec, x0: int, exact_rows: np.ndarray,
@@ -172,16 +166,15 @@ def marginal_bound(spec: ModelSpec, x0: int, exact_rows: np.ndarray,
 def single_time_orthant(spec: ModelSpec, x0: int, t: int, kernel: exact.Kernel,
                         tol: float = DEFAULT_TOL,
                         certified: bool | None = None) -> OrderReport:
-    """Joint vacancy comparison at one time over every nonempty site set.
+    """Joint vacancy comparison at one time over every nonempty site set, by the chain's `kernel`.
 
     Chains P(all of A vacant) >= prod(1 - pi_i) >= prod(1 - p_i): the first
     step is an association inequality for the exact law, the second the
-    marginal bound.  Margins of both steps are reported; the check's own
-    margin is the end-to-end one against the deterministic product.
-    `kernel` is the chain's `exact.Kernel`.
+    marginal bound.  Both steps' margins are reported; the check's own is
+    the end-to-end one against the deterministic product.
     """
     # the law, its vacancy transform, one product and four arrays making the other
-    check_bytes(7 * (8 << spec.n), f"n = {spec.n}: the site-set tables")
+    check_plan(Plan(f"n = {spec.n}: the site-set tables", 7 * (8 << spec.n)))
     dist = exact.distribution(spec, x0, t, kernel)
     pi = exact.marginals(dist)
     p = meanfield.iterate(spec, exact.state_bits(x0, spec.n), t)[-1]
@@ -213,13 +206,12 @@ def positive_correlations(dist: np.ndarray, tol: float = DEFAULT_TOL,
                           certified: bool | None = None) -> OrderReport:
     """Joint vacancies against the product of single-site vacancies.
 
-    Nonnegative margins mean the law is positively associated on lower
-    orthants, e.g. for occupancy laws run from a deterministic start.
+    Nonnegative margins mean the law is positively associated on lower orthants.
     """
     dist = np.asarray(dist, float)
     n = int(np.log2(dist.size))
     # the vacancy transform and four arrays making the product
-    check_bytes(5 * (8 << n), f"n = {n}: the site-set tables")
+    check_plan(Plan(f"n = {n}: the site-set tables", 5 * (8 << n)))
     exact.validate_distribution(dist, atol=1e-9)
     vac = vacancy_transform(dist)
     prod = subset_products(1.0 - exact.marginals(dist))
@@ -234,35 +226,6 @@ def positive_correlations(dist: np.ndarray, tol: float = DEFAULT_TOL,
         tol=tol,
         certified=certified,
     )
-
-
-def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
-    """Number of set bits among the low `bits` bits of each entry of `x`."""
-    count = np.zeros_like(x)
-    for i in range(bits):
-        count += (x >> i) & 1
-    return count
-
-
-def _reverse(x: np.ndarray, bits: int) -> np.ndarray:
-    """Each entry of `x` with its low `bits` bits in reverse order."""
-    out = np.zeros_like(x)
-    for i in range(bits):
-        out |= ((x >> i) & 1) << (bits - 1 - i)
-    return out
-
-
-def _masks_by_weight(n: int):
-    """Every site mask by popcount then value, the empty one first, and its popcount."""
-    masks = np.arange(1 << n)
-    weight = _popcount(masks, n)
-    order = np.argsort(weight, kind="stable")
-    return order, weight[order]
-
-
-def _weight_count(n: int, r: int) -> int:
-    """Number of nonempty site masks of popcount at most r."""
-    return sum(math.comb(n, j) for j in range(1, min(r, n) + 1))
 
 
 def _add_step(steps: np.ndarray, masks: np.ndarray, t: int) -> np.ndarray:
@@ -292,14 +255,13 @@ class _Nodes(NamedTuple):
 def _children(nodes: _Nodes, budget: int, t: int) -> _Nodes:
     """The nodes at depth t + 1, in order of their parents at depth t.
 
-    A node is kept when a scanned pattern extends it: a parent takes the
-    empty mask, every mask of popcount up to budget - 1 - demands
-    (multisite patterns), and each site holding all its demands (single-site
-    ones).
+    A parent takes the empty mask, every mask of popcount up to budget - 1 -
+    demands (multisite patterns), and each site holding all its demands
+    (single-site ones): the nodes a scanned pattern extends.
     """
     n = nodes.steps.shape[1]
-    order, weight = _masks_by_weight(n)
-    count = _weight_count(n, max(budget - 1, 1)) + 1
+    order, weight = masks_by_weight(n)
+    count = weight_count(n, max(budget - 1, 1)) + 1
     masks, weight = order[:count], weight[:count]
     take = weight <= np.maximum(budget - 1 - nodes.demands, 0)[:, None]
     # the singletons follow the empty mask, site by site
@@ -323,40 +285,47 @@ def _tree_sizes(n: int, m: int, budget: int) -> list[int]:
             for t in range(1, m + 1)]
 
 
-def check_scan(n: int, m: int, budget: int = 4):
-    """The capacity rule for `path_orthant`: everything it holds, before any of it exists.
+def scan_plan(spec: ModelSpec, m: int, steps: int = 0, budget: int = 4) -> Plan:
+    """thm3's plan: `path_orthant`'s scan, and the single-time check's `steps` pushes.
 
     The kernel is held throughout, and the surrogate's two (n, 2^m) tables
-    take `indep.vacancy_table_bytes` to build; the scan holds them, the
+    take `indep.vacancy_plan` to build; the scan holds them, the
     single-site margins, omega's places and the dense kernel; per depth,
     the parents' laws and its own, the nodes of it and the next (n + 4 int64
     each, twice over while built) and a flag per (node, candidate mask); per
     block, three law-sized arrays; per equal-demand group, 2n + 5 numbers
-    per pattern read.
+    per pattern read.  Each node's law is pushed through the dense kernel,
+    2 * 4^n flops, and transformed, and its patterns' surrogates multiplied.
     """
     if m < 1:
         raise ValueError("path length m must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    n = spec.n
     what = f"n = {n}, m = {shown(m)}, budget {budget}: the path scan"
     # the surrogate's (m, n) schedules bound m before 2^m is formed, and
     # its two tables before the tree is sized
-    check_bytes(24 * m * n, what)
+    check_plan(Plan(what, 24 * m * n))
     table = 8 << m
-    check_bytes(2 * n * table, what)
+    check_plan(Plan(what, 2 * n * table))
     rows = _tree_sizes(n, m, budget)
     parents = [1] + rows[:-1]
     laws = max(p + (r if t < m else 0)
                for t, (p, r) in enumerate(zip(parents, rows), start=1))
     node = 8 * (n + 4)
-    candidates = _weight_count(n, max(budget - 1, 1)) + 1
+    candidates = weight_count(n, max(budget - 1, 1)) + 1
     nodes = max(2 * (p + r) * node + p * candidates for p, r in zip(parents, rows))
     block = min(max(rows), BLOCK_LAWS)
-    patterns = max(min(block, math.comb(n * (t - 1), d)) * _weight_count(n, budget - d)
+    patterns = max(min(block, math.comb(n * (t - 1), d)) * weight_count(n, budget - d)
                    for t in range(1, m + 1) for d in range(min(budget, n * (t - 1) + 1)))
     scan = ((3 * n + 1) * table + nodes + (8 << n) * (laws + 3 * block)
             + 8 * (2 * n + 5) * patterns + (8 << 2 * n))
-    check_bytes(exact.kernel_bytes(n) + max(indep.vacancy_table_bytes(n, m), scan), what)
+    kernel, tables = exact.kernel_plan(n, steps), indep.vacancy_plan(n, m)
+    law = 2.0 * 4 ** n + ENTRY_WORK * float(((n + 4) << n) + n * weight_count(n, budget))
+    # the dense expansion, and the single-time check's seven site-set tables
+    work = (sum(rows) * law + ENTRY_WORK * float((2 << 2 * n) + (7 * n << n))
+            + (2 * n + 40) * CALL_WORK * sum(-(-r // BLOCK_LAWS) for r in rows))
+    return Plan(what, kernel.nbytes + max(tables.nbytes, scan), kernel.work + tables.work + work)
 
 
 def _scan(dense: np.ndarray, x0: int, m: int, budget: int):
@@ -404,8 +373,8 @@ def _first_scanned(steps: np.ndarray, m: int) -> int:
     rows = first(np.arange(len(steps)), -demanded.sum(axis=1))
     rows = first(rows, (demanded[rows] << (n - 1 - np.arange(n))).sum(axis=1))
     for i in range(n):
-        rows = first(rows, -_popcount(steps[rows, i], m))
-        rows = first(rows, _reverse(steps[rows, i], m))
+        rows = first(rows, -popcount(steps[rows, i], m))
+        rows = first(rows, bit_reverse(steps[rows, i], m))
     return int(rows[0])
 
 
@@ -415,23 +384,21 @@ def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
     """Exact vacancy-pattern probabilities against the independent surrogate.
 
     Scans every single-site pattern omega in {0,1}^m and every multisite
-    pattern demanding at most `budget` vacancies in steps 1..m.  Margins
-    are exact minus surrogate; the surrogate should never exceed.  The
-    exact side is one pass over the prefix tree (`_scan`) with the
-    chain's kernel `kernel`; the surrogate side is one table per site over
-    every set of vacancy times, a multisite surrogate their product in
-    site order.  The witness is the first pattern, in scan order, with the
-    worst margin.
+    pattern demanding at most `budget` vacancies in steps 1..m; margins are
+    exact minus surrogate, which should never exceed.  The exact side is one
+    pass over the prefix tree (`_scan`) with the chain's `kernel`, the
+    surrogate one table per site over every set of vacancy times, their
+    product in site order.  The witness is the first worst pattern scanned.
     """
     n = spec.n
-    check_scan(n, m, budget)
+    check_plan(scan_plan(spec, m, budget=budget))
     at_last, at_end = indep.vacancy_tables(spec, x0, indep.site_schedules(spec, x0, m), m)
-    order = _masks_by_weight(n)[0]
+    order = masks_by_weight(n)[0]
     singles = 1 << np.arange(n)
     # omega of the steps mask S has bit m - t set where step t is free,
     # so it sits at full - reverse(S) in scan order
     full = (1 << m) - 1
-    place = full - _reverse(np.arange(1 << m), m)
+    place = full - bit_reverse(np.arange(1 << m), m)
     single = np.empty((n, 1 << m))
     single[:, full] = 1.0 - at_end[:, 0]
     multi_worst, multi_steps = np.inf, None
@@ -442,7 +409,7 @@ def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
         single[i, place[times]] = vac[r, singles[i]] - at_end[i, times]
         for d in set(nodes.demands[nodes.demands < budget].tolist()):
             rows = np.flatnonzero(nodes.demands == d)
-            masks = order[1:_weight_count(n, budget - d) + 1]
+            masks = order[1:weight_count(n, budget - d) + 1]
             surrogate = np.ones((rows.size, masks.size))
             for j in range(n):
                 surrogate *= at_last[j, nodes.steps[rows, j, None] | (masks >> j & 1) << (t - 1)]
@@ -487,8 +454,8 @@ def spin_marginal_bound(spec: SpinSpec, x0: int, t_grid, tol: float = 1e-6,
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(t < 0 for t in t_grid) or sorted(t_grid) != t_grid:
         raise ValueError("t_grid must be nonempty, nondecreasing and nonnegative")
-    check_spin_marginal_bound(spec.n, t_grid[-1], len(t_grid),
-                              max(b - a for a, b in zip([0.0, *t_grid], t_grid)), config.h)
+    check_plan(spin_bound_plan(spec, t_grid[-1], len(t_grid),
+                               max(b - a for a, b in zip([0.0, *t_grid], t_grid)), config))
     rates = exact.spin_generator(spec)
     p = exact.state_bits(x0, spec.n)
     law = exact.point_mass(spec.n, x0)
@@ -498,8 +465,7 @@ def spin_marginal_bound(spec: SpinSpec, x0: int, t_grid, tol: float = 1e-6,
     t_cur = 0.0
     for t in t_grid:
         if t > t_cur:
-            _, states = meanfield.integrate_ode(spec, p, t - t_cur, config)
-            p = states[-1]
+            p = meanfield.flow(spec, p, t - t_cur, config)
             law = exact.spin_law_from(rates, law, t - t_cur)
             t_cur = t
         pi = exact.marginals(law)

@@ -1,19 +1,14 @@
 """Monte Carlo for occupancy models, driven by addressed uniforms.
 
 Every replicate r consumes the uniforms U[r, t, i] of a UniformArray and
-nothing else, so runs are bitwise reproducible for a given seed and
-independent of scheduling: workers always process whole replicate chunks
-and combine exact integer counts.
-
-A bit turns on when its uniform falls below the colonisation (if vacant)
-or survival (if occupied) probability of the current state.  For models
-whose survival dominates colonisation this threshold rule is monotone:
-raising any uniform can only turn bits off, which the test suite's
-paired-path check exercises.
-
-The engines compare integers: a uniform u = k * 2^-53 of 53-bit word k is
-below p in [0, 1] exactly when k < ceil(p * 2^53), as scaling by 2^53 is
-exact.
+nothing else, so runs are bitwise reproducible for a given seed whatever
+the scheduling: workers process whole replicate chunks and combine exact
+integer counts.  A bit turns on when its uniform falls below the
+colonisation (if vacant) or survival (if occupied) probability of the
+current state; where survival dominates colonisation this rule is
+monotone, and raising any uniform can only turn bits off.  The engines
+compare integers: a uniform u = k * 2^-53 of 53-bit word k is below p in
+[0, 1] exactly when k < ceil(p * 2^53), as scaling by 2^53 is exact.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_bytes, lattice_blocks, shown, state_bits
+from .lattice import CALL_WORK, ENTRY_WORK, Plan, check_plan, lattice_blocks, shown, state_bits
 from .model import ModelSpec, lattice_transitions
 from .streams import REPLICATE_CHUNK, UniformArray, new_bit_generator
 
@@ -47,10 +42,8 @@ def _threshold_words(p: np.ndarray) -> np.ndarray:
 def _threshold_table(spec: ModelSpec):
     """(2^n, n) word thresholds of each bit, by state word; None past the cap.
 
-    The table is filled in row blocks of states whose bits and bank
-    evaluation, 2n families times n coordinates per state, hold at most
-    about `BLOCK_ENTRIES` entries, so the whole lattice is never formed; a
-    state's thresholds do not depend on its block.
+    The table is filled in row blocks of states whose bank evaluation, 2n
+    families times n coordinates a state, holds about `BLOCK_ENTRIES` entries.
     """
     n = spec.n
     if n > _TABLE_CAP:
@@ -71,13 +64,12 @@ def _thresholds(spec: ModelSpec, states: np.ndarray, table) -> np.ndarray:
 
 def step_occupancy(spec: ModelSpec, states: np.ndarray, uniforms: np.ndarray,
                    table) -> np.ndarray:
-    """Advance a (B, n) batch of 0/1 states one step with given uniforms.
+    """Advance a (B, n) batch of 0/1 states, of their dtype, one step with given uniforms.
 
     `uniforms` are 53-bit words, or floats u read as floor(u * 2^53), exact
-    for the streams' k * 2^-53.  `table` is `_threshold_table(spec)`; None,
-    as past the cap, evaluates the thresholds at the states.  The next
-    states keep the dtype of `states`; the engines carry float64 states, so
-    that state words and site counts are BLAS products.
+    for the streams' k * 2^-53.  `table` is `_threshold_table(spec)`, or
+    None to evaluate the thresholds at the states.  The engines carry
+    float64 states, so that state words and site counts are BLAS products.
     """
     states = np.asarray(states)
     uniforms = np.asarray(uniforms)
@@ -89,9 +81,8 @@ def step_occupancy(spec: ModelSpec, states: np.ndarray, uniforms: np.ndarray,
         raise ArithmeticError("subnormal doubles flush to zero, so words cannot be compared")
     thr = _thresholds(spec, states, table).view(np.float64)
     # words below 2^63 read as doubles are finite, nonnegative and in the
-    # same order, so the float64 compare is the integer one: it is faster,
-    # and numpy's integer compare would page in 128 KB more of its code.
-    # The thresholds are a fresh array, which the 0/1 outcomes overwrite
+    # same order, so the float64 compare is the integer one, faster and 128 KB
+    # less of numpy's code; the 0/1 outcomes overwrite the fresh thresholds
     return np.less(uniforms.view(np.float64), thr, out=thr).astype(states.dtype, copy=False)
 
 
@@ -165,17 +156,18 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
     """Estimate occupation probabilities at steps 0..steps from reps paths."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    chunks = -(-reps // REPLICATE_CHUNK)
+    n, chunks = spec.n, -(-reps // REPLICATE_CHUNK)
     # the sum, means and ses, and every chunk's counts, which a pool of
     # workers may finish before the sum reaches them; and per thread six
-    # (REPLICATE_CHUNK, n) arrays of states, words and thresholds, for as
-    # many threads as any worker count starts, so --workers never decides
-    # whether a run is accepted
+    # (REPLICATE_CHUNK, n) arrays, for as many threads as any --workers
+    # starts.  A chunk's step reads about eight entries per replicate and
+    # site, and past the table's cap evaluates 2n families at each state
     threads = min(chunks, os.cpu_count() or 1)
-    check_bytes(8 * (chunks + 3) * (steps + 1) * spec.n
-                + 6 * threads * 8 * REPLICATE_CHUNK * spec.n,
-                f"{shown(steps)} steps, {shown(reps)} replicates: {shown(chunks + 3)} "
-                f"({shown(steps + 1)}, {spec.n}) count tables")
+    entries = reps * n * (8 + (2 * n if n > _TABLE_CAP else 0))
+    check_plan(Plan(f"{shown(steps)} steps, {shown(reps)} replicates: {shown(chunks + 3)} "
+                    f"({shown(steps + 1)}, {n}) count tables",
+                    8 * (chunks + 3) * (steps + 1) * n + 6 * threads * 8 * REPLICATE_CHUNK * n,
+                    steps * (ENTRY_WORK * entries + 10 * CALL_WORK * chunks)))
     ua = UniformArray(seed=seed, n_sites=spec.n)
     table = _threshold_table(spec)
 

@@ -2,14 +2,10 @@
 
 Every uniform used anywhere in the package is a pure function of a small
 integer address, never of execution order.  Streams are built on Philox4x64,
-a counter-based generator: the 256-bit counter is laid out as
-
-    counter = [0, block, lane, domain]
-
-with word 0 left free-running for draws within a stream, and the key is
-``[seed, salt]``.  Distinct (domain, lane, block) triples therefore give
-independent streams for the same seed, and re-drawing any prefix of a
-stream is reproducible regardless of what else has been generated.
+a counter-based generator with the 256-bit counter ``[0, block, lane,
+domain]``, word 0 free-running for draws within a stream, and the key
+``[seed, salt]``: distinct (domain, lane, block) triples give independent
+streams for the same seed, and any prefix of a stream can be re-drawn.
 
 The k-th word of a stream is ``raw_k >> 11``, raw_k being the k-th 64-bit
 output word of the addressed Philox, which increments the counter before
@@ -56,10 +52,9 @@ def _stream_key(seed: int) -> np.ndarray:
 
 def _words(bitgen: np.random.Philox, key: np.ndarray, domain: int, lane: int,
            block: int, count: int) -> np.ndarray:
-    """First `count` words of the stream at (domain, lane, block), from `bitgen`.
+    """First `count` words of the stream at (domain, lane, block), from a thread's own `bitgen`.
 
-    Setting a Philox's state costs a third of building one.  Each thread
-    draws with its own `bitgen`.
+    Setting a Philox's state costs a third of building one.
     """
     bitgen.state = {"bit_generator": "Philox",
                     "state": {"counter": np.array([0, block, lane, domain], dtype=np.uint64),
@@ -74,10 +69,9 @@ def _words(bitgen: np.random.Philox, key: np.ndarray, domain: int, lane: int,
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """The uniforms `words * 2**-53` of 1-d words, cast in their own buffer.
 
-    A draw so holds one array of its size, as Generator.random does:
-    assigning a 1-d array onto a same-strided view of itself casts element
-    by element, where a ufunc with `out=` that view, or a 2-d array, would
-    be copied first.
+    A draw so holds one array, as Generator.random does: a 1-d array cast
+    onto a same-strided view of itself goes element by element, where a
+    ufunc with `out=` that view, or a 2-d array, would be copied first.
     """
     out = words.view(np.float64)
     out[...] = words
@@ -104,12 +98,10 @@ def assumption_uniforms(seed: int, lane: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UniformArray:
-    """Virtual array U[replicate, step, site] of iid uniforms.
+    """Virtual array U[replicate, step, site] of iid uniforms, a function of those and the seed.
 
-    Values are a pure function of (seed, replicate, step, site).  Replicates
-    are grouped into chunks of REPLICATE_CHUNK rows; chunk c at step t is one
-    contiguous stream, row-major over (row within chunk, site).  Workers that
-    process whole chunks in any order reproduce identical values.
+    Chunk c of REPLICATE_CHUNK replicates at step t is one contiguous
+    stream, row-major over (row within chunk, site), in any worker's order.
     """
 
     seed: int

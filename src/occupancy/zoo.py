@@ -1,9 +1,7 @@
 """Ready-made models used by tests, experiments, and the docs.
 
-The random generator below draws occupancy models that provably satisfy
-every ordering hypothesis (monotone concave colonisation and survival
-with a nonnegative, decreasing, convex gap), by keeping both functions
-affine and never saturated.
+`random_certified_model` draws occupancy models that provably satisfy every
+ordering hypothesis, by keeping both functions affine and never saturated.
 """
 
 from __future__ import annotations
@@ -104,13 +102,9 @@ def contact_ring(n: int, beta: float = 0.35, mu: float = 1.0) -> SpinSpec:
     birth = []
     for i in range(n):
         b = np.zeros(n)
-        if n == 1:
-            pass
-        elif n == 2:
-            b[(i + 1) % n] = 0.5
-        else:
-            b[(i - 1) % n] = 0.5
-            b[(i + 1) % n] = 0.5
+        # each neighbour once: none on one site, the one other on two
+        for j in {(i - 1) % n, (i + 1) % n} - {i}:
+            b[j] = 0.5
         birth.append(FunctionFamily(variant="affine-saturated", n=n,
                                     params={"a": 0.0, "b": b.tolist()},
                                     role="rate", scale=2.0 * beta))

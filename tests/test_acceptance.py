@@ -125,8 +125,9 @@ def test_criterion_5_discretisation_bridge():
         reference_end = meanfield.integrate_ode(ring, p0, 1.0, bridge.REFERENCE_ODE)[1][-1]
         for d in deltas:
             config = DiscretisationConfig(d)
-            kernel = exact.kernel(bridge.discretise(ring, config))
-            single, _ = bridge.rate_defect(ring, config, rates)
+            chain = bridge.discretise(ring, config)
+            kernel = exact.kernel(chain)
+            single, _ = bridge.rate_defect(chain, config, rates)
             singles.append(single)
             tvs.append(bridge.law_distance(ring, config, 1, 1.0, kernel, truth))
             gaps.append(bridge.euler_gap(ring, p0, 1.0, config, reference_end))

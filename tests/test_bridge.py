@@ -82,7 +82,7 @@ def test_single_site_rate_defect_is_exact():
     rates = exact.spin_generator(spec)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
-        single, multi = rate_defect(spec, config, rates)
+        single, multi = rate_defect(discretise(spec, config), config, rates)
         assert single <= 1e-14 and multi == 0.0
 
 
@@ -91,7 +91,7 @@ def test_rate_defect_first_order(ring3):
     rates = exact.spin_generator(ring3)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
-        single, multi = rate_defect(ring3, config, rates)
+        single, multi = rate_defect(discretise(ring3, config), config, rates)
         singles.append(single)
         multis.append(multi)
         assert multi <= 3.0 * delta  # multi-flip mass is O(delta)
@@ -106,7 +106,7 @@ def test_rate_defect_matches_hamming_masks(n):
         spec = random_spin_model(n, seed=300 * n + seed)
         for share in (0.5, 1.0):
             config = DiscretisationConfig(share * admissibility_bound(spec))
-            got = rate_defect(spec, config, exact.spin_generator(spec))
+            got = rate_defect(discretise(spec, config), config, exact.spin_generator(spec))
             assert got == hamming_rate_defect(spec, config)
 
 
@@ -115,7 +115,7 @@ def test_rate_defect_matches_hamming_masks_on_the_ring():
     rates = exact.spin_generator(ring)
     for delta in DELTAS:
         config = DiscretisationConfig(delta)
-        got = rate_defect(ring, config, rates)
+        got = rate_defect(discretise(ring, config), config, rates)
         assert got == hamming_rate_defect(ring, config)
 
 
@@ -128,7 +128,7 @@ def test_rate_defect_never_holds_the_dense_kernel():
     rates = exact.spin_generator(ring)
     tracemalloc.start()
     try:
-        rate_defect(ring, config, rates)
+        rate_defect(discretise(ring, config), config, rates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -141,9 +141,9 @@ def test_shared_kernel_and_generator_are_left_unchanged(ring3):
     rates = exact.spin_generator(ring3)
     kept = kernel.low.copy(), kernel.high.copy(), rates.copy()
     # every metric of one delta runs on the same two arrays, in any order
-    first = rate_defect(ring3, config, rates)
+    first = rate_defect(discretise(ring3, config), config, rates)
     law = subordinated_law(ring3, config, 1, 0.5, kernel)
-    assert rate_defect(ring3, config, rates) == first
+    assert rate_defect(discretise(ring3, config), config, rates) == first
     assert np.array_equal(subordinated_law(ring3, config, 1, 0.5, kernel), law)
     assert all(np.array_equal(a, b)
                for a, b in zip((kernel.low, kernel.high, rates), kept))
@@ -311,7 +311,7 @@ def test_convergence_table_rows_equal_standalone_metrics():
     for delta in deltas:
         # every shared object built afresh for each metric call
         config = DiscretisationConfig(delta)
-        single, multi = rate_defect(spec, config, exact.spin_generator(spec))
+        single, multi = rate_defect(discretise(spec, config), config, exact.spin_generator(spec))
         tv = law_distance(spec, config, x0, t, chain_kernel(spec, config),
                           exact.spin_law(exact.spin_generator(spec), x0, t))
         gap = euler_gap(spec, p0, t, config, reference_end(spec, p0, t))
@@ -320,6 +320,21 @@ def test_convergence_table_rows_equal_standalone_metrics():
                      (delta, "law-distance", tv),
                      (delta, "euler-gap", gap)]
     assert table.rows == tuple(expected)
+
+
+def test_convergence_table_discretises_each_step_size_once(ring3, monkeypatch):
+    # the rate defect reads the chain the table built for the law distance,
+    # and gives the rows a freshly discretised chain gives
+    calls = []
+    discretise = bridge.discretise
+    monkeypatch.setattr(bridge, "discretise", lambda *args: calls.append(args) or discretise(*args))
+    table = convergence_table(ring3, 1, 0.5)
+    assert [config.delta for _, config in calls] == list(bridge.DEFAULT_DELTAS)
+    monkeypatch.undo()
+    rates = exact.spin_generator(ring3)
+    for delta, _, single in table.rows[::4]:
+        config = DiscretisationConfig(delta)
+        assert rate_defect(discretise(ring3, config), config, rates)[0] == single
 
 
 def test_convergence_report_flags_a_growing_metric():

@@ -1,7 +1,7 @@
-"""One capacity rule: every capacity error comes from `lattice.check_bytes`.
+"""One capacity rule: every capacity error comes from `lattice.check_plan`.
 
-Each route counts the bytes of its own arrays and hands them to
-`check_bytes`; a second rule, such as a cap on n, would raise
+Each route plans the bytes of its own arrays and its work and hands the
+plan to `check_plan`; a second rule, such as a cap on n, would raise
 `CapacityError` somewhere else.
 """
 
@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import occupancy
-from occupancy import bridge, exact, indep, lattice, model, order, simulate, zoo
+from occupancy import bridge, exact, indep, lattice, meanfield, model, order, simulate, zoo
+from occupancy.meanfield import OdeConfig
 from occupancy.model import check_assumptions
 
 from conftest import random_model, random_spin_model
@@ -46,7 +47,7 @@ def test_capacity_error_is_raised_only_in_check_bytes():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for function, line in _raises_of_capacity_error(tree):
             raises[f"{path.name}:{line}"] = function
-    assert list(raises.values()) == ["check_bytes"]
+    assert list(raises.values()) == ["check_plan"]
     assert next(iter(raises)).startswith("lattice.py:")
 
 
@@ -61,7 +62,7 @@ def test_block_bytes_is_read_only_by_check_bytes():
                 reads += [(path.name, function.name) for node in ast.walk(function)
                           if isinstance(node, (ast.Name, ast.Attribute))
                           and "BLOCK_BYTES" in (getattr(node, "id", None), getattr(node, "attr", None))]
-    assert reads == [("lattice.py", "check_bytes")]
+    assert reads == [("lattice.py", "check_plan")]
 
 
 def _fits(check) -> bool:
@@ -73,17 +74,34 @@ def _fits(check) -> bool:
     return True
 
 
-def test_limits_in_n():
-    # at the CLI's defaults: single laws and thm1 to n = 17, thm2 to 22,
-    # thm3 to 13 and the bridge (and thm4) to 17; nothing is allocated
-    def largest(check):
-        return max(n for n in range(1, 40) if _fits(lambda: check(n)))
+def test_limits_in_n(monkeypatch):
+    # at the CLI's defaults, by bytes alone: single laws and thm1 to n = 17,
+    # thm2 to 22, thm3 to 13 and the bridge (and thm4) to 17; by bytes and
+    # work: thm1 to 16, thm2 to 17, thm3 to 11 and the bridge to 14 (on
+    # `random_certified_model` and `contact_ring`); nothing is allocated
+    def largest(plan, work=True):
+        with monkeypatch.context() as patch:
+            if not work:
+                patch.setattr(lattice, "WORK_BUDGET", float("inf"))
+            return max(n for n in range(1, 30) if _fits(lambda: lattice.check_plan(plan(n))))
 
-    assert largest(lambda n: lattice.check_bytes(exact.kernel_bytes(n), "")) == 17
-    assert largest(lambda n: order.check_spin_marginal_bound(n, 10.0, 11, 1.0, 1e-3)) == 22
-    assert largest(lambda n: order.check_scan(n, 4)) == 13
-    assert largest(lambda n: lattice.check_bytes(bridge.convergence_bytes(n, 1.0), "")) == 17
-    assert largest(lambda n: lattice.check_bytes(bridge.convergence_bytes(n, 10.0), "")) == 17
+    def thm1(n):
+        return order.bound_plan(zoo.random_certified_model(n, 0), 10)
+
+    def thm2(n):
+        return order.spin_bound_plan(zoo.contact_ring(n), 10.0, 11, 1.0, OdeConfig())
+
+    def thm3(n):
+        return order.scan_plan(zoo.random_certified_model(n, 0), 4, 10)
+
+    def bridge_at(t):
+        return lambda n: bridge.convergence_plan(zoo.contact_ring(n), t)
+
+    assert largest(exact.kernel_plan, work=False) == largest(thm1, work=False) == 17
+    assert largest(thm2, work=False) == 22
+    assert largest(thm3, work=False) == 13
+    assert largest(bridge_at(1.0), work=False) == largest(bridge_at(10.0), work=False) == 17
+    assert [largest(plan) for plan in (thm1, thm2, thm3, bridge_at(1.0))] == [16, 17, 11, 14]
 
 
 # -- every counted route, traced ------------------------------------------------
@@ -96,15 +114,15 @@ def test_limits_in_n():
 def _traced(run, module=None) -> tuple[int, float]:
     """(traced peak of run(), the largest count `module` checked in it)."""
     counts = []
-    check = lattice.check_bytes
+    check = lattice.check_plan
 
-    def record(nbytes, what):
-        counts.append(nbytes)
-        check(nbytes, what)
+    def record(plan):
+        counts.append(plan.nbytes)
+        check(plan)
 
     with pytest.MonkeyPatch.context() as patch:
         if module is not None:
-            patch.setattr(module, "check_bytes", record)
+            patch.setattr(module, "check_plan", record)
         tracemalloc.start()
         try:
             run()
@@ -118,20 +136,21 @@ def _kernel_route(n):
     # a build, three pushes and four laws' marginals
     peaks = [_traced(lambda: exact.law_trajectory(spec, 0, 3))[0]
              for spec in (random_model(n, 7 * n), zoo.random_certified_model(n, 0))]
-    return max(peaks), exact.kernel_bytes(n) + 8 * 4 * n
+    return max(peaks), exact.kernel_plan(n).nbytes + 8 * 4 * n
 
 
 def _spin_route(n):
     peaks = [_traced(lambda: exact.spin_law(exact.spin_generator(spec), (1 << n) - 1, 0.5))[0]
              for spec in (random_spin_model(n, 100 + n, ("product-form",)),
                           zoo.contact_ring(n))]
-    return max(peaks), exact.spin_bytes(n)
+    return max(peaks), exact.spin_plan(n).nbytes
 
 
 def _convergence_route(n):
     deltas = (0.125, 0.0625)
-    peak = _traced(lambda: bridge.convergence_table(zoo.contact_ring(n), 0, 0.5, deltas))[0]
-    return peak, bridge.convergence_bytes(n, 0.5, deltas)
+    ring = zoo.contact_ring(n)
+    peak = _traced(lambda: bridge.convergence_table(ring, 0, 0.5, deltas))[0]
+    return peak, bridge.convergence_plan(ring, 0.5, deltas).nbytes
 
 
 def _thm1_route(n):
@@ -142,12 +161,12 @@ def _thm1_route(n):
         order.marginal_bound(spec, 0, rows)
         order.positive_correlations(law)
 
-    return _traced(run)[0], (exact.kernel_bytes(n)
+    return _traced(run)[0], (exact.kernel_plan(n).nbytes
                              + (steps + 1) * (24 * n + 8 + order.REPORT_STEP_BYTES))
 
 
 def _thm2_route(n):
-    # two grid segments: the spin engine beside one segment's ODE trajectory
+    # two grid segments: the spin engine beside one ODE state
     ring = zoo.contact_ring(n)
     return _traced(lambda: order.spin_marginal_bound(ring, 0, [0.25, 0.5]), order)
 
@@ -161,7 +180,7 @@ def _vacancy_route(n, m):
     spec = zoo.random_certified_model(n, 3)
     schedules = indep.site_schedules(spec, 0, m)
     peak = _traced(lambda: indep.vacancy_tables(spec, 0, schedules, m))[0]
-    return peak, indep.vacancy_table_bytes(n, m)
+    return peak, indep.vacancy_plan(n, m).nbytes
 
 
 def _check_route(n, samples):
@@ -193,6 +212,32 @@ ROUTES = ([pytest.param(_kernel_route, n, id=f"kernel-{n}") for n in range(1, 15
              for n in (4, 12, 64, 200)
              for name, make in (("pair", zoo.constant_pair),
                                 ("certified", partial(zoo.random_certified_model, seed=4)))])
+
+
+def test_ode_routes_hold_one_state_at_any_t(monkeypatch):
+    # thm2's segments, the bridge's reference and its Euler paths each hold
+    # one ODE state and no trajectory: a few kB at t = 0.5 as at 8, where a
+    # trajectory of times and states would take 256 kB
+    held = []
+    flow = meanfield.flow
+
+    def traced(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        end = flow(*args)
+        held.append(tracemalloc.get_traced_memory()[1] - start)
+        return end
+
+    monkeypatch.setattr(meanfield, "flow", traced)
+    ring = zoo.contact_ring(3)
+    tracemalloc.start()
+    try:
+        for t in (0.5, 8.0):
+            order.spin_marginal_bound(ring, 0, [0.0, t])
+            bridge.convergence_table(ring, 0, t, (0.125, 0.0625))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 8 and max(held) < 4096
 
 
 @pytest.mark.parametrize("route, n", ROUTES)

@@ -9,7 +9,8 @@ import warnings
 
 import pytest
 
-from occupancy import bridge, cli, exact, indep, lattice, order, zoo
+from occupancy import bridge, cli, exact, indep, lattice, meanfield, model, order, simulate, zoo
+from occupancy.meanfield import OdeConfig
 from occupancy.model import load_model, model_to_dict, save_model
 
 from conftest import random_model
@@ -388,6 +389,8 @@ def test_thm1_report_is_counted_before_the_propagation(model_dir, capsys, monkey
     count = (steps + 1) * (24 * n + 8 + order.REPORT_STEP_BYTES) + lattice.BLOCK_BYTES
     argv = ["verify", "--model", model_dir / "pair.json", "--theorem", "thm1",
             "--t", steps, "--samples", "1"]
+    spec = load_model(model_dir / "pair.json")
+    work = model.hypothesis_plan(spec, 1).then(order.bound_plan(spec, steps)).work
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", count)
     assert run_cli(*argv) == cli.EXIT_PASS
     capsys.readouterr()
@@ -395,8 +398,9 @@ def test_thm1_report_is_counted_before_the_propagation(model_dir, capsys, monkey
     monkeypatch.setattr(exact, "point_mass", lambda *args: pytest.fail("propagated"))
     assert run_cli(*argv) == cli.EXIT_CAPACITY
     assert capsys.readouterr().err == (
-        f"error: 50 steps: the marginal bound's tables and per-step report needs {count} "
-        f"bytes, over the dense budget of {count - 1} bytes\n")
+        f"error: verify thm1: 50 steps: the marginal bound's tables and per-step report needs "
+        f"{count} bytes and {lattice.shown(work)} work, over the dense budget of {count - 1} "
+        f"bytes\n")
 
 
 def test_thm1_report_entry_is_within_its_count(tmp_path, capsys):
@@ -416,28 +420,32 @@ def test_thm1_report_entry_is_within_its_count(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["bridge"], ["verify", "--theorem", "thm4"]])
 def test_reference_ode_is_counted_before_the_spin_law(model_dir, capsys, monkeypatch, argv):
-    # 10^8 reference steps at t = 10^5: refused before the spin law's
-    # Poisson mixture, which would take seconds
+    # 10^8 reference steps at t = 10^5: refused, on work and not on bytes,
+    # before the spin law's Poisson mixture, which would take seconds
     monkeypatch.setattr(exact, "spin_law", lambda *args: pytest.fail("spin law built"))
     start = time.perf_counter()
     code = run_cli(*argv, "--model", model_dir / "ring.json", "--t", "100000")
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == cli.EXIT_CAPACITY and elapsed < 1.0
-    assert err.startswith("error: n = 3, t = 100000.0: a kernel, the spin tables and "
-                          "the reference ODE trajectory needs ")
+    route = " ".join(a for a in argv if not a.startswith("--"))
+    assert err.startswith(f"error: {route}: n = 3, t = 100000.0: a kernel, the spin tables "
+                          f"and their steps needs ")
+    assert err.endswith(f"work, over the work budget of {lattice.WORK_BUDGET}\n")
 
 
 @pytest.mark.parametrize("argv, line", [
     (["bridge", "--t", "100000"],
-     "error: n = 3, t = 100000.0: a kernel, the spin tables and the reference ODE "
-     "trajectory needs 3204194624 bytes, over the dense budget of 2147483648 bytes\n"),
+     "error: bridge: n = 3, t = 100000.0: a kernel, the spin tables and their steps needs "
+     "11922062 bytes and 354220157828655 work, over the work budget of 300000000000\n"),
     (["run", "--mode", "meanfield", "--t", "1e9"],
-     "error: t = 1000000000.0, h = 0.001: a trajectory of times and states needs "
-     "32000004194368 bytes, over the dense budget of 2147483648 bytes\n"),
+     "error: run meanfield: t = 1000000000.0, h = 0.001: the ODE's steps and states "
+     "needs 32000004194368 bytes and 3.14803e+18 work, over the dense budget of "
+     "2147483648 bytes\n"),
 ], ids=["bridge", "integrate_ode"])
 def test_float_byte_counts_print_as_integers(model_dir, capsys, argv, line):
-    # counts from t / h are floats; they print as the integer above them
+    # counts from t / h are floats; they print as the integer above them up
+    # to 10^15, in %g form past it
     code = run_cli(*argv, "--model", model_dir / "ring.json")
     assert code == cli.EXIT_CAPACITY
     assert capsys.readouterr().err == line
@@ -622,11 +630,9 @@ def test_thm2_counts_its_tables_and_widest_segment_first(model_dir, capsys, monk
     # the rate tables and one segment's ODE trajectory are held at once;
     # their sum is counted before the scan, and before any table exists
     if short:
-        counted = []
-        with monkeypatch.context() as patch:
-            patch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
-            order.check_spin_marginal_bound(3, 10.0, 6, 2.0, 0.01)
-        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", counted[0] + lattice.BLOCK_BYTES - 1)
+        plan = order.spin_bound_plan(load_model(model_dir / "ring.json"), 10.0, 6, 2.0,
+                                     OdeConfig(h=0.01))
+        monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", plan.nbytes + lattice.BLOCK_BYTES - 1)
     for module, name in ((exact, "spin_generator"), (exact, "point_mass"),
                          (cli, "check_assumptions")):
         monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("allocated"))
@@ -636,8 +642,8 @@ def test_thm2_counts_its_tables_and_widest_segment_first(model_dir, capsys, monk
     assert code == cli.EXIT_CAPACITY
     t, points, h = ("10.0", 6, 0.01) if short else ("1000000000.0", 11, 0.001)
     assert captured.err.startswith(
-        f"error: n = 3, t = {t} over {points} grid points, h = {h}: the spin tables and "
-        f"a grid segment's ODE trajectory needs ")
+        f"error: verify thm2: n = 3, t = {t} over {points} grid points, h = {h}: the spin "
+        f"laws and ODE needs ")
 
 
 def test_capacity_exit_code(model_dir, capsys):
@@ -645,7 +651,7 @@ def test_capacity_exit_code(model_dir, capsys):
                    "--mode", "exact", "--t", "1")
     err = capsys.readouterr().err
     assert code == cli.EXIT_CAPACITY
-    assert err.startswith("error: n = 25: the kernel's tables needs ")
+    assert err.startswith("error: run exact: n = 25: the kernel's tables needs ")
 
 
 @pytest.mark.parametrize("argv, builds", [
@@ -704,7 +710,7 @@ def test_dense_kernel_is_expanded_only_where_read(model_dir, capsys, monkeypatch
     assert len(calls) == expansions
 
 
-@pytest.mark.parametrize("model, argv", [
+@pytest.mark.parametrize("name, argv", [
     ("pair.json", ["verify", "--theorem", "thm1", "--t", "3", "--samples", "1"]),
     ("pair.json", ["verify", "--theorem", "thm3", "--t", "3", "--m", "2", "--samples", "1"]),
     ("pair.json", ["run", "--mode", "exact", "--t", "3"]),
@@ -715,48 +721,93 @@ def test_dense_kernel_is_expanded_only_where_read(model_dir, capsys, monkeypatch
     # one site: the kernel fits, the path scan's laws and tables do not
     ("single.json", ["verify", "--theorem", "thm3", "--t", "1", "--m", "2",
                      "--samples", "2"]),
+    # broken.json leaves hypotheses to the scans
+    ("broken.json", ["check", "--samples", "64"]),
+    ("broken.json", ["verify", "--theorem", "thm1", "--t", "2", "--samples", "64"]),
+    ("pair.json", ["run", "--mode", "meanfield", "--t", "3"]),
+    ("pair.json", ["run", "--mode", "indep", "--t", "3"]),
+    ("pair.json", ["run", "--mode", "mc", "--t", "3", "--reps", "2000"]),
+    ("ring.json", ["run", "--mode", "meanfield", "--t", "0.5"]),
 ])
-def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, model, argv):
-    # a budget one byte below the route's own first count with the row-block
-    # allowance: the rate tables and the default grid of 11 points on thm2,
-    # the per-step report on thm1, the path scan on thm3, a kernel and the
-    # rate tables on the other spin routes, a kernel on the rest; one
-    # sample, so no other array is rejected first
-    n = load_model(model_dir / model).n
-    if "thm2" in argv:
-        counted = []
+def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, name, argv):
+    # the route's one plan holds the most work of any checked; a byte budget
+    # one byte below its bytes with the row-block allowance, and then a work
+    # budget just below its work, each exit 4 with one error line naming the
+    # route and both numbers, before any law, kernel, surrogate table,
+    # sample, ODE step or Monte Carlo stream exists
+    plans = []
+    for module in (cli, model, exact, meanfield, order, bridge, indep, simulate):
+        monkeypatch.setattr(module, "check_plan",
+                            lambda plan: plans.append(plan) or lattice.check_plan(plan))
+    argv = [*argv, "--model", model_dir / name]
+    assert run_cli(*argv) != cli.EXIT_CAPACITY
+    capsys.readouterr()
+    plan = max(plans, key=lambda plan: plan.work)
+    assert plan.nbytes == max(plan.nbytes for plan in plans)
+    route = " ".join(argv[:1] + [argv[2] for key in ("--mode", "--theorem") if argv[1] == key])
+    for module, name in ((exact, "point_mass"), (exact, "kernel"), (exact, "spin_generator"),
+                         (indep, "vacancy_tables"), (meanfield, "advance"),
+                         (meanfield, "recursion_step"), (model, "_Scans"),
+                         (simulate, "UniformArray")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(name))
+    for budget, value, over in (("DENSE_BYTES_BUDGET", plan.nbytes + lattice.BLOCK_BYTES - 1,
+                                 "dense budget"), ("WORK_BUDGET", plan.work * (1 - 1e-9),
+                                                   "work budget")):
         with monkeypatch.context() as patch:
-            patch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
-            order.check_spin_marginal_bound(n, 0.5, 11, 0.05, 1e-3)
-        budget, what = counted[0], "over 11 grid points, h = 0.001: the spin tables"
-    elif "thm1" in argv:
-        # at n = 2 its three steps' report outweighs the kernel's tables
-        budget = 4 * (24 * n + 8 + order.REPORT_STEP_BYTES)
-        what = "3 steps: the marginal bound's tables and per-step report needs"
-        assert budget > exact.kernel_bytes(n)
-    elif "thm3" in argv:
-        counted = []
-        with monkeypatch.context() as patch:
-            patch.setattr(order, "check_bytes", lambda nbytes, what: counted.append(nbytes))
-            order.check_scan(n, int(argv[argv.index("--m") + 1]))
-        budget, what = max(counted), "the path scan needs"
-    elif model == "ring.json":
-        budget = bridge.convergence_bytes(n, 0.5)
-        what = (f"n = {n}, t = 0.5: a kernel, the spin tables and the reference ODE "
-                f"trajectory needs")
-    else:
-        budget, what = exact.kernel_bytes(n), f"n = {n}: the kernel's tables needs"
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget + lattice.BLOCK_BYTES - 1)
-    allocated = []
-    for module, name in ((exact, "point_mass"), (indep, "vacancy_tables")):
-        monkeypatch.setattr(module, name, lambda *args, name=name: allocated.append(name))
-    code = run_cli(*argv, "--model", model_dir / model)
+            patch.setattr(lattice, budget, value)
+            code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CAPACITY
+        assert captured.err.startswith(f"error: {route}: ")
+        assert (f" needs {lattice.shown(plan.nbytes + lattice.BLOCK_BYTES)} bytes and "
+                f"{lattice.shown(plan.work)} work, over the {over}") in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("name, argv", [
+    # 2e6 reference RK4 steps, and 6,000 pushes per step size
+    ("ring.json", ["bridge", "--t", "2000"]),
+    # 9,876,908 pushes, recursion steps and report rows: within the byte budget
+    ("pair.json", ["verify", "--theorem", "thm1", "--t", "9876908"]),
+    # 1e8 RK4 steps
+    ("ring.json", ["verify", "--theorem", "thm2", "--t", "100000"]),
+    # 1e6 chunk steps of one replicate
+    ("m3.json", ["run", "--mode", "mc", "--t", "1000000", "--reps", "1"]),
+    # 10,432 laws through a dense 4096 x 4096 kernel
+    ("m12.json", ["verify", "--theorem", "thm3", "--t", "6"]),
+])
+def test_runaway_runs_exit_four_at_once(model_dir, capsys, name, argv):
+    # each would run for minutes to hours; its plan's work refuses it in
+    # under a second, with one line naming the route, its bytes and its work
+    save_model(zoo.random_certified_model(3, 0), model_dir / "m3.json")
+    save_model(zoo.random_certified_model(12, 0), model_dir / "m12.json")
+    start = time.perf_counter()
+    code = run_cli(*argv, "--model", model_dir / name)
+    elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
-    assert code == cli.EXIT_CAPACITY
-    assert captured.err.startswith("error: ") and what in captured.err
-    assert "budget" in captured.err and "Traceback" not in captured.err
-    # rejected before any law or surrogate table exists
-    assert allocated == []
+    route = " ".join(a for a in argv if a in ("bridge", "verify", "run", "thm1", "thm2",
+                                                  "thm3", "mc"))
+    assert code == cli.EXIT_CAPACITY and elapsed < 1.0
+    assert captured.err.startswith(f"error: {route}: ") and captured.err.count("\n") == 1
+    assert " bytes and " in captured.err
+    assert captured.err.endswith(f" work, over the work budget of {lattice.WORK_BUDGET}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bridge", "--t", "1e308"],
+    ["verify", "--theorem", "thm2", "--t", "1e308"],
+    ["run", "--mode", "meanfield", "--t", "1e308"],
+])
+def test_end_times_past_the_float_range_of_steps_exit_four(model_dir, capsys, monkeypatch,
+                                                           argv):
+    # t / h overflows to inf: the plan refuses it before step_count's int()
+    # would raise OverflowError
+    monkeypatch.setattr(meanfield, "step_count", lambda *args: pytest.fail("counted steps"))
+    code = run_cli(*argv, "--model", model_dir / "ring.json")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -838,7 +889,7 @@ def test_scan_rule_rejects_thm3_before_exact_work(tmp_path, capsys, monkeypatch)
                    "--t", "2", "--m", "2", "--samples", "64")
     assert code == cli.EXIT_CAPACITY
     err = capsys.readouterr().err
-    assert err.startswith("error: n = 14, m = 2, budget 4: the path scan needs ")
+    assert err.startswith("error: verify thm3: n = 14, m = 2, budget 4: the path scan needs ")
     assert calls == []
 
 
@@ -862,16 +913,16 @@ def test_kernel_rule_rejects_n_18_before_any_table(tmp_path, capsys, monkeypatch
     code = run_cli("run", "--model", tmp_path / "m18.json", "--mode", "exact", "--t", "2")
     captured = capsys.readouterr()
     assert code == cli.EXIT_CAPACITY
-    assert captured.err.startswith("error: n = 18: the kernel's tables needs ")
+    assert captured.err.startswith("error: run exact: n = 18: the kernel's tables needs ")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert calls == []
 
 
 def test_thm2_grid_is_counted_before_it_is_built(model_dir, capsys, monkeypatch):
     # the grid's times and margins, and their JSON text, count against the
-    # budget with the rate tables and laws (13 laws at n = 3) and the ODE's
-    # two times and states: a grid past it exits 4 before any point exists
-    held = 13 * 64 + 8 * 4 * 2 + lattice.BLOCK_BYTES
+    # budget with the rate tables and laws (13 laws at n = 3) and a
+    # segment's Poisson weights: a grid past it exits 4 before any point exists
+    held = 13 * 64 + int(exact.poisson_plan(0.0).nbytes) + lattice.BLOCK_BYTES
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", held + 320 * 62)
     argv = ["verify", "--model", model_dir / "ring.json", "--theorem", "thm2", "--t", "0",
             "--samples", "1", "--out", model_dir / "thm2.json"]
@@ -882,8 +933,8 @@ def test_thm2_grid_is_counted_before_it_is_built(model_dir, capsys, monkeypatch)
     assert run_cli(*argv, "--grid-points", "100000") == cli.EXIT_CAPACITY
     captured = capsys.readouterr()
     assert captured.err.startswith(
-        f"error: n = 3, t = 0.0 over 100000 grid points, h = 0.001: the spin tables and "
-        f"a grid segment's ODE trajectory needs {held + 32_000_000} bytes")
+        f"error: verify thm2: n = 3, t = 0.0 over 100000 grid points, h = 0.001: the spin "
+        f"laws and ODE needs {held + 32_000_000} bytes")
     assert captured.out == ""
 
 

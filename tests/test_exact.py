@@ -169,12 +169,12 @@ def traced_peak(run) -> int:
 
 def test_single_laws_never_hold_the_dense_kernel():
     # law_trajectory steps through the two factor tables, so at n = 10 its
-    # peak stays below one dense 2^10 x 2^10 array; kernel_bytes counts it,
+    # peak stays below one dense 2^10 x 2^10 array; kernel_plan counts it,
     # neither short by more than the row-block allowance nor loose by more
     # than half
     spec = zoo.random_certified_model(10, 0)
     peak = traced_peak(lambda: exact.law_trajectory(spec, 0, 20))
-    count = exact.kernel_bytes(10) + 8 * 21 * 10
+    count = exact.kernel_plan(10).nbytes + 8 * 21 * 10
     assert count / 2 <= peak <= count + lattice.BLOCK_BYTES
     assert peak < 8 * 4 ** 10
 
@@ -386,9 +386,9 @@ def test_capacity_rule_cost_function():
     # Beside the two factor tables a push holds four laws; its row block is
     # the allowance's
     law = 8 << 16
-    assert exact.kernel_bytes(16) == 4 * law + 256 * law + 256 * law
+    assert exact.kernel_plan(16).nbytes == 4 * law + 256 * law + 256 * law
     budget = lattice.DENSE_BYTES_BUDGET - lattice.BLOCK_BYTES
-    biggest = max(n for n in range(40) if exact.kernel_bytes(n) <= budget)
+    biggest = max(n for n in range(40) if exact.kernel_plan(n).nbytes <= budget)
     assert biggest == 17
     for n in (biggest + 1, 30, 60, 64):
         with pytest.raises(CapacityError, match=f"^n = {n}: the kernel's tables needs .* budget"):
@@ -397,7 +397,7 @@ def test_capacity_rule_cost_function():
 
 def test_capacity_rule_guards_dense_builders():
     budget = lattice.DENSE_BYTES_BUDGET - lattice.BLOCK_BYTES
-    n = max(n for n in range(40) if exact.kernel_bytes(n) <= budget) + 1
+    n = max(n for n in range(40) if exact.kernel_plan(n).nbytes <= budget) + 1
     ring = zoo.contact_ring(n)
     for build in (lambda: transition_matrix(zoo.constant_pair(n=n)),
                   lambda: bridge.convergence_table(ring, 0, 1.0),
@@ -411,16 +411,16 @@ def test_capacity_rule_guards_the_spin_tables():
     # the spin engine holds (2^n, n) tables, never a dense array: it stops
     # where its own byte count does, far past the kernel's limit
     # the rate table's three laws, a law's five shares and its five laws
-    assert exact.spin_bytes(3) == 13 * 8 * 8
+    assert exact.spin_plan(3).nbytes == 13 * 8 * 8
     budget = lattice.DENSE_BYTES_BUDGET - lattice.BLOCK_BYTES
-    n = max(n for n in range(64) if exact.spin_bytes(n) <= budget) + 1
-    assert n == 23 and exact.kernel_bytes(n - 1) > budget
+    n = max(n for n in range(64) if exact.spin_plan(n).nbytes <= budget) + 1
+    assert n == 23 and exact.kernel_plan(n - 1).nbytes > budget
     ring = zoo.contact_ring(n)
     with pytest.raises(CapacityError, match=f"^n = {n}: the spin rate tables needs"):
         spin_generator(ring)
-    # thm2 counts the tables with its widest grid segment's trajectory
+    # thm2 counts the tables with its grid
     with pytest.raises(CapacityError, match=f"^n = {n}, t = 1.0 over 1 grid points, "
-                                            f"h = 0.001: the spin tables and a grid segment"):
+                                            f"h = 0.001: the spin laws and ODE"):
         order.spin_marginal_bound(ring, 0, [1.0])
 
 
@@ -429,7 +429,7 @@ def test_spin_bytes_counts_what_the_spin_engine_holds(n):
     # the rate table's build and one law from it: the count with the
     # row-block allowance covers every model, and is not loose by more than
     # half where every family takes the product form, whose bank holds the most
-    count = exact.spin_bytes(n)
+    count = exact.spin_plan(n).nbytes
     x0 = (1 << n) - 3
     heaviest = random_spin_model(n, 100 + n, ("product-form",))
     peaks = [traced_peak(lambda: spin_law(spin_generator(spec), x0, 0.5))
@@ -445,18 +445,19 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
     chain = bridge.discretise(ring, bridge.DiscretisationConfig(0.125))
     kernel = exact.kernel(chain)
     for budget, what, run in (
-            # thm2 holds the spin tables, one segment's trajectory of 7
-            # times and states and its 2 grid points, no dense array
-            (exact.spin_bytes(6) + 8 * 7 * 7 + 320 * 2,
-             "n = 6, t = 1.0 over 2 grid points, h = 0.1: the spin tables and "
-             "a grid segment's ODE trajectory",
+            # thm2 holds the spin tables, one ODE state, a segment's
+            # Poisson weights and its 2 grid points, no dense array
+            (exact.spin_plan(6).nbytes + 320 * 2
+             + exact.poisson_plan(0.5 * exact.spin_rate_bound(ring)).nbytes,
+             "n = 6, t = 1.0 over 2 grid points, h = 0.1: the spin laws and ODE",
              lambda: order.spin_marginal_bound(ring, 0, [0.5, 1.0], config=OdeConfig(h=0.1))),
             # the bridge holds one kernel at a time and its rate defect no
             # copy of it; here the spin table's build holds the most
-            (bridge.convergence_bytes(6, 0.5, (0.125, 0.0625)),
-             "n = 6, t = 0.5: a kernel, the spin tables and the reference ODE trajectory",
+            (bridge.convergence_plan(ring, 0.5, (0.125, 0.0625)).nbytes,
+             "n = 6, t = 0.5: a kernel, the spin tables and their steps",
              lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625))),
-            (exact.kernel_bytes(6), "n = 6: the kernel's tables", lambda: exact.kernel(chain)),
+            (exact.kernel_plan(6).nbytes, "n = 6: the kernel's tables",
+             lambda: exact.kernel(chain)),
             # only the path scan expands the dense kernel
             (8 * 4 ** 6, "a dense 64 x 64 kernel", lambda: kernel.dense(chain))):
         monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", budget + lattice.BLOCK_BYTES)
@@ -469,24 +470,29 @@ def test_capacity_rule_counts_every_array_held(monkeypatch):
 def test_bridge_counts_a_kernel_and_the_spin_tables(monkeypatch):
     # so thm4 and the bridge reach n = 17 under the default budget
     budget = lattice.DENSE_BYTES_BUDGET - lattice.BLOCK_BYTES
-    assert max(n for n in range(40) if bridge.convergence_bytes(n, 0.5) <= budget) == 17
+    assert max(n for n in range(1, 40)
+               if bridge.convergence_plan(zoo.contact_ring(n), 0.5).nbytes <= budget) == 17
     # the count is neither short by more than the row-block allowance nor
     # loose by more than half; at n = 11 the kernel's tables pass its bank,
     # so a second kernel would not fit
     for n in (8, 11):
         ring = zoo.contact_ring(n)
-        count = bridge.convergence_bytes(n, 0.5, (0.125, 0.0625))
+        count = bridge.convergence_plan(ring, 0.5, (0.125, 0.0625)).nbytes
         peak = traced_peak(lambda: bridge.convergence_table(ring, 0, 0.5, deltas=(0.125, 0.0625)))
         assert count / 2 <= peak <= count + lattice.BLOCK_BYTES
     counted = []
-    monkeypatch.setattr(bridge, "check_bytes", lambda nbytes, what: counted.append(nbytes))
+    monkeypatch.setattr(bridge, "check_plan", lambda plan: counted.append(plan.nbytes))
     bridge.convergence_table(zoo.contact_ring(2), 0, 0.5, deltas=(0.125,))
     # the rate table, then the larger of the spin engine's laws and, beside
-    # the spin law, a kernel with its mixture's sum or the reference ODE's
-    # 502 times and states, which here is the largest
+    # the spin law, a kernel with its mixture's sum, and the Poisson
+    # weights; the ODE paths hold one state at a time, so no other count
+    # grows with t
     law, table = 8 << 2, 8 * 2 << 2
-    assert 8 * 3 * 502 > max(exact.spin_bytes(2) - table, exact.kernel_bytes(2) + law)
-    assert counted == [table + law + 8 * 3 * 502]
+    rate = exact.spin_rate_bound(zoo.contact_ring(2))
+    held = table + max(exact.spin_plan(2).nbytes - table, law + exact.kernel_plan(2).nbytes + law)
+    assert counted == [held + exact.poisson_plan(0.5 * rate).nbytes]
+    assert (bridge.convergence_plan(zoo.contact_ring(2), 1e6, (0.125,)).nbytes
+            == held + exact.poisson_plan(1e6 * rate).nbytes)
 
 
 def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
@@ -500,8 +506,9 @@ def test_capacity_rule_counts_the_lattice_table_build(monkeypatch):
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", tables + lattice.BLOCK_BYTES)
     with pytest.raises(CapacityError, match="n = 5: the kernel's tables"):
         exact.kernel(spec)
-    assert exact.kernel_bytes(n) == tables + 4 * law
-    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET", exact.kernel_bytes(n) + lattice.BLOCK_BYTES)
+    assert exact.kernel_plan(n).nbytes == tables + 4 * law
+    monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET",
+                        exact.kernel_plan(n).nbytes + lattice.BLOCK_BYTES)
     assert exact.kernel(spec).low.shape == (1 << n, 1 << n // 2)
 
 
@@ -509,7 +516,7 @@ def test_zero_step_runs_keep_the_kernel_limit(monkeypatch):
     # a run that takes no step stops at the same n as one that does
     spec = zoo.constant_pair(n=2)
     monkeypatch.setattr(lattice, "DENSE_BYTES_BUDGET",
-                        exact.kernel_bytes(2) + lattice.BLOCK_BYTES - 1)
+                        exact.kernel_plan(2).nbytes + lattice.BLOCK_BYTES - 1)
     for run in (lambda: marginal_trajectory(spec, 0, 0),
                 lambda: exact.law_trajectory(spec, 0, 0)):
         with pytest.raises(CapacityError, match="n = 2: the kernel's tables needs"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from occupancy import exact, indep, meanfield, zoo
 from occupancy.exact import MultiSitePattern, TimePattern
-from occupancy.lattice import check_bytes
+from occupancy.lattice import check_plan
 from occupancy.meanfield import OdeConfig
 
 from conftest import decomposed_path_probability, random_model, spin_path_probability
@@ -202,11 +202,11 @@ def test_vacancy_tables_hold_no_more_than_they_count(monkeypatch):
     # a long path on a small lattice: the step loop's arrays are the work
     counted = []
 
-    def record(nbytes, what):
-        counted.append(nbytes)
-        check_bytes(nbytes, what)
+    def record(plan):
+        counted.append(plan.nbytes)
+        check_plan(plan)
 
-    monkeypatch.setattr(indep, "check_bytes", record)
+    monkeypatch.setattr(indep, "check_plan", record)
     n, m = 2, 14
     spec = random_model(n, 1)
     schedules = indep.site_schedules(spec, 1, m)
@@ -216,5 +216,5 @@ def test_vacancy_tables_hold_no_more_than_they_count(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counted == [indep.vacancy_table_bytes(n, m)]
+    assert counted == [indep.vacancy_plan(n, m).nbytes]
     assert peak <= counted[0]

@@ -64,6 +64,20 @@ def test_every_top_level_name_in_src_has_a_product_user():
     assert unused == [], f"defined in src/ but used only outside it: {unused}"
 
 
+def test_only_the_run_route_holds_an_ode_trajectory():
+    # every other ODE route reads only the end state, `meanfield.flow`
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                callers += [f"{path.stem}.{function.name}" for node in ast.walk(function)
+                            if isinstance(node, ast.Call)
+                            and "integrate_ode" in (getattr(node.func, "id", None),
+                                                    getattr(node.func, "attr", None))]
+    assert callers == ["cli._cmd_run"]
+
+
 def test_no_process_wide_cache_in_src():
     # a functools cache keeps what it returns for the life of the process,
     # outside every route's byte count; per-object caches are allowed

@@ -8,7 +8,7 @@ from occupancy.lattice import CapacityError
 from occupancy.meanfield import (OdeConfig, integrate_ode, iterate, ode_rhs,
                                  recursion_step, step_count)
 
-from conftest import mask_self_colonisation
+from conftest import mask_self_colonisation, random_spin_model
 
 
 def test_constant_recursion_matches_scalar_oracle(single_site):
@@ -178,3 +178,25 @@ def test_trajectory_is_checked_before_it_exists(interacting, monkeypatch):
     assert iterate(interacting, [0.0, 0.0], 99).shape == (100, 2)
     with pytest.raises(CapacityError, match="1000 steps"):
         iterate(interacting, [0.0, 0.0], 1000)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), seed=st.integers(0, 10_000), method=st.sampled_from(["rk4", "euler"]),
+       steps=st.integers(0, 40), remainder=st.sampled_from([0.0, 0.3, 0.71]))
+def test_flow_ends_where_the_trajectory_does(n, seed, method, steps, remainder):
+    # the same steps in the same order: flow's end state is the trajectory's
+    # last row bit for bit, with and without a remainder step
+    spec = random_spin_model(n, seed)
+    p0 = np.random.default_rng(seed).random(n)
+    config = OdeConfig(h=0.05, method=method)
+    t_end = (steps + remainder) * config.h
+    _, states = integrate_ode(spec, p0, t_end, config)
+    assert step_count(t_end, config.h)[1] > 0.0 or remainder == 0.0
+    assert np.array_equal(meanfield.flow(spec, p0, t_end, config), states[-1])
+
+
+def test_flow_checks_its_work_before_counting_steps():
+    # t / h past the float range: refused on work, before step_count's int()
+    ring = zoo.contact_ring(3)
+    with pytest.raises(CapacityError, match="steps and states needs .* over the work budget"):
+        meanfield.flow(ring, [1.0, 0.0, 0.0], 1e308, OdeConfig())

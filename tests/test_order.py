@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from occupancy import exact, indep, lattice, meanfield, order, zoo
 from occupancy.exact import MultiSitePattern, TimePattern, marginal_trajectory
-from occupancy.lattice import CapacityError, check_bytes
+from occupancy.lattice import CapacityError, check_plan
 from occupancy.meanfield import OdeConfig
 from occupancy.model import FunctionFamily, ModelSpec
 from occupancy.order import (marginal_bound, path_orthant,
@@ -284,9 +284,9 @@ def test_spin_bound_steps_each_law_from_the_previous(ring3, monkeypatch):
 
 
 def test_spin_marginal_bound_counts_its_widest_segment_first(ring3, monkeypatch):
-    # the rate tables, the widest segment's trajectory, 100 of 10^9, and
-    # the four grid points are held at once: refused before the rate table
-    # or any law exists
+    # the rate tables, the widest segment's Poisson weights, 100 of 10^9,
+    # and the four grid points are held at once: refused before the rate
+    # table or any law exists
     for name in ("spin_generator", "point_mass"):
         monkeypatch.setattr(exact, name, lambda *args: pytest.fail("allocated"))
     grid = [0.0, 1.0, 101.0, 1e9]
@@ -294,14 +294,16 @@ def test_spin_marginal_bound_counts_its_widest_segment_first(ring3, monkeypatch)
         spin_marginal_bound(ring3, 1, grid)
     counted = []
 
-    def record(nbytes, what):
-        counted.append(nbytes)
-        raise CapacityError(what)
+    def record(plan):
+        counted.append(plan)
+        raise CapacityError(plan.what)
 
-    monkeypatch.setattr(order, "check_bytes", record)
+    monkeypatch.setattr(order, "check_plan", record)
     with pytest.raises(CapacityError):
         spin_marginal_bound(ring3, 1, grid)
-    assert counted == [exact.spin_bytes(3) + 8 * 4 * ((1e9 - 101.0) / 1e-3 + 2.0) + 320 * 4]
+    assert counted == [order.spin_bound_plan(ring3, 1e9, 4, 1e9 - 101.0, OdeConfig())]
+    weights = exact.poisson_plan((1e9 - 101.0) * exact.spin_rate_bound(ring3))
+    assert counted[0].nbytes == exact.spin_plan(3).nbytes + weights.nbytes + 320 * 4
 
 
 @pytest.mark.parametrize("n, nodes",[(4, 408), (10, 6054), (12, 10432)])
@@ -361,7 +363,7 @@ def test_prefix_tree_matches_its_size_formula():
         for t, (nodes, _) in depths.items():
             # every node is one prefix, and its demands and sites are its steps'
             assert len({tuple(steps) for steps in nodes.steps.tolist()}) == len(nodes.parent)
-            assert np.array_equal(nodes.demands, order._popcount(nodes.steps, m).sum(axis=1))
+            assert np.array_equal(nodes.demands, lattice.popcount(nodes.steps, m).sum(axis=1))
             assert np.array_equal(nodes.sites, ((nodes.steps != 0) << np.arange(n)).sum(axis=1))
             # a node is its parent with its mask demanded at step t - 1
             if t > 1:
@@ -499,11 +501,11 @@ def test_scan_holds_no_more_than_its_capacity_rule_counts(n, m, monkeypatch):
     # long paths on small lattices: the tree's nodes outweigh its laws
     counted = []
 
-    def record(nbytes, what):
-        counted.append(nbytes)
-        check_bytes(nbytes, what)
+    def record(plan):
+        counted.append(plan.nbytes)
+        check_plan(plan)
 
-    monkeypatch.setattr(order, "check_bytes", record)
+    monkeypatch.setattr(order, "check_plan", record)
     spec = random_model(n, 1)
     kernel = exact.kernel(spec)
     tracemalloc.start()

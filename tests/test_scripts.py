@@ -40,6 +40,38 @@ def test_refused_flags_exit_one(script, argv):
     assert proc.stdout == "" and "error: " in proc.stderr
 
 
+@pytest.mark.parametrize("script, argv", [
+    ("bridge_convergence.py", ["--sites", "0"]),
+    ("bridge_convergence.py", ["--deltas", "-0.1"]),
+    # a demand at t / 2 = 0.15 is no whole number of steps of 0.0625
+    ("bridge_convergence.py", ["--t", "0.3"]),
+    ("margin_survey.py", ["--seeds", "0"]),
+    ("margin_survey.py", ["--n", "0"]),
+    ("margin_survey.py", ["--steps", "-1"]),
+    ("margin_survey.py", ["--m", "0"]),
+])
+def test_refused_inputs_exit_one_through_the_parser(script, argv):
+    # refused before any output, with the parser's usage and error lines,
+    # never a traceback
+    proc = run_script(script, argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"{script}: error: ")
+
+
+@pytest.mark.parametrize("script, argv", [
+    # 10^8 reference ODE steps: over the work budget
+    ("bridge_convergence.py", ["--t", "100000"]),
+    # a 30-site kernel: over the byte budget
+    ("margin_survey.py", ["--n", "30", "--seeds", "1"]),
+])
+def test_capacity_refusals_exit_four(script, argv):
+    proc = run_script(script, argv)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert " bytes and " in proc.stderr and " work, over the " in proc.stderr
+
+
 def test_failed_orderings_exit_two(monkeypatch, capsys):
     survey = load_script("margin_survey")
     row = {"n": 2, "seed": 0, "x0": 0, "certified": True, "marginal_bound": 0.0,
