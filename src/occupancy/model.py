@@ -1176,7 +1176,7 @@ def hypothesis_plan(spec, samples: int) -> Plan:
     table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
     scanned = sum(_proof(forms[target], name, kind, 0.0) is None for name, target, kind in table)
     points = 3 * samples + (3 << 2 * n - 1 if n <= LATTICE_PAIR_CAP else 0)
-    blocks = -(-points // (BLOCK_ENTRIES // n))
+    blocks = -(-points // max(1, BLOCK_ENTRIES // n))
     scan = (ENTRY_WORK * (points * spec.bank.entries + 16 * samples * n) + 60 * CALL_WORK * blocks
             + (sweep_work(n, 2 * n * n + 8 * n, 40) if n <= LATTICE_SCAN_CAP else 0))
     return Plan(f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{n}",
