@@ -14,7 +14,7 @@ import sys
 
 from occupancy import bridge, exact, indep, zoo
 from occupancy.bridge import DiscretisationConfig
-from occupancy.cli import EXIT_CAPACITY, _Parser
+from occupancy.cli import EXIT_CAPACITY, _csv_text, _Parser
 from occupancy.exact import MultiSitePattern
 from occupancy.lattice import CapacityError
 
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         return EXIT_CAPACITY
     except ValueError as exc:
         parser.error(str(exc))
-    text = table.to_csv()
+    text = _csv_text(table.columns, table.rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -27,8 +27,6 @@ factor tables.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass, replace
 
@@ -38,7 +36,7 @@ from . import exact, meanfield
 from .lattice import BLOCK_ENTRIES, CALL_WORK, ENTRY_WORK, Plan, check_plan, lattice_blocks
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec, lattice_transitions
-from .order import OrderReport
+from .order import OrderReport, _verdict
 
 DEFAULT_DELTAS = tuple(2.0 ** -k for k in range(4, 9))
 REFERENCE_ODE = OdeConfig(h=1e-3, method="rk4")
@@ -189,18 +187,12 @@ def euler_gap(spec: SpinSpec, p0, t: float, config: DiscretisationConfig,
 class ConvergenceTable:
     """Rows of (delta, metric, value) for the discretisation diagnostics."""
 
+    # the CSV header, as `cli._csv_text` writes the rows
+    columns = ("delta", "metric", "value")
     rows: tuple[tuple[float, str, float], ...]
 
     def values(self, metric: str) -> list[tuple[float, float]]:
         return [(d, v) for d, m, v in self.rows if m == metric]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["delta", "metric", "value"])
-        for delta, metric, value in self.rows:
-            writer.writerow([repr(delta), metric, repr(value)])
-        return buf.getvalue()
 
 
 def convergence_plan(spec: SpinSpec, t: float, deltas=DEFAULT_DELTAS) -> Plan:
@@ -254,7 +246,7 @@ def convergence_table(spec: SpinSpec, x0: int, t: float,
 
 def convergence_report(table: ConvergenceTable, universe: dict, tol: float,
                        certified: bool) -> OrderReport:
-    """Pass when every diagnostic is nonincreasing along the delta grid.
+    """Whether every diagnostic is nonincreasing along the delta grid, by `order`'s verdict rule.
 
     Consecutive pairs already at numerical floor are skipped; the margin
     is the worst observed decrease (negative means a metric grew).
@@ -277,7 +269,7 @@ def convergence_report(table: ConvergenceTable, universe: dict, tol: float,
         universe=universe,
         worst_margin=float(worst),
         witness=witness,
-        verdict="pass" if worst >= -tol else ("fail" if certified else "informative"),
+        verdict=_verdict(worst, tol, certified),
         tol=tol,
         certified=certified,
         details={"rows": [list(r) for r in table.rows]},

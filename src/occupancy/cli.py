@@ -7,7 +7,8 @@ Subcommands:
   bridge  discretisation convergence table for a spin model
 
 Exit codes: 0 checks passed, 1 malformed input, 2 a check failed,
-3 inconclusive / informative only, 4 over the byte or the work budget.
+3 hypotheses uncertified, results informative only, 4 over the byte or
+the work budget.
 All outputs are deterministic for a given input and seed.
 """
 
@@ -22,11 +23,11 @@ import sys
 import numpy as np
 
 from . import bridge, exact, meanfield, order, simulate
-from .lattice import CapacityError, check_plan
+from .lattice import CapacityError, Plan, check_plan, check_word, shown
 from .meanfield import OdeConfig
 from .model import (BOUND_HYPOTHESES, ModelError, ModelSpec, SpinSpec,
                     SPIN_BOUND_HYPOTHESES, SPIN_ORDERING_HYPOTHESES,
-                    check_assumptions, hypothesis_plan, load_model)
+                    check_assumptions, hypothesis_plan, load_model, recursion_plan)
 from .streams import check_seed
 
 EXIT_PASS = 0
@@ -34,6 +35,14 @@ EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CAPACITY = 4
+
+# the CSV text's cost per entry, ints and floats alike: a float's repr and
+# the writer's pass took 1.3 us an entry of `run --mode exact`'s text on
+# the 2-vCPU machine the work budget is set on, 49,152 units at its 37 a
+# ns; and its bytes, which peak at 3.3 times the text (up to 25 characters
+# an entry) while the writer's buffer is joined and the text encoded
+TEXT_ENTRY_WORK = 49152
+TEXT_ENTRY_BYTES = 96
 
 
 class _CliError(Exception):
@@ -60,8 +69,7 @@ def _parse_x0(text: str, n: int) -> int:
         word = int(text, 0)
     except ValueError:
         raise _CliError(f"cannot parse state {text!r}", EXIT_USAGE)
-    if not 0 <= word < (1 << n):
-        raise _CliError(f"state word {word} out of range for n={n}", EXIT_USAGE)
+    check_word(word, n)
     return word
 
 
@@ -110,7 +118,7 @@ def _csv_text(header, rows) -> str:
 def _report_exit(verdicts) -> int:
     if any(v == "fail" for v in verdicts):
         return EXIT_FAIL
-    if any(v in ("inconclusive", "informative") for v in verdicts):
+    if "informative" in verdicts:
         return EXIT_INCONCLUSIVE
     return EXIT_PASS
 
@@ -134,9 +142,17 @@ def _cmd_check(args) -> int:
 def _trajectory_csv(times, rows) -> str:
     n = rows.shape[1]
     header = ["step"] + [f"site_{i}" for i in range(n)]
-    return _csv_text(header, [[t if isinstance(t, int) else float(t)]
+    return _csv_text(header, ([t if isinstance(t, int) else float(t)]
                               + [float(v) for v in row]
-                              for t, row in zip(times, rows)])
+                              for t, row in zip(times, rows)))
+
+
+def _check_run(engine: Plan, rows, columns):
+    """Check `engine`'s plan beside that of its CSV text, `rows` rows of `columns` entries."""
+    entries = rows * columns
+    check_plan(engine.then(Plan(f"{shown(rows)} rows of {columns} entries: the CSV text",
+                                TEXT_ENTRY_BYTES * entries, TEXT_ENTRY_WORK * entries),
+                           beside=True))
 
 
 def _cmd_run(args) -> int:
@@ -145,30 +161,36 @@ def _cmd_run(args) -> int:
     seed = _parse_seed(args.seed)
     spec = _load(args.model)
     t = _parse_t(spec, args.t)
+    # each route checks its plans before its engine starts
     if isinstance(spec, SpinSpec):
         if args.mode != "meanfield":
             raise _CliError("spin models only support --mode meanfield here; "
                             "use the bridge subcommand for laws", EXIT_USAGE)
         p0 = exact.state_bits(_parse_x0(args.x0, spec.n), spec.n)
-        times, states = meanfield.integrate_ode(spec, p0, t,
-                                                OdeConfig(h=args.h, method="rk4"))
+        config = OdeConfig(h=args.h, method="rk4")
+        # rows as `ode_plan` counts the trajectory's: t / h, and two
+        _check_run(meanfield.ode_plan(spec, t, config, True), t / config.h + 2, spec.n + 1)
+        times, states = meanfield.integrate_ode(spec, p0, t, config)
         _write_out(args.out, _trajectory_csv(times, states))
         return EXIT_PASS
     x0 = _parse_x0(args.x0, spec.n)
-    if args.mode == "exact":
-        rows = exact.marginal_trajectory(spec, x0, t)
-        _write_out(args.out, _trajectory_csv(range(t + 1), rows))
-    elif args.mode in ("meanfield", "indep"):
-        # the surrogate's site marginals are the recursion rows
-        rows = meanfield.iterate(spec, exact.state_bits(x0, spec.n), t)
-        _write_out(args.out, _trajectory_csv(range(t + 1), rows))
-    else:
+    if args.mode == "mc":
+        _check_run(simulate.simulation_plan(spec, t, args.reps), (t + 1) * spec.n, 4)
         est = simulate.simulate_marginals(spec, x0, t, args.reps, seed,
                                           workers=args.workers)
         header = ["step", "site", "mean", "se"]
-        rows = [[k, i, repr(float(est.means[k, i])), repr(float(est.ses[k, i]))]
-                for k in range(t + 1) for i in range(spec.n)]
+        rows = ([k, i, float(est.means[k, i]), float(est.ses[k, i])]
+                for k in range(t + 1) for i in range(spec.n))
         _write_out(args.out, _csv_text(header, rows))
+        return EXIT_PASS
+    if args.mode == "exact":
+        _check_run(exact.trajectory_plan(spec.n, t), t + 1, spec.n + 1)
+        rows = exact.marginal_trajectory(spec, x0, t)
+    else:
+        # the surrogate's site marginals are the recursion rows
+        _check_run(recursion_plan(spec, t), t + 1, spec.n + 1)
+        rows = meanfield.iterate(spec, exact.state_bits(x0, spec.n), t)
+    _write_out(args.out, _trajectory_csv(range(t + 1), rows))
     return EXIT_PASS
 
 
@@ -225,7 +247,7 @@ def _cmd_verify(args) -> int:
     else:
         table = bridge.convergence_table(spec, x0, t, deltas=deltas)
         csv_path = (args.out + ".csv") if args.out else None
-        _write_out(csv_path, table.to_csv())
+        _write_out(csv_path, _csv_text(table.columns, table.rows))
         extra_files += [csv_path] if csv_path else []
         certified = hypo.passed(SPIN_ORDERING_HYPOTHESES)
         universe = {"n": spec.n, "x0": x0, "t": t, "deltas": list(deltas)}
@@ -267,7 +289,7 @@ def _cmd_bridge(args) -> int:
     x0 = _parse_x0(args.x0, spec.n)
     deltas = _parse_deltas(spec, args.delta_grid)
     table = bridge.convergence_table(spec, x0, t, deltas=deltas)
-    _write_out(args.out, table.to_csv())
+    _write_out(args.out, _csv_text(table.columns, table.rows))
     return EXIT_PASS
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (BLOCK_ENTRIES, CALL_WORK, ENTRY_WORK, Plan, check_plan, lattice_blocks,
-                      shown, state_bits, sweep_work)
+from .lattice import (BLOCK_ENTRIES, CALL_WORK, ENTRY_WORK, Plan, check_plan, check_word,
+                      lattice_blocks, shown, state_bits, sweep_work)
 from .model import ModelSpec, SpinSpec, lattice_transitions
 
 DIST_ATOL = 1e-12
@@ -176,14 +176,9 @@ def transition_matrix(spec: ModelSpec) -> np.ndarray:
     return kernel(spec).dense(spec)
 
 
-def _check_word(n: int, x0: int):
-    if not 0 <= x0 < (1 << n):
-        raise ValueError(f"state word {x0} out of range")
-
-
 def point_mass(n: int, x0: int) -> np.ndarray:
     """The law concentrated on state word x0."""
-    _check_word(n, x0)
+    check_word(x0, n)
     check_plan(Plan(f"n = {n}: a law on 2^{n} states", 8 << n))
     v = np.zeros(1 << n)
     v[x0] = 1.0
@@ -244,7 +239,7 @@ def law_trajectory(spec: ModelSpec, x0: int, steps: int) -> tuple[np.ndarray, np
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_word(spec.n, x0)
+    check_word(x0, spec.n)
     check_plan(trajectory_plan(spec.n, steps))
     K = kernel(spec)
     v = point_mass(spec.n, x0)

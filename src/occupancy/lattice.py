@@ -139,9 +139,14 @@ def word_bits(start: int, stop: int, n: int, out: np.ndarray | None = None) -> n
     return bits
 
 
-def state_bits(word: int, n: int) -> np.ndarray:
-    """(n,) bits of the state word, as floats; read off the int's bytes, at any n."""
+def check_word(word: int, n: int):
+    """Raise ValueError unless `word` is a state word of n sites."""
     if not 0 <= word < (1 << n):
         raise ValueError(f"state word {word} out of range for n={n}")
+
+
+def state_bits(word: int, n: int) -> np.ndarray:
+    """(n,) bits of the state word, as floats; read off the int's bytes, at any n."""
+    check_word(word, n)
     words = np.frombuffer(word.to_bytes(-(-n // 8), "little"), np.uint8)
     return np.unpackbits(words, count=n, bitorder="little").astype(float)

@@ -14,8 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .lattice import Plan, check_plan, shown
-from .model import ModelSpec, SpinSpec, site_values, transition_values
+from .lattice import Plan, check_plan
+from .model import ModelSpec, SpinSpec, recursion_plan, site_values, transition_values
 
 # the ufunc behind np.clip; calling it directly skips np.clip's Python
 # wrappers, which cost more than the clamp itself on an n-vector (numpy < 2
@@ -40,8 +40,7 @@ def iterate(spec: ModelSpec, p0, steps: int) -> np.ndarray:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     p = _check_point(spec, p0)
-    check_plan(Plan(f"{shown(steps)} steps: a ({shown(steps + 1)}, {spec.n}) trajectory",
-                    8 * (steps + 1) * spec.n, steps * spec.bank.point_work))
+    check_plan(recursion_plan(spec, steps))
     out = np.empty((steps + 1, spec.n))
     out[0] = p
     for t in range(1, steps + 1):
@@ -99,11 +98,11 @@ def step_count(t_end: float, h: float) -> tuple[int, float]:
     return full, rem
 
 
-def ode_plan(spec, t_end, config, held=0):
-    """An integration's stages, and `held` bytes a step; from t_end / h as a float."""
+def ode_plan(spec, t_end, config, trajectory=False):
+    """An integration's stages, and with `trajectory` a time and a state a step; from t_end / h."""
     steps = t_end / config.h + 2.0
     return Plan(f"t = {t_end!r}, h = {config.h!r}: the ODE's steps and states",
-                held * steps if held else 0,
+                8 * (spec.n + 1) * steps if trajectory else 0,
                 steps * (4 if config.method == "rk4" else 1) * spec.bank.point_work)
 
 
@@ -132,8 +131,7 @@ def integrate_ode(spec: SpinSpec, p0, t_end: float,
     With method="euler" and h a discretisation step, the rows are the
     discretised chain's recursion up to round-off.
     """
-    # a time and a state a step
-    check_plan(ode_plan(spec, t_end, config, 8 * (spec.n + 1)))
+    check_plan(ode_plan(spec, t_end, config, True))
     full, rem = step_count(t_end, config.h)
     times = np.append(np.arange(full + 1) * config.h, [t_end] * (rem > 0.0))
     states = np.empty((times.size, spec.n))

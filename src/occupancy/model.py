@@ -545,6 +545,12 @@ def transition_values(spec, points) -> np.ndarray:
     return up * (1.0 - pts) + down * pts
 
 
+def recursion_plan(spec: ModelSpec, steps: int) -> Plan:
+    """`meanfield.iterate`'s plan: the recursion's trajectory, and a point evaluation a step."""
+    return Plan(f"{shown(steps)} steps: a ({shown(steps + 1)}, {spec.n}) trajectory",
+                8 * (steps + 1) * spec.n, steps * spec.bank.point_work)
+
+
 def lattice_transitions(spec, bits) -> np.ndarray:
     """`transition_values` at a (B, n) batch of state words' bits, bit for bit.
 
@@ -743,7 +749,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class HypothesisFinding:
-    """One hypothesis over every site, with how its verdict was reached.
+    """One hypothesis over every site, with how its verdict, "pass" or "fail", was reached.
 
     `certified_by` is "proof" when the coefficients decide it, "lattice"
     when the scans read every lattice point or pair of its kind, and
@@ -776,12 +782,7 @@ class AssumptionReport:
 
     @property
     def verdict(self) -> str:
-        verdicts = {f.verdict for f in self.findings}
-        if "fail" in verdicts:
-            return "fail"
-        if "inconclusive" in verdicts:
-            return "inconclusive"
-        return "pass"
+        return "fail" if any(f.verdict == "fail" for f in self.findings) else "pass"
 
     @property
     def ordering_certified(self) -> bool:

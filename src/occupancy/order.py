@@ -87,6 +87,11 @@ def subset_products(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _site_sets(dist: np.ndarray):
+    """By site mask, the law's joint vacancies and the product of its sites' vacancies."""
+    return vacancy_transform(dist), subset_products(1.0 - exact.marginals(dist))
+
+
 def _mask_sites(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if (mask >> i) & 1]
 
@@ -175,11 +180,8 @@ def single_time_orthant(spec: ModelSpec, x0: int, t: int, kernel: exact.Kernel,
     """
     # the law, its vacancy transform, one product and four arrays making the other
     check_plan(Plan(f"n = {spec.n}: the site-set tables", 7 * (8 << spec.n)))
-    dist = exact.distribution(spec, x0, t, kernel)
-    pi = exact.marginals(dist)
+    vac, prod_pi = _site_sets(exact.distribution(spec, x0, t, kernel))
     p = meanfield.iterate(spec, exact.state_bits(x0, spec.n), t)[-1]
-    vac = vacancy_transform(dist)
-    prod_pi = subset_products(1.0 - pi)
     prod_p = subset_products(1.0 - p)
     total, k_total = _worst(vac - prod_p)
     assoc, k_assoc = _worst(vac - prod_pi)
@@ -213,8 +215,7 @@ def positive_correlations(dist: np.ndarray, tol: float = DEFAULT_TOL,
     # the vacancy transform and four arrays making the product
     check_plan(Plan(f"n = {n}: the site-set tables", 5 * (8 << n)))
     exact.validate_distribution(dist, atol=1e-9)
-    vac = vacancy_transform(dist)
-    prod = subset_products(1.0 - exact.marginals(dist))
+    vac, prod = _site_sets(dist)
     worst, k = _worst(vac - prod)
     return OrderReport(
         check="positive-correlations",

@@ -115,8 +115,6 @@ class MarginalEstimates:
 
 
 def _chunk_plan(reps: int):
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     plan = []
     for chunk in range((reps + REPLICATE_CHUNK - 1) // REPLICATE_CHUNK):
         rows = min(REPLICATE_CHUNK, reps - chunk * REPLICATE_CHUNK)
@@ -151,23 +149,32 @@ def _bernoulli_se(count: np.ndarray, reps: int) -> np.ndarray:
     return np.sqrt(np.maximum(var, 0.0)) / np.sqrt(reps)
 
 
+def simulation_plan(spec: ModelSpec, steps: int, reps: int) -> Plan:
+    """`simulate_marginals`'s plan, for any number of workers.
+
+    It holds the sum, means and ses, and every chunk's counts, which a pool
+    of workers may finish before the sum reaches them; and per thread six
+    (REPLICATE_CHUNK, n) arrays, for as many threads as any `workers`
+    starts.  A chunk's step reads about eight entries per replicate and
+    site, and past the table's cap evaluates 2n families at each state.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    n, chunks = spec.n, -(-reps // REPLICATE_CHUNK)
+    threads = min(chunks, os.cpu_count() or 1)
+    entries = reps * n * (8 + (2 * n if n > _TABLE_CAP else 0))
+    return Plan(f"{shown(steps)} steps, {shown(reps)} replicates: {shown(chunks + 3)} "
+                f"({shown(steps + 1)}, {n}) count tables",
+                8 * (chunks + 3) * (steps + 1) * n + 6 * threads * 8 * REPLICATE_CHUNK * n,
+                steps * (ENTRY_WORK * entries + 10 * CALL_WORK * chunks))
+
+
 def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
                        seed: int, workers: int = 1) -> MarginalEstimates:
     """Estimate occupation probabilities at steps 0..steps from reps paths."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    n, chunks = spec.n, -(-reps // REPLICATE_CHUNK)
-    # the sum, means and ses, and every chunk's counts, which a pool of
-    # workers may finish before the sum reaches them; and per thread six
-    # (REPLICATE_CHUNK, n) arrays, for as many threads as any --workers
-    # starts.  A chunk's step reads about eight entries per replicate and
-    # site, and past the table's cap evaluates 2n families at each state
-    threads = min(chunks, os.cpu_count() or 1)
-    entries = reps * n * (8 + (2 * n if n > _TABLE_CAP else 0))
-    check_plan(Plan(f"{shown(steps)} steps, {shown(reps)} replicates: {shown(chunks + 3)} "
-                    f"({shown(steps + 1)}, {n}) count tables",
-                    8 * (chunks + 3) * (steps + 1) * n + 6 * threads * 8 * REPLICATE_CHUNK * n,
-                    steps * (ENTRY_WORK * entries + 10 * CALL_WORK * chunks)))
+    check_plan(simulation_plan(spec, steps, reps))
     ua = UniformArray(seed=seed, n_sites=spec.n)
     table = _threshold_table(spec)
 

@@ -10,6 +10,7 @@ from occupancy.bridge import (ConvergenceTable, DiscretisationConfig,
                               InadmissibleDelta, admissibility_bound,
                               convergence_table, discretise, euler_gap,
                               law_distance, rate_defect, subordinated_law)
+from occupancy.cli import _csv_text
 from occupancy.meanfield import OdeConfig
 from occupancy.model import check_assumptions
 
@@ -289,7 +290,7 @@ def test_ordering_margins_need_aligned_times(ring3):
 
 def test_convergence_table_round_trip(ring3):
     table = convergence_table(ring3, 1, 1.0, deltas=DELTAS[:2])
-    text = table.to_csv()
+    text = _csv_text(table.columns, table.rows)
     lines = text.strip().splitlines()
     assert lines[0] == "delta,metric,value"
     assert len(lines) == 1 + 2 * 4
@@ -351,6 +352,16 @@ def test_convergence_report_flags_a_growing_metric():
     # pairs at numerical floor are skipped
     floor = ConvergenceTable(rows=table.rows[2:])
     assert bridge.convergence_report(floor, {}, 1e-10, True).verdict == "pass"
+
+
+def test_uncertified_convergence_reads_informative():
+    # an uncertified table makes no claim, however well it converges
+    table = ConvergenceTable(rows=((0.5, "law-distance", 2e-3),
+                                   (0.25, "law-distance", 1e-3)))
+    assert bridge.convergence_report(table, {}, 1e-10, certified=True).verdict == "pass"
+    report = bridge.convergence_report(table, {}, 1e-10, certified=False)
+    assert report.verdict == "informative"
+    assert report.worst_margin == pytest.approx(1e-3, abs=1e-15)
 
 
 def test_config_validation():

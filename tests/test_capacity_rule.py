@@ -6,14 +6,16 @@ plan to `check_plan`; a second rule, such as a cap on n, would raise
 """
 
 import ast
+import os
 import tracemalloc
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import occupancy
-from occupancy import bridge, exact, indep, lattice, meanfield, model, order, simulate, zoo
+from occupancy import bridge, cli, exact, indep, lattice, meanfield, model, order, simulate, zoo
 from occupancy.meanfield import OdeConfig
 from occupancy.model import check_assumptions
 
@@ -238,6 +240,20 @@ def test_ode_routes_hold_one_state_at_any_t(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(held) == 8 and max(held) < 4096
+
+
+def test_csv_text_is_within_its_count():
+    # a step and the widest repr a probability prints, 23 characters, in
+    # 40,000 rows: the text and the writer's buffer, then the text encoded
+    rows = np.full((40000, 3), 1.2345678901234567e-100)
+    tracemalloc.start()
+    try:
+        cli._write_out(os.devnull, cli._trajectory_csv(range(40000), rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = cli.TEXT_ENTRY_BYTES * 40000 * 4
+    assert 0.5 * count < peak <= count
 
 
 @pytest.mark.parametrize("route, n", ROUTES)

@@ -13,7 +13,7 @@ from occupancy import bridge, cli, exact, indep, lattice, meanfield, model, orde
 from occupancy.meanfield import OdeConfig
 from occupancy.model import load_model, model_to_dict, save_model
 
-from conftest import random_model
+from conftest import random_model, random_spin_model
 
 
 @pytest.fixture()
@@ -363,7 +363,7 @@ def test_bad_state_word_is_usage_error(model_dir, capsys):
                    "--mode", "exact", "--t", "1", "--x0", "9")
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
-    assert "out of range" in err
+    assert err == "error: state word 9 out of range for n=1\n"
 
 
 def test_verify_marginal_suite(model_dir, capsys):
@@ -440,7 +440,7 @@ def test_reference_ode_is_counted_before_the_spin_law(model_dir, capsys, monkeyp
      "11922062 bytes and 354220157828655 work, over the work budget of 300000000000\n"),
     (["run", "--mode", "meanfield", "--t", "1e9"],
      "error: run meanfield: t = 1000000000.0, h = 0.001: the ODE's steps and states "
-     "needs 32000004194368 bytes and 3.14803e+18 work, over the dense budget of "
+     "needs 416000004195136 bytes and 3.34464e+18 work, over the dense budget of "
      "2147483648 bytes\n"),
 ], ids=["bridge", "integrate_ode"])
 def test_float_byte_counts_print_as_integers(model_dir, capsys, argv, line):
@@ -557,6 +557,20 @@ def test_verify_uncertified_model_is_inconclusive(model_dir, capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_INCONCLUSIVE
     assert "informative" in out
+
+
+def test_uncertified_convergence_table_is_informative(tmp_path, capsys):
+    # every shape hypothesis of this spin model fails: thm4 claims nothing,
+    # as thm2 does, even where its table converges
+    spec = random_spin_model(4, 5)
+    path = tmp_path / "spin.json"
+    save_model(spec, path)
+    for theorem in ("thm2", "thm4"):
+        code = run_cli("verify", "--model", path, "--theorem", theorem,
+                       "--t", "0.25", "--samples", "256")
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert "informative" in out and "pass" not in out
 
 
 def test_verify_theorem_model_kind_mismatch(model_dir, capsys):
@@ -762,6 +776,37 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, name, argv):
         assert (f" needs {lattice.shown(plan.nbytes + lattice.BLOCK_BYTES)} bytes and "
                 f"{lattice.shown(plan.work)} work, over the {over}") in captured.err
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+class _EngineStarted(Exception):
+    """Raised by a patched engine step: the run's plans passed."""
+
+
+@pytest.mark.parametrize("name, argv, edge", [
+    ("pair.json", ["run", "--mode", "exact"], 589879),
+    ("pair.json", ["run", "--mode", "meanfield"], 321149),
+    ("m3.json", ["run", "--mode", "mc", "--reps", "1"], 326699),
+    ("ring.json", ["run", "--mode", "meanfield"], 89),
+])
+def test_run_counts_its_csv_text(model_dir, capsys, monkeypatch, name, argv, edge):
+    # the engine's plan beside its CSV text's: at the edge the engine starts,
+    # one step past it (a run that counted no text took) exits 4 before any
+    # law, recursion or ODE step, or stream exists
+    save_model(zoo.random_certified_model(3, 0), model_dir / "m3.json")
+
+    def started(*args, **kwargs):
+        raise _EngineStarted
+
+    for module, step in ((exact, "point_mass"), (exact, "kernel"), (meanfield, "advance"),
+                         (meanfield, "recursion_step"), (simulate, "UniformArray")):
+        monkeypatch.setattr(module, step, started)
+    argv = [*argv, "--model", model_dir / name]
+    with pytest.raises(_EngineStarted):
+        run_cli(*argv, "--t", edge)
+    assert run_cli(*argv, "--t", edge + 1) == cli.EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: run {argv[2]}: ") and captured.out == ""
+    assert captured.err.endswith("over the work budget of 300000000000\n")
 
 
 @pytest.mark.parametrize("name, argv", [

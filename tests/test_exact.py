@@ -221,13 +221,15 @@ def test_distribution_basics(interacting):
 def test_start_state_is_checked(interacting):
     T = exact.kernel(interacting)
     for x0 in (-1, 1 << interacting.n):
-        with pytest.raises(ValueError, match="out of range"):
+        # one message, the lattice's, on every route
+        message = f"^state word {x0} out of range for n=2$"
+        with pytest.raises(ValueError, match=message):
             marginal_trajectory(interacting, x0, 1)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             marginal_trajectory(interacting, x0, 0)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             exact.distribution(interacting, x0, 2, T)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             path_probability(interacting, x0, TimePattern(site=0, omega=(0,)), T)
 
 

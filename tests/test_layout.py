@@ -92,3 +92,37 @@ def test_no_process_wide_cache_in_src():
                   and isinstance(node.value, ast.Name) and node.value.id == "functools"):
                 found.append(f"{path.stem}: functools.{node.attr}")
     assert found == [], f"process-wide caches in src/: {found}"
+
+
+def _owners(match, paths) -> list[str]:
+    """module.function enclosing each node, under `paths`, for which match(node) holds.
+
+    A node outside every function is owned by module.<module>.
+    """
+    found = []
+    for path in paths:
+        def visit(node, owner):
+            if isinstance(node, ast.FunctionDef):
+                owner = f"{path.stem}.{node.name}"
+            if match(node):
+                found.append(owner)
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
+    return sorted(found)
+
+
+def test_one_rule_gives_the_informative_verdict():
+    # `order._verdict` gives it, to every report, and `cli._report_exit` reads it
+    owners = _owners(lambda node: isinstance(node, ast.Constant) and node.value == "informative",
+                     PACKAGE.glob("*.py"))
+    assert owners == ["cli._report_exit", "order._verdict"]
+
+
+def test_one_csv_writer():
+    # every CSV the CLI's routes and the scripts write is `cli._csv_text`'s
+    owners = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "writer"
+                     and getattr(node.value, "id", None) == "csv",
+                     [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+    assert owners == ["cli._csv_text"]

@@ -113,6 +113,18 @@ def test_single_time_orthant_matches_direct_recomputation(interacting):
     assert report.universe["site_sets"] == 3  # nonempty subsets of {0,1}
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("t", [0, 1, 4])
+def test_association_step_is_the_positive_correlations_check(n, t):
+    # one site-set core: on the same law both read the same margins, bit for bit
+    for spec in (random_model(n, 40 + n), zoo.random_certified_model(n, n)):
+        kernel = exact.kernel(spec)
+        step = single_time_orthant(spec, 1, t, kernel).details["association-step"]
+        report = order.positive_correlations(exact.distribution(spec, 1, t, kernel))
+        assert step == {"worst_margin": report.worst_margin,
+                        "sites": report.witness["sites"]}
+
+
 def test_single_time_orthant_trivial_at_start(interacting):
     report = single_time_orthant(interacting, 0, 0, exact.kernel(interacting))
     assert abs(report.worst_margin) < 1e-15
