@@ -33,10 +33,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import exact, meanfield
-from .lattice import BLOCK_ENTRIES, CALL_WORK, ENTRY_WORK, Plan, check_plan, lattice_blocks
+from .lattice import CALL_WORK, ENTRY_WORK, Plan, block_count, check_plan, lattice_blocks
 from .meanfield import OdeConfig
 from .model import ModelSpec, SpinSpec, lattice_transitions
-from .order import OrderReport, _verdict
+from .order import OrderReport
 
 DEFAULT_DELTAS = tuple(2.0 ** -k for k in range(4, 9))
 REFERENCE_ODE = OdeConfig(h=1e-3, method="rk4")
@@ -141,7 +141,7 @@ def subordinated_law(spec: SpinSpec, config: DiscretisationConfig, x0: int,
     """Law of the chain run for a Poisson(t/delta) number of steps.
 
     Most of those steps stay put, so the chain is thinned to its moves:
-    with e = `kernel.largest_exit()` and P = I + (T - I)/e, which is
+    with e = `kernel.largest_exit` and P = I + (T - I)/e, which is
     stochastic, sum_k Pois(k; t/delta) v T^k = sum_k Pois(k; e t/delta) v P^k,
     both being v exp((t/delta)(T - I)).  A step of P is one `kernel.push`,
     about t * (largest exit rate) of them whatever delta is.
@@ -149,7 +149,7 @@ def subordinated_law(spec: SpinSpec, config: DiscretisationConfig, x0: int,
     if t < 0:
         raise ValueError("t must be >= 0")
     v0 = exact.point_mass(spec.n, x0)
-    e = kernel.largest_exit()
+    e = kernel.largest_exit
     if e == 0.0:
         return v0
 
@@ -209,7 +209,7 @@ def convergence_plan(spec: SpinSpec, t: float, deltas=DEFAULT_DELTAS) -> Plan:
     law, table, terms = 8 << n, 8 * n << n, exact.poisson_terms(mean)
     spin, kernel = exact.spin_plan(n, terms), exact.kernel_plan(n, terms)
     passes = n * n * (n + 1) // 2 + 12 * n
-    defect = ENTRY_WORK * float(passes << n) + CALL_WORK * passes * -(-(n << n) // BLOCK_ENTRIES)
+    defect = ENTRY_WORK * float(passes << n) + CALL_WORK * passes * block_count(1 << n, n)
     odes = [OdeConfig(h=delta, method="euler") for delta in deltas] + [REFERENCE_ODE]
     return Plan(f"n = {n}, t = {t!r}: a kernel, the spin tables and their steps",
                 table + max(spin.nbytes - table, 2 * law + kernel.nbytes)
@@ -246,7 +246,7 @@ def convergence_table(spec: SpinSpec, x0: int, t: float,
 
 def convergence_report(table: ConvergenceTable, universe: dict, tol: float,
                        certified: bool) -> OrderReport:
-    """Whether every diagnostic is nonincreasing along the delta grid, by `order`'s verdict rule.
+    """Whether every diagnostic is nonincreasing along the delta grid, by `OrderReport`'s rule.
 
     Consecutive pairs already at numerical floor are skipped; the margin
     is the worst observed decrease (negative means a metric grew).
@@ -269,7 +269,6 @@ def convergence_report(table: ConvergenceTable, universe: dict, tol: float,
         universe=universe,
         worst_margin=float(worst),
         witness=witness,
-        verdict=_verdict(worst, tol, certified),
         tol=tol,
         certified=certified,
         details={"rows": [list(r) for r in table.rows]},

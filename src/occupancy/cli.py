@@ -142,8 +142,7 @@ def _cmd_check(args) -> int:
 def _trajectory_csv(times, rows) -> str:
     n = rows.shape[1]
     header = ["step"] + [f"site_{i}" for i in range(n)]
-    return _csv_text(header, ([t if isinstance(t, int) else float(t)]
-                              + [float(v) for v in row]
+    return _csv_text(header, ([t if isinstance(t, int) else float(t)] + row.tolist()
                               for t, row in zip(times, rows)))
 
 

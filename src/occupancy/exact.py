@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (BLOCK_ENTRIES, CALL_WORK, ENTRY_WORK, Plan, check_plan, check_word,
-                      lattice_blocks, shown, state_bits, sweep_work)
+from .lattice import (CALL_WORK, ENTRY_WORK, Plan, block_count, check_plan, check_word,
+                      lattice_blocks, row_blocks, shown, state_bits, sweep_work)
 from .model import ModelSpec, SpinSpec, lattice_transitions
 
 DIST_ATOL = 1e-12
@@ -76,42 +76,29 @@ class Kernel:
     `T[w, y] = low[w, y & (2^h - 1)] * high[w, y >> h]`.  With q[w, i] the
     chance that bit i is on after one step from w, entry T[w, y] is the
     product, in site order, of q[w, i] where bit i of y is set and
-    1 - q[w, i] where it is not.
+    1 - q[w, i] where it is not.  `largest_exit` is the largest chance of
+    leaving a state in one step, max_w (1 - T[w, w]), read by `kernel`
+    while it fills the tables.
     """
 
     low: np.ndarray
     high: np.ndarray
+    largest_exit: float
 
     def push(self, v: np.ndarray) -> np.ndarray:
-        """The law v T, summed over blocks of states; never the dense matrix.
+        """The law v T, summed over `lattice.row_blocks` of states; never the dense matrix.
 
-        Block b contributes `high[b].T @ (v[b, None] * low[b])`, at most
-        `BLOCK_ENTRIES` entries; up to n = 11 one block covers every state,
-        and past it the blocks' sums differ from one product by round-off.
+        Block b contributes `high[b].T @ (v[b, None] * low[b])`; up to
+        n = 11 one block covers every state, and past it the blocks' sums
+        differ from one product by round-off.
         """
         low, high = self.low, self.high
-        rows = max(1, BLOCK_ENTRIES // low.shape[1])
-        out = high[:rows].T @ (v[:rows, None] * low[:rows])
-        for start in range(rows, v.size, rows):
-            block = slice(start, start + rows)
+        blocks = row_blocks(v.size, low.shape[1])
+        block = next(blocks)
+        out = high[block].T @ (v[block, None] * low[block])
+        for block in blocks:
             out += high[block].T @ (v[block, None] * low[block])
         return out.ravel()
-
-    def largest_exit(self) -> float:
-        """The largest chance of leaving a state in one step, max_w (1 - T[w, w]).
-
-        With w = w_high 2^h + w_low, T[w, w] = low[w, w_low] * high[w, w_high]:
-        both factors are diagonals of the tables viewed as 3-d arrays, read
-        without a copy and multiplied a row block at a time.
-        """
-        width = self.low.shape[1]
-        lows = np.diagonal(self.low.reshape(-1, width, width), axis1=1, axis2=2)
-        highs = np.diagonal(self.high.reshape(-1, width, self.high.shape[1]),
-                            axis1=0, axis2=2).T
-        rows = max(1, BLOCK_ENTRIES // width)
-        stay = min(float(np.min(lows[start:start + rows] * highs[start:start + rows]))
-                   for start in range(0, lows.shape[0], rows))
-        return 1.0 - stay
 
     def dense(self, spec: ModelSpec) -> np.ndarray:
         """The dense 2^n x 2^n kernel of `spec`, the chain this kernel was built for.
@@ -137,7 +124,7 @@ def kernel_plan(n: int, pushes: float = 0) -> Plan:
     row blocks of a push, a build and a law's marginals are the allowance's.
     """
     law, half, entries = 8 << n, n // 2, 1 << n + n // 2
-    blocks = -(-entries // BLOCK_ENTRIES)
+    blocks = block_count(1 << n, 1 << half)
     push = 2.0 * 4 ** n + ENTRY_WORK * float(entries + (blocks << n)) + 5 * CALL_WORK * blocks
     return Plan(f"n = {n}: the kernel's tables", (law << half) + (law << n - half) + 4 * law,
                 sweep_work(n, n * n + (1 << half) + (1 << n - half), 4 * n + 30) + pushes * push)
@@ -147,17 +134,23 @@ def kernel(spec: ModelSpec) -> Kernel:
     """The chain's kernel, after `kernel_plan` is checked: every single-law route reaches n = 17.
 
     Both tables are filled a row block of states at a time, from the
-    block's per-site probabilities, read once.
+    block's per-site probabilities, read once.  The block's least T[w, w]
+    = low[w, w_low] * high[w, w_high], w = w_high 2^h + w_low, is read
+    from them too: each half's product of the sites' chances of keeping
+    w's bits, in site order, as the tables multiply them, so bit for bit.
     """
     n, half = spec.n, spec.n // 2
     check_plan(kernel_plan(n))
     low, high = np.empty((1 << n, 1 << half)), np.empty((1 << n, 1 << n - half))
+    stay = math.inf
     # a state takes its rows of both tables and n^2 bank terms, n coordinates a family
     for rows, bits in lattice_blocks(n, n * n + low.shape[1] + high.shape[1]):
         q = lattice_transitions(spec, bits)
         low[rows] = _factor_rows(q[:, :half])
         high[rows] = _factor_rows(q[:, half:])
-    return Kernel(low, high)
+        keep = np.where(bits > 0, q, 1.0 - q)
+        stay = min(stay, float(np.min(keep[:, :half].prod(axis=1) * keep[:, half:].prod(axis=1))))
+    return Kernel(low, high, 1.0 - stay)
 
 
 def _factor_rows(q: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 States are integer words with site i in bit i (LSB): word 0 is empty, 2^n - 1
 full.  Routes that sweep the lattice read its words' bits a row block at a
-time (`lattice_blocks`), never a table of the whole lattice.
+time (`lattice_blocks`), never a table of the whole lattice; every row block
+of the package holds `block_rows(width)` rows of `width` entries.
 """
 
 from __future__ import annotations
@@ -78,25 +79,37 @@ def check_plan(plan: Plan):
                             f"work, over {budget}")
 
 
+def block_rows(width: int) -> int:
+    """Rows of a row block of `width` entries a row: BLOCK_ENTRIES // width, at least one."""
+    return max(1, BLOCK_ENTRIES // max(1, width))
+
+
+def row_blocks(rows: int, width: int):
+    """Yield the slices of `rows` rows in row blocks of `block_rows(width)` rows, in order."""
+    step = block_rows(width)
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def block_count(rows: int, width: int) -> int:
+    """How many slices `row_blocks(rows, width)` yields, counted without listing them."""
+    return -(-rows // block_rows(width))
+
+
 def lattice_blocks(n: int, width: int):
-    """Yield (rows, bits) over the 2^n state words in row blocks, in word order.
+    """Yield (rows, bits) over the 2^n state words in `row_blocks`, in word order.
 
     `rows` is a slice of words and `bits` their (rows, n) bits, as `word_bits`
-    gives them, written into one buffer that the next block overwrites; a
-    block holds at most BLOCK_ENTRIES // width words (at least one).
+    gives them, written into one buffer that the next block overwrites.
     """
-    size = 1 << n
-    step = min(size, max(1, BLOCK_ENTRIES // max(1, width)))
-    buffer = np.empty((step, n))
-    for start in range(0, size, step):
-        stop = min(start + step, size)
-        yield slice(start, stop), word_bits(start, stop, n, buffer[:stop - start])
+    buffer = np.empty((min(1 << n, block_rows(width)), n))
+    for rows in row_blocks(1 << n, width):
+        yield rows, word_bits(rows.start, rows.stop, n, buffer[:rows.stop - rows.start])
 
 
 def sweep_work(n: int, width: int, calls: int) -> float:
     """Work of a sweep of `lattice_blocks(n, width)`: `width` entries a state, `calls` a block."""
-    blocks = -(-(1 << n) // max(1, BLOCK_ENTRIES // max(1, width)))
-    return ENTRY_WORK * float(width << n) + CALL_WORK * calls * blocks
+    return ENTRY_WORK * float(width << n) + CALL_WORK * calls * block_count(1 << n, width)
 
 
 def popcount(x: np.ndarray, bits: int) -> np.ndarray:

@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import (BLOCK_ENTRIES, CALL_WORK, ENTRY_WORK, Plan, check_plan, lattice_blocks,
-                      shown, sweep_work, word_bits)
+from .lattice import (CALL_WORK, ENTRY_WORK, Plan, block_count, check_plan, lattice_blocks,
+                      row_blocks, shown, sweep_work, word_bits)
 from .streams import assumption_uniforms
 
 VARIANTS = (
@@ -65,7 +65,10 @@ def _number(value, label: str) -> float:
     """`value` as a float if it is a number; float() would also read a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ModelError(f"{label} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ModelError(f"{label} must be finite, got an integer past the float range") from None
 
 
 def _numbers(values, label: str) -> np.ndarray:
@@ -396,20 +399,15 @@ class _VariantGroup:
             out[:, self.cols] = self._finish(self._entries(xt)).T
             return
         # row blocks bound every temporary, whatever the batch
-        rows = max(1, BLOCK_ENTRIES // self.width)
-        if xt.shape[1] <= rows:
-            out[:, self.cols] = self._finish(self._raw(xt)).T
-            return
-        for start in range(0, xt.shape[1], rows):
-            block = xt[:, start:start + rows]
-            out[start:start + rows, self.cols] = self._finish(self._raw(block)).T
+        for rows in row_blocks(xt.shape[1], self.width):
+            out[rows, self.cols] = self._finish(self._raw(xt[:, rows])).T
 
 
 class SiteBank:
     """Families on one cube, grouped by variant with each group's parameters stacked.
 
     A (B, n) batch gives every family's value with a few array operations
-    per group, in row blocks of about `lattice.BLOCK_ENTRIES` entries.  A
+    per group, in `lattice.row_blocks` of the group's width.  A
     point's value depends on neither its batch nor the bank: sums and
     products run over the coordinates in order.
     """
@@ -829,20 +827,19 @@ def _site_minima(margins: Callable[[int, int], np.ndarray], rows: int,
     """Each site's least margin over `rows` rows, and the first row reaching it.
 
     `margins(start, stop)` gives the (stop - start, n) margins of those
-    rows, taken in blocks of `lattice.BLOCK_ENTRIES` entries; ties keep the
-    earliest row, as one `np.argmin` over all rows would.
+    rows, taken in `lattice.row_blocks` of width n; ties keep the earliest
+    row, as one `np.argmin` over all rows would.
     """
     least = np.full(n, np.inf)
     first = np.zeros(n, dtype=np.int64)
-    step = max(1, BLOCK_ENTRIES // n)
     sites = np.arange(n)
-    for start in range(0, rows, step):
-        block = margins(start, min(start + step, rows))
+    for span in row_blocks(rows, n):
+        block = margins(span.start, span.stop)
         k = np.argmin(block, axis=0)
         low = block[k, sites]
         lower = low < least
         least[lower] = low[lower]
-        first[lower] = k[lower] + start
+        first[lower] = k[lower] + span.start
     return least, first
 
 
@@ -1177,8 +1174,8 @@ def hypothesis_plan(spec, samples: int) -> Plan:
     table = _OCC_HYPOTHESES if isinstance(spec, ModelSpec) else _SPIN_HYPOTHESES
     scanned = sum(_proof(forms[target], name, kind, 0.0) is None for name, target, kind in table)
     points = 3 * samples + (3 << 2 * n - 1 if n <= LATTICE_PAIR_CAP else 0)
-    blocks = -(-points // max(1, BLOCK_ENTRIES // n))
-    scan = (ENTRY_WORK * (points * spec.bank.entries + 16 * samples * n) + 60 * CALL_WORK * blocks
+    scan = (ENTRY_WORK * (points * spec.bank.entries + 16 * samples * n)
+            + 60 * CALL_WORK * block_count(points, n)
             + (sweep_work(n, 2 * n * n + 8 * n, 40) if n <= LATTICE_SCAN_CAP else 0))
     return Plan(f"{shown(samples)} samples: {shown(4 * samples)} points in [0,1]^{n}",
                 4 * 8 * samples * n if scanned else 0, scanned * scan)

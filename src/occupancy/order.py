@@ -41,19 +41,19 @@ class OrderReport:
     universe: dict
     worst_margin: float
     witness: dict
-    verdict: str
+    verdict: str = field(init=False)
     tol: float
     certified: bool | None
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the one verdict rule: no claim for an uncertified model
+        verdict = ("informative" if self.certified is False
+                   else "pass" if self.worst_margin >= -self.tol else "fail")
+        object.__setattr__(self, "verdict", verdict)
+
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _verdict(worst_margin: float, tol: float, certified) -> str:
-    if certified is False:
-        return "informative"
-    return "pass" if worst_margin >= -tol else "fail"
 
 
 def vacancy_transform(dist: np.ndarray) -> np.ndarray:
@@ -161,7 +161,6 @@ def marginal_bound(spec: ModelSpec, x0: int, exact_rows: np.ndarray,
         worst_margin=worst,
         witness={"step": int(t), "site": int(i),
                  "deterministic": float(p[t, i]), "exact": float(pi[t, i])},
-        verdict=_verdict(worst, tol, certified),
         tol=tol,
         certified=certified,
         details={"min_margin_per_step": np.min(margins, axis=1).tolist()},
@@ -192,7 +191,6 @@ def single_time_orthant(spec: ModelSpec, x0: int, t: int, kernel: exact.Kernel,
         worst_margin=total,
         witness={"sites": _mask_sites(k_total, spec.n), "t": t,
                  "exact": float(vac[k_total]), "product": float(prod_p[k_total])},
-        verdict=_verdict(total, tol, certified),
         tol=tol,
         certified=certified,
         details={
@@ -223,7 +221,6 @@ def positive_correlations(dist: np.ndarray, tol: float = DEFAULT_TOL,
         worst_margin=worst,
         witness={"sites": _mask_sites(k, n), "joint": float(vac[k]),
                  "product": float(prod[k])},
-        verdict=_verdict(worst, tol, certified),
         tol=tol,
         certified=certified,
     )
@@ -437,7 +434,6 @@ def path_orthant(spec: ModelSpec, x0: int, m: int, kernel: exact.Kernel,
         universe={"n": spec.n, "x0": x0, "m": m, "budget": budget},
         worst_margin=float(worst),
         witness=witness,
-        verdict=_verdict(worst, tol, certified),
         tol=tol,
         certified=certified,
         details={"worst_multisite_margin": float(multi_worst)},
@@ -482,7 +478,6 @@ def spin_marginal_bound(spec: SpinSpec, x0: int, t_grid, tol: float = 1e-6,
         universe={"n": spec.n, "x0": x0, "t_grid": t_grid, "h": config.h},
         worst_margin=worst,
         witness=witness,
-        verdict=_verdict(worst, tol, certified),
         tol=tol,
         certified=certified,
         details={"min_margin_per_time": per_time},

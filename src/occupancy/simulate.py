@@ -42,8 +42,8 @@ def _threshold_words(p: np.ndarray) -> np.ndarray:
 def _threshold_table(spec: ModelSpec):
     """(2^n, n) word thresholds of each bit, by state word; None past the cap.
 
-    The table is filled in row blocks of states whose bank evaluation, 2n
-    families times n coordinates a state, holds about `BLOCK_ENTRIES` entries.
+    The table is filled in `lattice.row_blocks` of states as wide as their
+    bank evaluation, 2n families times n coordinates a state.
     """
     n = spec.n
     if n > _TABLE_CAP:

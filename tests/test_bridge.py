@@ -204,7 +204,7 @@ def test_frozen_chain_and_zero_time_push_nothing(ring3, monkeypatch):
     frozen = zoo.contact_ring(3, beta=0.0, mu=0.0)
     config = DiscretisationConfig(0.25)
     still = chain_kernel(frozen, config)
-    assert still.largest_exit() == 0.0
+    assert still.largest_exit == 0.0
     for spec, kernel, t in ((frozen, still, 2.0),
                             (ring3, chain_kernel(ring3, config), 0.0)):
         law = subordinated_law(spec, config, 5, t, kernel)
@@ -218,7 +218,7 @@ def test_the_mixture_pushes_the_moves_only(monkeypatch):
     # about t times the largest exit rate at every step size, where a push
     # per Poisson(t / delta) term, every lazy step too, takes 849 here
     ring = zoo.contact_ring(10)
-    means = [chain_kernel(ring, DiscretisationConfig(d)).largest_exit() / d for d in DELTAS]
+    means = [chain_kernel(ring, DiscretisationConfig(d)).largest_exit / d for d in DELTAS]
     calls = counted_pushes(monkeypatch)
     convergence_table(ring, 1, 1.0)
     assert len(calls) == sum(exact.poisson_weights(mean).size - 1 for mean in means)
@@ -367,3 +367,11 @@ def test_uncertified_convergence_reads_informative():
 def test_config_validation():
     with pytest.raises(ValueError):
         DiscretisationConfig(0.0)
+
+
+def test_subordinated_law_refuses_negative_time():
+    ring = zoo.contact_ring(2)
+    config = DiscretisationConfig(0.25)
+    kernel = exact.kernel(discretise(ring, config))
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        subordinated_law(ring, config, 0, -1.0, kernel)

@@ -194,6 +194,30 @@ def test_non_numbers_in_number_fields_are_usage_errors(tmp_path, capsys, family,
         assert captured.err == f"error: {path}: colonisation[0]: {named}\n"
 
 
+@pytest.mark.parametrize("doc, named", [
+    ([], "model document must be a JSON object"),
+    (_colonising_pair({"params": {"c": 0.5}}),
+     "colonisation[0]: 'family' and 'params' are required"),
+    (_colonising_pair(_family_with("hanski-incidence", {"b": [0.1, 0.2], "y": 0})),
+     "colonisation[0]: hanski-incidence needs b >= 0 and y > 0"),
+    # an integer literal past the float range, which float() cannot read
+    (_colonising_pair(_family_with("constant", {"c": 0.2}, offset=10 ** 400)),
+     "colonisation[0]: offset must be finite, got an integer past the float range"),
+    (_colonising_pair(_family_with("affine-saturated", {"a": 0.1, "b": [0.2, -10 ** 400]})),
+     "colonisation[0]: weight vector b entry must be finite, got an integer past the "
+     "float range"),
+])
+def test_malformed_documents_exit_one_with_one_line(tmp_path, capsys, doc, named):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    for argv in _OCC_ROUTES:
+        code = run_cli(*argv, "--model", path)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {named}\n"
+
+
 def test_unknown_field_is_usage_error(tmp_path, capsys):
     doc = {"n": 1, "colonisation": [{"family": "constant", "params": {"c": 0.3}}],
            "survival": [{"family": "constant", "params": {"c": 0.8}}],
@@ -269,6 +293,17 @@ def test_run_mc_bytes_are_frozen(tmp_path, capsys, spec, argv, digest):
     capsys.readouterr()
 
 
+def test_single_replicate_has_zero_standard_errors(model_dir, capsys):
+    # one replicate has no spread to estimate: its se column reads 0.0
+    out = model_dir / "mc.csv"
+    code = run_cli("run", "--model", model_dir / "pair.json", "--mode", "mc", "--t", "3",
+                   "--reps", "1", "--out", out)
+    assert code == cli.EXIT_PASS and capsys.readouterr().err == ""
+    lines = out.read_text().splitlines()
+    assert lines[0] == "step,site,mean,se" and len(lines) == 1 + 4 * 2
+    assert {line.split(",")[3] for line in lines[1:]} == {"0.0"}
+
+
 def test_run_writes_file(model_dir, capsys):
     out_path = model_dir / "traj.csv"
     code = run_cli("run", "--model", model_dir / "single.json",
@@ -296,12 +331,14 @@ def test_run_writes_file(model_dir, capsys):
     ("ring.json", ["verify", "--theorem", "thm4", "--t", "0.5",
                    "--delta-grid", "0.00390625,0.0625"]),
     ("ring.json", ["bridge", "--t", "0.5", "--delta-grid", "0.0625,0.0625"]),
+    ("broken.json", ["check", "--samples", "0"]),
+    ("broken.json", ["verify", "--theorem", "thm1", "--t", "2", "--samples", "0"]),
 ])
 def test_malformed_flag_is_usage_error(model_dir, capsys, model, argv):
     code = run_cli(*argv, "--model", model_dir / model)
     captured = capsys.readouterr()
     assert code == cli.EXIT_USAGE
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
 
 

@@ -99,22 +99,29 @@ def test_push_matches_the_dense_kernel(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_largest_exit_reads_the_diagonal(n, monkeypatch):
-    # the largest 1 - T[w, w], against the dense kernel's diagonal, and in
-    # row blocks of one or a few states as in one block of all of them
+    # the largest 1 - T[w, w], against the dense kernel's diagonal, and for
+    # a kernel built in row blocks of one or a few states as for one built
+    # in one block of all of them
     for seed in range(3):
         for spec in (random_model(n, seed=6000 * n + seed),
                      bridge.discretise(random_spin_model(n, seed=6100 * n + seed),
                                        bridge.DiscretisationConfig(0.25 / n))):
             K = exact.kernel(spec)
-            e = K.largest_exit()
+            e = K.largest_exit
             assert abs(e - np.max(1.0 - np.diag(K.dense(spec)))) <= 1e-15
             words, half = np.arange(1 << n), n // 2
             stay = K.low[words, words & ((1 << half) - 1)] * K.high[words, words >> half]
             assert e == 1.0 - np.min(stay)
-            with monkeypatch.context() as patch:
-                for entries in (1, 4, 3 << half):
-                    patch.setattr(exact, "BLOCK_ENTRIES", entries)
-                    assert K.largest_exit() == e
+            read = exact.lattice_transitions
+            for entries in (1, 4, 3 << half):
+                with monkeypatch.context() as patch:
+                    patch.setattr(lattice, "BLOCK_ENTRIES", entries)
+                    blocks = []
+                    patch.setattr(exact, "lattice_transitions",
+                                  lambda spec, bits: blocks.append(len(bits))
+                                  or read(spec, bits))
+                    assert exact.kernel(spec).largest_exit == e
+                    assert len(blocks) > 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 11, 12, 13])
@@ -664,3 +671,24 @@ def test_chapman_kolmogorov(seed):
     d_direct = exact.distribution(spec, 0, 5, T)
     *_, d_chained = exact.propagate(T, exact.distribution(spec, 0, 2, T), 3)
     assert np.allclose(d_direct, d_chained, atol=1e-12)
+
+
+def test_exact_routes_refuse_out_of_range_inputs(interacting):
+    K = exact.kernel(interacting)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        exact.distribution(interacting, 0, -1, K)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        exact.law_trajectory(interacting, 0, -1)
+    with pytest.raises(ValueError, match="power of two"):
+        marginals(np.full(3, 1 / 3))
+    with pytest.raises(ValueError, match="mean must be >= 0"):
+        poisson_weights(-1.0)
+    with pytest.raises(ValueError, match="mean must be >= 0"):
+        poisson_mixture(K.push, exact.point_mass(2, 0), -1.0)
+    rates = spin_generator(zoo.contact_ring(2))
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        exact.spin_law_from(rates, exact.point_mass(2, 0), -0.5)
+    with pytest.raises(ValueError, match="constrained steps must be >= 1"):
+        exact.check_constraints(2, [(0, 0)])
+    with pytest.raises(ValueError, match="no mass left"):
+        as_distribution(np.zeros(4))

@@ -218,3 +218,11 @@ def test_vacancy_tables_hold_no_more_than_they_count(monkeypatch):
         tracemalloc.stop()
     assert counted == [indep.vacancy_plan(n, m).nbytes]
     assert peak <= counted[0]
+
+
+def test_surrogate_tables_refuse_empty_horizons():
+    spec = zoo.interacting_pair()
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        indep.site_schedules(spec, 0, 0)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        indep.vacancy_tables(spec, 0, indep.site_schedules(spec, 0, 1), 0)

@@ -114,10 +114,20 @@ def _owners(match, paths) -> list[str]:
 
 
 def test_one_rule_gives_the_informative_verdict():
-    # `order._verdict` gives it, to every report, and `cli._report_exit` reads it
+    # `OrderReport.__post_init__` gives it, to every report, and
+    # `cli._report_exit` reads it
     owners = _owners(lambda node: isinstance(node, ast.Constant) and node.value == "informative",
                      PACKAGE.glob("*.py"))
-    assert owners == ["cli._report_exit", "order._verdict"]
+    assert owners == ["cli._report_exit", "order.__post_init__"]
+
+
+def test_one_rule_sizes_the_row_blocks():
+    # only `lattice` reads BLOCK_ENTRIES: every route takes its row blocks
+    # from `lattice.row_blocks`, and every plan counts them by `block_count`
+    owners = _owners(lambda node: "BLOCK_ENTRIES" in (getattr(node, "id", None),
+                                                      getattr(node, "attr", None)),
+                     PACKAGE.glob("*.py"))
+    assert sorted(set(owners)) == ["lattice.<module>", "lattice.block_rows"]
 
 
 def test_one_csv_writer():

@@ -200,3 +200,10 @@ def test_flow_checks_its_work_before_counting_steps():
     ring = zoo.contact_ring(3)
     with pytest.raises(CapacityError, match="steps and states needs .* over the work budget"):
         meanfield.flow(ring, [1.0, 0.0, 0.0], 1e308, OdeConfig())
+
+
+def test_recursion_and_step_count_refuse_negative_lengths():
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        iterate(zoo.interacting_pair(), [0.0, 0.0], -1)
+    with pytest.raises(ValueError, match="t_end must be >= 0"):
+        step_count(-1.0, 1e-3)

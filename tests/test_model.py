@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occupancy import exact, indep, model, simulate, zoo
+from occupancy import exact, indep, lattice, model, simulate, zoo
 from occupancy.model import (BOUND_HYPOTHESES, VARIANTS, DimensionError, FunctionFamily,
                              ModelError, ModelSpec, ORDERING_HYPOTHESES,
                              SPIN_BOUND_HYPOTHESES, SpinSpec, check_assumptions,
@@ -94,10 +94,20 @@ def test_row_blocks_give_the_whole_batch(monkeypatch, entries):
     specs = [random_model(5, seed) for seed in range(4)]
     specs += [random_spin_model(5, seed) for seed in range(4)]
     whole = [site_values(spec, pts) for spec in specs]
-    monkeypatch.setattr(model, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(lattice, "BLOCK_ENTRIES", entries)
+    blocks = []
+
+    def counted(rows, width):
+        slices = list(lattice.row_blocks(rows, width))
+        blocks.append(len(slices))
+        return iter(slices)
+
+    monkeypatch.setattr(model, "row_blocks", counted)
     for spec, (up, down) in zip(specs, whole):
         blocked = site_values(spec, pts)
         assert np.array_equal(blocked[0], up) and np.array_equal(blocked[1], down)
+    # every group of every bank ran more than one block
+    assert blocks and min(blocks) > 1
 
 
 @pytest.mark.parametrize("spec", [
@@ -736,3 +746,32 @@ def test_tolerance_only_relaxes_verdicts(seed):
     for ft, fl in zip(tight.findings, loose.findings):
         if ft.verdict == "pass":
             assert fl.verdict == "pass"
+
+
+def test_constructors_refuse_empty_and_unknown_inputs():
+    with pytest.raises(ModelError, match="unknown role 'weight'"):
+        FunctionFamily(variant="constant", n=1, params={"c": 0.5}, role="weight")
+    with pytest.raises(ModelError, match="family dimension must be >= 1"):
+        FunctionFamily(variant="constant", n=0, params={"c": 0.5})
+    with pytest.raises(ModelError, match="n must be >= 1"):
+        ModelSpec(n=0, colonisation=(), survival=())
+    with pytest.raises(ModelError, match="n must be >= 1"):
+        SpinSpec(n=0, birth=(), death=())
+    with pytest.raises(ModelError, match="cannot serialise int"):
+        model_to_dict(3)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        zoo.contact_ring(0)
+
+
+def test_scale_zero_families_are_proven_constants():
+    # a family of scale 0 is its offset, whatever its raw value: with free
+    # product-form weights, whose raw form proves nothing, every hypothesis
+    # is still settled in closed form
+    def flat(level):
+        return FunctionFamily(variant="product-form", n=2, params={"beta": [0.3, 0.6]},
+                              offset=level, scale=0.0)
+
+    spec = ModelSpec(n=2, colonisation=(flat(0.2), flat(0.2)), survival=(flat(0.7), flat(0.7)))
+    findings = check_assumptions(spec, samples=16).findings
+    assert {f.certified_by for f in findings} == {"proof"}
+    assert {f.verdict for f in findings} == {"pass"}

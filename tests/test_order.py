@@ -532,3 +532,9 @@ def test_scan_holds_no_more_than_its_capacity_rule_counts(n, m, monkeypatch):
 def test_scan_budget_must_be_positive(interacting):
     with pytest.raises(ValueError, match="budget"):
         path_orthant(interacting, 0, 2, exact.kernel(interacting), budget=0)
+
+
+@pytest.mark.parametrize("grid", [[], [1.0, 0.5], [-0.5, 0.0]])
+def test_spin_bound_refuses_unsorted_or_negative_grids(grid):
+    with pytest.raises(ValueError, match="t_grid must be nonempty, nondecreasing"):
+        spin_marginal_bound(zoo.contact_ring(2), 0, grid)
