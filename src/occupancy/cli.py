@@ -6,9 +6,9 @@ Subcommands:
   verify  ordering and bound checks (thm1..thm4 suites)
   bridge  discretisation convergence table for a spin model
 
-Exit codes: 0 checks passed, 1 malformed input, 2 a check failed,
-3 hypotheses uncertified, results informative only, 4 over the byte or
-the work budget.
+Exit codes: 0 checks passed, 1 malformed input or a file that cannot be
+read or written, 2 a check failed, 3 hypotheses uncertified, results
+informative only, 4 over the byte or the work budget.
 All outputs are deterministic for a given input and seed.
 """
 
@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -54,8 +55,10 @@ class _CliError(Exception):
 def _load(path):
     try:
         return load_model(path)
-    except FileNotFoundError as exc:
-        raise _CliError(f"cannot read model file: {exc}", EXIT_USAGE)
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's strerror leaves out the path, which the line names once
+        reason = getattr(exc, "strerror", None) or exc
+        raise _CliError(f"cannot read model file {path}: {reason}", EXIT_USAGE)
     except json.JSONDecodeError as exc:
         raise _CliError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -98,12 +101,31 @@ def _parse_seed(seed: int) -> int:
         raise _CliError(f"--seed must be in [0, 2^64), got {seed}", EXIT_USAGE)
 
 
+def _check_out(args):
+    """Exit 1 unless each file the run writes, --out and thm4's <out>.csv, can be written.
+
+    Its directory must exist and it must be no directory.  Nothing is
+    created, so a run refused later leaves no file behind.
+    """
+    if not args.out:
+        return
+    thm4 = getattr(args, "theorem", None) == "thm4"
+    for path in [args.out, args.out + ".csv"] if thm4 else [args.out]:
+        if os.path.isdir(path):
+            raise _CliError(f"cannot write {path}: it is a directory", EXIT_USAGE)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise _CliError(f"cannot write {path}: no such directory", EXIT_USAGE)
+
+
 def _write_out(path, text: str):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}", EXIT_USAGE)
 
 
 def _csv_text(header, rows) -> str:
@@ -357,7 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _check_out(args)
+        code = args.func(args)
+        # flushed here, so that a closed stdout is met below, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # a reader closed stdout early, as `head` does: the run ends as done,
+        # and the interpreter's last flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PASS
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

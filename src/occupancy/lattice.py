@@ -79,6 +79,15 @@ def check_plan(plan: Plan):
                             f"work, over {budget}")
 
 
+def fits(plan: Plan) -> bool:
+    """Whether `plan` passes `check_plan`, for a route that picks between plans."""
+    try:
+        check_plan(plan)
+    except CapacityError:
+        return False
+    return True
+
+
 def block_rows(width: int) -> int:
     """Rows of a row block of `width` entries a row: BLOCK_ENTRIES // width, at least one."""
     return max(1, BLOCK_ENTRIES // max(1, width))
@@ -107,9 +116,12 @@ def lattice_blocks(n: int, width: int):
         yield rows, word_bits(rows.start, rows.stop, n, buffer[:rows.stop - rows.start])
 
 
-def sweep_work(n: int, width: int, calls: int) -> float:
-    """Work of a sweep of `lattice_blocks(n, width)`: `width` entries a state, `calls` a block."""
-    return ENTRY_WORK * float(width << n) + CALL_WORK * calls * block_count(1 << n, width)
+def sweep_work(n: int, width: int, calls: int) -> int:
+    """Work of a sweep of `lattice_blocks(n, width)`: `width` entries a state, `calls` a block.
+
+    An exact int, so that a route may weigh a sweep at any n, past the float range too.
+    """
+    return ENTRY_WORK * (width << n) + CALL_WORK * calls * block_count(1 << n, width)
 
 
 def popcount(x: np.ndarray, bits: int) -> np.ndarray:

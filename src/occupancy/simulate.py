@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CALL_WORK, ENTRY_WORK, Plan, check_plan, lattice_blocks, shown, state_bits
+from .lattice import (CALL_WORK, ENTRY_WORK, Plan, check_plan, fits, lattice_blocks, shown,
+                      state_bits, sweep_work)
 from .model import ModelSpec, lattice_transitions
 from .streams import REPLICATE_CHUNK, UniformArray, new_bit_generator
 
-# the per-word threshold table is precomputed up to this dimension
-_TABLE_CAP = 12
-# bit weights of the state word; a float64 gemv with them is exact to 2^53
-_WORD_WEIGHTS = 2.0 ** np.arange(_TABLE_CAP)
+# bit weights of state words; a float64 gemv with them is exact to 2^53
+_WORD_WEIGHTS = 2.0 ** np.arange(53)
 _WORD_SCALE = 2.0 ** 53
 
 
@@ -39,17 +38,10 @@ def _threshold_words(p: np.ndarray) -> np.ndarray:
     return words.reshape(p.shape)
 
 
-def _threshold_table(spec: ModelSpec):
-    """(2^n, n) word thresholds of each bit, by state word; None past the cap.
-
-    The table is filled in `lattice.row_blocks` of states as wide as their
-    bank evaluation, 2n families times n coordinates a state.
-    """
-    n = spec.n
-    if n > _TABLE_CAP:
-        return None
-    table = np.empty((1 << n, n), dtype=np.uint64)
-    for rows, bits in lattice_blocks(n, 2 * n * n):
+def _threshold_table(spec: ModelSpec) -> np.ndarray:
+    """(2^n, n) word thresholds of each bit by state word, filled a row block at a time."""
+    table = np.empty((1 << spec.n, spec.n), dtype=np.uint64)
+    for rows, bits in lattice_blocks(spec.n, 2 * spec.n * spec.n):
         table[rows] = _threshold_words(lattice_transitions(spec, bits))
     return table
 
@@ -71,8 +63,7 @@ def step_occupancy(spec: ModelSpec, states: np.ndarray, uniforms: np.ndarray,
     None to evaluate the thresholds at the states.  The engines carry
     float64 states, so that state words and site counts are BLAS products.
     """
-    states = np.asarray(states)
-    uniforms = np.asarray(uniforms)
+    states, uniforms = np.asarray(states), np.asarray(uniforms)
     if states.shape != uniforms.shape or states.shape[-1] != spec.n:
         raise ValueError("states and uniforms must both have shape (B, n)")
     if uniforms.dtype != np.uint64:
@@ -115,11 +106,8 @@ class MarginalEstimates:
 
 
 def _chunk_plan(reps: int):
-    plan = []
-    for chunk in range((reps + REPLICATE_CHUNK - 1) // REPLICATE_CHUNK):
-        rows = min(REPLICATE_CHUNK, reps - chunk * REPLICATE_CHUNK)
-        plan.append((chunk, rows))
-    return plan
+    return [(chunk, min(REPLICATE_CHUNK, reps - chunk * REPLICATE_CHUNK))
+            for chunk in range(-(-reps // REPLICATE_CHUNK))]
 
 
 def _run_chunks(plan, worker, workers: int):
@@ -142,11 +130,20 @@ def _run_chunks(plan, worker, workers: int):
 
 
 def _bernoulli_se(count: np.ndarray, reps: int) -> np.ndarray:
-    """Standard error of a mean of 0/1 replicates from the exact count."""
-    if reps < 2:
-        return np.zeros_like(np.asarray(count, float))
-    var = (count - count * (count / reps)) / (reps - 1)
+    """Standard error of a mean of 0/1 replicates from the exact count; 0 for one replicate."""
+    var = (count - count * (count / reps)) / max(reps - 1, 1)
     return np.sqrt(np.maximum(var, 0.0)) / np.sqrt(reps)
+
+
+def _table_plan(n: int, steps: int, reps: int) -> Plan | None:
+    """The route rule: the threshold table's plan where the engines read the table, else None.
+
+    They read it, its bytes and one sweep of the lattice through the bank,
+    when it fits the budgets and the sweep costs less work than the direct
+    route, which evaluates 2n families at each of reps * steps states.
+    """
+    table = Plan(f"n = {n}: the threshold table", 8 * n << n, sweep_work(n, 2 * n * n, 30))
+    return table if table.work < steps * ENTRY_WORK * 2 * n * n * reps and fits(table) else None
 
 
 def simulation_plan(spec: ModelSpec, steps: int, reps: int) -> Plan:
@@ -155,18 +152,20 @@ def simulation_plan(spec: ModelSpec, steps: int, reps: int) -> Plan:
     It holds the sum, means and ses, and every chunk's counts, which a pool
     of workers may finish before the sum reaches them; and per thread six
     (REPLICATE_CHUNK, n) arrays, for as many threads as any `workers`
-    starts.  A chunk's step reads about eight entries per replicate and
-    site, and past the table's cap evaluates 2n families at each state.
+    starts.  A step reads about eight entries per replicate and site, beside
+    the threshold table, or the direct route's 2n families a state.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n, chunks = spec.n, -(-reps // REPLICATE_CHUNK)
     threads = min(chunks, os.cpu_count() or 1)
-    entries = reps * n * (8 + (2 * n if n > _TABLE_CAP else 0))
-    return Plan(f"{shown(steps)} steps, {shown(reps)} replicates: {shown(chunks + 3)} "
+    table = _table_plan(n, steps, reps)
+    entries = reps * n * (8 + 2 * n if table is None else 8)
+    plan = Plan(f"{shown(steps)} steps, {shown(reps)} replicates: {shown(chunks + 3)} "
                 f"({shown(steps + 1)}, {n}) count tables",
                 8 * (chunks + 3) * (steps + 1) * n + 6 * threads * 8 * REPLICATE_CHUNK * n,
                 steps * (ENTRY_WORK * entries + 10 * CALL_WORK * chunks))
+    return plan if table is None else plan.then(table, beside=True)
 
 
 def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
@@ -176,7 +175,7 @@ def simulate_marginals(spec: ModelSpec, x0: int, steps: int, reps: int,
         raise ValueError("steps must be >= 0")
     check_plan(simulation_plan(spec, steps, reps))
     ua = UniformArray(seed=seed, n_sites=spec.n)
-    table = _threshold_table(spec)
+    table = None if _table_plan(spec.n, steps, reps) is None else _threshold_table(spec)
 
     def run(chunk: int, rows: int) -> np.ndarray:
         bitgen = new_bit_generator()

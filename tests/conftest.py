@@ -647,7 +647,8 @@ def simulate_event_probability(spec, x0: int, pattern: MultiSitePattern, reps: i
     for site, t in pattern.constraints():
         by_time.setdefault(t, []).append(site)
     ua = UniformArray(seed=seed, n_sites=spec.n)
-    table = simulate._threshold_table(spec)
+    table = (None if simulate._table_plan(spec.n, horizon, reps) is None
+             else simulate._threshold_table(spec))
 
     def run(chunk: int, rows: int) -> np.ndarray:
         bitgen = new_bit_generator()
@@ -677,7 +678,8 @@ def monotone_path_check(spec, x0: int, steps: int, reps: int, seed: int,
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     ua = UniformArray(seed=seed, n_sites=spec.n)
-    table = simulate._threshold_table(spec)
+    table = (None if simulate._table_plan(spec.n, steps, reps) is None
+             else simulate._threshold_table(spec))
 
     def run(chunk: int, rows: int) -> np.ndarray:
         bitgen = new_bit_generator()

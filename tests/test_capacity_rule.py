@@ -67,15 +67,6 @@ def test_block_bytes_is_read_only_by_check_bytes():
     assert reads == [("lattice.py", "check_plan")]
 
 
-def _fits(check) -> bool:
-    """Whether check() passes the capacity rule."""
-    try:
-        check()
-    except lattice.CapacityError:
-        return False
-    return True
-
-
 def test_limits_in_n(monkeypatch):
     # at the CLI's defaults, by bytes alone: single laws and thm1 to n = 17,
     # thm2 to 22, thm3 to 13 and the bridge (and thm4) to 17; by bytes and
@@ -85,7 +76,7 @@ def test_limits_in_n(monkeypatch):
         with monkeypatch.context() as patch:
             if not work:
                 patch.setattr(lattice, "WORK_BUDGET", float("inf"))
-            return max(n for n in range(1, 30) if _fits(lambda: lattice.check_plan(plan(n))))
+            return max(n for n in range(1, 30) if lattice.fits(plan(n)))
 
     def thm1(n):
         return order.bound_plan(zoo.random_certified_model(n, 0), 10)
@@ -190,10 +181,12 @@ def _check_route(n, samples):
     return _traced(lambda: check_assumptions(spec, samples=samples), model)
 
 
-def _mc_route(n, make):
-    # three chunks, as many threads as the count allows for
+def _mc_route(n, make, steps):
+    # three chunks, as many threads as the count allows for; the route rule
+    # reads the threshold table up to n = 16, which holds 8 MiB there
     spec = make(n)
-    return _traced(lambda: simulate.simulate_marginals(spec, 0, 3, 3000, 1, workers=2),
+    assert (simulate._table_plan(n, steps, 3000) is not None) == (n <= 16)
+    return _traced(lambda: simulate.simulate_marginals(spec, 0, steps, 3000, 1, workers=2),
                    simulate)
 
 
@@ -210,8 +203,10 @@ ROUTES = ([pytest.param(_kernel_route, n, id=f"kernel-{n}") for n in range(1, 15
              for n in range(1, 9)]
           + [pytest.param(partial(_check_route, samples=65536), n, id=f"check-65536-{n}")
              for n in (1, 2, 3, 4, 6)]
-          + [pytest.param(partial(_mc_route, make=make), n, id=f"mc-{name}-{n}")
-             for n in (4, 12, 64, 200)
+          # at n = 13-16, 40 steps: enough for the table's sweep to pay
+          + [pytest.param(partial(_mc_route, make=make, steps=3 if n <= 12 or n > 16 else 40),
+                          n, id=f"mc-{name}-{n}")
+             for n in (4, 12, 13, 14, 15, 16, 64, 200)
              for name, make in (("pair", zoo.constant_pair),
                                 ("certified", partial(zoo.random_certified_model, seed=4)))])
 

@@ -236,6 +236,20 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'\xff{"n": 1}'),
+], ids=["directory", "not-utf-8"])
+def test_unreadable_model_file_exits_one_naming_it(tmp_path, capsys, make):
+    path = tmp_path / "model.json"
+    make(path)
+    code = run_cli("check", "--model", path)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith(f"error: cannot read model file {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_run_exact_two_steps(model_dir, capsys):
     code = run_cli("run", "--model", model_dir / "single.json",
                    "--mode", "exact", "--t", "2")
@@ -281,8 +295,18 @@ def test_run_mc_is_reproducible(model_dir, capsys):
     pytest.param(random_model(5, 0), ["--t", "8", "--x0", "3", "--reps", "5000"],
                  "2a533d64053ca5ba5f15496863acf7beb6131c5b42fc4fe294cab072cdf072a7",
                  id="random-n5"),
+    # fixed while these runs evaluated the bank at every state; the route
+    # rule now reads the threshold table for them
+    pytest.param(zoo.random_certified_model(13, 7), ["--t", "8", "--reps", "5000"],
+                 "8d47c88a340236d0612af025e165930c6a761faff7bdf09f148ccc81c97d6ea4",
+                 id="certified-n13"),
+    pytest.param(zoo.random_certified_model(16, 7), ["--t", "8", "--reps", "20000"],
+                 "0a5b5b708c01a4906f98f4799053bb9f0df480e40fc218e70f78e602a593c39b",
+                 id="certified-n16"),
 ])
 def test_run_mc_bytes_are_frozen(tmp_path, capsys, spec, argv, digest):
+    steps, reps = (int(argv[argv.index(flag) + 1]) for flag in ("--t", "--reps"))
+    assert simulate._table_plan(spec.n, steps, reps) is not None
     save_model(spec, tmp_path / "model.json")
     for workers in ("1", "2"):
         out_path = tmp_path / f"mc{workers}.csv"
@@ -815,6 +839,78 @@ def test_capacity_budget_exits_four(model_dir, capsys, monkeypatch, name, argv):
         assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+# every subcommand, and each verify theorem, on a model it accepts
+_OUT_ROUTES = [
+    ("pair.json", ["check"]),
+    ("pair.json", ["run", "--mode", "exact", "--t", "2"]),
+    ("pair.json", ["run", "--mode", "mc", "--t", "2"]),
+    ("ring.json", ["run", "--mode", "meanfield", "--t", "0.5"]),
+    ("pair.json", ["verify", "--theorem", "thm1"]),
+    ("ring.json", ["verify", "--theorem", "thm2"]),
+    ("pair.json", ["verify", "--theorem", "thm3"]),
+    ("ring.json", ["verify", "--theorem", "thm4"]),
+    ("ring.json", ["bridge"]),
+]
+
+
+@pytest.mark.parametrize("name, argv, out, why", [
+    pytest.param(name, argv, out, why, id="-".join(argv[:1] + argv[2:3] + [kind]))
+    for name, argv in _OUT_ROUTES
+    for out, why, kind in (("absent/out", "no such directory", "missing-dir"),
+                           ("outdir", "it is a directory", "directory"))
+] + [
+    # thm4 writes its table beside its report, as <out>.csv
+    pytest.param("ring.json", ["verify", "--theorem", "thm4"], "table", "it is a directory",
+                 id="verify-thm4-csv-directory"),
+])
+def test_unwritable_out_exits_one_before_the_plan(model_dir, capsys, monkeypatch, name, argv,
+                                                  out, why):
+    (model_dir / "outdir").mkdir()
+    (model_dir / "table.csv").mkdir()
+    before = sorted(model_dir.iterdir())
+    for module in (cli, model, exact, meanfield, order, bridge, indep, simulate):
+        monkeypatch.setattr(module, "check_plan", lambda plan: pytest.fail("planned"))
+    code = run_cli(*argv, "--model", model_dir / name, "--out", model_dir / out)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    bad = model_dir / (out + ".csv" if out == "table" else out)
+    assert captured.err == f"error: cannot write {bad}: {why}\n"
+    assert sorted(model_dir.iterdir()) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is full")
+def test_failed_write_exits_one_with_one_line(model_dir, capsys):
+    # the path passes the check, and the write itself fails
+    code = run_cli("run", "--model", model_dir / "pair.json", "--t", "2", "--out", "/dev/full")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: cannot write /dev/full: No space left on device\n"
+
+
+def test_refused_run_leaves_no_file(model_dir, capsys):
+    out = model_dir / "mc.csv"
+    code = run_cli("run", "--model", model_dir / "pair.json", "--mode", "mc", "--t", "1e12",
+                   "--out", out)
+    capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY and not out.exists()
+
+
+def test_closed_stdout_exits_zero_without_a_traceback(model_dir):
+    # without PYTHONUNBUFFERED, stdout is block-buffered: 20,001 rows are
+    # still being written, or flushed at exit, when the reader has gone
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-m", "occupancy.cli", "run", "--model",
+                           str(model_dir / "pair.json"), "--mode", "exact", "--t", "20000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_PASS
+    assert err == b""
+
+
 class _EngineStarted(Exception):
     """Raised by a patched engine step: the run's plans passed."""
 
@@ -822,7 +918,7 @@ class _EngineStarted(Exception):
 @pytest.mark.parametrize("name, argv, edge", [
     ("pair.json", ["run", "--mode", "exact"], 589879),
     ("pair.json", ["run", "--mode", "meanfield"], 321149),
-    ("m3.json", ["run", "--mode", "mc", "--reps", "1"], 326699),
+    ("m3.json", ["run", "--mode", "mc", "--reps", "1"], 326698),
     ("ring.json", ["run", "--mode", "meanfield"], 89),
 ])
 def test_run_counts_its_csv_text(model_dir, capsys, monkeypatch, name, argv, edge):

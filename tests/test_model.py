@@ -160,12 +160,13 @@ def test_lattice_route_reads_the_fold_bit_for_bit(n):
             if n <= 8:
                 assert same_bits(K.dense(spec), factor_table(q))
             words = rng.integers(1 << n, size=50)
-            # the engines' thresholds: the table up to its cap, the states past it
+            # the engines' thresholds on both routes the route rule picks
+            # between: at the states, and the whole table
             want = simulate._threshold_words(q[words].copy())
             assert np.array_equal(simulate._thresholds(spec, bits[words], None), want)
             table = simulate._threshold_table(spec)
-            if n <= simulate._TABLE_CAP:
-                assert np.array_equal(table, simulate._threshold_words(q.copy()))
+            assert np.array_equal(table, simulate._threshold_words(q.copy()))
+            assert np.array_equal(simulate._thresholds(spec, bits[words], table), want)
         else:
             assert same_bits(exact.spin_generator(spec), q)
         if n <= model.LATTICE_SCAN_CAP:

@@ -57,12 +57,13 @@ def test_step_compares_words_with_their_thresholds(interacting):
 
 
 def test_table_and_direct_threshold_routes_agree():
-    # above the table cap thresholds are evaluated directly; both routes
-    # must equal the per-family choice of survival (occupied) or
-    # colonisation (vacant), bit for bit, as the word thresholds
-    # ceil(p * 2^53) the engines compare their uniforms' words with
+    # the route rule reads the table or evaluates the thresholds at the
+    # states; both routes must equal the per-family choice of survival
+    # (occupied) or colonisation (vacant), bit for bit, as the word
+    # thresholds ceil(p * 2^53) the engines compare their uniforms' words with
     rng = np.random.default_rng(1)
-    for spec in [zoo.random_certified_model(3, 77)] + [random_model(*m) for m in RANDOM_MODELS]:
+    specs = [zoo.random_certified_model(3, 77), zoo.random_certified_model(13, 78)]
+    for spec in specs + [random_model(*m) for m in RANDOM_MODELS]:
         states = rng.integers(0, 2, size=(200, spec.n)).astype(np.int8)
         c, s = family_site_values(spec, states.astype(float))
         oracle = np.ceil(np.where(states > 0, s, c) * 2.0 ** 53).astype(np.uint64)
@@ -70,8 +71,10 @@ def test_table_and_direct_threshold_routes_agree():
         direct = simulate._thresholds(spec, states, None)
         assert np.array_equal(tabled, oracle)
         assert np.array_equal(direct, oracle)
-    big = zoo.random_certified_model(13, 78)
-    assert simulate._threshold_table(big) is None
+    # at n = 13 the rule takes either route: the table's 2^13 states against
+    # 1,000 replicates' one step or twenty
+    assert simulate._table_plan(13, 1, 1000) is None
+    assert simulate._table_plan(13, 20, 1000) is not None
 
 
 def test_marginals_match_manual_replicate_loop(interacting):
@@ -276,28 +279,32 @@ def _saturating_model():
                      survival=(const(1.0), const(0.0), clamped))
 
 
-# random models of every variant, the 0/1 thresholds, and one past the table cap
+# random models of every variant, the 0/1 thresholds, and a 13-site model
 _BYTE_IDENTITY_MODELS = ([(random_model, m) for m in RANDOM_MODELS]
                          + [(lambda n, seed: _saturating_model(), (3, 0)),
-                            (random_model, (simulate._TABLE_CAP + 1, 5))])
+                            (random_model, (13, 5))])
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("build, args", _BYTE_IDENTITY_MODELS)
 def test_engines_count_as_the_float_rule(build, args, workers):
     spec = build(*args)
-    n, steps, x0 = spec.n, 4, (1 << spec.n) - 2
+    n, x0 = spec.n, (1 << spec.n) - 2
     # three chunks, the last one partial, for three workers to share
     reps, seed = 2 * REPLICATE_CHUNK + 37, 2 ** 53 + args[1]
-    paths = float_route_paths(spec, x0, steps, reps, seed)
-    est = simulate_marginals(spec, x0, steps, reps, seed, workers=workers)
-    counts = paths.sum(axis=1, dtype=np.int64)
-    assert est.means.tobytes() == (counts / reps).tobytes()
-    entries = ((0, (1, steps)),) + (((n - 1, (2,)),) if n > 1 else ())
-    event = simulate_event_probability(spec, x0, MultiSitePattern(entries=entries),
-                                       reps, seed, workers=workers)
-    vacant = [paths[t, :, site] == 0 for site, times in entries for t in times]
-    assert event.mean == int(np.logical_and.reduce(vacant).sum()) / reps
+    # four steps; at n = 13 also eight, so that the route rule takes the
+    # direct route and then the table at one n
+    for steps in (4, 8) if n == 13 else (4,):
+        assert n < 13 or (simulate._table_plan(n, steps, reps) is not None) == (steps == 8)
+        paths = float_route_paths(spec, x0, steps, reps, seed)
+        est = simulate_marginals(spec, x0, steps, reps, seed, workers=workers)
+        counts = paths.sum(axis=1, dtype=np.int64)
+        assert est.means.tobytes() == (counts / reps).tobytes()
+        entries = ((0, (1, steps)),) + (((n - 1, (2,)),) if n > 1 else ())
+        event = simulate_event_probability(spec, x0, MultiSitePattern(entries=entries),
+                                           reps, seed, workers=workers)
+        vacant = [paths[t, :, site] == 0 for site, times in entries for t in times]
+        assert event.mean == int(np.logical_and.reduce(vacant).sum()) / reps
 
 
 def test_saturating_model_thresholds_are_zero_and_one():
